@@ -33,21 +33,14 @@ from .model import (
     dummy_penalty,
     make_dummy_path,
     make_path,
-    path_delay,
     qos_feasible,
 )
-from .pricing import (
-    PricingWeights,
-    enumerate_candidates,
-    price_demand,
-    priced_length,
-)
+from .pricing import CandidateTable, enumerate_candidates, price_demand
 from .rmp import (
     Column,
     DualPoint,
     RestrictedMaster,
     RmpSolution,
-    build_initial,
     dual_objective,
 )
 from .scenario import (
@@ -105,17 +98,14 @@ __all__ = [
     "dummy_penalty",
     "make_dummy_path",
     "make_path",
-    "path_delay",
     "qos_feasible",
-    "PricingWeights",
+    "CandidateTable",
     "enumerate_candidates",
     "price_demand",
-    "priced_length",
     "Column",
     "DualPoint",
     "RestrictedMaster",
     "RmpSolution",
-    "build_initial",
     "dual_objective",
     "SyntheticParams",
     "TelcoProfile",

@@ -17,6 +17,7 @@ from .exact import ExactLimits
 from .harness import (
     MODES,
     emit_reports,
+    mode_candidates,
     run_timeseries,
     solve_epoch,
 )
@@ -106,7 +107,8 @@ def cli():
     "dump_lp_path",
     type=click.Path(dir_okay=False, path_type=FsPath),
     default=None,
-    help="Write the final restricted master in LP text format.",
+    help="Write the final restricted master in LP text format "
+    "(the overlay master under --mode both).",
 )
 @_timing_option
 def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fmt, dump_lp_path, timing):
@@ -122,7 +124,8 @@ def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fm
         if not demands:
             raise InputError("--dump-lp needs a nonempty demand set")
         augmented = augment_clique(graph, demands)
-        cg = column_generation(augmented, demands, config)
+        dumped = "overlay" if mode == "both" else mode
+        cg = column_generation(augmented, demands, config, mode_candidates(dumped))
         dump_lp_path.write_text(cg.master.dump_lp())
         click.echo(f"wrote {dump_lp_path}", err=True)
     _write(reports, fmt, out, timing)

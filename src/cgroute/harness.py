@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 from .errors import CgRouteError, InputError
 from .exact import ExactLimits, solve_exact
-from .model import Demand, OverlayGraph, Path
+from .model import Demand, OverlayGraph, Path, make_path, qos_feasible
 from .pricing import enumerate_candidates
-from .solver import RoutingSolution, SolverConfig, solve
+from .solver import CandidateFn, RoutingSolution, SolverConfig, solve
 from .scenario import Trace
 
 CSV_HEADER = (
@@ -64,8 +64,17 @@ class EpochReport:
 
 def direct_mode_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
     """Underlay-style candidates: the direct edge and nothing else."""
-    full = enumerate_candidates(graph, demand)
-    return [p for p in full if len(p.edges) == 1]
+    if not graph.is_real((demand.source, demand.destination)):
+        return []
+    p = make_path(graph, demand)
+    return [p] if qos_feasible(p, demand) else []
+
+
+def mode_candidates(mode: str) -> CandidateFn:
+    """The candidate function of a routing mode."""
+    if mode not in MODES:
+        raise InputError(f"unknown mode {mode!r}")
+    return enumerate_candidates if mode == "overlay" else direct_mode_candidates
 
 
 def estimate_throughput(
@@ -127,9 +136,7 @@ def solve_epoch(
     with_throughput: bool = False,
 ) -> EpochReport:
     """Solve one snapshot in one mode and package the report."""
-    if mode not in MODES:
-        raise InputError(f"unknown mode {mode!r}")
-    candidate_fn = enumerate_candidates if mode == "overlay" else direct_mode_candidates
+    candidate_fn = mode_candidates(mode)
     started = time.perf_counter()
     routed = solve(graph, demands, config, candidate_fn)
     runtime_ms = (time.perf_counter() - started) * 1000.0

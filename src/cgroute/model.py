@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -118,10 +119,31 @@ class OverlayGraph:
         return edge in self.edges and edge not in self.artificial
 
     def real_edges(self) -> list[Edge]:
-        return [e for e in self.edges if e not in self.artificial]
+        return list(self._real_edges)
+
+    @cached_property
+    def _real_edges(self) -> tuple[Edge, ...]:
+        return tuple(e for e in self.edges if e not in self.artificial)
+
+    @cached_property
+    def real_out(self) -> Mapping[NodeId, frozenset[NodeId]]:
+        """Heads of each node's real out-edges; nodes without any are absent."""
+        return _neighbours(self._real_edges, 0)
+
+    @cached_property
+    def real_in(self) -> Mapping[NodeId, frozenset[NodeId]]:
+        """Tails of each node's real in-edges; nodes without any are absent."""
+        return _neighbours(self._real_edges, 1)
 
     def metrics(self, edge: Edge) -> LinkMetrics:
         return self.edges[edge]
+
+
+def _neighbours(edges: Sequence[Edge], side: int) -> Mapping[NodeId, frozenset[NodeId]]:
+    index: dict[NodeId, set[NodeId]] = {}
+    for e in edges:
+        index.setdefault(e[side], set()).add(e[1 - side])
+    return MappingProxyType({i: frozenset(nbrs) for i, nbrs in index.items()})
 
 
 @dataclass(frozen=True)
@@ -258,8 +280,3 @@ def qos_feasible(path: Path, demand: Demand) -> bool:
         and path.success_prob >= demand.min_success_prob
         and not path.uses_artificial
     )
-
-
-def path_delay(path: Path) -> float:
-    """Total delay of the path in ms (the rejection penalty for dummies)."""
-    return path.total_delay_ms

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -22,7 +21,6 @@ from .errors import ContractError, InputError, SolverError
 from .model import (
     Demand,
     Edge,
-    NodeId,
     OverlayGraph,
     Path,
     dummy_penalty,
@@ -49,54 +47,56 @@ _STATUS = {
 
 @dataclass(frozen=True)
 class Column:
-    """One LP variable: a (demand, path) pair with its constraint footprint."""
+    """One LP variable: a (demand, path) pair.
+
+    Its capacity footprint (the demand's rate on every edge and node of the
+    path) is derived by the master when the column joins the pool.
+    """
 
     demand_id: int
     path: Path
     cost: float
-    edge_coeff: Mapping[Edge, float]
-    node_coeff: Mapping[NodeId, float]
 
     @classmethod
     def from_path(cls, path: Path, demand: Demand) -> "Column":
         if path.demand_id != demand.id:
             raise ContractError("path/demand mismatch")
-        if path.is_dummy:
-            # Rejection placeholders consume nothing, so they can never make
-            # the master infeasible.
-            return cls(demand.id, path, path.total_delay_ms, {}, {})
-        r = demand.rate_mbps
-        return cls(
-            demand_id=demand.id,
-            path=path,
-            cost=path.total_delay_ms,
-            edge_coeff=MappingProxyType({e: r for e in path.edges}),
-            node_coeff=MappingProxyType({i: r for i in path.nodes}),
-        )
+        return cls(demand.id, path, path.total_delay_ms)
 
     @property
     def is_dummy(self) -> bool:
         return self.path.is_dummy
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPoint:
-    """Dual prices from one master solve.
+    """Dual prices from one master solve, as arrays in constraint-row order.
 
-    ``edge_duals`` and ``node_duals`` price capacity (nonnegative);
-    ``convexity_duals`` carry one free multiplier per demand.
+    ``edge_duals`` holds one price per real edge in ``graph.real_edges()``
+    order and ``node_duals`` one per node; both price capacity and must be
+    nonnegative, which construction checks once for every pricing pass
+    that reads the point. ``convexity_duals`` carries one free multiplier
+    per demand, in ascending demand id order.
     """
 
-    edge_duals: Mapping[Edge, float]
-    node_duals: tuple[float, ...]
-    convexity_duals: Mapping[int, float]
+    edge_duals: np.ndarray
+    node_duals: np.ndarray
+    convexity_duals: np.ndarray
+
+    def __post_init__(self):
+        for name in ("edge_duals", "node_duals", "convexity_duals"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        if (self.edge_duals < 0.0).any() or (self.node_duals < 0.0).any():
+            raise ContractError("capacity duals must be nonnegative")
 
     @classmethod
     def zero(cls, graph: OverlayGraph, demands: Sequence[Demand]) -> "DualPoint":
         return cls(
-            edge_duals=MappingProxyType({e: 0.0 for e in graph.real_edges()}),
-            node_duals=(0.0,) * graph.n_nodes,
-            convexity_duals=MappingProxyType({d.id: 0.0 for d in demands}),
+            np.zeros(len(graph.real_edges())),
+            np.zeros(graph.n_nodes),
+            np.zeros(len(demands)),
         )
 
 
@@ -112,11 +112,10 @@ class RmpSolution:
 
 def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
     """Value of the dual point: sum of convexity prices minus paid capacity."""
-    paid = sum(
-        duals.edge_duals[e] * graph.edges[e].capacity_mbps for e in duals.edge_duals
-    )
-    paid += sum(nu * cap for nu, cap in zip(duals.node_duals, graph.node_limits))
-    return sum(duals.convexity_duals.values()) - paid
+    caps = [graph.edges[e].capacity_mbps for e in graph.real_edges()]
+    paid = sum(lam * cap for lam, cap in zip(duals.edge_duals.tolist(), caps))
+    paid += sum(nu * cap for nu, cap in zip(duals.node_duals.tolist(), graph.node_limits))
+    return sum(duals.convexity_duals.tolist()) - paid
 
 
 class RestrictedMaster:
@@ -124,7 +123,9 @@ class RestrictedMaster:
 
     Construction seeds one dummy column per demand, so the LP is feasible
     and bounded from the first solve onward. Only this class may create
-    dummy columns.
+    dummy columns. The capacity rows are kept in compressed-column form as
+    columns join, and the assembled matrices are reused until the pool
+    grows.
     """
 
     def __init__(
@@ -146,10 +147,19 @@ class RestrictedMaster:
         self._edge_rows = {e: r for r, e in enumerate(graph.real_edges())}
         self._node_offset = len(self._edge_rows)
         self._eq_row = {d.id: r for r, d in enumerate(self.demands)}
+        self._b_ub = np.array(
+            [graph.edges[e].capacity_mbps for e in self._edge_rows] + list(graph.node_limits)
+        )
 
         self._columns: list[Column] = []
+        self._view: tuple[Column, ...] = ()
         self._by_demand: dict[int, list[int]] = {d.id: [] for d in self.demands}
         self._dedup: dict[tuple, int] = {}
+        # Capacity-row footprint of every column, compressed by column.
+        self._rows: list[int] = []
+        self._coeffs: list[float] = []
+        self._indptr: list[int] = [0]
+        self._lp: Optional[tuple] = None
         for d in self.demands:
             self._append(Column.from_path(make_dummy_path(d, self.dummy_penalty), d))
 
@@ -157,7 +167,9 @@ class RestrictedMaster:
 
     @property
     def columns(self) -> Sequence[Column]:
-        return tuple(self._columns)
+        if len(self._view) != len(self._columns):
+            self._view = tuple(self._columns)
+        return self._view
 
     @property
     def pool_size(self) -> int:
@@ -165,9 +177,6 @@ class RestrictedMaster:
 
     def columns_of(self, demand_id: int) -> list[int]:
         return list(self._by_demand[demand_id])
-
-    def dummy_column_of(self, demand_id: int) -> int:
-        return self._by_demand[demand_id][0]
 
     def _key(self, column: Column) -> tuple:
         return (column.demand_id, column.path.edges, column.is_dummy)
@@ -177,6 +186,16 @@ class RestrictedMaster:
         self._columns.append(column)
         self._by_demand[column.demand_id].append(cid)
         self._dedup[self._key(column)] = cid
+        path = column.path
+        # Rows in ascending order keep the matrix canonical, so the LP
+        # backend sees one fixed entry order.
+        rows = sorted(
+            [self._edge_rows[e] for e in path.edges]
+            + [self._node_offset + i for i in path.nodes]
+        )
+        self._rows.extend(rows)
+        self._coeffs.extend([self._demand_by_id[column.demand_id].rate_mbps] * len(rows))
+        self._indptr.append(len(self._rows))
         return cid
 
     def add_column(self, column: Column) -> int:
@@ -197,32 +216,23 @@ class RestrictedMaster:
 
     def _assemble(self):
         n = len(self._columns)
-        cost = np.array([c.cost for c in self._columns])
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for j, col in enumerate(self._columns):
-            for e, a in col.edge_coeff.items():
-                rows.append(self._edge_rows[e])
-                cols.append(j)
-                vals.append(a)
-            for i, a in col.node_coeff.items():
-                rows.append(self._node_offset + i)
-                cols.append(j)
-                vals.append(a)
-        n_ub = self._node_offset + self.graph.n_nodes
-        a_ub = sparse.csc_matrix((vals, (rows, cols)), shape=(n_ub, n))
-        b_ub = np.empty(n_ub)
-        for e, r in self._edge_rows.items():
-            b_ub[r] = self.graph.edges[e].capacity_mbps
-        b_ub[self._node_offset :] = self.graph.node_limits
-
-        eq_rows = [self._eq_row[c.demand_id] for c in self._columns]
-        a_eq = sparse.csc_matrix(
-            (np.ones(n), (eq_rows, range(n))), shape=(len(self.demands), n)
-        )
-        b_eq = np.ones(len(self.demands))
-        return cost, a_ub, b_ub, a_eq, b_eq
+        if self._lp is None or self._lp[0] != n:
+            cost = np.array([c.cost for c in self._columns])
+            a_ub = sparse.csc_matrix(
+                (
+                    np.array(self._coeffs, dtype=float),
+                    np.array(self._rows, dtype=np.int32),
+                    np.array(self._indptr, dtype=np.int32),
+                ),
+                shape=(len(self._b_ub), n),
+            )
+            eq_rows = [self._eq_row[c.demand_id] for c in self._columns]
+            a_eq = sparse.csc_matrix(
+                (np.ones(n), np.array(eq_rows, dtype=np.int32), np.arange(n + 1, dtype=np.int32)),
+                shape=(len(self.demands), n),
+            )
+            self._lp = (n, cost, a_ub, a_eq)
+        return self._lp[1:]
 
     def solve(
         self,
@@ -236,18 +246,19 @@ class RestrictedMaster:
         that is the branching hook for the exact search. Fixing can make
         the LP infeasible, which is only an error when not expected.
         """
-        cost, a_ub, b_ub, a_eq, b_eq = self._assemble()
-        bounds = [(0.0, None)] * len(self._columns)
+        cost, a_ub, a_eq = self._assemble()
+        bounds = np.zeros((len(cost), 2))
+        bounds[:, 1] = np.inf
         for j in forced:
-            bounds[j] = (1.0, 1.0)
+            bounds[j] = 1.0
         for j in forbidden:
-            bounds[j] = (0.0, 0.0)
+            bounds[j] = 0.0
         res = linprog(
             cost,
             A_ub=a_ub,
-            b_ub=b_ub,
+            b_ub=self._b_ub,
             A_eq=a_eq,
-            b_eq=b_eq,
+            b_eq=np.ones(len(self.demands)),
             bounds=bounds,
             method="highs",
             options=_LP_OPTIONS,
@@ -265,16 +276,14 @@ class RestrictedMaster:
                 f"LP backend returned '{status}' on a master that is feasible "
                 f"and bounded by construction: {res.message}"
             )
-        lam = {e: max(0.0, -res.ineqlin.marginals[r]) for e, r in self._edge_rows.items()}
-        nu = tuple(
-            max(0.0, -res.ineqlin.marginals[self._node_offset + i])
-            for i in range(self.graph.n_nodes)
-        )
-        sigma = {d.id: float(res.eqlin.marginals[self._eq_row[d.id]]) for d in self.demands}
+        price = -res.ineqlin.marginals
+        price = np.where(price > 0.0, price, 0.0)
         return RmpSolution(
-            values=tuple(float(v) for v in res.x),
+            values=tuple(res.x.tolist()),
             objective=float(res.fun),
-            duals=DualPoint(MappingProxyType(lam), nu, MappingProxyType(sigma)),
+            duals=DualPoint(
+                price[: self._node_offset], price[self._node_offset :], res.eqlin.marginals
+            ),
             status=status,
         )
 
@@ -286,21 +295,19 @@ class RestrictedMaster:
         terms = " + ".join(f"{c.cost!r} y{j}" for j, c in enumerate(self._columns))
         lines.append(f" obj: {terms}")
         lines.append("Subject To")
-        for e, r in self._edge_rows.items():
-            lhs = [
-                f"{col.edge_coeff[e]!r} y{j}"
-                for j, col in enumerate(self._columns)
-                if e in col.edge_coeff
-            ]
+        edge_terms: dict[Edge, list[str]] = {e: [] for e in self._edge_rows}
+        node_terms: list[list[str]] = [[] for _ in range(self.graph.n_nodes)]
+        for j, col in enumerate(self._columns):
+            term = f"{self._demand_by_id[col.demand_id].rate_mbps!r} y{j}"
+            for e in col.path.edges:
+                edge_terms[e].append(term)
+            for i in col.path.nodes:
+                node_terms[i].append(term)
+        for e, lhs in edge_terms.items():
             if lhs:
                 cap = self.graph.edges[e].capacity_mbps
                 lines.append(f" cap_e_{e[0]}_{e[1]}: {' + '.join(lhs)} <= {cap!r}")
-        for i in range(self.graph.n_nodes):
-            lhs = [
-                f"{col.node_coeff[i]!r} y{j}"
-                for j, col in enumerate(self._columns)
-                if i in col.node_coeff
-            ]
+        for i, lhs in enumerate(node_terms):
             if lhs:
                 lines.append(
                     f" cap_n_{i}: {' + '.join(lhs)} <= {self.graph.node_limits[i]!r}"
@@ -313,10 +320,3 @@ class RestrictedMaster:
             lines.append(f" 0 <= y{j}")
         lines.append("End")
         return "\n".join(lines) + "\n"
-
-
-def build_initial(
-    graph: OverlayGraph, demands: Sequence[Demand], penalty: float | None = None
-) -> RestrictedMaster:
-    """Master seeded with one dummy column per demand (always feasible)."""
-    return RestrictedMaster(graph, demands, penalty)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import Demand, Edge, OverlayGraph, Path, augment_clique
-from .pricing import EPS_REDUCED_COST, enumerate_candidates, price_demand
+from .pricing import EPS_REDUCED_COST, CandidateTable, enumerate_candidates, price_demand
 from .rmp import Column, RestrictedMaster, RmpSolution
 
 CandidateFn = Callable[[OverlayGraph, Demand], list[Path]]
@@ -92,27 +92,27 @@ def column_generation(
 ) -> CgResult:
     """Grow the master until the dual point prices out every candidate.
 
-    Candidate lists are enumerated once per demand and cached: QoS
-    feasibility does not depend on the duals, so each pricing pass is a
-    rescan of the same list. On natural termination the final LP value is
-    optimal for the formulation over all QoS-feasible routes, and the
-    result is flagged ``certified``; hitting the iteration cap returns the
-    best solution uncertified.
+    Candidate lists are enumerated once per demand and packed into one
+    table: QoS feasibility does not depend on the duals, so each pricing
+    pass re-prices the same table in one batch. On natural termination the
+    final LP value is optimal for the formulation over all QoS-feasible
+    routes, and the result is flagged ``certified``; hitting the iteration
+    cap returns the best solution uncertified.
     """
     master = RestrictedMaster(graph, demands)
+    by_id = {d.id: d for d in master.demands}
     candidates = {d.id: candidate_fn(graph, d) for d in master.demands}
+    table = CandidateTable.pack(graph, master.demands, candidates)
     solution = master.solve()
     iterations = 0
     certified = False
     while iterations < config.max_cg_iterations:
         iterations += 1
         added = 0
-        for d in master.demands:
-            hit = price_demand(d, candidates[d.id], solution.duals, config.eps_reduced_cost)
-            if hit is None:
-                continue
+        entering = price_demand(table, solution.duals, config.eps_reduced_cost)
+        for did, (path, _) in entering.items():
             before = master.pool_size
-            master.add_column(Column.from_path(hit[0], d))
+            master.add_column(Column.from_path(path, by_id[did]))
             if master.pool_size > before:
                 added += 1
         if added == 0:

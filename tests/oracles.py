@@ -125,3 +125,28 @@ def check_routing_feasible(
         if load > graph.node_limits[i] + 1e-6:
             problems.append(f"node {i}: processing limit exceeded ({load})")
     return problems
+
+
+def scalar_priced_length(path: Path, rate: float, lam, nu) -> float:
+    """Delay plus capacity rent, one candidate at a time.
+
+    ``lam`` maps each real edge to its dual, ``nu`` indexes node duals.
+    """
+    rent = sum(lam[e] for e in path.edges)
+    rent += sum(nu[i] for i in path.nodes)
+    return path.total_delay_ms + rate * rent
+
+
+def scalar_price(
+    candidates: Sequence[Path], rate: float, lam, nu, sigma: float, eps_rc: float
+) -> Optional[tuple[Path, float]]:
+    """Cheapest candidate (first on ties) if it beats ``sigma`` by more than ``eps_rc``."""
+    best: Optional[Path] = None
+    best_len = 0.0
+    for p in candidates:
+        length = scalar_priced_length(p, rate, lam, nu)
+        if best is None or length < best_len:
+            best, best_len = p, length
+    if best is not None and best_len < sigma - eps_rc:
+        return best, best_len - sigma
+    return None

@@ -14,7 +14,7 @@ import pytest
 from cgroute.cli import main as cli_main
 from cgroute.exact import solve_exact
 from cgroute.model import augment_clique
-from cgroute.pricing import enumerate_candidates, price_demand
+from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.scenario import (
     SyntheticParams,
     TelcoProfile,
@@ -118,11 +118,11 @@ def test_criterion_3_termination_certificate(gap_suite):
         if not r["cg"].certified:
             violations += 1
             continue
-        duals = r["cg"].solution.duals
-        for d in r["demands"]:
-            cands = enumerate_candidates(r["augmented"], d)
-            if price_demand(d, cands, duals, eps_rc=1e-7) is not None:
-                violations += 1
+        augmented, demands = r["augmented"], r["demands"]
+        table = CandidateTable.pack(
+            augmented, demands, {d.id: enumerate_candidates(augmented, d) for d in demands}
+        )
+        violations += len(price_demand(table, r["cg"].solution.duals, eps_rc=1e-7))
     assert report(
         3,
         violations == 0,

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -72,6 +73,36 @@ class TestSolve:
         text = lp.read_text()
         assert text.startswith("\\ restricted master")
         assert "Minimize" in text and "End" in text
+
+    def test_dump_lp_follows_mode(self, scenario_dir, tmp_path):
+        def dump(mode):
+            lp = tmp_path / f"{mode}.lp"
+            code = run([
+                "solve",
+                "--graph", scenario_dir / "graph.csv",
+                "--node-limits", scenario_dir / "node_limits.csv",
+                "--demands", scenario_dir / "demands.csv",
+                "--mode", mode,
+                "--seed", "4",
+                "--out", tmp_path / f"{mode}.csv",
+                "--dump-lp", lp,
+            ])
+            assert code == 0
+            return lp.read_text()
+
+        def edges_per_column(text):
+            counts = Counter()
+            for line in text.splitlines():
+                if line.startswith(" cap_e_"):
+                    lhs = line.split(":", 1)[1].split("<=")[0]
+                    counts.update(term.split()[1] for term in lhs.split(" + "))
+            return counts
+
+        direct = edges_per_column(dump("direct"))
+        assert direct and set(direct.values()) == {1}
+        overlay = dump("overlay")
+        assert 2 in edges_per_column(overlay).values()
+        assert dump("both") == overlay
 
     def test_bad_file_exits_2(self, scenario_dir, tmp_path):
         broken = tmp_path / "broken.csv"

@@ -13,7 +13,6 @@ from cgroute.model import (
     dummy_penalty,
     make_dummy_path,
     make_path,
-    path_delay,
     qos_feasible,
 )
 from cgroute.scenario import TelcoProfile, generate_telco_trace, telco_demands
@@ -205,11 +204,11 @@ class TestPathDelay:
             3, {(0, 1): metrics(delay=12.0), (1, 2): metrics(delay=30.0)}, [1.0] * 3
         )
         d = Demand(0, 0, 2, 1.0, 100.0, 0.5)
-        assert path_delay(make_path(g, d, relay=1)) == 42.0
+        assert make_path(g, d, relay=1).total_delay_ms == 42.0
 
     def test_dummy_returns_penalty(self):
         d = Demand(0, 0, 1, 1.0, 0.0, 1.0)
-        assert path_delay(make_dummy_path(d, 410.0)) == 410.0
+        assert make_dummy_path(d, 410.0).total_delay_ms == 410.0
 
     def test_artificial_edge_contributes_penalty_delay(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)

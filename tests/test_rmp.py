@@ -16,7 +16,6 @@ from cgroute.rmp import (
     Column,
     DualPoint,
     RestrictedMaster,
-    build_initial,
     dual_objective,
 )
 
@@ -34,9 +33,11 @@ def full_master(seed):
 
 
 class TestBuildInitial:
+    """A fresh master holds one dummy column per demand."""
+
     def test_one_dummy_per_demand(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        master = build_initial(augmented, two_demands)
+        master = RestrictedMaster(augmented, two_demands)
         assert master.pool_size == 2
         assert all(c.is_dummy for c in master.columns)
         sol = master.solve()
@@ -48,19 +49,19 @@ class TestBuildInitial:
         trace = generate_telco_trace(1, seed=3)
         demands = telco_demands(seed=3)
         augmented = augment_clique(trace.graph_for(trace.epochs[0]), demands)
-        master = build_initial(augmented, demands)
+        master = RestrictedMaster(augmented, demands)
         assert master.pool_size == 82
 
     def test_empty_demands_rejected(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
         with pytest.raises(InputError):
-            build_initial(augmented, [])
+            RestrictedMaster(augmented, [])
 
 
 class TestAddColumn:
     def test_new_column_grows_pool(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        master = build_initial(augmented, two_demands)
+        master = RestrictedMaster(augmented, two_demands)
         d = master.demands[0]
         p = enumerate_candidates(augmented, d)[0]
         before = master.pool_size
@@ -70,7 +71,7 @@ class TestAddColumn:
 
     def test_duplicate_is_noop(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        master = build_initial(augmented, two_demands)
+        master = RestrictedMaster(augmented, two_demands)
         d = master.demands[0]
         p = enumerate_candidates(augmented, d)[0]
         first = master.add_column(Column.from_path(p, d))
@@ -78,9 +79,20 @@ class TestAddColumn:
         assert first == again
         assert master.pool_size == 3
 
+    def test_columns_view_follows_the_pool(self, line_graph, two_demands):
+        augmented = augment_clique(line_graph, two_demands)
+        master = RestrictedMaster(augmented, two_demands)
+        first = master.columns
+        assert master.columns is first  # repeated access copies nothing
+        d = master.demands[0]
+        p = enumerate_candidates(augmented, d)[0]
+        cid = master.add_column(Column.from_path(p, d))
+        assert len(master.columns) == 3
+        assert master.columns[cid].path == p
+
     def test_external_dummy_rejected(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        master = build_initial(augmented, two_demands)
+        master = RestrictedMaster(augmented, two_demands)
         d = master.demands[0]
         dummy = Column.from_path(make_dummy_path(d, master.dummy_penalty), d)
         with pytest.raises(ContractError):
@@ -92,7 +104,7 @@ class TestAddColumn:
         )
         d = Demand(0, 0, 1, 10.0, 10.0, 0.5)  # jitter bound 10 < 900
         augmented = augment_clique(g, [d])
-        master = build_initial(augmented, [d])
+        master = RestrictedMaster(augmented, [d])
         bad = Column.from_path(make_path(augmented, d), d)
         with pytest.raises(ContractError):
             master.add_column(bad)
@@ -101,19 +113,19 @@ class TestAddColumn:
 class TestSolve:
     def test_dummies_only_vertex(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        master = build_initial(augmented, two_demands)
+        master = RestrictedMaster(augmented, two_demands)
         sol = master.solve()
         assert sol.status == "optimal"
         assert all(v == pytest.approx(1.0) for v in sol.values)
-        assert all(v == 0.0 for v in sol.duals.edge_duals.values())
+        assert all(v == 0.0 for v in sol.duals.edge_duals)
         assert all(v == 0.0 for v in sol.duals.node_duals)
-        for sigma in sol.duals.convexity_duals.values():
+        for sigma in sol.duals.convexity_duals:
             assert sigma == pytest.approx(master.dummy_penalty)
 
     def test_single_cheap_column_takes_over(self, line_graph):
         d = Demand(0, 0, 1, 20.0, 100.0, 0.9)
         augmented = augment_clique(line_graph, [d])
-        master = build_initial(augmented, [d])
+        master = RestrictedMaster(augmented, [d])
         p = make_path(augmented, d)
         master.add_column(Column.from_path(p, d))
         sol = master.solve()
@@ -130,7 +142,7 @@ class TestSolve:
         )
         demands = [Demand(0, 0, 1, 40.0, 10.0, 0.5), Demand(1, 0, 1, 40.0, 10.0, 0.5)]
         augmented = augment_clique(g, demands)
-        master = build_initial(augmented, demands)
+        master = RestrictedMaster(augmented, demands)
         for d in master.demands:
             master.add_column(Column.from_path(make_path(augmented, d), d))
         sol = master.solve()
@@ -142,7 +154,7 @@ class TestSolve:
     def test_infeasible_forbidden_combination(self, line_graph):
         d = Demand(0, 0, 1, 20.0, 100.0, 0.9)
         augmented = augment_clique(line_graph, [d])
-        master = build_initial(augmented, [d])
+        master = RestrictedMaster(augmented, [d])
         sol = master.solve(forbidden={0}, allow_infeasible=True)
         assert sol.status == "infeasible"
         assert math.isinf(sol.objective)
@@ -150,7 +162,7 @@ class TestSolve:
     def test_forced_column_changes_optimum(self, line_graph):
         d = Demand(0, 0, 1, 20.0, 100.0, 0.9)
         augmented = augment_clique(line_graph, [d])
-        master = build_initial(augmented, [d])
+        master = RestrictedMaster(augmented, [d])
         cid = master.add_column(Column.from_path(make_path(augmented, d), d))
         free = master.solve()
         pinned = master.solve(forced={0})  # force the dummy
@@ -177,19 +189,22 @@ class TestLpInvariants:
     def test_duals_feasible_for_every_pool_column(self, seed):
         master = full_master(seed)
         sol = master.solve()
-        lam = sol.duals.edge_duals
+        lam = dict(zip(master.graph.real_edges(), sol.duals.edge_duals))
         nu = sol.duals.node_duals
+        sigmas = dict(zip((d.id for d in master.demands), sol.duals.convexity_duals))
+        rates = {d.id: d.rate_mbps for d in master.demands}
         for col in master.columns:
-            rent = sum(col.edge_coeff.get(e, 0.0) * lam[e] for e in col.edge_coeff)
-            rent += sum(col.node_coeff.get(i, 0.0) * nu[i] for i in col.node_coeff)
-            sigma = sol.duals.convexity_duals[col.demand_id]
+            rate = rates[col.demand_id]
+            rent = sum(rate * lam[e] for e in col.path.edges)
+            rent += sum(rate * nu[i] for i in col.path.nodes)
+            sigma = sigmas[col.demand_id]
             assert sigma <= col.cost + rent + 1e-6
 
     @pytest.mark.parametrize("seed", range(4))
     def test_adding_columns_never_hurts(self, seed):
         graph, demands = gap_suite_instance(seed)
         augmented = augment_clique(graph, demands)
-        master = build_initial(augmented, demands)
+        master = RestrictedMaster(augmented, demands)
         last = master.solve().objective
         for d in master.demands:
             for p in enumerate_candidates(augmented, d):
@@ -202,7 +217,7 @@ class TestLpInvariants:
 class TestDumpLp:
     def test_dump_contains_all_sections(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        master = build_initial(augmented, two_demands)
+        master = RestrictedMaster(augmented, two_demands)
         d = master.demands[1]
         master.add_column(Column.from_path(make_path(augmented, d), d))
         text = master.dump_lp()

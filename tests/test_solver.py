@@ -12,8 +12,8 @@ from cgroute.model import (
     augment_clique,
     make_path,
 )
-from cgroute.pricing import enumerate_candidates, price_demand
-from cgroute.rmp import Column, DualPoint, RestrictedMaster, RmpSolution, build_initial
+from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
+from cgroute.rmp import Column, DualPoint, RestrictedMaster, RmpSolution
 from cgroute.solver import (
     SolverConfig,
     column_generation,
@@ -85,10 +85,10 @@ class TestColumnGeneration:
         augmented = augment_clique(graph, demands)
         cg = column_generation(augmented, demands)
         assert cg.certified
-        for d in demands:
-            cands = enumerate_candidates(augmented, d)
-            hit = price_demand(d, cands, cg.solution.duals, eps_rc=1e-7)
-            assert hit is None
+        table = CandidateTable.pack(
+            augmented, demands, {d.id: enumerate_candidates(augmented, d) for d in demands}
+        )
+        assert price_demand(table, cg.solution.duals, eps_rc=1e-7) == {}
 
     def test_iteration_cap_flags_uncertified(self):
         graph, demands = gap_suite_instance(0)
@@ -113,7 +113,7 @@ def make_split_state():
     )
     d = Demand(0, 0, 2, 10.0, 50.0, 0.9)
     augmented = augment_clique(g, [d])
-    master = build_initial(augmented, [d])
+    master = RestrictedMaster(augmented, [d])
     direct = master.add_column(Column.from_path(make_path(augmented, d), d))
     dogleg = master.add_column(Column.from_path(make_path(augmented, d, relay=1), d))
     values = [0.0] * master.pool_size
@@ -170,7 +170,7 @@ class TestRandomizedRound:
             Demand(1, 0, 2, 10.0, 50.0, 0.9),
         ]
         augmented = augment_clique(g, demands)
-        master = build_initial(augmented, demands)
+        master = RestrictedMaster(augmented, demands)
         cols = {}
         for d in master.demands:
             cols[d.id, "direct"] = master.add_column(
@@ -200,7 +200,7 @@ class TestRandomizedRound:
         g = hand_graph()
         d = Demand(0, 0, 3, 5.0, 1.0, 0.5)
         augmented = augment_clique(g, [d])
-        master = build_initial(augmented, [d])
+        master = RestrictedMaster(augmented, [d])
         sol = master.solve()
         routed = randomized_round(
             sol, master, augmented, [d], np.random.default_rng(0)
