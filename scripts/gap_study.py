@@ -2,7 +2,7 @@
 """Optimality-gap study: heuristic vs exact on small random instances.
 
 Generates seeded scaled-down instances, solves each with the column
-generation heuristic and the branch-and-bound benchmark, and summarizes
+generation heuristic and the exact MIP benchmark, and summarizes
 the objective and acceptance gaps.
 
 Usage: python scripts/gap_study.py [--instances 50] [--seed0 0]

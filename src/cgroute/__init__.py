@@ -5,6 +5,10 @@ and a demand set, then call :func:`~cgroute.solver.solve` for the column
 generation heuristic or :func:`~cgroute.exact.solve_exact` for the integer
 benchmark. The :mod:`~cgroute.harness` module replays traces and emits
 evaluation reports; ``cgroute`` on the command line wraps it all.
+
+The package namespace holds only these entry points, their inputs and
+results, and the errors. Internals (master LP, pricing, rounding, clique
+augmentation) are imported from their modules.
 """
 
 from .errors import (
@@ -15,45 +19,17 @@ from .errors import (
     SolverError,
 )
 from .exact import ExactLimits, ExactSolution, solve_exact
-from .harness import (
-    EpochReport,
-    ThroughputEstimate,
-    direct_mode_candidates,
-    emit_reports,
-    estimate_throughput,
-    run_timeseries,
-    solve_epoch,
-)
-from .model import (
-    Demand,
-    LinkMetrics,
-    OverlayGraph,
-    Path,
-    augment_clique,
-    dummy_penalty,
-    make_dummy_path,
-    make_path,
-    qos_feasible,
-)
-from .pricing import CandidateTable, enumerate_candidates, price_demand
-from .rmp import (
-    Column,
-    DualPoint,
-    RestrictedMaster,
-    RmpSolution,
-    dual_objective,
-)
+from .harness import EpochReport, emit_reports, run_timeseries, solve_epoch
+from .model import Demand, LinkMetrics, OverlayGraph, Path
 from .scenario import (
     SyntheticParams,
     TelcoProfile,
     Trace,
-    TraceEpoch,
     generate_demands,
     generate_telco_trace,
     generate_topology,
     load_demands,
     load_graph,
-    load_node_limits,
     load_params,
     load_trace,
     save_demands,
@@ -63,14 +39,7 @@ from .scenario import (
     save_trace,
     telco_demands,
 )
-from .solver import (
-    CgResult,
-    RoutingSolution,
-    SolverConfig,
-    column_generation,
-    randomized_round,
-    solve,
-)
+from .solver import RoutingSolution, SolverConfig, solve
 
 __version__ = "0.1.0"
 
@@ -84,39 +53,21 @@ __all__ = [
     "ExactSolution",
     "solve_exact",
     "EpochReport",
-    "ThroughputEstimate",
-    "direct_mode_candidates",
     "emit_reports",
-    "estimate_throughput",
     "run_timeseries",
     "solve_epoch",
     "Demand",
     "LinkMetrics",
     "OverlayGraph",
     "Path",
-    "augment_clique",
-    "dummy_penalty",
-    "make_dummy_path",
-    "make_path",
-    "qos_feasible",
-    "CandidateTable",
-    "enumerate_candidates",
-    "price_demand",
-    "Column",
-    "DualPoint",
-    "RestrictedMaster",
-    "RmpSolution",
-    "dual_objective",
     "SyntheticParams",
     "TelcoProfile",
     "Trace",
-    "TraceEpoch",
     "generate_demands",
     "generate_telco_trace",
     "generate_topology",
     "load_demands",
     "load_graph",
-    "load_node_limits",
     "load_params",
     "load_trace",
     "save_demands",
@@ -125,10 +76,7 @@ __all__ = [
     "save_params",
     "save_trace",
     "telco_demands",
-    "CgResult",
     "RoutingSolution",
     "SolverConfig",
-    "column_generation",
-    "randomized_round",
     "solve",
 ]

@@ -1,17 +1,16 @@
-"""Exact integer benchmark via branch and bound over enumerated routes.
+"""Exact integer benchmark: the route-or-reject problem solved as a MIP.
 
 Every QoS-feasible route of every demand is materialized as a column up
 front, so the integer problem is a pure selection: one route or a
-rejection per demand under the shared capacity rows. Bounding reuses the
-restricted master with columns pinned to 0/1 through variable bounds, so
-the LP arithmetic is identical to the heuristic's. Intended for small
-instances; the point is measuring the heuristic's optimality gap.
+rejection per demand under the shared capacity rows. The restricted
+master solves it in one HiGHS MIP call on the same matrices as its LP
+relaxation, so the heuristic and the benchmark share one model. The chosen
+routes are recosted exactly in Python. Intended for small instances; the
+point is measuring the heuristic's optimality gap.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -20,18 +19,17 @@ from typing import Mapping, Optional, Sequence
 from .errors import InputError
 from .model import Demand, Edge, OverlayGraph, Path, augment_clique
 from .pricing import enumerate_candidates
-from .rmp import Column, RestrictedMaster, RmpSolution
+from .rmp import Column, RestrictedMaster
 from .solver import CandidateFn, _Residuals
-
-_INT_TOL = 1e-7
-#: Nodes whose LP bound cannot undercut the incumbent by more than this are
-#: pruned; kept tiny so only exact ties are cut.
-_BOUND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ExactLimits:
-    """Search budget; exceeding it returns the incumbent unproven."""
+    """MIP budget: HiGHS branch-and-bound nodes and seconds of the MIP call.
+
+    Exceeding it returns the best integer point found, unproven, or the
+    all-rejected assignment if HiGHS has none yet.
+    """
 
     max_nodes: int = 1_000_000
     time_limit_s: float = 300.0
@@ -43,7 +41,11 @@ class ExactLimits:
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Best integer assignment found, with its proof status and search stats."""
+    """Best integer assignment found, with its proof status and search stats.
+
+    ``nodes_explored`` is the HiGHS MIP node count and ``lp_solves`` the
+    number of HiGHS calls: 1, or 0 for an empty demand set.
+    """
 
     outcomes: Mapping[int, Optional[Path]]
     objective: float
@@ -59,64 +61,13 @@ class ExactSolution:
         return sum(1 for p in self.outcomes.values() if p is not None)
 
 
-def _fractional_real_column(
-    master: RestrictedMaster, solution: RmpSolution
-) -> Optional[int]:
-    """Most-fractional non-dummy column, ties by lowest id.
-
-    If any demand is unresolved, some real column of it is fractional
-    (the convexity row pins the total to 1), so branching never needs to
-    touch a dummy and every child LP stays feasible.
-    """
-    best = None
-    best_frac = _INT_TOL
-    for j, col in enumerate(master.columns):
-        if col.is_dummy:
-            continue
-        v = solution.values[j]
-        frac = min(v, 1.0 - v)
-        if frac > best_frac:
-            best, best_frac = j, frac
-    return best
-
-
-def _is_integral(solution: RmpSolution) -> bool:
-    return all(min(v, 1.0 - v) <= _INT_TOL for v in solution.values)
-
-
-def _extract(
-    master: RestrictedMaster, solution: RmpSolution
-) -> tuple[dict[int, Optional[Path]], float]:
-    """Read the integral assignment off an LP vertex and recost it exactly."""
-    outcomes: dict[int, Optional[Path]] = {}
-    objective = 0.0
-    for d in master.demands:
-        chosen = None
-        for j in master.columns_of(d.id):
-            if solution.values[j] >= 1.0 - _INT_TOL:
-                chosen = master.columns[j]
-                break
-        if chosen is None or chosen.is_dummy:
-            outcomes[d.id] = None
-            objective += master.dummy_penalty
-        else:
-            outcomes[d.id] = chosen.path
-            objective += chosen.path.total_delay_ms
-    return outcomes, objective
-
-
 def solve_exact(
     graph: OverlayGraph,
     demands: Sequence[Demand],
     limits: ExactLimits = ExactLimits(),
     candidate_fn: CandidateFn = enumerate_candidates,
 ) -> ExactSolution:
-    """Globally optimal route-or-reject assignment, best-first search.
-
-    Branches on the most-fractional real column: one child forbids it, the
-    other forces it. Children inherit the parent LP value as a valid bound
-    and are only re-solved when popped, after surviving an incumbent check.
-    """
+    """Globally optimal route-or-reject assignment over all candidates."""
     started = time.perf_counter()
     if not demands:
         return ExactSolution(
@@ -137,61 +88,32 @@ def solve_exact(
         for p in candidate_fn(augmented, d):
             master.add_column(Column.from_path(p, d))
 
-    incumbent_obj = float("inf")
-    incumbent: Optional[dict[int, Optional[Path]]] = None
-    counter = itertools.count()
-    # heap entries: (inherited bound, tiebreak, forced, forbidden)
-    heap = [(-float("inf"), next(counter), frozenset(), frozenset())]
-    explored = 0
-    lp_solves = 0
-    proven = True
-
-    while heap:
-        if explored >= limits.max_nodes or time.perf_counter() - started > limits.time_limit_s:
-            proven = False
-            break
-        bound, _, forced, forbidden = heapq.heappop(heap)
-        if bound >= incumbent_obj - _BOUND_TOL:
-            continue
-        explored += 1
-        lp = master.solve(forced=forced, forbidden=forbidden, allow_infeasible=True)
-        lp_solves += 1
-        if lp.status == "infeasible" or lp.objective >= incumbent_obj - _BOUND_TOL:
-            continue
-        if _is_integral(lp):
-            outcomes, objective = _extract(master, lp)
-            if objective < incumbent_obj:
-                incumbent_obj, incumbent = objective, outcomes
-            continue
-        j = _fractional_real_column(master, lp)
-        if j is None:
-            # Vertex fuzz without a branchable column: take it as integral.
-            outcomes, objective = _extract(master, lp)
-            if objective < incumbent_obj:
-                incumbent_obj, incumbent = objective, outcomes
-            continue
-        heapq.heappush(heap, (lp.objective, next(counter), forced, forbidden | {j}))
-        heapq.heappush(heap, (lp.objective, next(counter), forced | {j}, forbidden))
-
-    if incumbent is None:
-        # Reachable only on a hard budget cut before the root finishes:
-        # fall back to all-rejected, which is always feasible.
-        incumbent = {d.id: None for d in master.demands}
-        incumbent_obj = master.dummy_penalty * len(master.demands)
-        proven = False
-
+    res = master.solve_integer(limits.time_limit_s, limits.max_nodes)
     residuals = _Residuals(augmented)
-    for d in master.demands:
-        p = incumbent[d.id]
-        if p is not None:
-            residuals.commit(p, d.rate_mbps)
+    if res.x is None:
+        # A budget cut before HiGHS found any integer point: fall back to
+        # all-rejected, which is always feasible.
+        outcomes = {d.id: None for d in master.demands}
+        objective = master.dummy_penalty * len(master.demands)
+    else:
+        outcomes, objective = {}, 0.0
+        for d in master.demands:
+            # The demand's column closest to 1 is the one HiGHS picked.
+            chosen = master.columns[max(master.columns_of(d.id), key=lambda j: res.x[j])]
+            if chosen.is_dummy:
+                outcomes[d.id] = None
+                objective += master.dummy_penalty
+            else:
+                outcomes[d.id] = chosen.path
+                objective += chosen.path.total_delay_ms
+                residuals.commit(chosen.path, d.rate_mbps)
     return ExactSolution(
-        outcomes=MappingProxyType(dict(sorted(incumbent.items()))),
-        objective=incumbent_obj,
+        outcomes=MappingProxyType(outcomes),
+        objective=objective,
         residual_edge_capacity=MappingProxyType(dict(residuals.edges)),
         residual_node_capacity=tuple(residuals.nodes),
-        optimal=proven and not heap,
-        nodes_explored=explored,
-        lp_solves=lp_solves,
+        optimal=res.status == 0,
+        nodes_explored=res.mip_node_count or 0,
+        lp_solves=1,
         duration_s=time.perf_counter() - started,
     )

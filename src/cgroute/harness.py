@@ -143,10 +143,10 @@ def solve_epoch(
     gap = None
     if oracle:
         benchmark = solve_exact(graph, demands, oracle_limits, candidate_fn)
-        if benchmark.objective > 0.0:
-            gap = 100.0 * (routed.objective - benchmark.objective) / benchmark.objective
-        else:
-            gap = 0.0
+        # After a budget cut there is no proven optimum to measure against.
+        if benchmark.optimal:
+            best = benchmark.objective
+            gap = 100.0 * (routed.objective - best) / best if best > 0.0 else 0.0
     return EpochReport(
         epoch_ts=epoch_ts,
         mode=mode,

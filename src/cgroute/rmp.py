@@ -4,18 +4,18 @@ Each column couples one candidate path to its demand. The LP minimizes the
 total delay of the selected path mix subject to edge capacities, node
 processing limits and one convexity row per demand, with the integrality of
 the path choice relaxed. Solving returns both the primal mix and the dual
-prices that drive pricing.
+prices that drive pricing. The exact benchmark solves the same matrices
+as a 0/1 program.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, linprog, milp
 
 from .errors import ContractError, InputError, SolverError
 from .model import (
@@ -124,8 +124,8 @@ class RestrictedMaster:
     Construction seeds one dummy column per demand, so the LP is feasible
     and bounded from the first solve onward. Only this class may create
     dummy columns. The capacity rows are kept in compressed-column form as
-    columns join, and the assembled matrices are reused until the pool
-    grows.
+    columns join. The LP relaxation and the integer problem are built from
+    the same assembled matrices.
     """
 
     def __init__(
@@ -159,7 +159,6 @@ class RestrictedMaster:
         self._rows: list[int] = []
         self._coeffs: list[float] = []
         self._indptr: list[int] = [0]
-        self._lp: Optional[tuple] = None
         for d in self.demands:
             self._append(Column.from_path(make_dummy_path(d, self.dummy_penalty), d))
 
@@ -216,61 +215,36 @@ class RestrictedMaster:
 
     def _assemble(self):
         n = len(self._columns)
-        if self._lp is None or self._lp[0] != n:
-            cost = np.array([c.cost for c in self._columns])
-            a_ub = sparse.csc_matrix(
-                (
-                    np.array(self._coeffs, dtype=float),
-                    np.array(self._rows, dtype=np.int32),
-                    np.array(self._indptr, dtype=np.int32),
-                ),
-                shape=(len(self._b_ub), n),
-            )
-            eq_rows = [self._eq_row[c.demand_id] for c in self._columns]
-            a_eq = sparse.csc_matrix(
-                (np.ones(n), np.array(eq_rows, dtype=np.int32), np.arange(n + 1, dtype=np.int32)),
-                shape=(len(self.demands), n),
-            )
-            self._lp = (n, cost, a_ub, a_eq)
-        return self._lp[1:]
+        cost = np.array([c.cost for c in self._columns])
+        a_ub = sparse.csc_matrix(
+            (
+                np.array(self._coeffs, dtype=float),
+                np.array(self._rows, dtype=np.int32),
+                np.array(self._indptr, dtype=np.int32),
+            ),
+            shape=(len(self._b_ub), n),
+        )
+        eq_rows = [self._eq_row[c.demand_id] for c in self._columns]
+        a_eq = sparse.csc_matrix(
+            (np.ones(n), np.array(eq_rows, dtype=np.int32), np.arange(n + 1, dtype=np.int32)),
+            shape=(len(self.demands), n),
+        )
+        return cost, a_ub, a_eq
 
-    def solve(
-        self,
-        forced: Iterable[int] = (),
-        forbidden: Iterable[int] = (),
-        allow_infeasible: bool = False,
-    ) -> RmpSolution:
-        """Solve the LP over the current pool and return primal and duals.
-
-        ``forced``/``forbidden`` pin columns to 1/0 via variable bounds;
-        that is the branching hook for the exact search. Fixing can make
-        the LP infeasible, which is only an error when not expected.
-        """
+    def solve(self) -> RmpSolution:
+        """Solve the LP over the current pool and return primal and duals."""
         cost, a_ub, a_eq = self._assemble()
-        bounds = np.zeros((len(cost), 2))
-        bounds[:, 1] = np.inf
-        for j in forced:
-            bounds[j] = 1.0
-        for j in forbidden:
-            bounds[j] = 0.0
         res = linprog(
             cost,
             A_ub=a_ub,
             b_ub=self._b_ub,
             A_eq=a_eq,
             b_eq=np.ones(len(self.demands)),
-            bounds=bounds,
+            bounds=(0.0, None),
             method="highs",
             options=_LP_OPTIONS,
         )
         status = _STATUS.get(res.status, f"status_{res.status}")
-        if res.status == 2 and allow_infeasible:
-            return RmpSolution(
-                values=(),
-                objective=math.inf,
-                duals=DualPoint.zero(self.graph, self.demands),
-                status=status,
-            )
         if res.status != 0:
             raise SolverError(
                 f"LP backend returned '{status}' on a master that is feasible "
@@ -285,6 +259,30 @@ class RestrictedMaster:
                 price[: self._node_offset], price[self._node_offset :], res.eqlin.marginals
             ),
             status=status,
+        )
+
+    def solve_integer(self, time_limit_s: float, node_limit: int) -> OptimizeResult:
+        """Solve the pool as a 0/1 program with the HiGHS MIP solver.
+
+        Same matrices as :meth:`solve`, with every column binary and a zero
+        relative gap, so ``status == 0`` means proven optimal. On a budget
+        cut ``status`` is 1 and ``x`` holds the best integer point found,
+        or is ``None`` if there is none yet.
+        """
+        cost, a_ub, a_eq = self._assemble()
+        return milp(
+            cost,
+            integrality=np.ones(len(cost)),
+            bounds=Bounds(0.0, 1.0),
+            constraints=[
+                LinearConstraint(a_ub, -np.inf, self._b_ub),
+                LinearConstraint(a_eq, 1.0, 1.0),
+            ],
+            options={
+                "mip_rel_gap": 0.0,
+                "time_limit": time_limit_s,
+                "node_limit": node_limit,
+            },
         )
 
     # -- diagnostics ----------------------------------------------------------

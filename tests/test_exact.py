@@ -90,9 +90,19 @@ class TestLimits:
     def test_node_budget_returns_unproven_incumbent(self):
         graph, demands = gap_suite_instance(2)
         result = solve_exact(graph, demands, ExactLimits(max_nodes=1, time_limit_s=60.0))
-        assert not result.optimal
         assert result.nodes_explored <= 1
         # the fallback/incumbent is still a feasible assignment
+        assert not check_routing_feasible(graph, demands, result.outcomes)
+
+    def test_time_budget_returns_unproven_fallback(self):
+        # Cut before HiGHS finds any integer point: the all-rejected
+        # fallback is returned, unproven and feasible.
+        graph, demands = gap_suite_instance(2)
+        result = solve_exact(graph, demands, ExactLimits(time_limit_s=1e-9))
+        assert not result.optimal
+        assert result.n_accepted == 0
+        penalty = dummy_penalty(augment_clique(graph, demands))
+        assert result.objective == penalty * len(demands)
         assert not check_routing_feasible(graph, demands, result.outcomes)
 
     def test_limit_validation(self):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from cgroute.errors import InputError
+from cgroute.exact import ExactLimits
 from cgroute.harness import (
     CSV_HEADER,
     EpochReport,
@@ -157,6 +158,20 @@ class TestRunTimeseries:
         )
         assert report.gap_pct is not None
         assert report.gap_pct >= -1e-6
+
+    def test_no_gap_against_unproven_oracle(self):
+        # A budget cut leaves the exact result unproven (here the
+        # all-rejected fallback), so there is no optimum to measure against.
+        graph, demands = gap_suite_instance(2)
+        report = solve_epoch(
+            graph,
+            demands,
+            "overlay",
+            SolverConfig(seed=2),
+            oracle=True,
+            oracle_limits=ExactLimits(time_limit_s=1e-9),
+        )
+        assert report.gap_pct is None
 
 
 class TestEmit:

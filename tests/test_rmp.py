@@ -1,4 +1,3 @@
-import math
 
 import pytest
 
@@ -150,25 +149,6 @@ class TestSolve:
         assert sol.objective == pytest.approx(502.0, rel=1e-9)
         routed_mass = sol.values[2] + sol.values[3]
         assert routed_mass == pytest.approx(1.0, abs=1e-9)
-
-    def test_infeasible_forbidden_combination(self, line_graph):
-        d = Demand(0, 0, 1, 20.0, 100.0, 0.9)
-        augmented = augment_clique(line_graph, [d])
-        master = RestrictedMaster(augmented, [d])
-        sol = master.solve(forbidden={0}, allow_infeasible=True)
-        assert sol.status == "infeasible"
-        assert math.isinf(sol.objective)
-
-    def test_forced_column_changes_optimum(self, line_graph):
-        d = Demand(0, 0, 1, 20.0, 100.0, 0.9)
-        augmented = augment_clique(line_graph, [d])
-        master = RestrictedMaster(augmented, [d])
-        cid = master.add_column(Column.from_path(make_path(augmented, d), d))
-        free = master.solve()
-        pinned = master.solve(forced={0})  # force the dummy
-        assert free.objective == pytest.approx(10.0)
-        assert pinned.objective == pytest.approx(master.dummy_penalty)
-        assert pinned.values[cid] == pytest.approx(0.0)
 
 
 class TestLpInvariants:
