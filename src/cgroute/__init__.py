@@ -7,8 +7,8 @@ benchmark. The :mod:`~cgroute.harness` module replays traces and emits
 evaluation reports; ``cgroute`` on the command line wraps it all.
 
 The package namespace holds only these entry points, their inputs and
-results, and the errors. Internals (master LP, pricing, rounding, clique
-augmentation) are imported from their modules.
+results, and the errors. Internals (master LP, pricing, rounding, the
+rejection penalty) are imported from their modules.
 """
 
 from .errors import (

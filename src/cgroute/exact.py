@@ -74,7 +74,7 @@ def solve_exact(
             outcomes=MappingProxyType({}),
             objective=0.0,
             residual_edge_capacity=MappingProxyType(
-                {e: graph.edges[e].capacity_mbps for e in graph.real_edges()}
+                {e: m.capacity_mbps for e, m in graph.edges.items()}
             ),
             residual_node_capacity=tuple(graph.node_limits),
             optimal=True,

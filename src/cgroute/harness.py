@@ -64,7 +64,7 @@ class EpochReport:
 
 def direct_mode_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
     """Underlay-style candidates: the direct edge and nothing else."""
-    if not graph.is_real((demand.source, demand.destination)):
+    if (demand.source, demand.destination) not in graph.edges:
         return []
     p = make_path(graph, demand)
     return [p] if qos_feasible(p, demand) else []
@@ -88,12 +88,15 @@ def estimate_throughput(
 
     RTT is taken as ``rtt_factor`` times the one-way path delay. The model
     diverges as loss approaches zero, so loss-free paths return the
-    configured cap instead, flagged.
+    configured cap instead, flagged. It diverges at zero RTT too, so
+    zero-delay paths also return the cap, flagged as lossy.
     """
     p = 1.0 - path.success_prob
     if p <= 0.0:
         return ThroughputEstimate(loss_free_cap_mbps, loss_free=True)
     rtt_s = rtt_factor * path.total_delay_ms / 1000.0
+    if rtt_s <= 0.0:
+        return ThroughputEstimate(loss_free_cap_mbps, loss_free=False)
     bps = mss_bytes * 8.0 * c / (rtt_s * math.sqrt(p))
     return ThroughputEstimate(bps / 1e6, loss_free=False)
 

@@ -6,16 +6,12 @@ rate limit. A demand asks to move a fixed rate between two nodes while
 respecting bounds on jitter and end-to-end success probability. Routes use
 at most one relay, so a path is either the direct edge or a two-edge dogleg
 through a single intermediate node.
-
-Graphs are completed into a clique by adding artificial edges with a large
-penalty delay; those edges keep the formulation total but are never part of
-a QoS-feasible route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -25,7 +21,7 @@ from .errors import ContractError, InputError
 NodeId = int
 Edge = tuple[NodeId, NodeId]
 
-#: Rejected demands are priced at this multiple of the artificial-edge delay,
+#: Rejected demands are priced at this multiple of ``OverlayGraph.big_m``,
 #: so a rejection is always strictly worse than any routable alternative.
 DUMMY_PENALTY_FACTOR = 10.0
 
@@ -44,9 +40,8 @@ class LinkMetrics:
             raise InputError(f"delay must be finite and >= 0, got {self.delay_ms}")
         if not (math.isfinite(self.jitter_ms) and self.jitter_ms >= 0.0):
             raise InputError(f"jitter must be finite and >= 0, got {self.jitter_ms}")
-        # Artificial edges are the one place an infinite capacity is allowed.
-        if not self.capacity_mbps > 0.0:
-            raise InputError(f"capacity must be > 0, got {self.capacity_mbps}")
+        if not (math.isfinite(self.capacity_mbps) and self.capacity_mbps > 0.0):
+            raise InputError(f"capacity must be finite and > 0, got {self.capacity_mbps}")
         if not (0.0 < self.success_prob <= 1.0):
             raise InputError(
                 f"success probability must be in (0, 1], got {self.success_prob}"
@@ -67,8 +62,8 @@ class Demand:
     def __post_init__(self):
         if self.source == self.destination:
             raise InputError(f"demand {self.id}: source equals destination")
-        if not self.rate_mbps > 0.0:
-            raise InputError(f"demand {self.id}: rate must be > 0")
+        if not (math.isfinite(self.rate_mbps) and self.rate_mbps > 0.0):
+            raise InputError(f"demand {self.id}: rate must be finite and > 0")
         if not self.max_jitter_ms >= 0.0:
             raise InputError(f"demand {self.id}: jitter bound must be >= 0")
         if not (0.0 < self.min_success_prob <= 1.0):
@@ -79,16 +74,19 @@ class Demand:
 class OverlayGraph:
     """Directed overlay graph. Immutable once built; share freely.
 
-    After :func:`augment_clique` every ordered node pair holds exactly one
-    edge, real or artificial, and ``big_m`` records the penalty delay used
-    on the artificial ones.
+    ``edges`` holds the measured links only, in ascending (tail, head)
+    order when built by :meth:`from_edges`; that order is the order of the
+    master's edge-capacity rows. ``big_m`` is the rejection penalty delay,
+    set by :func:`augment_clique`.
     """
 
     n_nodes: int
     edges: Mapping[Edge, LinkMetrics]
     node_limits: tuple[float, ...]
-    artificial: frozenset[Edge] = frozenset()
     big_m: Optional[float] = None
+
+    # Not a field and always empty; kept only because perfbench/checker.py reads it.
+    artificial = frozenset()
 
     @classmethod
     def from_edges(
@@ -115,31 +113,21 @@ class OverlayGraph:
         ordered = {e: items[e] for e in sorted(items)}
         return cls(n_nodes, MappingProxyType(ordered), limits)
 
-    def is_real(self, edge: Edge) -> bool:
-        return edge in self.edges and edge not in self.artificial
-
-    def real_edges(self) -> list[Edge]:
-        return list(self._real_edges)
+    @cached_property
+    def out_neighbours(self) -> Mapping[NodeId, frozenset[NodeId]]:
+        """Heads of each node's out-edges; nodes without any are absent."""
+        return _neighbours(self.edges, 0)
 
     @cached_property
-    def _real_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e not in self.artificial)
-
-    @cached_property
-    def real_out(self) -> Mapping[NodeId, frozenset[NodeId]]:
-        """Heads of each node's real out-edges; nodes without any are absent."""
-        return _neighbours(self._real_edges, 0)
-
-    @cached_property
-    def real_in(self) -> Mapping[NodeId, frozenset[NodeId]]:
-        """Tails of each node's real in-edges; nodes without any are absent."""
-        return _neighbours(self._real_edges, 1)
+    def in_neighbours(self) -> Mapping[NodeId, frozenset[NodeId]]:
+        """Tails of each node's in-edges; nodes without any are absent."""
+        return _neighbours(self.edges, 1)
 
     def metrics(self, edge: Edge) -> LinkMetrics:
         return self.edges[edge]
 
 
-def _neighbours(edges: Sequence[Edge], side: int) -> Mapping[NodeId, frozenset[NodeId]]:
+def _neighbours(edges: Iterable[Edge], side: int) -> Mapping[NodeId, frozenset[NodeId]]:
     index: dict[NodeId, set[NodeId]] = {}
     for e in edges:
         index.setdefault(e[side], set()).add(e[1 - side])
@@ -161,8 +149,10 @@ class Path:
     total_delay_ms: float
     total_jitter_ms: float
     success_prob: float
-    uses_artificial: bool = False
     is_dummy: bool = False
+
+    # Not a field and always False; kept only because perfbench/checker.py reads it.
+    uses_artificial = False
 
 
 def make_path(graph: OverlayGraph, demand: Demand, relay: NodeId | None = None) -> Path:
@@ -194,7 +184,6 @@ def make_path(graph: OverlayGraph, demand: Demand, relay: NodeId | None = None) 
         total_delay_ms=delay,
         total_jitter_ms=jitter,
         success_prob=success,
-        uses_artificial=any(e in graph.artificial for e in hops),
     )
 
 
@@ -211,49 +200,35 @@ def make_dummy_path(demand: Demand, penalty: float) -> Path:
     )
 
 
+# The name is kept although no clique is built: perfbench/spans.py and
+# perfbench/workloads.py look the function up under it.
 def augment_clique(graph: OverlayGraph, demands: Sequence[Demand]) -> OverlayGraph:
-    """Complete the graph into a clique with artificial penalty edges.
+    """Check ``demands`` against ``graph`` and set the rejection penalty.
 
-    The penalty delay is 2 * |demands| * (max real edge delay) + 1 ms, which
-    strictly exceeds the total delay of any all-real routing, so accepting
-    one more demand always beats any delay saving. Idempotent: artificial
-    edges added earlier are discarded and rebuilt from the real ones.
+    Returns the same graph, edges untouched, with ``big_m`` set to
+    2 * |demands| * (max edge delay) + 1 ms. That strictly exceeds the
+    total delay of any routing of all demands, so accepting one more demand
+    always beats any delay saving. Idempotent. This is the one input check
+    the heuristic and the exact benchmark share: every demand endpoint must
+    be a node of the graph.
     """
     if graph.n_nodes < 2:
-        raise InputError("clique augmentation needs at least two nodes")
+        raise InputError("routing needs at least two nodes")
     if not demands:
-        raise InputError("clique augmentation needs a nonempty demand set")
-    real = {e: m for e, m in graph.edges.items() if e not in graph.artificial}
-    max_delay = max((m.delay_ms for m in real.values()), default=0.0)
-    big_m = 2.0 * len(demands) * max_delay + 1.0
-    filler = LinkMetrics(
-        delay_ms=big_m, jitter_ms=0.0, capacity_mbps=math.inf, success_prob=1.0
-    )
-    edges: dict[Edge, LinkMetrics] = {}
-    added: list[Edge] = []
-    for i in range(graph.n_nodes):
-        for j in range(graph.n_nodes):
-            if i == j:
-                continue
-            e = (i, j)
-            if e in real:
-                edges[e] = real[e]
-            else:
-                edges[e] = filler
-                added.append(e)
-    return OverlayGraph(
-        n_nodes=graph.n_nodes,
-        edges=MappingProxyType(edges),
-        node_limits=graph.node_limits,
-        artificial=frozenset(added),
-        big_m=big_m,
-    )
+        raise InputError("routing needs a nonempty demand set")
+    for d in demands:
+        if not (0 <= d.source < graph.n_nodes and 0 <= d.destination < graph.n_nodes):
+            raise InputError(
+                f"demand {d.id}: endpoint outside the graph's nodes 0..{graph.n_nodes - 1}"
+            )
+    max_delay = max((m.delay_ms for m in graph.edges.values()), default=0.0)
+    return replace(graph, big_m=2.0 * len(demands) * max_delay + 1.0)
 
 
 def dummy_penalty(graph: OverlayGraph) -> float:
-    """Cost of rejecting a demand; requires an augmented graph."""
+    """Cost of rejecting a demand; requires ``big_m`` from :func:`augment_clique`."""
     if graph.big_m is None:
-        raise ContractError("graph must be clique-augmented first")
+        raise ContractError("graph must go through augment_clique first")
     return DUMMY_PENALTY_FACTOR * graph.big_m
 
 
@@ -262,9 +237,7 @@ def qos_feasible(path: Path, demand: Demand) -> bool:
 
     Uses the product form of the success-probability bound, which is exact
     and better conditioned than a log-sum at one or two hops. Dummy paths
-    are feasible by definition; artificial edges disqualify a path outright
-    (rejected demands fall back to best-effort delivery, they are not routed
-    over penalty edges).
+    are feasible by definition.
     """
     if path.is_dummy:
         return True
@@ -278,5 +251,4 @@ def qos_feasible(path: Path, demand: Demand) -> bool:
         len(path.edges) <= 2
         and path.total_jitter_ms <= demand.max_jitter_ms
         and path.success_prob >= demand.min_success_prob
-        and not path.uses_artificial
     )

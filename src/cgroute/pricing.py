@@ -27,17 +27,17 @@ EPS_REDUCED_COST = 1e-7
 def enumerate_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
     """All QoS-feasible routes for the demand, direct edge first.
 
-    Relay routes are ordered by relay node id. Only real edges are
-    considered; an empty list means the demand can never be routed.
+    Relay routes are ordered by relay node id. An empty list means the
+    demand can never be routed.
     """
     s, t = demand.source, demand.destination
     out: list[Path] = []
-    heads = graph.real_out.get(s, frozenset())
+    heads = graph.out_neighbours.get(s, frozenset())
     if t in heads:
         p = make_path(graph, demand)
         if qos_feasible(p, demand):
             out.append(p)
-    for relay in sorted(heads & graph.real_in.get(t, frozenset())):
+    for relay in sorted(heads & graph.in_neighbours.get(t, frozenset())):
         p = make_path(graph, demand, relay)
         if qos_feasible(p, demand):
             out.append(p)
@@ -76,9 +76,9 @@ class CandidateTable:
         demands: Sequence[Demand],
         candidates: Mapping[int, Sequence[Path]],
     ) -> "CandidateTable":
-        """Pack ``candidates[d.id]`` of every demand; edges must be real."""
+        """Pack ``candidates[d.id]`` of every demand; edges must be in ``graph``."""
         demands = tuple(sorted(demands, key=lambda d: d.id))
-        edge_row = {e: r for r, e in enumerate(graph.real_edges())}
+        edge_row = {e: r for r, e in enumerate(graph.edges)}
         n_edges, n_nodes = len(edge_row), graph.n_nodes
         paths: list[Path] = []
         offsets = [0]

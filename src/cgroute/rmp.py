@@ -72,8 +72,8 @@ class Column:
 class DualPoint:
     """Dual prices from one master solve, as arrays in constraint-row order.
 
-    ``edge_duals`` holds one price per real edge in ``graph.real_edges()``
-    order and ``node_duals`` one per node; both price capacity and must be
+    ``edge_duals`` holds one price per edge in ``graph.edges`` order and
+    ``node_duals`` one per node; both price capacity and must be
     nonnegative, which construction checks once for every pricing pass
     that reads the point. ``convexity_duals`` carries one free multiplier
     per demand, in ascending demand id order.
@@ -94,7 +94,7 @@ class DualPoint:
     @classmethod
     def zero(cls, graph: OverlayGraph, demands: Sequence[Demand]) -> "DualPoint":
         return cls(
-            np.zeros(len(graph.real_edges())),
+            np.zeros(len(graph.edges)),
             np.zeros(graph.n_nodes),
             np.zeros(len(demands)),
         )
@@ -112,7 +112,7 @@ class RmpSolution:
 
 def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
     """Value of the dual point: sum of convexity prices minus paid capacity."""
-    caps = [graph.edges[e].capacity_mbps for e in graph.real_edges()]
+    caps = [m.capacity_mbps for m in graph.edges.values()]
     paid = sum(lam * cap for lam, cap in zip(duals.edge_duals.tolist(), caps))
     paid += sum(nu * cap for nu, cap in zip(duals.node_duals.tolist(), graph.node_limits))
     return sum(duals.convexity_duals.tolist()) - paid
@@ -128,12 +128,7 @@ class RestrictedMaster:
     the same assembled matrices.
     """
 
-    def __init__(
-        self,
-        graph: OverlayGraph,
-        demands: Sequence[Demand],
-        penalty: float | None = None,
-    ):
+    def __init__(self, graph: OverlayGraph, demands: Sequence[Demand]):
         if not demands:
             raise InputError("master needs at least one demand")
         ids = [d.id for d in demands]
@@ -141,10 +136,10 @@ class RestrictedMaster:
             raise InputError("demand ids must be unique")
         self.graph = graph
         self.demands = tuple(sorted(demands, key=lambda d: d.id))
-        self.dummy_penalty = dummy_penalty(graph) if penalty is None else float(penalty)
+        self.dummy_penalty = dummy_penalty(graph)
         self._demand_by_id = {d.id: d for d in self.demands}
 
-        self._edge_rows = {e: r for r, e in enumerate(graph.real_edges())}
+        self._edge_rows = {e: r for r, e in enumerate(graph.edges)}
         self._node_offset = len(self._edge_rows)
         self._eq_row = {d.id: r for r, d in enumerate(self.demands)}
         self._b_ub = np.array(

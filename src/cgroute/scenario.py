@@ -188,8 +188,7 @@ def load_graph(graph_path: FsPath, limits_path: FsPath) -> OverlayGraph:
 
 def save_graph(graph: OverlayGraph, path: FsPath):
     lines = []
-    for (i, j) in graph.real_edges():
-        m = graph.edges[(i, j)]
+    for (i, j), m in graph.edges.items():
         lines.append(
             f"{i},{j},{m.delay_ms!r},{m.jitter_ms!r},{m.capacity_mbps!r},{m.success_prob!r}\n"
         )

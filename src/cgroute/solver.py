@@ -132,7 +132,7 @@ class _Residuals:
     """Remaining edge/node capacity while commitments accumulate."""
 
     def __init__(self, graph: OverlayGraph):
-        self.edges = {e: graph.edges[e].capacity_mbps for e in graph.real_edges()}
+        self.edges = {e: m.capacity_mbps for e, m in graph.edges.items()}
         self.nodes = list(graph.node_limits)
 
     def fits(self, path: Path, rate: float) -> bool:
@@ -248,7 +248,7 @@ def _empty_solution(graph: OverlayGraph, duration: float) -> RoutingSolution:
         outcomes=MappingProxyType({}),
         objective=0.0,
         residual_edge_capacity=MappingProxyType(
-            {e: graph.edges[e].capacity_mbps for e in graph.real_edges()}
+            {e: m.capacity_mbps for e, m in graph.edges.items()}
         ),
         residual_node_capacity=tuple(graph.node_limits),
         iterations=0,

@@ -14,17 +14,17 @@ from cgroute.model import Demand, OverlayGraph, Path, make_path, qos_feasible
 
 
 def brute_force_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
-    """All <=2-hop routes over real edges, filtered through qos_feasible."""
+    """All <=2-hop routes over graph edges, filtered through qos_feasible."""
     s, t = demand.source, demand.destination
     out = []
-    if graph.is_real((s, t)):
+    if (s, t) in graph.edges:
         p = make_path(graph, demand)
         if qos_feasible(p, demand):
             out.append(p)
     for relay in range(graph.n_nodes):
         if relay in (s, t):
             continue
-        if graph.is_real((s, relay)) and graph.is_real((relay, t)):
+        if (s, relay) in graph.edges and (relay, t) in graph.edges:
             p = make_path(graph, demand, relay)
             if qos_feasible(p, demand):
                 out.append(p)
@@ -50,7 +50,7 @@ def exhaustive_best_assignment(
     search remains exhaustive over feasible assignments.
     """
     order = sorted(demands, key=lambda d: d.id)
-    edge_res = {e: graph.edges[e].capacity_mbps for e in graph.real_edges()}
+    edge_res = {e: m.capacity_mbps for e, m in graph.edges.items()}
     node_res = list(graph.node_limits)
     best = {"obj": penalty * len(order), "assign": {d.id: None for d in order}}
     chosen: dict[int, Optional[Path]] = {}
@@ -96,7 +96,7 @@ def check_routing_feasible(
 ) -> list[str]:
     """All RoutingSolution feasibility invariants, re-derived from scratch."""
     problems = []
-    edge_load = {e: 0.0 for e in graph.real_edges()}
+    edge_load = {e: 0.0 for e in graph.edges}
     node_load = [0.0] * graph.n_nodes
     by_id = {d.id: d for d in demands}
     for did, path in outcomes.items():
@@ -109,10 +109,8 @@ def check_routing_feasible(
             problems.append(f"demand {did}: jitter bound violated")
         if path.success_prob < d.min_success_prob:
             problems.append(f"demand {did}: success bound violated")
-        if path.uses_artificial:
-            problems.append(f"demand {did}: routed over an artificial edge")
         for e in path.edges:
-            if e not in edge_load:
+            if e not in graph.edges:
                 problems.append(f"demand {did}: unknown edge {e}")
             else:
                 edge_load[e] += d.rate_mbps
@@ -130,7 +128,7 @@ def check_routing_feasible(
 def scalar_priced_length(path: Path, rate: float, lam, nu) -> float:
     """Delay plus capacity rent, one candidate at a time.
 
-    ``lam`` maps each real edge to its dual, ``nu`` indexes node duals.
+    ``lam`` maps each edge to its dual, ``nu`` indexes node duals.
     """
     rent = sum(lam[e] for e in path.edges)
     rent += sum(nu[i] for i in path.nodes)

@@ -29,6 +29,22 @@ def _small_params(tmp_path):
     return p
 
 
+def _two_node_scenario(tmp_path, graph, demands):
+    """A 2-node scenario from literal graph and demand file contents."""
+    paths = {"graph": graph, "limits": "0,100.0\n1,100.0\n", "demands": demands}
+    for name, text in paths.items():
+        (tmp_path / f"{name}.csv").write_text(text)
+    return [
+        "--graph", tmp_path / "graph.csv",
+        "--node-limits", tmp_path / "limits.csv",
+        "--demands", tmp_path / "demands.csv",
+    ]
+
+
+_EDGE_01 = "0,1,10.0,1.0,100.0,0.99\n"
+_DEMAND_01 = "0,0,1,5.0,50.0,0.5\n"
+
+
 class TestGenerate:
     def test_synthetic_files(self, scenario_dir):
         for name in ("graph.csv", "node_limits.csv", "demands.csv", "params.cfg"):
@@ -114,6 +130,29 @@ class TestSolve:
             "--demands", scenario_dir / "demands.csv",
         ])
         assert code == 2
+
+    def test_infinite_capacity_exits_2(self, tmp_path, capsys):
+        files = _two_node_scenario(tmp_path, _EDGE_01 + "1,0,10.0,1.0,inf,0.99\n", _DEMAND_01)
+        assert run(["solve", *files]) == 2
+        assert "line 2: capacity must be finite" in capsys.readouterr().err
+
+    def test_infinite_rate_exits_2(self, tmp_path, capsys):
+        files = _two_node_scenario(tmp_path, _EDGE_01, _DEMAND_01 + "1,0,1,inf,50.0,0.5\n")
+        assert run(["solve", *files]) == 2
+        assert "line 2: demand 1: rate must be finite" in capsys.readouterr().err
+
+    def test_demand_outside_graph_exits_2(self, tmp_path, capsys):
+        files = _two_node_scenario(tmp_path, _EDGE_01, _DEMAND_01 + "1,0,7,5.0,50.0,0.5\n")
+        assert run(["solve", *files]) == 2
+        assert "demand 1: endpoint outside" in capsys.readouterr().err
+
+    def test_zero_delay_graph_solves(self, tmp_path, capsys):
+        files = _two_node_scenario(tmp_path, "0,1,0.0,0.0,100.0,0.99\n", _DEMAND_01)
+        assert run(["solve", *files, "--format", "json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["reports"][0]["outcomes"]
+        assert row["delay_ms"] == 0.0
+        assert row["throughput_mbps"] == 10000.0
+        assert row["throughput_loss_free"] is False
 
     def test_missing_file_exits_2(self, scenario_dir):
         code = run([

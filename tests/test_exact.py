@@ -56,6 +56,15 @@ class TestSmallCases:
         assert result.outcomes == {}
 
 
+    def test_demand_outside_graph_rejected(self):
+        from cgroute.errors import InputError
+
+        g = hand_graph()
+        demands = [Demand(0, 0, 1, 5.0, 1e6, 0.5), Demand(3, 7, 1, 5.0, 1e6, 0.5)]
+        with pytest.raises(InputError, match="demand 3"):
+            solve_exact(g, demands)
+
+
 class TestAgainstExhaustiveEnumeration:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_exhaustive_on_tiny_instances(self, seed):

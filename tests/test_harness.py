@@ -102,6 +102,16 @@ class TestThroughput:
         assert est.loss_free
         assert est.mbps == 123.0
 
+    def test_zero_delay_returns_cap(self):
+        g = OverlayGraph.from_edges(
+            2, {(0, 1): LinkMetrics(0.0, 0.0, 10.0, 0.9)}, [1.0, 1.0]
+        )
+        est = estimate_throughput(
+            make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.5)), loss_free_cap_mbps=123.0
+        )
+        assert not est.loss_free
+        assert est.mbps == 123.0
+
 
 class TestRunTimeseries:
     def test_uncongested_epoch_reports_min_delays(self):

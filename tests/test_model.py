@@ -38,6 +38,8 @@ class TestValidation:
             LinkMetrics(1.0, 0.0, 10.0, 1.2)
         with pytest.raises(InputError):
             LinkMetrics(math.nan, 0.0, 10.0, 0.5)
+        with pytest.raises(InputError, match="capacity must be finite"):
+            LinkMetrics(1.0, 0.0, math.inf, 0.5)
 
     def test_demand_rejects_bad_values(self):
         with pytest.raises(InputError):
@@ -59,16 +61,9 @@ class TestValidation:
 class TestAugmentClique:
     def test_three_node_line(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        # 2 demands, max real delay 10 -> penalty delay 2*2*10 + 1
+        # 2 demands, max edge delay 10 -> penalty delay 2*2*10 + 1
         assert augmented.big_m == 41.0
-        assert len(augmented.edges) == 6
-        assert len(augmented.artificial) == 4
-        for e in augmented.artificial:
-            m = augmented.edges[e]
-            assert m.delay_ms == 41.0
-            assert m.jitter_ms == 0.0
-            assert m.success_prob == 1.0
-            assert math.isinf(m.capacity_mbps)
+        assert augmented.edges == line_graph.edges
 
     def test_full_clique_is_untouched(self, two_demands):
         edges = {
@@ -87,16 +82,14 @@ class TestAugmentClique:
         trace = generate_telco_trace(1, seed=0)
         demands = telco_demands(seed=0)
         graph = trace.graph_for(trace.epochs[0])
-        assert len(graph.real_edges()) == 82
+        assert len(graph.edges) == 82
         augmented = augment_clique(graph, demands)
-        assert len(augmented.edges) == 110
-        assert len(augmented.artificial) == 28
+        assert augmented.edges == graph.edges
 
     def test_idempotent(self, line_graph, two_demands):
         once = augment_clique(line_graph, two_demands)
         twice = augment_clique(once, two_demands)
         assert dict(once.edges) == dict(twice.edges)
-        assert once.artificial == twice.artificial
         assert once.big_m == twice.big_m
 
     def test_rejects_empty_inputs(self, line_graph):
@@ -147,12 +140,13 @@ class TestQosFeasible:
         assert qos_feasible(p, d)
         assert log_form_success_ok(g, p, d)
 
-    def test_artificial_edges_disqualify(self, line_graph, two_demands):
+    def test_make_path_rejects_missing_edge(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        d = Demand(5, 2, 0, 1.0, 1e9, 0.01)  # (2,0) only exists artificially
-        p = make_path(augmented, d)
-        assert p.uses_artificial
-        assert not qos_feasible(p, d)
+        d = Demand(5, 2, 0, 1.0, 1e9, 0.01)  # the graph has no (2,0) edge
+        with pytest.raises(InputError, match=r"no edge \(2, 0\)"):
+            make_path(augmented, d)
+        with pytest.raises(InputError, match=r"no edge \(2, 1\)"):
+            make_path(augmented, d, relay=1)
 
     def test_dummy_is_always_feasible(self):
         d = Demand(0, 0, 1, 1.0, 0.0, 1.0)
@@ -209,13 +203,6 @@ class TestPathDelay:
     def test_dummy_returns_penalty(self):
         d = Demand(0, 0, 1, 1.0, 0.0, 1.0)
         assert make_dummy_path(d, 410.0).total_delay_ms == 410.0
-
-    def test_artificial_edge_contributes_penalty_delay(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
-        # (1,2) is real at 7 ms... use (0,1)=10 real then (1,0) artificial=41
-        d = Demand(7, 2, 1, 1.0, 1e9, 0.01)
-        p = make_path(augmented, d, relay=0)  # (2,0) artificial + (0,1) real
-        assert p.total_delay_ms == 41.0 + 10.0
 
 
 class TestPathAggregates:

@@ -14,7 +14,7 @@ from oracles import brute_force_candidates, scalar_price, scalar_priced_length
 
 
 def duals_for(graph, demands, edge=None, node=None, sigma=None):
-    lam = {e: 0.0 for e in graph.real_edges()}
+    lam = {e: 0.0 for e in graph.edges}
     lam.update(edge or {})
     nu = [0.0] * graph.n_nodes
     for i, v in (node or {}).items():
@@ -120,7 +120,7 @@ class TestPriceDemand:
         rng = np.random.default_rng(seed)
         graph, demands = gap_suite_instance(seed % 4)
         augmented = augment_clique(graph, demands)
-        lam = {e: float(rng.uniform(0, 2)) for e in augmented.real_edges()}
+        lam = {e: float(rng.uniform(0, 2)) for e in augmented.edges}
         nu = {i: float(rng.uniform(0, 1)) for i in range(augmented.n_nodes)}
         for d in demands[:8]:
             sigma = float(rng.uniform(0, 4000))
@@ -155,7 +155,7 @@ class TestPriceDemand:
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
         cands = enumerate_candidates(g, d)
         rng = np.random.default_rng(1)
-        lam = {e: float(rng.uniform(0, 1)) for e in g.real_edges()}
+        lam = {e: float(rng.uniform(0, 1)) for e in g.edges}
         base = duals_for(g, [d], edge=lam, sigma={0: 1e6})
         shifted = duals_for(g, [d], edge=lam, sigma={0: 1e6 + 777.0})
         p1, r1 = price_one(g, d, cands, base)
@@ -206,7 +206,7 @@ class TestPricingWeights:
     def test_weight_formula(self):
         g = hand_graph()
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
-        lam = {e: 0.25 for e in g.real_edges()}
+        lam = {e: 0.25 for e in g.edges}
         nu = {1: 0.5}
         cands = enumerate_candidates(g, d)
         table = CandidateTable.pack(g, [d], {d.id: cands})
@@ -219,7 +219,7 @@ class TestPricingWeights:
 
     def test_zero_duals_reduce_to_delays(self):
         g = hand_graph()
-        demands = [Demand(i, s, t, 10.0, 1e6, 0.5) for i, (s, t) in enumerate(g.real_edges())]
+        demands = [Demand(i, s, t, 10.0, 1e6, 0.5) for i, (s, t) in enumerate(g.edges)]
         candidates = {d.id: enumerate_candidates(g, d) for d in demands}
         table = CandidateTable.pack(g, demands, candidates)
         lengths = table.priced_lengths(duals_for(g, demands))
@@ -273,7 +273,6 @@ class TestBatchedAgainstScalarOracle:
     def test_same_path_and_reduced_cost_bit_for_bit(self, data):
         graph, demands = data.draw(scenarios())
         augmented = augment_clique(graph, demands)
-        real = augmented.real_edges()
         direct_only = {d.id: data.draw(st.booleans()) for d in demands}
         candidates = {
             d.id: (direct_mode_candidates if direct_only[d.id] else enumerate_candidates)(
@@ -281,7 +280,7 @@ class TestBatchedAgainstScalarOracle:
             )
             for d in demands
         }
-        lam = {e: data.draw(_DUALS) for e in real}
+        lam = {e: data.draw(_DUALS) for e in augmented.edges}
         nu = [data.draw(_DUALS) for _ in range(augmented.n_nodes)]
         sigma = {}
         for d in demands:

@@ -169,7 +169,7 @@ class TestLpInvariants:
     def test_duals_feasible_for_every_pool_column(self, seed):
         master = full_master(seed)
         sol = master.solve()
-        lam = dict(zip(master.graph.real_edges(), sol.duals.edge_duals))
+        lam = dict(zip(master.graph.edges, sol.duals.edge_duals))
         nu = sol.duals.node_duals
         sigmas = dict(zip((d.id for d in master.demands), sol.duals.convexity_duals))
         rates = {d.id: d.rate_mbps for d in master.demands}

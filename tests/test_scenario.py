@@ -138,6 +138,11 @@ class TestStaticFiles:
         with pytest.raises(FormatError, match="line 1"):
             load_graph(gpath, lpath)
 
+    def test_infinite_demand_rate_reports_line(self, tmp_path):
+        dpath = write(tmp_path, "d.csv", "0,0,1,5.0,50.0,0.5\n1,1,0,inf,50.0,0.5\n")
+        with pytest.raises(FormatError, match="line 2: demand 1: rate must be finite"):
+            load_demands(dpath)
+
     def test_params_roundtrip(self, tmp_path):
         params = SyntheticParams(n_demands=130, rate_fixed_mbps=25.0, seed=9)
         ppath = tmp_path / "params.cfg"
@@ -154,11 +159,11 @@ class TestGenerateTopology:
     def test_default_edge_count_exact(self):
         graph = generate_topology(SyntheticParams(seed=1))
         assert graph.n_nodes == 50
-        assert len(graph.real_edges()) == 450
+        assert len(graph.edges) == 450
 
     def test_three_node_full_attachment(self):
         graph = generate_topology(SyntheticParams(n_nodes=3, n_edges=6, seed=0))
-        assert len(graph.real_edges()) == 6
+        assert len(graph.edges) == 6
 
     def test_deterministic_per_seed(self):
         a = generate_topology(SyntheticParams(seed=17))
@@ -171,7 +176,7 @@ class TestGenerateTopology:
         graph = generate_topology(SyntheticParams(n_nodes=30, n_edges=116, seed=5))
         seen = {0}
         frontier = [0]
-        undirected = {(min(i, j), max(i, j)) for i, j in graph.real_edges()}
+        undirected = {(min(i, j), max(i, j)) for i, j in graph.edges}
         while frontier:
             u = frontier.pop()
             for a, b in undirected:
@@ -192,7 +197,7 @@ class TestGenerateTopology:
     def test_metric_ranges_respected(self):
         params = SyntheticParams(seed=23)
         graph = generate_topology(params)
-        for m in (graph.edges[e] for e in graph.real_edges()):
+        for m in graph.edges.values():
             assert params.delay_range_ms[0] <= m.delay_ms <= params.delay_range_ms[1]
             assert params.jitter_range_ms[0] <= m.jitter_ms <= params.jitter_range_ms[1]
             assert (
@@ -259,7 +264,7 @@ class TestDistributionSanity:
         params = SyntheticParams(n_nodes=12, n_edges=40, n_demands=15, seed=seed)
         graph = generate_topology(params)
         demands = generate_demands(params, graph)
-        assert len(graph.real_edges()) >= 2 * (12 - 1)
+        assert len(graph.edges) >= 2 * (12 - 1)
         assert len(demands) == 15  # constructors validate the rest
 
 

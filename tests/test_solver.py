@@ -217,6 +217,12 @@ class TestSolve:
         assert routed.objective == 0.0
         assert routed.certified
 
+    def test_demand_outside_graph_rejected(self):
+        g = hand_graph()
+        demands = [Demand(0, 0, 1, 5.0, 1e6, 0.5), Demand(3, 1, 7, 5.0, 1e6, 0.5)]
+        with pytest.raises(InputError, match="demand 3"):
+            solve(g, demands)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_objective_recomputes_from_outcomes(self, seed):
         graph, demands = feasibility_instance(seed)
@@ -237,7 +243,7 @@ class TestSolve:
         routed = solve(graph, demands, SolverConfig(seed=seed))
         augmented = augment_clique(graph, demands)
         by_id = {d.id: d for d in demands}
-        for e in augmented.real_edges():
+        for e in augmented.edges:
             used = sum(
                 by_id[did].rate_mbps
                 for did, p in routed.outcomes.items()
@@ -284,7 +290,5 @@ class TestSolve:
         from cgroute.model import dummy_penalty
 
         penalty = dummy_penalty(augmented)
-        max_route_delay = 2 * max(
-            m.delay_ms for e, m in augmented.edges.items() if e not in augmented.artificial
-        )
+        max_route_delay = 2 * max(m.delay_ms for m in augmented.edges.values())
         assert penalty > len(demands) * max_route_delay
