@@ -123,9 +123,9 @@ def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fm
     if dump_lp_path is not None:
         if not demands:
             raise InputError("--dump-lp needs a nonempty demand set")
-        augmented = augment_clique(graph, demands)
+        augment_clique(graph, demands)
         dumped = "overlay" if mode == "both" else mode
-        cg = column_generation(augmented, demands, config, mode_candidates(dumped))
+        cg = column_generation(graph, demands, config, mode_candidates(dumped))
         dump_lp_path.write_text(cg.master.dump_lp())
         click.echo(f"wrote {dump_lp_path}", err=True)
     _write(reports, fmt, out, timing)

@@ -11,6 +11,7 @@ point is measuring the heuristic's optimality gap.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -18,8 +19,8 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InputError
 from .model import Demand, Edge, OverlayGraph, Path, augment_clique
-from .pricing import enumerate_candidates
-from .rmp import Column, RestrictedMaster
+from .pricing import CandidateTable, enumerate_candidates
+from .rmp import RestrictedMaster
 from .solver import CandidateFn, _Residuals
 
 
@@ -35,8 +36,8 @@ class ExactLimits:
     time_limit_s: float = 300.0
 
     def __post_init__(self):
-        if self.max_nodes < 1 or self.time_limit_s <= 0.0:
-            raise InputError("search limits must be positive")
+        if self.max_nodes < 1 or not 0.0 < self.time_limit_s < math.inf:
+            raise InputError("search limits must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,14 @@ def solve_exact(
             lp_solves=0,
             duration_s=time.perf_counter() - started,
         )
-    augmented = augment_clique(graph, demands)
-    master = RestrictedMaster(augmented, demands)
-    for d in master.demands:
-        for p in candidate_fn(augmented, d):
-            master.add_column(Column.from_path(p, d))
+    augment_clique(graph, demands)
+    demands = sorted(demands, key=lambda d: d.id)
+    table = CandidateTable.pack(graph, demands, {d.id: candidate_fn(graph, d) for d in demands})
+    master = RestrictedMaster(graph, table)
+    master.add(range(len(table.paths)))
 
     res = master.solve_integer(limits.time_limit_s, limits.max_nodes)
-    residuals = _Residuals(augmented)
+    residuals = _Residuals(graph)
     if res.x is None:
         # A budget cut before HiGHS found any integer point: fall back to
         # all-rejected, which is always feasible.

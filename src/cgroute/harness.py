@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
-from .errors import CgRouteError, InputError
+from .errors import InputError, SolverError
 from .exact import ExactLimits, solve_exact
-from .model import Demand, OverlayGraph, Path, make_path, qos_feasible
+from .model import Demand, OverlayGraph, Path, check_endpoints, make_path, qos_feasible
 from .pricing import enumerate_candidates
 from .solver import CandidateFn, RoutingSolution, SolverConfig, solve
 from .scenario import Trace
@@ -30,6 +30,12 @@ CSV_HEADER = (
 )
 
 MODES = ("overlay", "direct")
+
+#: TCP throughput model: segment size, the model constant C, and RTT as a
+#: multiple of the one-way path delay.
+MSS_BYTES = 1460
+THROUGHPUT_C = 1.0
+RTT_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -77,16 +83,10 @@ def mode_candidates(mode: str) -> CandidateFn:
     return enumerate_candidates if mode == "overlay" else direct_mode_candidates
 
 
-def estimate_throughput(
-    path: Path,
-    mss_bytes: int = 1460,
-    c: float = 1.0,
-    rtt_factor: float = 2.0,
-    loss_free_cap_mbps: float = 10000.0,
-) -> ThroughputEstimate:
+def estimate_throughput(path: Path, loss_free_cap_mbps: float = 10000.0) -> ThroughputEstimate:
     """TCP throughput of a path: MSS * C / (RTT * sqrt(loss)).
 
-    RTT is taken as ``rtt_factor`` times the one-way path delay. The model
+    RTT is taken as ``RTT_FACTOR`` times the one-way path delay. The model
     diverges as loss approaches zero, so loss-free paths return the
     configured cap instead, flagged. It diverges at zero RTT too, so
     zero-delay paths also return the cap, flagged as lossy.
@@ -94,10 +94,10 @@ def estimate_throughput(
     p = 1.0 - path.success_prob
     if p <= 0.0:
         return ThroughputEstimate(loss_free_cap_mbps, loss_free=True)
-    rtt_s = rtt_factor * path.total_delay_ms / 1000.0
+    rtt_s = RTT_FACTOR * path.total_delay_ms / 1000.0
     if rtt_s <= 0.0:
         return ThroughputEstimate(loss_free_cap_mbps, loss_free=False)
-    bps = mss_bytes * 8.0 * c / (rtt_s * math.sqrt(p))
+    bps = MSS_BYTES * 8.0 * THROUGHPUT_C / (rtt_s * math.sqrt(p))
     return ThroughputEstimate(bps / 1e6, loss_free=False)
 
 
@@ -174,12 +174,15 @@ def run_timeseries(
 ) -> list[EpochReport]:
     """Re-allocate every demand from scratch on each epoch snapshot.
 
-    Solver failures are recorded in the affected report and the replay
-    continues with the remaining epochs.
+    Bad input (an unknown mode, a demand endpoint outside the trace's
+    nodes) raises :class:`InputError` before any epoch is solved. Solver
+    failures are recorded in the affected report and the replay continues
+    with the remaining epochs.
     """
     for mode in modes:
-        if mode not in MODES:
-            raise InputError(f"unknown mode {mode!r}")
+        mode_candidates(mode)
+    # Every epoch has the trace's node set, so one check covers them all.
+    check_endpoints(trace.n_nodes, demands)
     reports: list[EpochReport] = []
     for epoch in trace.epochs:
         graph = trace.graph_for(epoch)
@@ -197,7 +200,7 @@ def run_timeseries(
                         with_throughput=with_throughput,
                     )
                 )
-            except CgRouteError as exc:
+            except SolverError as exc:
                 reports.append(
                     EpochReport(
                         epoch_ts=epoch.timestamp,

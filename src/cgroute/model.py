@@ -11,18 +11,19 @@ through a single intermediate node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractError, InputError
 
 NodeId = int
 Edge = tuple[NodeId, NodeId]
 
-#: Rejected demands are priced at this multiple of ``OverlayGraph.big_m``,
-#: so a rejection is always strictly worse than any routable alternative.
+#: Rejected demands are priced at this multiple of the largest possible
+#: total delay of a routing (see :func:`dummy_penalty`), so a rejection is
+#: always strictly worse than any routable alternative.
 DUMMY_PENALTY_FACTOR = 10.0
 
 
@@ -76,14 +77,14 @@ class OverlayGraph:
 
     ``edges`` holds the measured links only, in ascending (tail, head)
     order when built by :meth:`from_edges`; that order is the order of the
-    master's edge-capacity rows. ``big_m`` is the rejection penalty delay,
-    set by :func:`augment_clique`.
+    master's edge-capacity rows. The graph knows nothing of demands: the
+    rejection penalty, which depends on the demand set, is
+    :func:`dummy_penalty`.
     """
 
     n_nodes: int
     edges: Mapping[Edge, LinkMetrics]
     node_limits: tuple[float, ...]
-    big_m: Optional[float] = None
 
     # Not a field and always empty; kept only because perfbench/checker.py reads it.
     artificial = frozenset()
@@ -203,33 +204,41 @@ def make_dummy_path(demand: Demand, penalty: float) -> Path:
 # The name is kept although no clique is built: perfbench/spans.py and
 # perfbench/workloads.py look the function up under it.
 def augment_clique(graph: OverlayGraph, demands: Sequence[Demand]) -> OverlayGraph:
-    """Check ``demands`` against ``graph`` and set the rejection penalty.
+    """Check that ``demands`` can be routed on ``graph``; return ``graph``.
 
-    Returns the same graph, edges untouched, with ``big_m`` set to
-    2 * |demands| * (max edge delay) + 1 ms. That strictly exceeds the
-    total delay of any routing of all demands, so accepting one more demand
-    always beats any delay saving. Idempotent. This is the one input check
-    the heuristic and the exact benchmark share: every demand endpoint must
-    be a node of the graph.
+    This is the one input check the heuristic and the exact benchmark
+    share: at least two nodes, a nonempty demand set, and every demand
+    endpoint a node of the graph. The graph is returned unchanged.
     """
     if graph.n_nodes < 2:
         raise InputError("routing needs at least two nodes")
     if not demands:
         raise InputError("routing needs a nonempty demand set")
+    check_endpoints(graph.n_nodes, demands)
+    return graph
+
+
+def check_endpoints(n_nodes: int, demands: Iterable[Demand]):
+    """Raise :class:`InputError` naming the first demand with an endpoint
+    that is not one of the nodes ``0 .. n_nodes - 1``.
+    """
     for d in demands:
-        if not (0 <= d.source < graph.n_nodes and 0 <= d.destination < graph.n_nodes):
+        if not (0 <= d.source < n_nodes and 0 <= d.destination < n_nodes):
             raise InputError(
-                f"demand {d.id}: endpoint outside the graph's nodes 0..{graph.n_nodes - 1}"
+                f"demand {d.id}: endpoint outside the graph's nodes 0..{n_nodes - 1}"
             )
+
+
+def dummy_penalty(graph: OverlayGraph, demands: Sequence[Demand]) -> float:
+    """Cost of rejecting one demand of ``demands`` on ``graph``.
+
+    ``DUMMY_PENALTY_FACTOR`` times 2 * |demands| * (max edge delay) + 1 ms.
+    The second factor strictly exceeds the total delay of any routing of
+    all demands, so accepting one more demand always beats any delay
+    saving.
+    """
     max_delay = max((m.delay_ms for m in graph.edges.values()), default=0.0)
-    return replace(graph, big_m=2.0 * len(demands) * max_delay + 1.0)
-
-
-def dummy_penalty(graph: OverlayGraph) -> float:
-    """Cost of rejecting a demand; requires ``big_m`` from :func:`augment_clique`."""
-    if graph.big_m is None:
-        raise ContractError("graph must go through augment_clique first")
-    return DUMMY_PENALTY_FACTOR * graph.big_m
+    return DUMMY_PENALTY_FACTOR * (2.0 * len(demands) * max_delay + 1.0)
 
 
 def qos_feasible(path: Path, demand: Demand) -> bool:

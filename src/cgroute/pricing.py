@@ -48,17 +48,20 @@ def enumerate_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
 class CandidateTable:
     """Every demand's candidate paths in flat arrays, compressed by demand.
 
-    Demand ``demands[i]`` (ascending id, the convexity-row order) owns the
-    candidates ``offsets[i]:offsets[i + 1]``, in its candidate-list order.
-    Per candidate the table holds the path's total delay, the demand's
-    rate, the dual rows of its edges (``e1``, ``e2``) and of its nodes
-    (``s``, ``k``, ``t``). A direct path pads ``e2`` and ``k`` with the row
-    one past the last, which pricing maps to a zero dual.
+    This is the column universe of the restricted master, which names a
+    candidate by its index here. Demand ``demands[i]`` (ascending id, the
+    convexity-row order) owns the candidates ``offsets[i]:offsets[i + 1]``,
+    in its candidate-list order, and ``demand`` holds that ``i`` per
+    candidate. Per candidate the table also holds the path's total delay,
+    the demand's rate, the dual rows of its edges (``e1``, ``e2``) and of
+    its nodes (``s``, ``k``, ``t``). A direct path pads ``e2`` and ``k``
+    with the row one past the last, which pricing maps to a zero dual.
     """
 
     demands: tuple[Demand, ...]
     paths: tuple[Path, ...]
     offsets: np.ndarray
+    demand: np.ndarray
     delay: np.ndarray
     rate: np.ndarray
     e1: np.ndarray
@@ -76,25 +79,36 @@ class CandidateTable:
         demands: Sequence[Demand],
         candidates: Mapping[int, Sequence[Path]],
     ) -> "CandidateTable":
-        """Pack ``candidates[d.id]`` of every demand; edges must be in ``graph``."""
+        """Pack ``candidates[d.id]`` of every demand; edges must be in ``graph``.
+
+        Every candidate must be a QoS-feasible, non-dummy route of the
+        demand it is listed under, else :class:`ContractError`: only the
+        master creates rejection columns.
+        """
         demands = tuple(sorted(demands, key=lambda d: d.id))
         edge_row = {e: r for r, e in enumerate(graph.edges)}
         n_edges, n_nodes = len(edge_row), graph.n_nodes
         paths: list[Path] = []
         offsets = [0]
-        rate: list[float] = []
         for d in demands:
             own = candidates[d.id]
+            for p in own:
+                if p.is_dummy:
+                    raise ContractError("dummy columns are created by the master only")
+                if not qos_feasible(p, d):
+                    raise ContractError(f"candidate of demand {d.id} violates its QoS bounds")
             paths.extend(own)
             offsets.append(len(paths))
-            rate.extend([d.rate_mbps] * len(own))
+        counts = np.diff(offsets)
+        demand = np.repeat(np.arange(len(demands)), counts)
         two_hop = [len(p.edges) == 2 for p in paths]
         return cls(
             demands=demands,
             paths=tuple(paths),
             offsets=np.array(offsets),
+            demand=demand,
             delay=np.array([p.total_delay_ms for p in paths], dtype=float),
-            rate=np.array(rate, dtype=float),
+            rate=np.repeat(np.array([d.rate_mbps for d in demands], dtype=float), counts),
             e1=np.array([edge_row[p.edges[0]] for p in paths], dtype=np.intp),
             e2=np.array(
                 [edge_row[p.edges[1]] if two else n_edges for p, two in zip(paths, two_hop)],
@@ -132,12 +146,12 @@ def price_demand(
     table: CandidateTable,
     duals: DualPoint,
     eps_rc: float = EPS_REDUCED_COST,
-) -> dict[int, tuple[Path, float]]:
+) -> dict[int, tuple[int, float]]:
     """Exact pricing of every demand at once: the columns that would enter.
 
-    Returns ``{demand id: (path, reduced_cost)}`` for each demand whose
-    cheapest candidate undercuts its convexity price by more than
-    ``eps_rc``, in ascending demand id order; demands whose duals are
+    Returns ``{demand id: (candidate index, reduced_cost)}`` for each
+    demand whose cheapest candidate undercuts its convexity price by more
+    than ``eps_rc``, in ascending demand id order; demands whose duals are
     already feasible, or that have no candidate, are absent. Ties keep the
     first candidate in list order, so results are deterministic.
     """
@@ -158,6 +172,6 @@ def price_demand(
     enter = np.flatnonzero(best < sigma - eps_rc)
     reduced = best[enter] - sigma[enter]
     return {
-        table.demands[r].id: (table.paths[c], rc)
+        table.demands[r].id: (c, rc)
         for r, c, rc in zip(rows[enter].tolist(), first[enter].tolist(), reduced.tolist())
     }

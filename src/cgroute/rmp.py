@@ -1,32 +1,30 @@
 """Restricted master problem: the LP over the columns generated so far.
 
-Each column couples one candidate path to its demand. The LP minimizes the
-total delay of the selected path mix subject to edge capacities, node
-processing limits and one convexity row per demand, with the integrality of
-the path choice relaxed. Solving returns both the primal mix and the dual
-prices that drive pricing. The exact benchmark solves the same matrices
-as a 0/1 program.
+The column universe is a :class:`~cgroute.pricing.CandidateTable`: each
+candidate couples one path to its demand, and the master names it by its
+table index. The pool is one rejection (dummy) column per demand plus the
+candidates that have joined. The LP minimizes the total delay of the
+selected path mix subject to edge capacities, node processing limits and
+one convexity row per demand, with the integrality of the path choice
+relaxed. Solving returns both the primal mix and the dual prices that
+drive pricing. The exact benchmark solves the same matrices as a 0/1
+program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, linprog, milp
 
 from .errors import ContractError, InputError, SolverError
-from .model import (
-    Demand,
-    Edge,
-    OverlayGraph,
-    Path,
-    dummy_penalty,
-    make_dummy_path,
-    qos_feasible,
-)
+from .model import Demand, OverlayGraph, Path, dummy_penalty, make_dummy_path
+
+if TYPE_CHECKING:
+    from .pricing import CandidateTable
 
 # HiGHS is already tight by default; pin the tolerances so dual certificates
 # stay well inside the 1e-7 reduced-cost threshold used by pricing.
@@ -47,21 +45,9 @@ _STATUS = {
 
 @dataclass(frozen=True)
 class Column:
-    """One LP variable: a (demand, path) pair.
+    """Read-only view of one pool column: a demand's path or its rejection."""
 
-    Its capacity footprint (the demand's rate on every edge and node of the
-    path) is derived by the master when the column joins the pool.
-    """
-
-    demand_id: int
     path: Path
-    cost: float
-
-    @classmethod
-    def from_path(cls, path: Path, demand: Demand) -> "Column":
-        if path.demand_id != demand.id:
-            raise ContractError("path/demand mismatch")
-        return cls(demand.id, path, path.total_delay_ms)
 
     @property
     def is_dummy(self) -> bool:
@@ -119,43 +105,35 @@ def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
 
 
 class RestrictedMaster:
-    """Mutable column pool plus LP assembly and solve.
+    """A growing subset of a candidate table, plus LP assembly and solve.
 
-    Construction seeds one dummy column per demand, so the LP is feasible
-    and bounded from the first solve onward. Only this class may create
-    dummy columns. The capacity rows are kept in compressed-column form as
-    columns join. The LP relaxation and the integer problem are built from
-    the same assembled matrices.
+    Column ``j < len(demands)`` is the rejection (dummy) column of
+    ``demands[j]``, so the LP is feasible and bounded from the first solve
+    onward; the rest are table candidates in the order they joined. The
+    LP relaxation and the integer problem are both built by slicing the
+    table's arrays for the pool.
     """
 
-    def __init__(self, graph: OverlayGraph, demands: Sequence[Demand]):
-        if not demands:
+    def __init__(self, graph: OverlayGraph, table: CandidateTable):
+        if not table.demands:
             raise InputError("master needs at least one demand")
-        ids = [d.id for d in demands]
+        ids = [d.id for d in table.demands]
         if len(set(ids)) != len(ids):
             raise InputError("demand ids must be unique")
+        if (table.n_edges, table.n_nodes) != (len(graph.edges), graph.n_nodes):
+            raise ContractError("candidate table was packed for another graph")
         self.graph = graph
-        self.demands = tuple(sorted(demands, key=lambda d: d.id))
-        self.dummy_penalty = dummy_penalty(graph)
-        self._demand_by_id = {d.id: d for d in self.demands}
-
-        self._edge_rows = {e: r for r, e in enumerate(graph.edges)}
-        self._node_offset = len(self._edge_rows)
-        self._eq_row = {d.id: r for r, d in enumerate(self.demands)}
+        self.table = table
+        self.demands = table.demands
+        self.dummy_penalty = dummy_penalty(graph, table.demands)
         self._b_ub = np.array(
-            [graph.edges[e].capacity_mbps for e in self._edge_rows] + list(graph.node_limits)
+            [m.capacity_mbps for m in graph.edges.values()] + list(graph.node_limits)
         )
-
-        self._columns: list[Column] = []
+        # Joined candidates in join order (a dict as an ordered set).
+        self._members: dict[int, None] = {}
+        self._columns = [Column(make_dummy_path(d, self.dummy_penalty)) for d in self.demands]
         self._view: tuple[Column, ...] = ()
-        self._by_demand: dict[int, list[int]] = {d.id: [] for d in self.demands}
-        self._dedup: dict[tuple, int] = {}
-        # Capacity-row footprint of every column, compressed by column.
-        self._rows: list[int] = []
-        self._coeffs: list[float] = []
-        self._indptr: list[int] = [0]
-        for d in self.demands:
-            self._append(Column.from_path(make_dummy_path(d, self.dummy_penalty), d))
+        self._by_demand: dict[int, list[int]] = {d.id: [j] for j, d in enumerate(self.demands)}
 
     # -- pool ---------------------------------------------------------------
 
@@ -172,58 +150,52 @@ class RestrictedMaster:
     def columns_of(self, demand_id: int) -> list[int]:
         return list(self._by_demand[demand_id])
 
-    def _key(self, column: Column) -> tuple:
-        return (column.demand_id, column.path.edges, column.is_dummy)
-
-    def _append(self, column: Column) -> int:
-        cid = len(self._columns)
-        self._columns.append(column)
-        self._by_demand[column.demand_id].append(cid)
-        self._dedup[self._key(column)] = cid
-        path = column.path
-        # Rows in ascending order keep the matrix canonical, so the LP
-        # backend sees one fixed entry order.
-        rows = sorted(
-            [self._edge_rows[e] for e in path.edges]
-            + [self._node_offset + i for i in path.nodes]
-        )
-        self._rows.extend(rows)
-        self._coeffs.extend([self._demand_by_id[column.demand_id].rate_mbps] * len(rows))
-        self._indptr.append(len(self._rows))
-        return cid
-
-    def add_column(self, column: Column) -> int:
-        """Add a priced-out column; re-adding an existing one is a no-op."""
-        if column.demand_id not in self._demand_by_id:
-            raise ContractError(f"unknown demand id {column.demand_id}")
-        if column.is_dummy:
-            raise ContractError("dummy columns are created internally only")
-        demand = self._demand_by_id[column.demand_id]
-        if not qos_feasible(column.path, demand):
-            raise ContractError("column path violates the demand's QoS bounds")
-        existing = self._dedup.get(self._key(column))
-        if existing is not None:
-            return existing
-        return self._append(column)
+    def add(self, candidates: Iterable[int]) -> int:
+        """Let table candidates join the pool; return how many were new."""
+        added = 0
+        for i in candidates:
+            if not 0 <= i < len(self.table.paths):
+                raise ContractError(f"no candidate {i} in the table")
+            if i in self._members:
+                continue
+            self._by_demand[self.demands[self.table.demand[i]].id].append(len(self._columns))
+            self._columns.append(Column(self.table.paths[i]))
+            self._members[i] = None
+            added += 1
+        return added
 
     # -- LP -----------------------------------------------------------------
 
     def _assemble(self):
-        n = len(self._columns)
-        cost = np.array([c.cost for c in self._columns])
+        """Cost vector, capacity rows ``A_ub`` and convexity rows ``A_eq``.
+
+        A candidate's capacity rows are its one or two edges and its two
+        or three nodes, at the demand's rate, ascending per column so the
+        LP backend sees one fixed entry order; dummy columns have none.
+        """
+        t, n_dummy = self.table, len(self.demands)
+        m = np.fromiter(self._members, dtype=np.intp, count=len(self._members))
+        n_rows = len(self._b_ub)
+        rows = np.column_stack((t.e1[m], t.e2[m], t.s[m], t.k[m], t.t[m]))
+        rows[:, 2:] += t.n_edges
+        # A direct path's padded e2 and k both become n_rows, which sorts
+        # last in its column and is then dropped.
+        rows[:, 1][rows[:, 1] == t.n_edges] = n_rows
+        rows.sort(axis=1)
+        keep = rows < n_rows
+        per_column = keep.sum(axis=1)
+        indptr = np.concatenate((np.zeros(n_dummy + 1, dtype=np.intp), np.cumsum(per_column)))
+        coeffs = np.repeat(t.rate[m], per_column)
         a_ub = sparse.csc_matrix(
-            (
-                np.array(self._coeffs, dtype=float),
-                np.array(self._rows, dtype=np.int32),
-                np.array(self._indptr, dtype=np.int32),
-            ),
-            shape=(len(self._b_ub), n),
+            (coeffs, rows[keep].astype(np.int32), indptr.astype(np.int32)),
+            shape=(n_rows, self.pool_size),
         )
-        eq_rows = [self._eq_row[c.demand_id] for c in self._columns]
+        eq_rows = np.concatenate((np.arange(n_dummy), t.demand[m])).astype(np.int32)
         a_eq = sparse.csc_matrix(
-            (np.ones(n), np.array(eq_rows, dtype=np.int32), np.arange(n + 1, dtype=np.int32)),
-            shape=(len(self.demands), n),
+            (np.ones(self.pool_size), eq_rows, np.arange(self.pool_size + 1, dtype=np.int32)),
+            shape=(n_dummy, self.pool_size),
         )
+        cost = np.concatenate((np.full(n_dummy, self.dummy_penalty), t.delay[m]))
         return cost, a_ub, a_eq
 
     def solve(self) -> RmpSolution:
@@ -251,7 +223,7 @@ class RestrictedMaster:
             values=tuple(res.x.tolist()),
             objective=float(res.fun),
             duals=DualPoint(
-                price[: self._node_offset], price[self._node_offset :], res.eqlin.marginals
+                price[: self.table.n_edges], price[self.table.n_edges :], res.eqlin.marginals
             ),
             status=status,
         )
@@ -283,33 +255,34 @@ class RestrictedMaster:
     # -- diagnostics ----------------------------------------------------------
 
     def dump_lp(self) -> str:
-        """Render the current LP in CPLEX LP text format for external checks."""
+        """Render the assembled LP in CPLEX LP text format for external checks.
+
+        Capacity rows without any column are omitted; terms follow column
+        order within each row.
+        """
+        cost, a_ub, a_eq = self._assemble()
+        edges = list(self.graph.edges)
         lines = ["\\ restricted master debug dump", "Minimize"]
-        terms = " + ".join(f"{c.cost!r} y{j}" for j, c in enumerate(self._columns))
-        lines.append(f" obj: {terms}")
+        lines.append(" obj: " + " + ".join(f"{c!r} y{j}" for j, c in enumerate(cost.tolist())))
         lines.append("Subject To")
-        edge_terms: dict[Edge, list[str]] = {e: [] for e in self._edge_rows}
-        node_terms: list[list[str]] = [[] for _ in range(self.graph.n_nodes)]
-        for j, col in enumerate(self._columns):
-            term = f"{self._demand_by_id[col.demand_id].rate_mbps!r} y{j}"
-            for e in col.path.edges:
-                edge_terms[e].append(term)
-            for i in col.path.nodes:
-                node_terms[i].append(term)
-        for e, lhs in edge_terms.items():
-            if lhs:
-                cap = self.graph.edges[e].capacity_mbps
-                lines.append(f" cap_e_{e[0]}_{e[1]}: {' + '.join(lhs)} <= {cap!r}")
-        for i, lhs in enumerate(node_terms):
-            if lhs:
-                lines.append(
-                    f" cap_n_{i}: {' + '.join(lhs)} <= {self.graph.node_limits[i]!r}"
-                )
-        for d in self.demands:
-            lhs = " + ".join(f"y{j}" for j in self._by_demand[d.id])
-            lines.append(f" cvx_{d.id}: {lhs} = 1")
+        for r, ((cols, coeffs), bound) in enumerate(zip(_rows(a_ub), self._b_ub.tolist())):
+            if cols:
+                name = f"e_{edges[r][0]}_{edges[r][1]}" if r < len(edges) else f"n_{r - len(edges)}"
+                lhs = " + ".join(f"{a!r} y{j}" for a, j in zip(coeffs, cols))
+                lines.append(f" cap_{name}: {lhs} <= {bound!r}")
+        for d, (cols, _) in zip(self.demands, _rows(a_eq)):
+            lines.append(f" cvx_{d.id}: {' + '.join(f'y{j}' for j in cols)} = 1")
         lines.append("Bounds")
-        for j in range(len(self._columns)):
-            lines.append(f" 0 <= y{j}")
+        lines.extend(f" 0 <= y{j}" for j in range(len(cost)))
         lines.append("End")
         return "\n".join(lines) + "\n"
+
+
+def _rows(matrix) -> list[tuple[list[int], list[float]]]:
+    """Column indices and coefficients of every row, columns ascending."""
+    csr = matrix.tocsr()
+    csr.sort_indices()
+    bounds = csr.indptr.tolist()
+    return [
+        (csr.indices[a:b].tolist(), csr.data[a:b].tolist()) for a, b in zip(bounds, bounds[1:])
+    ]

@@ -9,6 +9,7 @@ path mix into one committed path per demand, or a rejection.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import InputError
 from .model import Demand, Edge, OverlayGraph, Path, augment_clique
 from .pricing import EPS_REDUCED_COST, CandidateTable, enumerate_candidates, price_demand
-from .rmp import Column, RestrictedMaster, RmpSolution
+from .rmp import RestrictedMaster, RmpSolution
 
 CandidateFn = Callable[[OverlayGraph, Demand], list[Path]]
 
@@ -43,8 +44,8 @@ class SolverConfig:
             raise InputError("max_cg_iterations must be positive")
         if self.max_rounding_passes is not None and self.max_rounding_passes < 1:
             raise InputError("max_rounding_passes must be positive")
-        if self.eps_reduced_cost <= 0.0:
-            raise InputError("eps_reduced_cost must be positive")
+        if not 0.0 < self.eps_reduced_cost < math.inf:
+            raise InputError("eps_reduced_cost must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -93,29 +94,24 @@ def column_generation(
     """Grow the master until the dual point prices out every candidate.
 
     Candidate lists are enumerated once per demand and packed into one
-    table: QoS feasibility does not depend on the duals, so each pricing
-    pass re-prices the same table in one batch. On natural termination the
-    final LP value is optimal for the formulation over all QoS-feasible
-    routes, and the result is flagged ``certified``; hitting the iteration
-    cap returns the best solution uncertified.
+    table, the master's column universe: QoS feasibility does not depend on
+    the duals, so each pricing pass re-prices the same table in one batch
+    and the entering candidates join the master by index. On natural
+    termination the final LP value is optimal for the formulation over all
+    QoS-feasible routes, and the result is flagged ``certified``; hitting
+    the iteration cap returns the best solution uncertified.
     """
-    master = RestrictedMaster(graph, demands)
-    by_id = {d.id: d for d in master.demands}
-    candidates = {d.id: candidate_fn(graph, d) for d in master.demands}
-    table = CandidateTable.pack(graph, master.demands, candidates)
+    demands = sorted(demands, key=lambda d: d.id)
+    candidates = {d.id: candidate_fn(graph, d) for d in demands}
+    table = CandidateTable.pack(graph, demands, candidates)
+    master = RestrictedMaster(graph, table)
     solution = master.solve()
     iterations = 0
     certified = False
     while iterations < config.max_cg_iterations:
         iterations += 1
-        added = 0
         entering = price_demand(table, solution.duals, config.eps_reduced_cost)
-        for did, (path, _) in entering.items():
-            before = master.pool_size
-            master.add_column(Column.from_path(path, by_id[did]))
-            if master.pool_size > before:
-                added += 1
-        if added == 0:
+        if master.add(index for index, _ in entering.values()) == 0:
             certified = True
             break
         solution = master.solve()
@@ -263,7 +259,7 @@ def solve(
     config: SolverConfig = SolverConfig(),
     candidate_fn: CandidateFn = enumerate_candidates,
 ) -> RoutingSolution:
-    """Full pipeline on one scenario: augment, generate columns, round.
+    """Full pipeline on one scenario: check inputs, generate columns, round.
 
     Deterministic given (graph, demands, config): the config seed drives
     the only random choices (rounding draws).
@@ -271,11 +267,11 @@ def solve(
     started = time.perf_counter()
     if not demands:
         return _empty_solution(graph, time.perf_counter() - started)
-    augmented = augment_clique(graph, demands)
-    cg = column_generation(augmented, demands, config, candidate_fn)
+    augment_clique(graph, demands)
+    cg = column_generation(graph, demands, config, candidate_fn)
     rng = np.random.default_rng(config.seed)
     routed = randomized_round(
-        cg.solution, cg.master, augmented, demands, rng, config.max_rounding_passes
+        cg.solution, cg.master, graph, demands, rng, config.max_rounding_passes
     )
     return replace(
         routed,

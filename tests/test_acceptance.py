@@ -159,7 +159,7 @@ def test_criterion_5_exact_matches_exhaustive():
         augmented = augment_clique(graph, demands)
         candidates = {d.id: enumerate_candidates(augmented, d) for d in demands}
         want, _ = exhaustive_best_assignment(
-            augmented, demands, candidates, dummy_penalty(augmented)
+            augmented, demands, candidates, dummy_penalty(augmented, demands)
         )
         got = solve_exact(graph, demands)
         if not got.optimal or abs(got.objective - want) > 1e-9:

@@ -205,6 +205,26 @@ class TestReplay:
             runs.append(dest.read_bytes())
         assert runs[0] == runs[1]
 
+    def test_demand_outside_trace_exits_2(self, tmp_path, capsys):
+        (tmp_path / "trace.csv").write_text(
+            "epoch_ts,src,dst,delay_ms,jitter_ms,capacity_mbps,success_prob\n"
+            "0.0,0,1,10.0,1.0,100.0,0.99\n"
+            "300.0,0,1,12.0,1.0,100.0,0.99\n"
+        )
+        (tmp_path / "limits.csv").write_text("0,100.0\n1,100.0\n")
+        (tmp_path / "demands.csv").write_text(_DEMAND_01 + "1,0,7,5.0,50.0,0.5\n")
+        code = run([
+            "replay",
+            "--trace", tmp_path / "trace.csv",
+            "--node-limits", tmp_path / "limits.csv",
+            "--demands", tmp_path / "demands.csv",
+            "--mode", "both",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "demand 1: endpoint outside" in captured.err
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_small_sweep(self, tmp_path):
@@ -239,3 +259,15 @@ class TestExactGap:
         lines = out.read_text().strip().split("\n")
         gap = lines[1].split(",")[8]
         assert float(gap) >= -1e-6
+
+    @pytest.mark.parametrize("limit", ["nan", "inf", "0"])
+    def test_bad_time_limit_exits_2(self, scenario_dir, capsys, limit):
+        code = run([
+            "exact-gap",
+            "--graph", scenario_dir / "graph.csv",
+            "--node-limits", scenario_dir / "node_limits.csv",
+            "--demands", scenario_dir / "demands.csv",
+            "--time-limit", limit,
+        ])
+        assert code == 2
+        assert "search limits must be" in capsys.readouterr().err

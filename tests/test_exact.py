@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cgroute.exact import ExactLimits, solve_exact
@@ -42,7 +44,7 @@ class TestSmallCases:
             d.id: enumerate_candidates(augmented, d) for d in demands
         }
         want_obj, want_assign = exhaustive_best_assignment(
-            augmented, demands, candidates, dummy_penalty(augmented)
+            augmented, demands, candidates, dummy_penalty(augmented, demands)
         )
         result = solve_exact(g, demands)
         assert result.optimal
@@ -72,7 +74,7 @@ class TestAgainstExhaustiveEnumeration:
         augmented = augment_clique(graph, demands)
         candidates = {d.id: enumerate_candidates(augmented, d) for d in demands}
         want_obj, _ = exhaustive_best_assignment(
-            augmented, demands, candidates, dummy_penalty(augmented)
+            augmented, demands, candidates, dummy_penalty(augmented, demands)
         )
         result = solve_exact(graph, demands)
         assert result.optimal
@@ -110,7 +112,7 @@ class TestLimits:
         result = solve_exact(graph, demands, ExactLimits(time_limit_s=1e-9))
         assert not result.optimal
         assert result.n_accepted == 0
-        penalty = dummy_penalty(augment_clique(graph, demands))
+        penalty = dummy_penalty(graph, demands)
         assert result.objective == penalty * len(demands)
         assert not check_routing_feasible(graph, demands, result.outcomes)
 
@@ -119,5 +121,6 @@ class TestLimits:
 
         with pytest.raises(InputError):
             ExactLimits(max_nodes=0)
-        with pytest.raises(InputError):
-            ExactLimits(time_limit_s=0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                ExactLimits(time_limit_s=bad)

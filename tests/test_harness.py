@@ -161,6 +161,28 @@ class TestRunTimeseries:
         with pytest.raises(InputError):
             run_timeseries(trace, demands, ["sideways"], SolverConfig())
 
+    def test_demand_outside_trace_raises(self):
+        # Input errors stop the replay instead of filling every epoch's
+        # report with the same error.
+        trace, demands = small_trace()
+        outside = Demand(99, 0, trace.n_nodes, 1.0, 1e6, 0.5)
+        with pytest.raises(InputError, match="demand 99: endpoint outside"):
+            run_timeseries(trace, [*demands, outside], ["overlay"], SolverConfig())
+
+    def test_solver_failure_is_recorded_per_epoch(self, monkeypatch):
+        import cgroute.harness as harness
+        from cgroute.errors import SolverError
+
+        def failing(*args, **kwargs):
+            raise SolverError("LP backend returned 'numerical'")
+
+        monkeypatch.setattr(harness, "solve", failing)
+        trace, demands = small_trace()
+        reports = run_timeseries(trace, demands, ["overlay"], SolverConfig())
+        assert len(reports) == 2
+        assert all(r.error == "LP backend returned 'numerical'" for r in reports)
+        assert all(r.objective == math.inf for r in reports)
+
     def test_gap_reported_with_oracle(self):
         graph, demands = gap_suite_instance(3)
         report = solve_epoch(

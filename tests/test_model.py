@@ -61,8 +61,8 @@ class TestValidation:
 class TestAugmentClique:
     def test_three_node_line(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
-        # 2 demands, max edge delay 10 -> penalty delay 2*2*10 + 1
-        assert augmented.big_m == 41.0
+        # 2 demands, max edge delay 10 -> penalty delay 2*2*10 + 1, times 10
+        assert dummy_penalty(augmented, two_demands) == 410.0
         assert augmented.edges == line_graph.edges
 
     def test_full_clique_is_untouched(self, two_demands):
@@ -76,7 +76,7 @@ class TestAugmentClique:
         augmented = augment_clique(graph, two_demands)
         assert dict(augmented.edges) == dict(graph.edges)
         assert augmented.artificial == frozenset()
-        assert augmented.big_m is not None
+        assert augmented is graph
 
     def test_telco_scale_counts(self):
         trace = generate_telco_trace(1, seed=0)
@@ -90,7 +90,7 @@ class TestAugmentClique:
         once = augment_clique(line_graph, two_demands)
         twice = augment_clique(once, two_demands)
         assert dict(once.edges) == dict(twice.edges)
-        assert once.big_m == twice.big_m
+        assert twice is once is line_graph
 
     def test_rejects_empty_inputs(self, line_graph):
         with pytest.raises(InputError):
@@ -99,10 +99,11 @@ class TestAugmentClique:
         with pytest.raises(InputError):
             augment_clique(tiny, [Demand(0, 0, 1, 1.0, 1.0, 0.5)])
 
-    def test_dummy_penalty_requires_augmentation(self, line_graph, two_demands):
-        with pytest.raises(ContractError):
-            dummy_penalty(line_graph)
-        assert dummy_penalty(augment_clique(line_graph, two_demands)) == 410.0
+    def test_dummy_penalty_depends_on_demand_count(self, line_graph, two_demands):
+        # The penalty is a function of the demand set, not a graph attribute.
+        assert dummy_penalty(line_graph, two_demands) == 410.0
+        assert dummy_penalty(line_graph, two_demands[:1]) == 210.0
+        assert dummy_penalty(line_graph, two_demands * 2) == 810.0
 
 
 class TestQosFeasible:

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from cgroute.errors import ContractError
 from cgroute.harness import direct_mode_candidates
-from cgroute.model import Demand, LinkMetrics, OverlayGraph, augment_clique
+from cgroute.model import (
+    Demand,
+    LinkMetrics,
+    OverlayGraph,
+    augment_clique,
+    make_dummy_path,
+    make_path,
+)
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import DualPoint
 
@@ -27,12 +34,16 @@ def duals_for(graph, demands, edge=None, node=None, sigma=None):
 
 
 def price_one(graph, demand, candidates, duals, demands=None, **kwargs):
-    """Batched pricing with only ``demand`` holding candidates: its hit or None."""
+    """Batched pricing with only ``demand`` holding candidates.
+
+    Returns its entering (path, reduced cost), or None.
+    """
     demands = demands or [demand]
     table = CandidateTable.pack(
         graph, demands, {d.id: candidates if d.id == demand.id else [] for d in demands}
     )
-    return price_demand(table, duals, **kwargs).get(demand.id)
+    hit = price_demand(table, duals, **kwargs).get(demand.id)
+    return None if hit is None else (table.paths[hit[0]], hit[1])
 
 
 class TestEnumerate:
@@ -197,7 +208,41 @@ class TestPriceDemand:
         table = CandidateTable.pack(g, demands, candidates)
         hits = price_demand(table, duals_for(g, demands, sigma={0: 100.0, 1: 100.0, 2: 100.0}))
         assert list(hits) == [0, 2]
-        assert all(path.nodes == (0, 1, 3) for path, _ in hits.values())
+        assert all(table.paths[index].nodes == (0, 1, 3) for index, _ in hits.values())
+
+
+class TestPack:
+    """The table is the master's column universe, so it admits only routes."""
+
+    def test_demand_row_per_candidate(self):
+        g = hand_graph()
+        demands = [Demand(i, 0, 3, 10.0, 1e6 if i != 1 else 1.0, 0.5) for i in (2, 1, 0)]
+        candidates = {d.id: enumerate_candidates(g, d) for d in demands}
+        table = CandidateTable.pack(g, demands, candidates)
+        assert [d.id for d in table.demands] == [0, 1, 2]
+        assert table.demand.tolist() == [0, 0, 0, 2, 2, 2]
+        for i, p in enumerate(table.paths):
+            assert table.demands[table.demand[i]].id == p.demand_id
+
+    def test_qos_infeasible_candidate_rejected(self):
+        g = OverlayGraph.from_edges(
+            2, {(0, 1): LinkMetrics(5.0, 900.0, 50.0, 0.9)}, [100.0, 100.0]
+        )
+        d = Demand(0, 0, 1, 10.0, 10.0, 0.5)  # jitter bound 10 < 900
+        with pytest.raises(ContractError):
+            CandidateTable.pack(g, [d], {d.id: [make_path(g, d)]})
+
+    def test_foreign_candidate_rejected(self, line_graph, two_demands):
+        own, other = two_demands
+        foreign = make_path(line_graph, other)
+        with pytest.raises(ContractError):
+            CandidateTable.pack(line_graph, two_demands, {own.id: [foreign], other.id: []})
+
+    def test_dummy_candidate_rejected(self, line_graph, two_demands):
+        d = two_demands[0]
+        dummy = make_dummy_path(d, 1000.0)
+        with pytest.raises(ContractError):
+            CandidateTable.pack(line_graph, two_demands, {d.id: [dummy], 1: []})
 
 
 class TestPricingWeights:
@@ -311,6 +356,6 @@ class TestBatchedAgainstScalarOracle:
                 assert hit is None
             else:
                 assert hit is not None
-                assert hit[0] is want[0]
+                assert table.paths[hit[0]] is want[0]
                 assert hit[1] == want[1]
         assert list(got) == sorted(got)

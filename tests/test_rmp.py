@@ -1,33 +1,24 @@
-
 import pytest
 
 from cgroute.errors import ContractError, InputError
-from cgroute.model import (
-    Demand,
-    LinkMetrics,
-    OverlayGraph,
-    augment_clique,
-    make_dummy_path,
-    make_path,
-)
-from cgroute.pricing import enumerate_candidates
-from cgroute.rmp import (
-    Column,
-    DualPoint,
-    RestrictedMaster,
-    dual_objective,
-)
+from cgroute.model import Demand, LinkMetrics, OverlayGraph, make_path
+from cgroute.pricing import CandidateTable, enumerate_candidates
+from cgroute.rmp import RestrictedMaster, dual_objective
 
 from instances import gap_suite_instance
 
 
+def master_for(graph, demands, candidates=None):
+    """A master over ``candidates`` (default: all enumerated), none joined yet."""
+    if candidates is None:
+        candidates = {d.id: enumerate_candidates(graph, d) for d in demands}
+    return RestrictedMaster(graph, CandidateTable.pack(graph, demands, candidates))
+
+
 def full_master(seed):
     graph, demands = gap_suite_instance(seed)
-    augmented = augment_clique(graph, demands)
-    master = RestrictedMaster(augmented, demands)
-    for d in master.demands:
-        for p in enumerate_candidates(augmented, d):
-            master.add_column(Column.from_path(p, d))
+    master = master_for(graph, demands)
+    master.add(range(len(master.table.paths)))
     return master
 
 
@@ -35,8 +26,7 @@ class TestBuildInitial:
     """A fresh master holds one dummy column per demand."""
 
     def test_one_dummy_per_demand(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
-        master = RestrictedMaster(augmented, two_demands)
+        master = master_for(line_graph, two_demands)
         assert master.pool_size == 2
         assert all(c.is_dummy for c in master.columns)
         sol = master.solve()
@@ -47,72 +37,59 @@ class TestBuildInitial:
 
         trace = generate_telco_trace(1, seed=3)
         demands = telco_demands(seed=3)
-        augmented = augment_clique(trace.graph_for(trace.epochs[0]), demands)
-        master = RestrictedMaster(augmented, demands)
+        master = master_for(trace.graph_for(trace.epochs[0]), demands)
         assert master.pool_size == 82
 
     def test_empty_demands_rejected(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
         with pytest.raises(InputError):
-            RestrictedMaster(augmented, [])
+            master_for(line_graph, [])
 
 
 class TestAddColumn:
     def test_new_column_grows_pool(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
-        master = RestrictedMaster(augmented, two_demands)
+        master = master_for(line_graph, two_demands)
         d = master.demands[0]
-        p = enumerate_candidates(augmented, d)[0]
+        first = int(master.table.offsets[0])  # d's first candidate
         before = master.pool_size
-        cid = master.add_column(Column.from_path(p, d))
+        assert master.add([first]) == 1
         assert master.pool_size == before + 1
-        assert cid == before
+        assert master.columns_of(d.id)[-1] == before
 
     def test_duplicate_is_noop(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
-        master = RestrictedMaster(augmented, two_demands)
-        d = master.demands[0]
-        p = enumerate_candidates(augmented, d)[0]
-        first = master.add_column(Column.from_path(p, d))
-        again = master.add_column(Column.from_path(p, d))
-        assert first == again
+        master = master_for(line_graph, two_demands)
+        first = int(master.table.offsets[0])
+        assert master.add([first]) == 1
+        assert master.add([first]) == 0
+        assert master.add([first, first]) == 0
         assert master.pool_size == 3
 
     def test_columns_view_follows_the_pool(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
-        master = RestrictedMaster(augmented, two_demands)
+        master = master_for(line_graph, two_demands)
         first = master.columns
         assert master.columns is first  # repeated access copies nothing
         d = master.demands[0]
-        p = enumerate_candidates(augmented, d)[0]
-        cid = master.add_column(Column.from_path(p, d))
+        p = enumerate_candidates(line_graph, d)[0]
+        master.add([int(master.table.offsets[0])])
         assert len(master.columns) == 3
-        assert master.columns[cid].path == p
+        assert master.columns[master.columns_of(d.id)[-1]].path == p
 
-    def test_external_dummy_rejected(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
-        master = RestrictedMaster(augmented, two_demands)
-        d = master.demands[0]
-        dummy = Column.from_path(make_dummy_path(d, master.dummy_penalty), d)
-        with pytest.raises(ContractError):
-            master.add_column(dummy)
+    def test_index_outside_table_rejected(self, line_graph, two_demands):
+        master = master_for(line_graph, two_demands)
+        for bad in (-1, len(master.table.paths)):
+            with pytest.raises(ContractError):
+                master.add([bad])
+        assert master.pool_size == 2
 
-    def test_qos_infeasible_rejected(self):
-        g = OverlayGraph.from_edges(
-            2, {(0, 1): LinkMetrics(5.0, 900.0, 50.0, 0.9)}, [100.0, 100.0]
-        )
-        d = Demand(0, 0, 1, 10.0, 10.0, 0.5)  # jitter bound 10 < 900
-        augmented = augment_clique(g, [d])
-        master = RestrictedMaster(augmented, [d])
-        bad = Column.from_path(make_path(augmented, d), d)
+    def test_table_of_another_graph_rejected(self, line_graph, two_demands):
+        table = CandidateTable.pack(line_graph, two_demands, {0: [], 1: []})
+        bigger = OverlayGraph.from_edges(4, dict(line_graph.edges), [200.0] * 4)
         with pytest.raises(ContractError):
-            master.add_column(bad)
+            RestrictedMaster(bigger, table)
 
 
 class TestSolve:
     def test_dummies_only_vertex(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
-        master = RestrictedMaster(augmented, two_demands)
+        master = master_for(line_graph, two_demands)
         sol = master.solve()
         assert sol.status == "optimal"
         assert all(v == pytest.approx(1.0) for v in sol.values)
@@ -123,10 +100,9 @@ class TestSolve:
 
     def test_single_cheap_column_takes_over(self, line_graph):
         d = Demand(0, 0, 1, 20.0, 100.0, 0.9)
-        augmented = augment_clique(line_graph, [d])
-        master = RestrictedMaster(augmented, [d])
-        p = make_path(augmented, d)
-        master.add_column(Column.from_path(p, d))
+        p = make_path(line_graph, d)
+        master = master_for(line_graph, [d], {d.id: [p]})
+        master.add([0])
         sol = master.solve()
         assert sol.values[1] == pytest.approx(1.0)
         assert sol.objective == pytest.approx(p.total_delay_ms)
@@ -140,10 +116,8 @@ class TestSolve:
             2, {(0, 1): LinkMetrics(12.0, 0.0, 40.0, 1.0)}, [10000.0, 10000.0]
         )
         demands = [Demand(0, 0, 1, 40.0, 10.0, 0.5), Demand(1, 0, 1, 40.0, 10.0, 0.5)]
-        augmented = augment_clique(g, demands)
-        master = RestrictedMaster(augmented, demands)
-        for d in master.demands:
-            master.add_column(Column.from_path(make_path(augmented, d), d))
+        master = master_for(g, demands, {d.id: [make_path(g, d)] for d in demands})
+        master.add(range(2))
         sol = master.solve()
         assert master.dummy_penalty == 490.0
         assert sol.objective == pytest.approx(502.0, rel=1e-9)
@@ -174,35 +148,73 @@ class TestLpInvariants:
         sigmas = dict(zip((d.id for d in master.demands), sol.duals.convexity_duals))
         rates = {d.id: d.rate_mbps for d in master.demands}
         for col in master.columns:
-            rate = rates[col.demand_id]
+            rate = rates[col.path.demand_id]
             rent = sum(rate * lam[e] for e in col.path.edges)
             rent += sum(rate * nu[i] for i in col.path.nodes)
-            sigma = sigmas[col.demand_id]
-            assert sigma <= col.cost + rent + 1e-6
+            sigma = sigmas[col.path.demand_id]
+            assert sigma <= col.path.total_delay_ms + rent + 1e-6
 
     @pytest.mark.parametrize("seed", range(4))
     def test_adding_columns_never_hurts(self, seed):
         graph, demands = gap_suite_instance(seed)
-        augmented = augment_clique(graph, demands)
-        master = RestrictedMaster(augmented, demands)
+        master = master_for(graph, demands)
         last = master.solve().objective
-        for d in master.demands:
-            for p in enumerate_candidates(augmented, d):
-                master.add_column(Column.from_path(p, d))
-                obj = master.solve().objective
-                assert obj <= last + 1e-6 * max(1.0, abs(last))
-                last = obj
+        for i in range(len(master.table.paths)):
+            master.add([i])
+            obj = master.solve().objective
+            assert obj <= last + 1e-6 * max(1.0, abs(last))
+            last = obj
 
 
 class TestDumpLp:
     def test_dump_contains_all_sections(self, line_graph, two_demands):
-        augmented = augment_clique(line_graph, two_demands)
-        master = RestrictedMaster(augmented, two_demands)
-        d = master.demands[1]
-        master.add_column(Column.from_path(make_path(augmented, d), d))
+        d = two_demands[1]
+        master = master_for(line_graph, two_demands, {0: [], 1: [make_path(line_graph, d)]})
+        master.add([0])
         text = master.dump_lp()
         assert text.startswith("\\ restricted master")
         assert "Minimize" in text and "Subject To" in text and "End" in text
         assert "cvx_0: y0 = 1" in text
         assert "cap_e_0_1:" in text
         assert "cap_n_0:" in text
+
+    def test_golden_text(self):
+        # Two demands on a 3-node triangle: demand 4 has the direct edge
+        # (0,2) and the dogleg via 1, demand 7 only the edge (1,2). Rows
+        # follow the graph's edge order, then nodes; terms follow columns;
+        # the unused edge (2,0) has no row. Penalty: 10 * (2*2*9 + 1).
+        g = OverlayGraph.from_edges(
+            3,
+            {
+                (0, 2): LinkMetrics(9.0, 0.0, 50.0, 1.0),
+                (0, 1): LinkMetrics(2.5, 0.0, 30.0, 1.0),
+                (1, 2): LinkMetrics(3.0, 0.0, 40.0, 1.0),
+                (2, 0): LinkMetrics(1.0, 0.0, 10.0, 1.0),
+            },
+            [100.0, 80.0, 60.0],
+        )
+        d4 = Demand(4, 0, 2, 5.0, 10.0, 0.5)
+        d7 = Demand(7, 1, 2, 1.5, 10.0, 0.5)
+        master = master_for(g, [d7, d4])
+        master.add(range(len(master.table.paths)))
+        assert master.dump_lp() == (
+            "\\ restricted master debug dump\n"
+            "Minimize\n"
+            " obj: 370.0 y0 + 370.0 y1 + 9.0 y2 + 5.5 y3 + 3.0 y4\n"
+            "Subject To\n"
+            " cap_e_0_1: 5.0 y3 <= 30.0\n"
+            " cap_e_0_2: 5.0 y2 <= 50.0\n"
+            " cap_e_1_2: 5.0 y3 + 1.5 y4 <= 40.0\n"
+            " cap_n_0: 5.0 y2 + 5.0 y3 <= 100.0\n"
+            " cap_n_1: 5.0 y3 + 1.5 y4 <= 80.0\n"
+            " cap_n_2: 5.0 y2 + 5.0 y3 + 1.5 y4 <= 60.0\n"
+            " cvx_4: y0 + y2 + y3 = 1\n"
+            " cvx_7: y1 + y4 = 1\n"
+            "Bounds\n"
+            " 0 <= y0\n"
+            " 0 <= y1\n"
+            " 0 <= y2\n"
+            " 0 <= y3\n"
+            " 0 <= y4\n"
+            "End\n"
+        )

@@ -13,7 +13,7 @@ from cgroute.model import (
     make_path,
 )
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
-from cgroute.rmp import Column, DualPoint, RestrictedMaster, RmpSolution
+from cgroute.rmp import DualPoint, RestrictedMaster, RmpSolution
 from cgroute.solver import (
     SolverConfig,
     column_generation,
@@ -34,6 +34,9 @@ class TestConfig:
             SolverConfig(max_rounding_passes=0)
         with pytest.raises(InputError):
             SolverConfig(eps_reduced_cost=0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InputError):
+                SolverConfig(eps_reduced_cost=bad)
 
 
 class TestColumnGeneration:
@@ -72,10 +75,11 @@ class TestColumnGeneration:
         augmented = augment_clique(graph, demands)
         cg = column_generation(augmented, demands)
         assert cg.certified
-        full = RestrictedMaster(augmented, demands)
-        for d in full.demands:
-            for p in enumerate_candidates(augmented, d):
-                full.add_column(Column.from_path(p, d))
+        table = CandidateTable.pack(
+            augmented, demands, {d.id: enumerate_candidates(augmented, d) for d in demands}
+        )
+        full = RestrictedMaster(augmented, table)
+        full.add(range(len(table.paths)))
         want = full.solve().objective
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
 
@@ -113,9 +117,12 @@ def make_split_state():
     )
     d = Demand(0, 0, 2, 10.0, 50.0, 0.9)
     augmented = augment_clique(g, [d])
-    master = RestrictedMaster(augmented, [d])
-    direct = master.add_column(Column.from_path(make_path(augmented, d), d))
-    dogleg = master.add_column(Column.from_path(make_path(augmented, d, relay=1), d))
+    table = CandidateTable.pack(
+        augmented, [d], {d.id: [make_path(augmented, d), make_path(augmented, d, relay=1)]}
+    )
+    master = RestrictedMaster(augmented, table)
+    master.add([0, 1])
+    direct, dogleg = master.columns_of(d.id)[1:]
     values = [0.0] * master.pool_size
     values[direct] = 0.5
     values[dogleg] = 0.5
@@ -170,15 +177,14 @@ class TestRandomizedRound:
             Demand(1, 0, 2, 10.0, 50.0, 0.9),
         ]
         augmented = augment_clique(g, demands)
-        master = RestrictedMaster(augmented, demands)
+        routes = {
+            d.id: [make_path(augmented, d), make_path(augmented, d, relay=1)] for d in demands
+        }
+        master = RestrictedMaster(augmented, CandidateTable.pack(augmented, demands, routes))
+        master.add(range(4))
         cols = {}
         for d in master.demands:
-            cols[d.id, "direct"] = master.add_column(
-                Column.from_path(make_path(augmented, d), d)
-            )
-            cols[d.id, "dogleg"] = master.add_column(
-                Column.from_path(make_path(augmented, d, relay=1), d)
-            )
+            cols[d.id, "direct"], cols[d.id, "dogleg"] = master.columns_of(d.id)[1:]
         values = [0.0] * master.pool_size
         for key, cid in cols.items():
             values[cid] = 0.5
@@ -200,7 +206,7 @@ class TestRandomizedRound:
         g = hand_graph()
         d = Demand(0, 0, 3, 5.0, 1.0, 0.5)
         augmented = augment_clique(g, [d])
-        master = RestrictedMaster(augmented, [d])
+        master = RestrictedMaster(augmented, CandidateTable.pack(augmented, [d], {d.id: []}))
         sol = master.solve()
         routed = randomized_round(
             sol, master, augmented, [d], np.random.default_rng(0)
@@ -227,10 +233,9 @@ class TestSolve:
     def test_objective_recomputes_from_outcomes(self, seed):
         graph, demands = feasibility_instance(seed)
         routed = solve(graph, demands, SolverConfig(seed=seed))
-        augmented = augment_clique(graph, demands)
         from cgroute.model import dummy_penalty
 
-        penalty = dummy_penalty(augmented)
+        penalty = dummy_penalty(graph, demands)
         recomputed = sum(
             p.total_delay_ms if p is not None else penalty
             for p in routed.outcomes.values()
@@ -286,9 +291,8 @@ class TestSolve:
         # With the rejection penalty dominating every routable delay, more
         # acceptances always means a smaller objective.
         graph, demands = gap_suite_instance(1)
-        augmented = augment_clique(graph, demands)
         from cgroute.model import dummy_penalty
 
-        penalty = dummy_penalty(augmented)
-        max_route_delay = 2 * max(m.delay_ms for m in augmented.edges.values())
+        penalty = dummy_penalty(graph, demands)
+        max_route_delay = 2 * max(m.delay_ms for m in graph.edges.values())
         assert penalty > len(demands) * max_route_delay
