@@ -138,8 +138,19 @@ def solve_epoch(
     oracle_limits: ExactLimits = ExactLimits(),
     with_throughput: bool = False,
 ) -> EpochReport:
-    """Solve one snapshot in one mode and package the report."""
-    candidate_fn = mode_candidates(mode)
+    """Solve one snapshot in one mode and package the report.
+
+    Each demand's candidates are enumerated once, on first request, and
+    the oracle reuses them.
+    """
+    enumerate_fn = mode_candidates(mode)
+    enumerated: dict[int, list[Path]] = {}
+
+    def candidate_fn(g: OverlayGraph, demand: Demand) -> list[Path]:
+        if demand.id not in enumerated:
+            enumerated[demand.id] = enumerate_fn(g, demand)
+        return enumerated[demand.id]
+
     started = time.perf_counter()
     routed = solve(graph, demands, config, candidate_fn)
     runtime_ms = (time.perf_counter() - started) * 1000.0

@@ -7,14 +7,16 @@ candidates that have joined. The LP minimizes the total delay of the
 selected path mix subject to edge capacities, node processing limits and
 one convexity row per demand, with the integrality of the path choice
 relaxed. Solving returns both the primal mix and the dual prices that
-drive pricing. The exact benchmark solves the same matrices as a 0/1
-program.
+drive pricing. HiGHS runs only when capacity binds: a pool with at most
+one candidate per demand whose loads fit every capacity has a closed-form
+optimum, with zero capacity prices. The exact benchmark solves the same
+matrices as a 0/1 program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -199,7 +201,21 @@ class RestrictedMaster:
         return cost, a_ub, a_eq
 
     def solve(self) -> RmpSolution:
-        """Solve the LP over the current pool and return primal and duals."""
+        """Solve the LP over the current pool and return primal and duals.
+
+        HiGHS runs only when capacity binds. When the pool holds at most one
+        candidate per demand and those candidates' loads fit every edge and
+        node capacity (``<=`` with no tolerance), the optimum is known in
+        closed form: each demand on its candidate, or on its rejection
+        column if it has none, with capacity prices zero and each convexity
+        price the chosen column's cost. Every pool column then has a
+        nonnegative reduced cost, and rejection columns a positive one,
+        since the penalty exceeds any path delay. The all-rejection pool of
+        the first solve is one such case.
+        """
+        closed = self._uncongested()
+        if closed is not None:
+            return closed
         cost, a_ub, a_eq = self._assemble()
         res = linprog(
             cost,
@@ -226,6 +242,36 @@ class RestrictedMaster:
                 price[: self.table.n_edges], price[self.table.n_edges :], res.eqlin.marginals
             ),
             status=status,
+        )
+
+    def _uncongested(self) -> Optional[RmpSolution]:
+        """The closed-form optimum of :meth:`solve`, or ``None`` if it does not apply."""
+        t, n_dummy = self.table, len(self.demands)
+        m = np.fromiter(self._members, dtype=np.intp, count=len(self._members))
+        owner = t.demand[m]
+        joined = np.bincount(owner, minlength=n_dummy)
+        if (joined > 1).any():
+            return None
+        rate = t.rate[m]
+        # The last bin of each count is the pad row of direct paths.
+        edge_load = np.bincount(
+            np.concatenate((t.e1[m], t.e2[m])), weights=np.tile(rate, 2), minlength=t.n_edges + 1
+        )[: t.n_edges]
+        node_load = np.bincount(
+            np.concatenate((t.s[m], t.k[m], t.t[m])),
+            weights=np.tile(rate, 3),
+            minlength=t.n_nodes + 1,
+        )[: t.n_nodes]
+        if not (np.concatenate((edge_load, node_load)) <= self._b_ub).all():
+            return None
+        sigma = np.full(n_dummy, self.dummy_penalty)
+        sigma[owner] = t.delay[m]
+        values = np.concatenate((1.0 - joined, np.ones(len(m))))
+        return RmpSolution(
+            values=tuple(values.tolist()),
+            objective=sum(sigma.tolist()),
+            duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
+            status="optimal",
         )
 
     def solve_integer(self, time_limit_s: float, node_limit: int) -> OptimizeResult:

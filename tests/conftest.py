@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from cgroute import rmp
 from cgroute.model import Demand, LinkMetrics, OverlayGraph
 
 
@@ -27,3 +28,17 @@ def two_demands():
         Demand(0, 0, 2, 20.0, 100.0, 0.99),
         Demand(1, 0, 1, 20.0, 100.0, 0.99),
     ]
+
+
+@pytest.fixture
+def highs_calls(monkeypatch):
+    """Every call ``RestrictedMaster.solve`` makes to HiGHS, counted."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return linprog(*args, **kwargs)
+
+    linprog = rmp.linprog
+    monkeypatch.setattr(rmp, "linprog", counting)
+    return calls

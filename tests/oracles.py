@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
+import numpy as np
+from scipy.optimize import linprog
+
 from cgroute.model import Demand, OverlayGraph, Path, make_path, qos_feasible
 
 
@@ -148,3 +151,37 @@ def scalar_price(
     if best is not None and best_len < sigma - eps_rc:
         return best, best_len - sigma
     return None
+
+
+def highs_optimum(master):
+    """The master's LP solved by HiGHS on its assembled matrices.
+
+    Goes straight to ``scipy.optimize.linprog``, so it checks any shortcut
+    ``RestrictedMaster.solve`` takes. Returns ``(values, objective)``.
+    """
+    cost, a_ub, a_eq = master._assemble()
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=master._b_ub,
+        A_eq=a_eq,
+        b_eq=np.ones(len(master.demands)),
+        bounds=(0.0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    assert res.status == 0, res.message
+    return res.x, res.fun
+
+
+def min_reduced_cost(master, duals) -> float:
+    """Smallest reduced cost at ``duals`` over the pool's columns, one at a time."""
+    lam = dict(zip(master.graph.edges, duals.edge_duals.tolist()))
+    nu = duals.node_duals.tolist()
+    sigma = dict(zip((d.id for d in master.demands), duals.convexity_duals.tolist()))
+    rate = {d.id: d.rate_mbps for d in master.demands}
+    best = math.inf
+    for col in master.columns:
+        did = col.path.demand_id
+        best = min(best, scalar_priced_length(col.path, rate[did], lam, nu) - sigma[did])
+    return best

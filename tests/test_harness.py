@@ -191,6 +191,22 @@ class TestRunTimeseries:
         assert report.gap_pct is not None
         assert report.gap_pct >= -1e-6
 
+    def test_oracle_reuses_the_enumeration(self, monkeypatch):
+        import cgroute.harness as harness
+
+        calls = []
+
+        def counting(graph, demand):
+            calls.append(demand.id)
+            return enumerate_candidates(graph, demand)
+
+        monkeypatch.setattr(harness, "enumerate_candidates", counting)
+        graph, demands = gap_suite_instance(3)
+        report = solve_epoch(graph, demands, "overlay", SolverConfig(seed=3), oracle=True)
+        assert report.gap_pct is not None
+        assert sorted(calls) == sorted(d.id for d in demands)
+        assert len(calls) == 30
+
     def test_no_gap_against_unproven_oracle(self):
         # A budget cut leaves the exact result unproven (here the
         # all-rejected fallback), so there is no optimum to measure against.

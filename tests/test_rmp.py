@@ -1,11 +1,14 @@
+import numpy as np
 import pytest
 
 from cgroute.errors import ContractError, InputError
 from cgroute.model import Demand, LinkMetrics, OverlayGraph, make_path
-from cgroute.pricing import CandidateTable, enumerate_candidates
+from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import RestrictedMaster, dual_objective
+from cgroute.scenario import generate_telco_trace, telco_demands
 
 from instances import gap_suite_instance
+from oracles import highs_optimum, min_reduced_cost
 
 
 def master_for(graph, demands, candidates=None):
@@ -33,8 +36,6 @@ class TestBuildInitial:
         assert sol.objective == pytest.approx(2 * master.dummy_penalty)
 
     def test_telco_sized_pool(self):
-        from cgroute.scenario import generate_telco_trace, telco_demands
-
         trace = generate_telco_trace(1, seed=3)
         demands = telco_demands(seed=3)
         master = master_for(trace.graph_for(trace.epochs[0]), demands)
@@ -123,6 +124,76 @@ class TestSolve:
         assert sol.objective == pytest.approx(502.0, rel=1e-9)
         routed_mass = sol.values[2] + sol.values[3]
         assert routed_mass == pytest.approx(1.0, abs=1e-9)
+
+
+def telco_after_first_pricing():
+    """A telco epoch's master holding what the first pricing pass adds."""
+    trace = generate_telco_trace(1, seed=3)
+    master = master_for(trace.graph_for(trace.epochs[0]), telco_demands(seed=3))
+    entering = price_demand(master.table, master.solve().duals)
+    master.add(index for index, _ in entering.values())
+    return master
+
+
+def edge_at_capacity(capacity):
+    """One demand of rate 40 with its direct edge as its only candidate."""
+    g = OverlayGraph.from_edges(
+        2, {(0, 1): LinkMetrics(12.0, 0.0, capacity, 1.0)}, [10000.0, 10000.0]
+    )
+    d = Demand(0, 0, 1, 40.0, 10.0, 0.5)
+    master = master_for(g, [d], {d.id: [make_path(g, d)]})
+    master.add([0])
+    return master
+
+
+class TestClosedForm:
+    """Uncongested pools are solved without HiGHS, to the same optimum."""
+
+    @pytest.mark.parametrize("which", ["dummy-only", "telco-first-pricing"])
+    def test_matches_highs(self, which, two_demands, line_graph, highs_calls):
+        if which == "dummy-only":
+            master = master_for(line_graph, two_demands)
+        else:
+            master = telco_after_first_pricing()
+            assert master.pool_size == 2 * len(master.demands)
+        highs_calls.clear()
+        sol = master.solve()
+        assert highs_calls == []
+        values, objective = highs_optimum(master)
+        np.testing.assert_allclose(sol.values, values, rtol=0.0, atol=1e-9)
+        assert sol.objective == pytest.approx(objective, rel=1e-12)
+        assert not sol.duals.edge_duals.any() and not sol.duals.node_duals.any()
+        assert min_reduced_cost(master, sol.duals) >= -1e-9
+        assert dual_objective(sol.duals, master.graph) == sol.objective
+
+    def test_load_equal_to_capacity_fits(self, highs_calls):
+        sol = edge_at_capacity(40.0).solve()
+        assert highs_calls == []
+        assert sol.values == (0.0, 1.0)
+        assert sol.objective == 12.0
+
+    def test_load_a_hair_over_capacity_calls_highs(self, highs_calls):
+        master = edge_at_capacity(np.nextafter(40.0, 0.0))
+        sol = master.solve()
+        assert len(highs_calls) == 1
+        assert sol.objective == pytest.approx(highs_optimum(master)[1], rel=1e-12)
+
+    def test_two_candidates_of_one_demand_call_highs(self, highs_calls):
+        g = OverlayGraph.from_edges(
+            3,
+            {
+                (0, 2): LinkMetrics(9.0, 0.0, 50.0, 1.0),
+                (0, 1): LinkMetrics(2.5, 0.0, 30.0, 1.0),
+                (1, 2): LinkMetrics(3.0, 0.0, 40.0, 1.0),
+            },
+            [100.0, 80.0, 60.0],
+        )
+        d = Demand(4, 0, 2, 5.0, 10.0, 0.5)
+        master = master_for(g, [d])
+        assert master.add(range(len(master.table.paths))) == 2
+        sol = master.solve()
+        assert len(highs_calls) == 1
+        assert sol.objective == pytest.approx(5.5, rel=1e-12)
 
 
 class TestLpInvariants:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cgroute.errors import InputError
+from cgroute.harness import mode_candidates
 from cgroute.model import (
     Demand,
     LinkMetrics,
@@ -21,9 +22,10 @@ from cgroute.solver import (
     solve,
 )
 from cgroute.exact import solve_exact
+from cgroute.scenario import generate_telco_trace, telco_demands
 
 from instances import feasibility_instance, gap_suite_instance, hand_graph
-from oracles import check_routing_feasible
+from oracles import check_routing_feasible, highs_optimum
 
 
 class TestConfig:
@@ -69,19 +71,41 @@ class TestColumnGeneration:
         assert cg.master.pool_size == 1
         assert cg.solution.values[0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("mode", ["overlay", "direct"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_matches_one_shot_full_lp(self, seed):
+    def test_matches_one_shot_full_lp(self, seed, mode):
         graph, demands = gap_suite_instance(seed)
         augmented = augment_clique(graph, demands)
-        cg = column_generation(augmented, demands)
+        candidate_fn = mode_candidates(mode)
+        cg = column_generation(augmented, demands, candidate_fn=candidate_fn)
         assert cg.certified
         table = CandidateTable.pack(
-            augmented, demands, {d.id: enumerate_candidates(augmented, d) for d in demands}
+            augmented, demands, {d.id: candidate_fn(augmented, d) for d in demands}
         )
         full = RestrictedMaster(augmented, table)
         full.add(range(len(table.paths)))
-        want = full.solve().objective
+        want = highs_optimum(full)[1]
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
+
+    def test_congested_instance_calls_highs(self, highs_calls):
+        # Gap-suite instance 9's cheapest routes overrun a capacity, so the
+        # master needs the LP solver; test_matches_one_shot_full_lp checks
+        # the optimum it reaches.
+        graph, demands = gap_suite_instance(9)
+        cg = column_generation(augment_clique(graph, demands), demands)
+        assert cg.certified and cg.iterations == 4
+        assert len(highs_calls) == 3  # every master after the all-rejection one
+
+    def test_uncongested_telco_epoch_skips_highs(self, highs_calls):
+        # Every demand's cheapest route fits: the first pricing pass adds
+        # them, the closed form solves that pool, and the second pass
+        # certifies it.
+        trace = generate_telco_trace(1, seed=3)
+        graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
+        routed = solve(graph, demands)
+        assert highs_calls == []
+        assert routed.certified
+        assert routed.iterations == 2
 
     @pytest.mark.parametrize("seed", range(10))
     def test_termination_certificate(self, seed):
