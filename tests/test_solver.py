@@ -71,9 +71,8 @@ class TestColumnGeneration:
         assert cg.master.pool_size == 1
         assert cg.solution.values[0] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("mode", ["overlay", "direct"])
-    @pytest.mark.parametrize("seed", range(10))
-    def test_matches_one_shot_full_lp(self, seed, mode):
+    @staticmethod
+    def _check_matches_one_shot_full_lp(seed, mode):
         graph, demands = gap_suite_instance(seed)
         augmented = augment_clique(graph, demands)
         candidate_fn = mode_candidates(mode)
@@ -86,6 +85,14 @@ class TestColumnGeneration:
         full.add(range(len(table.paths)))
         want = highs_optimum(full)[1]
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_one_shot_full_lp(self, seed):
+        self._check_matches_one_shot_full_lp(seed, "overlay")
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_direct_mode_matches_one_shot_full_lp(self, seed):
+        self._check_matches_one_shot_full_lp(seed, "direct")
 
     def test_congested_instance_calls_highs(self, highs_calls):
         # Gap-suite instance 9's cheapest routes overrun a capacity, so the
