@@ -18,10 +18,10 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import InputError
-from .model import Demand, Edge, OverlayGraph, Path, augment_clique
+from .model import Demand, OverlayGraph, Path, augment_clique
 from .pricing import CandidateTable, enumerate_candidates
 from .rmp import RestrictedMaster
-from .solver import CandidateFn, _Residuals
+from .solver import CandidateFn
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,6 @@ class ExactSolution:
 
     outcomes: Mapping[int, Optional[Path]]
     objective: float
-    residual_edge_capacity: Mapping[Edge, float]
-    residual_node_capacity: tuple[float, ...]
     optimal: bool
     nodes_explored: int
     lp_solves: int
@@ -74,10 +72,6 @@ def solve_exact(
         return ExactSolution(
             outcomes=MappingProxyType({}),
             objective=0.0,
-            residual_edge_capacity=MappingProxyType(
-                {e: m.capacity_mbps for e, m in graph.edges.items()}
-            ),
-            residual_node_capacity=tuple(graph.node_limits),
             optimal=True,
             nodes_explored=0,
             lp_solves=0,
@@ -90,7 +84,6 @@ def solve_exact(
     master.add(range(len(table.paths)))
 
     res = master.solve_integer(limits.time_limit_s, limits.max_nodes)
-    residuals = _Residuals(graph)
     if res.x is None:
         # A budget cut before HiGHS found any integer point: fall back to
         # all-rejected, which is always feasible.
@@ -107,12 +100,9 @@ def solve_exact(
             else:
                 outcomes[d.id] = chosen.path
                 objective += chosen.path.total_delay_ms
-                residuals.commit(chosen.path, d.rate_mbps)
     return ExactSolution(
         outcomes=MappingProxyType(outcomes),
         objective=objective,
-        residual_edge_capacity=MappingProxyType(dict(residuals.edges)),
-        residual_node_capacity=tuple(residuals.nodes),
         optimal=res.status == 0,
         nodes_explored=res.mip_node_count or 0,
         lp_solves=1,

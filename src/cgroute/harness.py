@@ -301,7 +301,8 @@ def reports_to_json(reports: Sequence[EpochReport], include_timing: bool = True)
                 "acceptance_pct": r.acceptance_pct,
                 "runtime_ms": r.runtime_ms if include_timing else 0.0,
                 "mean_delay_ms": r.mean_delay_ms,
-                "objective": r.objective,
+                # A failed epoch's objective is inf, which JSON cannot hold.
+                "objective": r.objective if math.isfinite(r.objective) else None,
                 "gap_pct": r.gap_pct,
                 "error": r.error,
                 "outcomes": list(r.outcomes),
@@ -310,7 +311,7 @@ def reports_to_json(reports: Sequence[EpochReport], include_timing: bool = True)
         ],
         "series": _series(reports, include_timing),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def emit_reports(

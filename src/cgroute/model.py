@@ -124,9 +124,6 @@ class OverlayGraph:
         """Tails of each node's in-edges; nodes without any are absent."""
         return _neighbours(self.edges, 1)
 
-    def metrics(self, edge: Edge) -> LinkMetrics:
-        return self.edges[edge]
-
 
 def _neighbours(edges: Iterable[Edge], side: int) -> Mapping[NodeId, frozenset[NodeId]]:
     index: dict[NodeId, set[NodeId]] = {}

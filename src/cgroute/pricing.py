@@ -53,9 +53,12 @@ class CandidateTable:
     convexity-row order) owns the candidates ``offsets[i]:offsets[i + 1]``,
     in its candidate-list order, and ``demand`` holds that ``i`` per
     candidate. Per candidate the table also holds the path's total delay,
-    the demand's rate, the dual rows of its edges (``e1``, ``e2``) and of
-    its nodes (``s``, ``k``, ``t``). A direct path pads ``e2`` and ``k``
-    with the row one past the last, which pricing maps to a zero dual.
+    the demand's rate and ``rows``, its five capacity rows in the master's
+    row space (edges first, in ``graph.edges`` order, then nodes): first
+    edge, second edge, ``n_edges + s``, ``n_edges + k``, ``n_edges + t``
+    for source, relay and destination. A direct path pads its second edge
+    and its relay with the row one past the last, ``n_edges + n_nodes``,
+    which carries a zero dual and an unlimited capacity.
     """
 
     demands: tuple[Demand, ...]
@@ -64,11 +67,7 @@ class CandidateTable:
     demand: np.ndarray
     delay: np.ndarray
     rate: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    s: np.ndarray
-    k: np.ndarray
-    t: np.ndarray
+    rows: np.ndarray
     n_edges: int
     n_nodes: int
 
@@ -101,7 +100,15 @@ class CandidateTable:
             offsets.append(len(paths))
         counts = np.diff(offsets)
         demand = np.repeat(np.arange(len(demands)), counts)
-        two_hop = [len(p.edges) == 2 for p in paths]
+        pad = n_edges + n_nodes
+        rows: list[int] = []
+        for p in paths:
+            e, n = p.edges, p.nodes
+            rows += (
+                (edge_row[e[0]], edge_row[e[1]], n_edges + n[0], n_edges + n[1], n_edges + n[2])
+                if len(e) == 2
+                else (edge_row[e[0]], pad, n_edges + n[0], pad, n_edges + n[1])
+            )
         return cls(
             demands=demands,
             paths=tuple(paths),
@@ -109,17 +116,7 @@ class CandidateTable:
             demand=demand,
             delay=np.array([p.total_delay_ms for p in paths], dtype=float),
             rate=np.repeat(np.array([d.rate_mbps for d in demands], dtype=float), counts),
-            e1=np.array([edge_row[p.edges[0]] for p in paths], dtype=np.intp),
-            e2=np.array(
-                [edge_row[p.edges[1]] if two else n_edges for p, two in zip(paths, two_hop)],
-                dtype=np.intp,
-            ),
-            s=np.array([p.nodes[0] for p in paths], dtype=np.intp),
-            k=np.array(
-                [p.nodes[1] if two else n_nodes for p, two in zip(paths, two_hop)],
-                dtype=np.intp,
-            ),
-            t=np.array([p.nodes[-1] for p in paths], dtype=np.intp),
+            rows=np.array(rows, dtype=np.intp).reshape(len(paths), 5),
             n_edges=n_edges,
             n_nodes=n_nodes,
         )
@@ -136,9 +133,8 @@ class CandidateTable:
             or len(duals.convexity_duals) != len(self.demands)
         ):
             raise ContractError("dual point does not match the candidate table")
-        lam = np.append(duals.edge_duals, 0.0)
-        nu = np.append(duals.node_duals, 0.0)
-        rent = (lam[self.e1] + lam[self.e2]) + ((nu[self.s] + nu[self.k]) + nu[self.t])
+        v = np.concatenate((duals.edge_duals, duals.node_duals, [0.0]))[self.rows]
+        rent = (v[:, 0] + v[:, 1]) + ((v[:, 2] + v[:, 3]) + v[:, 4])
         return self.delay + self.rate * rent
 
 

@@ -2,7 +2,10 @@
 
 The column universe is a :class:`~cgroute.pricing.CandidateTable`: each
 candidate couples one path to its demand, and the master names it by its
-table index. The pool is one rejection (dummy) column per demand plus the
+table index. The table's ``rows`` are already in the master's capacity-row
+space (edges in ``graph.edges`` order, then nodes, then one pad row for
+direct paths), so the master reads a candidate's capacity rows straight
+from it. The pool is one rejection (dummy) column per demand plus the
 candidates that have joined. The LP minimizes the total delay of the
 selected path mix subject to edge capacities, node processing limits and
 one convexity row per demand, with the integrality of the path choice
@@ -47,9 +50,14 @@ _STATUS = {
 
 @dataclass(frozen=True)
 class Column:
-    """Read-only view of one pool column: a demand's path or its rejection."""
+    """Read-only view of one pool column: a demand's path or its rejection.
+
+    ``candidate`` is the path's index in the candidate table, or ``None``
+    for a rejection column.
+    """
 
     path: Path
+    candidate: Optional[int] = None
 
     @property
     def is_dummy(self) -> bool:
@@ -95,7 +103,6 @@ class RmpSolution:
     values: tuple[float, ...]
     objective: float
     duals: DualPoint
-    status: str
 
 
 def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
@@ -113,7 +120,8 @@ class RestrictedMaster:
     ``demands[j]``, so the LP is feasible and bounded from the first solve
     onward; the rest are table candidates in the order they joined. The
     LP relaxation and the integer problem are both built by slicing the
-    table's arrays for the pool.
+    table's arrays for the pool. ``_b_ub`` holds the capacity of every
+    row of the table's row map except the pad.
     """
 
     def __init__(self, graph: OverlayGraph, table: CandidateTable):
@@ -161,7 +169,7 @@ class RestrictedMaster:
             if i in self._members:
                 continue
             self._by_demand[self.demands[self.table.demand[i]].id].append(len(self._columns))
-            self._columns.append(Column(self.table.paths[i]))
+            self._columns.append(Column(self.table.paths[i], i))
             self._members[i] = None
             added += 1
         return added
@@ -171,19 +179,15 @@ class RestrictedMaster:
     def _assemble(self):
         """Cost vector, capacity rows ``A_ub`` and convexity rows ``A_eq``.
 
-        A candidate's capacity rows are its one or two edges and its two
-        or three nodes, at the demand's rate, ascending per column so the
-        LP backend sees one fixed entry order; dummy columns have none.
+        A candidate's capacity rows are its table ``rows`` at the demand's
+        rate, ascending per column so the LP backend sees one fixed entry
+        order; the pad row sorts last and is dropped. Dummy columns have
+        no capacity rows.
         """
         t, n_dummy = self.table, len(self.demands)
         m = np.fromiter(self._members, dtype=np.intp, count=len(self._members))
         n_rows = len(self._b_ub)
-        rows = np.column_stack((t.e1[m], t.e2[m], t.s[m], t.k[m], t.t[m]))
-        rows[:, 2:] += t.n_edges
-        # A direct path's padded e2 and k both become n_rows, which sorts
-        # last in its column and is then dropped.
-        rows[:, 1][rows[:, 1] == t.n_edges] = n_rows
-        rows.sort(axis=1)
+        rows = np.sort(t.rows[m], axis=1)
         keep = rows < n_rows
         per_column = keep.sum(axis=1)
         indptr = np.concatenate((np.zeros(n_dummy + 1, dtype=np.intp), np.cumsum(per_column)))
@@ -241,7 +245,6 @@ class RestrictedMaster:
             duals=DualPoint(
                 price[: self.table.n_edges], price[self.table.n_edges :], res.eqlin.marginals
             ),
-            status=status,
         )
 
     def _uncongested(self) -> Optional[RmpSolution]:
@@ -252,17 +255,13 @@ class RestrictedMaster:
         joined = np.bincount(owner, minlength=n_dummy)
         if (joined > 1).any():
             return None
-        rate = t.rate[m]
-        # The last bin of each count is the pad row of direct paths.
-        edge_load = np.bincount(
-            np.concatenate((t.e1[m], t.e2[m])), weights=np.tile(rate, 2), minlength=t.n_edges + 1
-        )[: t.n_edges]
-        node_load = np.bincount(
-            np.concatenate((t.s[m], t.k[m], t.t[m])),
-            weights=np.tile(rate, 3),
-            minlength=t.n_nodes + 1,
-        )[: t.n_nodes]
-        if not (np.concatenate((edge_load, node_load)) <= self._b_ub).all():
+        # Column by column, so each row sums its loads in path order; the
+        # last bin is the pad row of direct paths.
+        n_rows = len(self._b_ub)
+        load = np.bincount(
+            t.rows[m].T.ravel(), weights=np.tile(t.rate[m], 5), minlength=n_rows + 1
+        )
+        if not (load[:n_rows] <= self._b_ub).all():
             return None
         sigma = np.full(n_dummy, self.dummy_penalty)
         sigma[owner] = t.delay[m]
@@ -271,7 +270,6 @@ class RestrictedMaster:
             values=tuple(values.tolist()),
             objective=sum(sigma.tolist()),
             duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
-            status="optimal",
         )
 
     def solve_integer(self, time_limit_s: float, node_limit: int) -> OptimizeResult:

@@ -18,8 +18,8 @@ from typing import Callable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import InputError
-from .model import Demand, Edge, OverlayGraph, Path, augment_clique
-from .pricing import EPS_REDUCED_COST, CandidateTable, enumerate_candidates, price_demand
+from .model import Demand, OverlayGraph, Path, augment_clique
+from .pricing import CandidateTable, enumerate_candidates, price_demand
 from .rmp import RestrictedMaster, RmpSolution
 
 CandidateFn = Callable[[OverlayGraph, Demand], list[Path]]
@@ -35,7 +35,6 @@ class SolverConfig:
     """Tunables for one solve; the seed fixes every random choice."""
 
     seed: int = 0
-    eps_reduced_cost: float = EPS_REDUCED_COST
     max_cg_iterations: int = 500
     max_rounding_passes: Optional[int] = None  # None: one pass per demand
 
@@ -44,8 +43,6 @@ class SolverConfig:
             raise InputError("max_cg_iterations must be positive")
         if self.max_rounding_passes is not None and self.max_rounding_passes < 1:
             raise InputError("max_rounding_passes must be positive")
-        if not 0.0 < self.eps_reduced_cost < math.inf:
-            raise InputError("eps_reduced_cost must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -54,8 +51,6 @@ class RoutingSolution:
 
     outcomes: Mapping[int, Optional[Path]]
     objective: float
-    residual_edge_capacity: Mapping[Edge, float]
-    residual_node_capacity: tuple[float, ...]
     iterations: int
     duration_s: float
     certified: bool
@@ -63,10 +58,6 @@ class RoutingSolution:
     @property
     def n_accepted(self) -> int:
         return sum(1 for p in self.outcomes.values() if p is not None)
-
-    @property
-    def n_rejected(self) -> int:
-        return sum(1 for p in self.outcomes.values() if p is None)
 
     def acceptance_pct(self) -> float:
         if not self.outcomes:
@@ -80,7 +71,6 @@ class CgResult:
 
     solution: RmpSolution
     master: RestrictedMaster
-    candidates: Mapping[int, list[Path]]
     iterations: int
     certified: bool
 
@@ -102,15 +92,14 @@ def column_generation(
     the iteration cap returns the best solution uncertified.
     """
     demands = sorted(demands, key=lambda d: d.id)
-    candidates = {d.id: candidate_fn(graph, d) for d in demands}
-    table = CandidateTable.pack(graph, demands, candidates)
+    table = CandidateTable.pack(graph, demands, {d.id: candidate_fn(graph, d) for d in demands})
     master = RestrictedMaster(graph, table)
     solution = master.solve()
     iterations = 0
     certified = False
     while iterations < config.max_cg_iterations:
         iterations += 1
-        entering = price_demand(table, solution.duals, config.eps_reduced_cost)
+        entering = price_demand(table, solution.duals)
         if master.add(index for index, _ in entering.values()) == 0:
             certified = True
             break
@@ -118,33 +107,9 @@ def column_generation(
     return CgResult(
         solution=solution,
         master=master,
-        candidates=MappingProxyType(candidates),
         iterations=iterations,
         certified=certified,
     )
-
-
-class _Residuals:
-    """Remaining edge/node capacity while commitments accumulate."""
-
-    def __init__(self, graph: OverlayGraph):
-        self.edges = {e: m.capacity_mbps for e, m in graph.edges.items()}
-        self.nodes = list(graph.node_limits)
-
-    def fits(self, path: Path, rate: float) -> bool:
-        for e in path.edges:
-            if rate > self.edges[e] + _CAPACITY_SLACK:
-                return False
-        for i in path.nodes:
-            if rate > self.nodes[i] + _CAPACITY_SLACK:
-                return False
-        return True
-
-    def commit(self, path: Path, rate: float):
-        for e in path.edges:
-            self.edges[e] -= rate
-        for i in path.nodes:
-            self.nodes[i] -= rate
 
 
 def randomized_round(
@@ -170,7 +135,13 @@ def randomized_round(
     by_id = {d.id: d for d in demands}
     if max_passes is None:
         max_passes = max(1, len(demands))
-    residuals = _Residuals(graph)
+    # Remaining capacity of every master row, plus the pad row of direct
+    # paths, which never binds; ``rows`` holds each pool column's rows,
+    # none for the rejection columns that lead the pool.
+    residual = master._b_ub.tolist() + [math.inf]
+    n_dummy = len(master.demands)
+    joined = [c.candidate for c in master.columns[n_dummy:]]
+    rows = [()] * n_dummy + master.table.rows[joined].tolist()
     outcomes: dict[int, Optional[Path]] = {}
     weights: dict[int, dict[int, float]] = {}
     for d in demands:
@@ -180,10 +151,16 @@ def randomized_round(
             if solution.values[j] > 1e-12
         }
 
+    def fits(column_id: int, rate: float) -> bool:
+        for r in rows[column_id]:
+            if rate > residual[r] + _CAPACITY_SLACK:
+                return False
+        return True
+
     def commit(demand: Demand, column_id: int):
-        path = master.columns[column_id].path
-        residuals.commit(path, demand.rate_mbps)
-        outcomes[demand.id] = path
+        for r in rows[column_id]:
+            residual[r] -= demand.rate_mbps
+        outcomes[demand.id] = master.columns[column_id].path
         weights.pop(demand.id)
 
     # Integral-first: the LP guarantees these fit together, up to float noise.
@@ -198,7 +175,7 @@ def randomized_round(
         if master.columns[top].is_dummy:
             outcomes[d.id] = None
             weights.pop(d.id)
-        elif residuals.fits(master.columns[top].path, d.rate_mbps):
+        elif fits(top, d.rate_mbps):
             commit(d, top)
 
     passes = 0
@@ -216,7 +193,7 @@ def randomized_round(
                 outcomes[did] = None  # a rejection draw is terminal
                 weights.pop(did)
                 changed = True
-            elif residuals.fits(master.columns[pick].path, d.rate_mbps):
+            elif fits(pick, d.rate_mbps):
                 commit(d, pick)
                 changed = True
             # else: restore, demand may be redrawn next pass
@@ -231,22 +208,16 @@ def randomized_round(
     return RoutingSolution(
         outcomes=MappingProxyType(dict(sorted(outcomes.items()))),
         objective=objective,
-        residual_edge_capacity=MappingProxyType(dict(residuals.edges)),
-        residual_node_capacity=tuple(residuals.nodes),
         iterations=0,
         duration_s=0.0,
         certified=False,
     )
 
 
-def _empty_solution(graph: OverlayGraph, duration: float) -> RoutingSolution:
+def _empty_solution(duration: float) -> RoutingSolution:
     return RoutingSolution(
         outcomes=MappingProxyType({}),
         objective=0.0,
-        residual_edge_capacity=MappingProxyType(
-            {e: m.capacity_mbps for e, m in graph.edges.items()}
-        ),
-        residual_node_capacity=tuple(graph.node_limits),
         iterations=0,
         duration_s=duration,
         certified=True,
@@ -266,7 +237,7 @@ def solve(
     """
     started = time.perf_counter()
     if not demands:
-        return _empty_solution(graph, time.perf_counter() - started)
+        return _empty_solution(time.perf_counter() - started)
     augment_clique(graph, demands)
     cg = column_generation(graph, demands, config, candidate_fn)
     rng = np.random.default_rng(config.seed)

@@ -253,6 +253,31 @@ class TestEmit:
             "runtime_ms_vs_demands",
         }
 
+    def test_failed_epoch_serializes_as_strict_json(self, monkeypatch):
+        import cgroute.harness as harness
+        from cgroute.errors import SolverError
+
+        solved, failed = harness.solve, []
+
+        def failing_first(*args, **kwargs):
+            if not failed:
+                failed.append(True)
+                raise SolverError("LP backend returned 'numerical'")
+            return solved(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve", failing_first)
+        trace, demands = small_trace()
+        reports = run_timeseries(trace, demands, ["overlay"], SolverConfig())
+        assert [r.objective == math.inf for r in reports] == [True, False]
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        parsed = json.loads(reports_to_json(reports), parse_constant=reject)
+        assert parsed["reports"][0]["objective"] is None
+        assert parsed["reports"][0]["error"] == "LP backend returned 'numerical'"
+        assert parsed["reports"][1]["objective"] == reports[1].objective
+
     def test_timing_can_be_suppressed(self):
         trace, demands = small_trace()
         reports = run_timeseries(trace, demands, ["overlay"], SolverConfig())

@@ -224,6 +224,23 @@ class TestPack:
         for i, p in enumerate(table.paths):
             assert table.demands[table.demand[i]].id == p.demand_id
 
+    def test_capacity_rows_in_master_row_space(self):
+        g = OverlayGraph.from_edges(
+            3,
+            {
+                (2, 1): LinkMetrics(5.0, 1.0, 100.0, 0.999),
+                (1, 2): LinkMetrics(5.0, 1.0, 100.0, 0.999),
+                (0, 2): LinkMetrics(5.0, 1.0, 100.0, 0.999),
+                (0, 1): LinkMetrics(5.0, 1.0, 100.0, 0.999),
+            },
+            [100.0] * 3,
+        )
+        d = Demand(0, 0, 2, 10.0, 50.0, 0.9)
+        table = CandidateTable.pack(g, [d], {d.id: [make_path(g, d), make_path(g, d, relay=1)]})
+        # Edge rows follow the sorted edge order (0,1), (0,2), (1,2), (2,1);
+        # node i is row 4 + i, and row 7 is the pad.
+        assert table.rows.tolist() == [[1, 7, 4, 7, 6], [0, 2, 4, 5, 6]]
+
     def test_qos_infeasible_candidate_rejected(self):
         g = OverlayGraph.from_edges(
             2, {(0, 1): LinkMetrics(5.0, 900.0, 50.0, 0.9)}, [100.0, 100.0]

@@ -92,7 +92,6 @@ class TestSolve:
     def test_dummies_only_vertex(self, line_graph, two_demands):
         master = master_for(line_graph, two_demands)
         sol = master.solve()
-        assert sol.status == "optimal"
         assert all(v == pytest.approx(1.0) for v in sol.values)
         assert all(v == 0.0 for v in sol.duals.edge_duals)
         assert all(v == 0.0 for v in sol.duals.node_duals)
