@@ -14,14 +14,7 @@ import click
 
 from .errors import InputError, SolverError
 from .exact import ExactLimits
-from .harness import (
-    MODES,
-    emit_reports,
-    mode_candidates,
-    run_timeseries,
-    solve_epoch,
-)
-from .model import augment_clique
+from .harness import MODES, emit_reports, run_timeseries, solve_epoch
 from .scenario import (
     SyntheticParams,
     TelcoProfile,
@@ -40,7 +33,7 @@ from .scenario import (
     save_trace,
     telco_demands,
 )
-from .solver import SolverConfig, column_generation
+from .solver import SolverConfig
 
 _mode_option = click.option(
     "--mode",
@@ -123,10 +116,9 @@ def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fm
     if dump_lp_path is not None:
         if not demands:
             raise InputError("--dump-lp needs a nonempty demand set")
-        augment_clique(graph, demands)
         dumped = "overlay" if mode == "both" else mode
-        cg = column_generation(graph, demands, config, mode_candidates(dumped))
-        dump_lp_path.write_text(cg.master.dump_lp())
+        master = next(r.master for r in reports if r.mode == dumped)
+        dump_lp_path.write_text(master.dump_lp())
         click.echo(f"wrote {dump_lp_path}", err=True)
     _write(reports, fmt, out, timing)
 

@@ -1,12 +1,13 @@
 """Exact integer benchmark: the route-or-reject problem solved as a MIP.
 
-Every QoS-feasible route of every demand is materialized as a column up
+Every QoS-feasible route of every demand joins the master as a column up
 front, so the integer problem is a pure selection: one route or a
 rejection per demand under the shared capacity rows. The restricted
 master solves it in one HiGHS MIP call on the same matrices as its LP
-relaxation, so the heuristic and the benchmark share one model. The chosen
-routes are recosted exactly in Python. Intended for small instances; the
-point is measuring the heuristic's optimality gap.
+relaxation, so the heuristic and the benchmark share one model. Only the
+chosen routes become paths, and they are recosted exactly in Python.
+Intended for small instances; the point is measuring the heuristic's
+optimality gap.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InputError
 from .model import Demand, OverlayGraph, Path, augment_clique
-from .pricing import CandidateTable, enumerate_candidates
+from .pricing import enumerate_candidates
 from .rmp import RestrictedMaster
 from .solver import CandidateFn
 
@@ -78,10 +79,9 @@ def solve_exact(
             duration_s=time.perf_counter() - started,
         )
     augment_clique(graph, demands)
-    demands = sorted(demands, key=lambda d: d.id)
-    table = CandidateTable.pack(graph, demands, {d.id: candidate_fn(graph, d) for d in demands})
+    table = candidate_fn(graph, demands)
     master = RestrictedMaster(graph, table)
-    master.add(range(len(table.paths)))
+    master.add(range(len(table)))
 
     res = master.solve_integer(limits.time_limit_s, limits.max_nodes)
     if res.x is None:
@@ -91,15 +91,16 @@ def solve_exact(
         objective = master.dummy_penalty * len(master.demands)
     else:
         outcomes, objective = {}, 0.0
-        for d in master.demands:
-            # The demand's column closest to 1 is the one HiGHS picked.
-            chosen = master.columns[max(master.columns_of(d.id), key=lambda j: res.x[j])]
-            if chosen.is_dummy:
+        for r, d in enumerate(master.demands):
+            # The demand's column closest to 1 is the one HiGHS picked; its
+            # rejection column is column r.
+            chosen = max(master.columns_of(d.id), key=lambda j: res.x[j])
+            if chosen == r:
                 outcomes[d.id] = None
                 objective += master.dummy_penalty
             else:
-                outcomes[d.id] = chosen.path
-                objective += chosen.path.total_delay_ms
+                outcomes[d.id] = master.column(chosen).path
+                objective += outcomes[d.id].total_delay_ms
     return ExactSolution(
         outcomes=MappingProxyType(outcomes),
         objective=objective,

@@ -3,9 +3,11 @@
 An epoch report captures one (epoch, mode) solve: acceptance, runtime,
 mean delay over accepted demands, the full per-demand outcomes, and
 optionally the gap against the exact benchmark and per-demand TCP
-throughput estimates. Reports serialize to a flat CSV and a nested JSON
-that also carries plot-ready series (metric vs time, metric vs demand
-count).
+throughput estimates. A routing mode picks how the candidate table is
+built: the overlay mode builds direct and one-relay routes, the direct
+mode only the direct-edge rows of the same build. Reports serialize to a flat CSV and a
+nested JSON that also carries plot-ready series (metric vs time, metric
+vs demand count).
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
 from .errors import InputError, SolverError
 from .exact import ExactLimits, solve_exact
-from .model import Demand, OverlayGraph, Path, check_endpoints, make_path, qos_feasible
-from .pricing import enumerate_candidates
+from .model import Demand, OverlayGraph, Path, check_endpoints
+from .pricing import CandidateTable, enumerate_candidates
+from .rmp import RestrictedMaster
 from .solver import CandidateFn, RoutingSolution, SolverConfig, solve
 from .scenario import Trace
 
@@ -48,7 +51,12 @@ class ThroughputEstimate:
 
 @dataclass(frozen=True)
 class EpochReport:
-    """Aggregated outcome of solving one epoch in one mode."""
+    """Aggregated outcome of solving one epoch in one mode.
+
+    ``master`` is the restricted master the heuristic solved, kept for
+    ``cgroute solve --dump-lp``; it is not part of any serialized report,
+    and :func:`run_timeseries` drops it.
+    """
 
     epoch_ts: float
     mode: str
@@ -60,6 +68,7 @@ class EpochReport:
     gap_pct: Optional[float] = None
     outcomes: tuple[dict, ...] = ()
     error: Optional[str] = None
+    master: Optional[RestrictedMaster] = field(default=None, repr=False, compare=False)
 
     @property
     def acceptance_pct(self) -> float:
@@ -68,12 +77,9 @@ class EpochReport:
         return 100.0 * self.n_accepted / self.n_demands
 
 
-def direct_mode_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
-    """Underlay-style candidates: the direct edge and nothing else."""
-    if (demand.source, demand.destination) not in graph.edges:
-        return []
-    p = make_path(graph, demand)
-    return [p] if qos_feasible(p, demand) else []
+def direct_mode_candidates(graph: OverlayGraph, demands: Sequence[Demand]) -> CandidateTable:
+    """Underlay-style candidates: each demand's direct edge and nothing else."""
+    return CandidateTable.build(graph, demands, relays=False)
 
 
 def mode_candidates(mode: str) -> CandidateFn:
@@ -140,18 +146,16 @@ def solve_epoch(
 ) -> EpochReport:
     """Solve one snapshot in one mode and package the report.
 
-    Each demand's candidates are enumerated once, on first request, and
-    the oracle reuses them.
+    The candidate table is built once; the heuristic and the oracle share
+    it. The runtime covers the build and the heuristic, not the oracle.
     """
     enumerate_fn = mode_candidates(mode)
-    enumerated: dict[int, list[Path]] = {}
-
-    def candidate_fn(g: OverlayGraph, demand: Demand) -> list[Path]:
-        if demand.id not in enumerated:
-            enumerated[demand.id] = enumerate_fn(g, demand)
-        return enumerated[demand.id]
-
     started = time.perf_counter()
+    table = enumerate_fn(graph, demands)
+
+    def candidate_fn(g: OverlayGraph, ds: Sequence[Demand]) -> CandidateTable:
+        return table
+
     routed = solve(graph, demands, config, candidate_fn)
     runtime_ms = (time.perf_counter() - started) * 1000.0
     gap = None
@@ -171,6 +175,7 @@ def solve_epoch(
         objective=routed.objective,
         gap_pct=gap,
         outcomes=_outcome_rows(demands, routed, with_throughput),
+        master=routed.master,
     )
 
 
@@ -199,18 +204,19 @@ def run_timeseries(
         graph = trace.graph_for(epoch)
         for mode in modes:
             try:
-                reports.append(
-                    solve_epoch(
-                        graph,
-                        demands,
-                        mode,
-                        config,
-                        epoch_ts=epoch.timestamp,
-                        oracle=oracle,
-                        oracle_limits=oracle_limits,
-                        with_throughput=with_throughput,
-                    )
+                report = solve_epoch(
+                    graph,
+                    demands,
+                    mode,
+                    config,
+                    epoch_ts=epoch.timestamp,
+                    oracle=oracle,
+                    oracle_limits=oracle_limits,
+                    with_throughput=with_throughput,
                 )
+                # A replay keeps every report; a master would keep its
+                # epoch's graph and candidate table alive with it.
+                reports.append(replace(report, master=None))
             except SolverError as exc:
                 reports.append(
                     EpochReport(

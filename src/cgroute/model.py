@@ -16,6 +16,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ContractError, InputError
 
 NodeId = int
@@ -115,21 +117,39 @@ class OverlayGraph:
         return cls(n_nodes, MappingProxyType(ordered), limits)
 
     @cached_property
-    def out_neighbours(self) -> Mapping[NodeId, frozenset[NodeId]]:
-        """Heads of each node's out-edges; nodes without any are absent."""
-        return _neighbours(self.edges, 0)
+    def arrays(self) -> EdgeArrays:
+        """The edges as read-only arrays in ``edges`` order (the master's
+        edge rows), built on first use.
 
-    @cached_property
-    def in_neighbours(self) -> Mapping[NodeId, frozenset[NodeId]]:
-        """Tails of each node's in-edges; nodes without any are absent."""
-        return _neighbours(self.edges, 1)
+        ``key`` is ``tail * n_nodes + head`` and ascends, as
+        :meth:`from_edges` sorts the edges: an edge's row is one
+        :func:`numpy.searchsorted` away, and each node's out-edges are one
+        slice, ascending by head.
+        """
+        ends = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
+        key = ends[:, 0] * self.n_nodes + ends[:, 1]
+        if (np.diff(key) <= 0).any():
+            raise ContractError("graph edges are not in ascending (tail, head) order")
+        metrics = np.array(
+            [(m.delay_ms, m.jitter_ms, m.success_prob, m.capacity_mbps) for m in self.edges.values()],
+            dtype=float,
+        ).reshape(-1, 4)
+        columns = [ends[:, 1].copy(), key, *metrics.T.copy()]
+        for c in columns:
+            c.flags.writeable = False
+        return EdgeArrays(*columns)
 
 
-def _neighbours(edges: Iterable[Edge], side: int) -> Mapping[NodeId, frozenset[NodeId]]:
-    index: dict[NodeId, set[NodeId]] = {}
-    for e in edges:
-        index.setdefault(e[side], set()).add(e[1 - side])
-    return MappingProxyType({i: frozenset(nbrs) for i, nbrs in index.items()})
+@dataclass(frozen=True, eq=False)
+class EdgeArrays:
+    """Per-edge columns of an :class:`OverlayGraph`; see :attr:`OverlayGraph.arrays`."""
+
+    head: np.ndarray
+    key: np.ndarray
+    delay: np.ndarray
+    jitter: np.ndarray
+    success: np.ndarray
+    capacity: np.ndarray
 
 
 @dataclass(frozen=True)

@@ -2,21 +2,24 @@
 
 With at most one relay per route, the feasible path set of a demand is
 small enough to enumerate outright: the direct edge plus one dogleg per
-relay node. Pricing therefore scans the full candidate list and returns an
-exact minimizer of the dual-adjusted length, with no approximation gap.
-The candidate lists of all demands are packed once into a flat table, so
-one pricing pass over every demand is a handful of array operations.
+relay node. :func:`enumerate_candidates` builds the routes of every demand
+at once, in array operations over the graph's edge arrays, into one flat
+:class:`CandidateTable`; no per-candidate Python object is made, and a
+:class:`~cgroute.model.Path` exists only for a candidate a caller reads.
+Pricing scans the whole table, so it returns an exact minimizer of the
+dual-adjusted length with no approximation gap, and one pricing pass over
+every demand is a handful of array operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError
-from .model import Demand, OverlayGraph, Path, make_path, qos_feasible
+from .model import Demand, OverlayGraph, Path, check_endpoints, make_path
 from .rmp import DualPoint
 
 #: Absolute reduced-cost tolerance: a column must beat its convexity price
@@ -24,24 +27,19 @@ from .rmp import DualPoint
 EPS_REDUCED_COST = 1e-7
 
 
-def enumerate_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
-    """All QoS-feasible routes for the demand, direct edge first.
-
-    Relay routes are ordered by relay node id. An empty list means the
-    demand can never be routed.
+def enumerate_candidates(graph: OverlayGraph, demands: Sequence[Demand]) -> CandidateTable:
+    """All QoS-feasible routes of every demand: direct edge first, then
+    relay routes by relay node id. A demand without one is never routable.
     """
-    s, t = demand.source, demand.destination
-    out: list[Path] = []
-    heads = graph.out_neighbours.get(s, frozenset())
-    if t in heads:
-        p = make_path(graph, demand)
-        if qos_feasible(p, demand):
-            out.append(p)
-    for relay in sorted(heads & graph.in_neighbours.get(t, frozenset())):
-        p = make_path(graph, demand, relay)
-        if qos_feasible(p, demand):
-            out.append(p)
-    return out
+    return CandidateTable.build(graph, demands, relays=True)
+
+
+def _find(key: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each ``wanted`` value in the ascending ``key``, and whether it is there."""
+    pos = np.searchsorted(key, wanted)
+    found = pos < len(key)
+    found[found] = key[pos[found]] == wanted[found]
+    return pos, found
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +56,12 @@ class CandidateTable:
     edge, second edge, ``n_edges + s``, ``n_edges + k``, ``n_edges + t``
     for source, relay and destination. A direct path pads its second edge
     and its relay with the row one past the last, ``n_edges + n_nodes``,
-    which carries a zero dual and an unlimited capacity.
+    which carries a zero dual and an unlimited capacity. :meth:`path`
+    makes a candidate's :class:`~cgroute.model.Path` when one is needed.
     """
 
+    graph: OverlayGraph
     demands: tuple[Demand, ...]
-    paths: tuple[Path, ...]
     offsets: np.ndarray
     demand: np.ndarray
     delay: np.ndarray
@@ -71,55 +70,106 @@ class CandidateTable:
     n_edges: int
     n_nodes: int
 
+    def __len__(self) -> int:
+        return len(self.delay)
+
+    @classmethod
+    def build(cls, graph: OverlayGraph, demands: Sequence[Demand], relays: bool) -> CandidateTable:
+        """The table of :func:`enumerate_candidates`, or only its direct
+        routes when ``relays`` is false, in one pass over the graph's arrays.
+
+        A relay is the head of an out-edge of the source with an edge on to
+        the destination. Delay and jitter are summed and success multiplied
+        in edge order, starting from 0.0 as ``make_path`` does, so every
+        aggregate is bit-equal to the path's.
+        """
+        demands = tuple(sorted(demands, key=lambda d: d.id))
+        a, n, n_edges = graph.arrays, graph.n_nodes, len(graph.edges)
+        ends = np.array([(d.source, d.destination) for d in demands], dtype=np.int64).reshape(-1, 2)
+        if not ((0 <= ends) & (ends < n)).all():
+            check_endpoints(n, demands)  # raises, naming the first such demand
+        src, dst = ends.T
+        bound = np.array(
+            [(d.max_jitter_ms, d.min_success_prob, d.rate_mbps) for d in demands], dtype=float
+        ).reshape(-1, 3)
+        pos, found = _find(a.key, src * n + dst)
+        owner = np.flatnonzero(found)
+        first = pos[owner]
+        second = np.full(len(owner), n_edges + n)
+        relay = np.full(len(owner), n)
+        delay, jitter, success = 0.0 + a.delay[first], a.jitter[first], a.success[first]
+        if relays:
+            # Every out-edge of each demand's source is a first hop.
+            start = np.searchsorted(a.key, np.arange(n + 1) * n)
+            fan = (start[1:] - start[:-1])[src]
+            q = np.repeat(np.arange(len(demands)), fan)
+            hop1 = np.arange(len(q)) + np.repeat(start[src] - np.cumsum(fan) + fan, fan)
+            k = a.head[hop1]
+            # k == t would need a self-loop t -> t, which no graph has.
+            hop2, found = _find(a.key, k * n + dst[q])
+            q, hop1, hop2, k = q[found], hop1[found], hop2[found], k[found]
+            owner, first = np.concatenate((owner, q)), np.concatenate((first, hop1))
+            second, relay = np.concatenate((second, hop2)), np.concatenate((relay, k))
+            delay = np.concatenate((delay, (0.0 + a.delay[hop1]) + a.delay[hop2]))
+            jitter = np.concatenate((jitter, a.jitter[hop1] + a.jitter[hop2]))
+            success = np.concatenate((success, a.success[hop1] * a.success[hop2]))
+        keep = np.flatnonzero((jitter <= bound[owner, 0]) & (success >= bound[owner, 1]))
+        # Stable: direct rows stay ahead of relay rows, and relays ascending.
+        keep = keep[np.argsort(owner[keep], kind="stable")]
+        owner = owner[keep]
+        return cls(
+            graph=graph,
+            demands=demands,
+            offsets=np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(demands))))),
+            demand=owner,
+            delay=delay[keep],
+            rate=bound[owner, 2],
+            rows=np.stack(
+                (first[keep], second[keep], src[owner], relay[keep], dst[owner]), axis=1
+            )
+            + np.array([0, 0, n_edges, n_edges, n_edges]),
+            n_edges=n_edges,
+            n_nodes=n,
+        )
+
     @classmethod
     def pack(
         cls,
         graph: OverlayGraph,
         demands: Sequence[Demand],
         candidates: Mapping[int, Sequence[Path]],
-    ) -> "CandidateTable":
-        """Pack ``candidates[d.id]`` of every demand; edges must be in ``graph``.
+    ) -> CandidateTable:
+        """The rows of :func:`enumerate_candidates` that ``candidates[d.id]``
+        lists for each demand, in that order.
 
-        Every candidate must be a QoS-feasible, non-dummy route of the
-        demand it is listed under, else :class:`ContractError`: only the
-        master creates rejection columns.
+        Tests use it for sets the enumerator does not make, such as a
+        subset or another order. A listed path that is not one of the
+        demand's QoS-feasible routes, such as a rejection or another
+        demand's route, raises :class:`ContractError`: only the master
+        creates rejection columns.
         """
-        demands = tuple(sorted(demands, key=lambda d: d.id))
-        edge_row = {e: r for r, e in enumerate(graph.edges)}
-        n_edges, n_nodes = len(edge_row), graph.n_nodes
-        paths: list[Path] = []
-        offsets = [0]
-        for d in demands:
-            own = candidates[d.id]
-            for p in own:
-                if p.is_dummy:
-                    raise ContractError("dummy columns are created by the master only")
-                if not qos_feasible(p, d):
-                    raise ContractError(f"candidate of demand {d.id} violates its QoS bounds")
-            paths.extend(own)
-            offsets.append(len(paths))
-        counts = np.diff(offsets)
-        demand = np.repeat(np.arange(len(demands)), counts)
-        pad = n_edges + n_nodes
-        rows: list[int] = []
-        for p in paths:
-            e, n = p.edges, p.nodes
-            rows += (
-                (edge_row[e[0]], edge_row[e[1]], n_edges + n[0], n_edges + n[1], n_edges + n[2])
-                if len(e) == 2
-                else (edge_row[e[0]], pad, n_edges + n[0], pad, n_edges + n[1])
-            )
-        return cls(
-            demands=demands,
-            paths=tuple(paths),
-            offsets=np.array(offsets),
-            demand=demand,
-            delay=np.array([p.total_delay_ms for p in paths], dtype=float),
-            rate=np.repeat(np.array([d.rate_mbps for d in demands], dtype=float), counts),
-            rows=np.array(rows, dtype=np.intp).reshape(len(paths), 5),
-            n_edges=n_edges,
-            n_nodes=n_nodes,
+        full = cls.build(graph, demands, relays=True)
+        picked = []
+        for r, d in enumerate(full.demands):
+            own = range(full.offsets[r], full.offsets[r + 1])
+            routes = [full.path(i) for i in own]
+            for p in candidates[d.id]:
+                if p not in routes:
+                    raise ContractError(f"candidate of demand {d.id} is not a QoS-feasible route")
+                picked.append(own[routes.index(p)])
+        picked = np.array(picked, dtype=np.int64)
+        counts = np.bincount(full.demand[picked], minlength=len(full.demands))
+        return replace(
+            full,
+            offsets=np.concatenate(([0], np.cumsum(counts))),
+            **{f: getattr(full, f)[picked] for f in ("demand", "delay", "rate", "rows")},
         )
+
+    def path(self, i: int) -> Path:
+        """Candidate ``i`` as a :class:`~cgroute.model.Path`, made by ``make_path``."""
+        relay = int(self.rows[i, 3]) - self.n_edges
+        demand = self.demands[self.demand[i]]
+        return make_path(self.graph, demand, relay if relay < self.n_nodes else None)
 
     def priced_lengths(self, duals: DualPoint) -> np.ndarray:
         """Every candidate's delay plus the capacity rent it would pay.

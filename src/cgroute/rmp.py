@@ -1,14 +1,15 @@
 """Restricted master problem: the LP over the columns generated so far.
 
 The column universe is a :class:`~cgroute.pricing.CandidateTable`: each
-candidate couples one path to its demand, and the master names it by its
+candidate couples one route to its demand, and the master names it by its
 table index. The table's ``rows`` are already in the master's capacity-row
 space (edges in ``graph.edges`` order, then nodes, then one pad row for
 direct paths), so the master reads a candidate's capacity rows straight
 from it. The pool is one rejection (dummy) column per demand plus the
-candidates that have joined. The LP minimizes the total delay of the
-selected path mix subject to edge capacities, node processing limits and
-one convexity row per demand, with the integrality of the path choice
+candidates that have joined, held as indices; a column's path object is
+made only for a caller that reads it. The LP minimizes the total delay of
+the selected path mix subject to edge capacities, node processing limits
+and one convexity row per demand, with the integrality of the path choice
 relaxed. Solving returns both the primal mix and the dual prices that
 drive pricing. HiGHS runs only when capacity binds: a pool with at most
 one candidate per demand whose loads fit every capacity has a closed-form
@@ -50,14 +51,9 @@ _STATUS = {
 
 @dataclass(frozen=True)
 class Column:
-    """Read-only view of one pool column: a demand's path or its rejection.
-
-    ``candidate`` is the path's index in the candidate table, or ``None``
-    for a rejection column.
-    """
+    """Read-only view of one pool column: a demand's path or its rejection."""
 
     path: Path
-    candidate: Optional[int] = None
 
     @property
     def is_dummy(self) -> bool:
@@ -121,57 +117,84 @@ class RestrictedMaster:
     onward; the rest are table candidates in the order they joined. The
     LP relaxation and the integer problem are both built by slicing the
     table's arrays for the pool. ``_b_ub`` holds the capacity of every
-    row of the table's row map except the pad.
+    row of the table's row map except the pad. A column's
+    :class:`~cgroute.model.Path` is made only when it is read, through
+    :meth:`column` or :attr:`columns`.
     """
 
     def __init__(self, graph: OverlayGraph, table: CandidateTable):
         if not table.demands:
             raise InputError("master needs at least one demand")
-        ids = [d.id for d in table.demands]
-        if len(set(ids)) != len(ids):
+        # Each demand's position: its convexity row and its rejection column.
+        self._row = {d.id: r for r, d in enumerate(table.demands)}
+        if len(self._row) != len(table.demands):
             raise InputError("demand ids must be unique")
-        if (table.n_edges, table.n_nodes) != (len(graph.edges), graph.n_nodes):
-            raise ContractError("candidate table was packed for another graph")
+        if table.graph is not graph:
+            raise ContractError("candidate table was built for another graph")
         self.graph = graph
         self.table = table
         self.demands = table.demands
         self.dummy_penalty = dummy_penalty(graph, table.demands)
-        self._b_ub = np.array(
-            [m.capacity_mbps for m in graph.edges.values()] + list(graph.node_limits)
-        )
-        # Joined candidates in join order (a dict as an ordered set).
-        self._members: dict[int, None] = {}
-        self._columns = [Column(make_dummy_path(d, self.dummy_penalty)) for d in self.demands]
-        self._view: tuple[Column, ...] = ()
-        self._by_demand: dict[int, list[int]] = {d.id: [j] for j, d in enumerate(self.demands)}
+        self._b_ub = np.concatenate((graph.arrays.capacity, graph.node_limits))
+        # Joined candidates in join order, and the same as a set.
+        self._joined: list[int] = []
+        self._members: set[int] = set()
+        self._columns: tuple[Column, ...] = ()
+        # The joined pool columns grouped by demand, made on first use.
+        self._groups: Optional[tuple[list[int], list[int]]] = None
 
     # -- pool ---------------------------------------------------------------
 
     @property
     def columns(self) -> Sequence[Column]:
-        if len(self._view) != len(self._columns):
-            self._view = tuple(self._columns)
-        return self._view
+        """Every pool column; paths are made on the first read after the pool grows."""
+        if len(self._columns) != self.pool_size:
+            grown = range(len(self._columns), self.pool_size)
+            self._columns += tuple(self.column(j) for j in grown)
+        return self._columns
 
     @property
     def pool_size(self) -> int:
-        return len(self._columns)
+        return len(self.demands) + len(self._joined)
+
+    @property
+    def joined(self) -> np.ndarray:
+        """The table index of each joined candidate, in pool order."""
+        return np.array(self._joined, dtype=np.intp)
+
+    def column(self, j: int) -> Column:
+        """Pool column ``j``, with its path made afresh."""
+        n_dummy = len(self.demands)
+        if j < n_dummy:
+            return Column(make_dummy_path(self.demands[j], self.dummy_penalty))
+        return Column(self.table.path(self._joined[j - n_dummy]))
 
     def columns_of(self, demand_id: int) -> list[int]:
-        return list(self._by_demand[demand_id])
+        """The demand's rejection column, then its candidates in join order."""
+        if self._groups is None:
+            n_dummy = len(self.demands)
+            owner = self.table.demand[self.joined]
+            order = np.argsort(owner, kind="stable")
+            bounds = np.searchsorted(owner[order], np.arange(n_dummy + 1))
+            self._groups = ((order + n_dummy).tolist(), bounds.tolist())
+        joined, bounds = self._groups
+        r = self._row[demand_id]
+        return [r] + joined[bounds[r] : bounds[r + 1]]
 
     def add(self, candidates: Iterable[int]) -> int:
         """Let table candidates join the pool; return how many were new."""
         added = 0
+        size = len(self.table)
         for i in candidates:
-            if not 0 <= i < len(self.table.paths):
+            if not 0 <= i < size:
                 raise ContractError(f"no candidate {i} in the table")
             if i in self._members:
                 continue
-            self._by_demand[self.demands[self.table.demand[i]].id].append(len(self._columns))
-            self._columns.append(Column(self.table.paths[i], i))
-            self._members[i] = None
+            self._joined.append(i)
+            self._members.add(i)
             added += 1
+        if added:
+            self._groups = None
         return added
 
     # -- LP -----------------------------------------------------------------
@@ -185,7 +208,7 @@ class RestrictedMaster:
         no capacity rows.
         """
         t, n_dummy = self.table, len(self.demands)
-        m = np.fromiter(self._members, dtype=np.intp, count=len(self._members))
+        m = self.joined
         n_rows = len(self._b_ub)
         rows = np.sort(t.rows[m], axis=1)
         keep = rows < n_rows
@@ -250,7 +273,7 @@ class RestrictedMaster:
     def _uncongested(self) -> Optional[RmpSolution]:
         """The closed-form optimum of :meth:`solve`, or ``None`` if it does not apply."""
         t, n_dummy = self.table, len(self.demands)
-        m = np.fromiter(self._members, dtype=np.intp, count=len(self._members))
+        m = self.joined
         owner = t.demand[m]
         joined = np.bincount(owner, minlength=n_dummy)
         if (joined > 1).any():

@@ -4,14 +4,16 @@ Column generation alternates master solves with exact pricing until no
 candidate path of any demand has negative reduced cost (a checkable
 optimality certificate, since candidate sets are fully enumerated) or an
 iteration cap is hit. Randomized rounding then converts the fractional
-path mix into one committed path per demand, or a rejection.
+path mix into one committed path per demand, or a rejection. Candidates
+stay table rows throughout; only committed routes become
+:class:`~cgroute.model.Path` objects.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -22,7 +24,9 @@ from .model import Demand, OverlayGraph, Path, augment_clique
 from .pricing import CandidateTable, enumerate_candidates, price_demand
 from .rmp import RestrictedMaster, RmpSolution
 
-CandidateFn = Callable[[OverlayGraph, Demand], list[Path]]
+#: Builds the candidate table of a demand set on a graph, such as
+#: :func:`~cgroute.pricing.enumerate_candidates`.
+CandidateFn = Callable[[OverlayGraph, Sequence[Demand]], CandidateTable]
 
 #: A demand whose largest path weight reaches this is committed outright.
 _INTEGRAL_TOL = 1e-6
@@ -47,13 +51,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RoutingSolution:
-    """Integral routing outcome: one committed path or a rejection per demand."""
+    """Integral routing outcome: one committed path or a rejection per demand.
+
+    ``master`` is the restricted master column generation ended with, for
+    inspection (``None`` for an empty demand set).
+    """
 
     outcomes: Mapping[int, Optional[Path]]
     objective: float
     iterations: int
     duration_s: float
     certified: bool
+    master: Optional[RestrictedMaster] = field(default=None, repr=False, compare=False)
 
     @property
     def n_accepted(self) -> int:
@@ -83,16 +92,15 @@ def column_generation(
 ) -> CgResult:
     """Grow the master until the dual point prices out every candidate.
 
-    Candidate lists are enumerated once per demand and packed into one
-    table, the master's column universe: QoS feasibility does not depend on
-    the duals, so each pricing pass re-prices the same table in one batch
-    and the entering candidates join the master by index. On natural
-    termination the final LP value is optimal for the formulation over all
-    QoS-feasible routes, and the result is flagged ``certified``; hitting
-    the iteration cap returns the best solution uncertified.
+    ``candidate_fn`` builds the candidate table once, the master's column
+    universe: QoS feasibility does not depend on the duals, so each pricing
+    pass re-prices the same table in one batch and the entering candidates
+    join the master by index. On natural termination the final LP value is
+    optimal for the formulation over all QoS-feasible routes, and the
+    result is flagged ``certified``; hitting the iteration cap returns the
+    best solution uncertified.
     """
-    demands = sorted(demands, key=lambda d: d.id)
-    table = CandidateTable.pack(graph, demands, {d.id: candidate_fn(graph, d) for d in demands})
+    table = candidate_fn(graph, demands)
     master = RestrictedMaster(graph, table)
     solution = master.solve()
     iterations = 0
@@ -140,8 +148,7 @@ def randomized_round(
     # none for the rejection columns that lead the pool.
     residual = master._b_ub.tolist() + [math.inf]
     n_dummy = len(master.demands)
-    joined = [c.candidate for c in master.columns[n_dummy:]]
-    rows = [()] * n_dummy + master.table.rows[joined].tolist()
+    rows = [()] * n_dummy + master.table.rows[master.joined].tolist()
     outcomes: dict[int, Optional[Path]] = {}
     weights: dict[int, dict[int, float]] = {}
     for d in demands:
@@ -160,7 +167,7 @@ def randomized_round(
     def commit(demand: Demand, column_id: int):
         for r in rows[column_id]:
             residual[r] -= demand.rate_mbps
-        outcomes[demand.id] = master.columns[column_id].path
+        outcomes[demand.id] = master.column(column_id).path
         weights.pop(demand.id)
 
     # Integral-first: the LP guarantees these fit together, up to float noise.
@@ -172,7 +179,7 @@ def randomized_round(
             continue
         if weights[d.id][top] < 1.0 - _INTEGRAL_TOL:
             continue
-        if master.columns[top].is_dummy:
+        if top < n_dummy:
             outcomes[d.id] = None
             weights.pop(d.id)
         elif fits(top, d.rate_mbps):
@@ -189,7 +196,7 @@ def randomized_round(
             probs = np.array([weights[did][j] for j in cols])
             probs = probs / probs.sum()
             pick = cols[int(rng.choice(len(cols), p=probs))]
-            if master.columns[pick].is_dummy:
+            if pick < n_dummy:
                 outcomes[did] = None  # a rejection draw is terminal
                 weights.pop(did)
                 changed = True
@@ -249,4 +256,5 @@ def solve(
         iterations=cg.iterations,
         duration_s=time.perf_counter() - started,
         certified=cg.certified,
+        master=cg.master,
     )

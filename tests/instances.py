@@ -1,10 +1,12 @@
-"""Seeded random instances shared by the property and acceptance suites."""
+"""Seeded random instances shared by the property and acceptance suites,
+and a helper that reads a candidate table back as paths."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from cgroute.model import Demand, LinkMetrics, OverlayGraph
+from cgroute.model import Demand, LinkMetrics, OverlayGraph, Path
+from cgroute.pricing import enumerate_candidates
 from cgroute.scenario import SyntheticParams, generate_demands, generate_topology
 
 
@@ -98,3 +100,16 @@ def hand_graph() -> OverlayGraph:
             delay_ms=d, jitter_ms=5.0, capacity_mbps=1000.0, success_prob=0.999
         )
     return OverlayGraph.from_edges(4, edges, [500.0] * 4)
+
+
+def candidate_lists(table) -> dict[int, list[Path]]:
+    """Each demand's candidates as paths, in table order, by demand id."""
+    return {
+        d.id: [table.path(i) for i in range(table.offsets[r], table.offsets[r + 1])]
+        for r, d in enumerate(table.demands)
+    }
+
+
+def candidates_of(graph: OverlayGraph, demand: Demand, build=enumerate_candidates) -> list[Path]:
+    """One demand's candidates as paths, from a table built for it alone."""
+    return candidate_lists(build(graph, [demand]))[demand.id]

@@ -14,7 +14,7 @@ import pytest
 from cgroute.cli import main as cli_main
 from cgroute.exact import solve_exact
 from cgroute.model import augment_clique
-from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
+from cgroute.pricing import enumerate_candidates, price_demand
 from cgroute.scenario import (
     SyntheticParams,
     TelcoProfile,
@@ -26,7 +26,7 @@ from cgroute.scenario import (
 from cgroute.solver import SolverConfig, column_generation, randomized_round, solve
 from cgroute.harness import run_timeseries
 
-from instances import feasibility_instance, gap_suite_instance, tiny_instance
+from instances import candidate_lists, feasibility_instance, gap_suite_instance, tiny_instance
 from oracles import check_routing_feasible, exhaustive_best_assignment
 from test_solver import make_split_state
 
@@ -119,9 +119,7 @@ def test_criterion_3_termination_certificate(gap_suite):
             violations += 1
             continue
         augmented, demands = r["augmented"], r["demands"]
-        table = CandidateTable.pack(
-            augmented, demands, {d.id: enumerate_candidates(augmented, d) for d in demands}
-        )
+        table = enumerate_candidates(augmented, demands)
         violations += len(price_demand(table, r["cg"].solution.duals, eps_rc=1e-7))
     assert report(
         3,
@@ -157,7 +155,7 @@ def test_criterion_5_exact_matches_exhaustive():
     for seed in range(N_TINY_INSTANCES):
         graph, demands = tiny_instance(seed)
         augmented = augment_clique(graph, demands)
-        candidates = {d.id: enumerate_candidates(augmented, d) for d in demands}
+        candidates = candidate_lists(enumerate_candidates(augmented, demands))
         want, _ = exhaustive_best_assignment(
             augmented, demands, candidates, dummy_penalty(augmented, demands)
         )

@@ -120,6 +120,36 @@ class TestSolve:
         assert 2 in edges_per_column(overlay).values()
         assert dump("both") == overlay
 
+    @pytest.mark.parametrize("mode, runs", [("overlay", 1), ("direct", 1), ("both", 2)])
+    def test_dump_lp_reuses_the_solved_master(
+        self, scenario_dir, tmp_path, monkeypatch, mode, runs
+    ):
+        # The dump is the master the report's solve ended with: column
+        # generation runs once per mode, not once more for the dump.
+        import cgroute.solver as solver
+
+        calls = []
+        original = solver.column_generation
+
+        def counting(*args, **kwargs):
+            calls.append(mode)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "column_generation", counting)
+        lp = tmp_path / "master.lp"
+        code = run([
+            "solve",
+            "--graph", scenario_dir / "graph.csv",
+            "--node-limits", scenario_dir / "node_limits.csv",
+            "--demands", scenario_dir / "demands.csv",
+            "--mode", mode,
+            "--out", tmp_path / "r.csv",
+            "--dump-lp", lp,
+        ])
+        assert code == 0
+        assert len(calls) == runs
+        assert lp.read_text().startswith("\\ restricted master")
+
     def test_bad_file_exits_2(self, scenario_dir, tmp_path):
         broken = tmp_path / "broken.csv"
         broken.write_text("0,1,oops\n")

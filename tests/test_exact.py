@@ -13,7 +13,7 @@ from cgroute.model import (
 from cgroute.pricing import enumerate_candidates
 from cgroute.solver import SolverConfig, column_generation, solve
 
-from instances import gap_suite_instance, hand_graph, tiny_instance
+from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph, tiny_instance
 from oracles import check_routing_feasible, exhaustive_best_assignment
 
 
@@ -26,7 +26,7 @@ class TestSmallCases:
         ]
         augmented = augment_clique(g, demands)
         best = sum(
-            min(p.total_delay_ms for p in enumerate_candidates(augmented, d))
+            min(p.total_delay_ms for p in candidates_of(augmented, d))
             for d in demands
         )
         result = solve_exact(g, demands)
@@ -40,9 +40,7 @@ class TestSmallCases:
         )
         demands = [Demand(0, 0, 1, 40.0, 10.0, 0.5), Demand(1, 0, 1, 40.0, 10.0, 0.5)]
         augmented = augment_clique(g, demands)
-        candidates = {
-            d.id: enumerate_candidates(augmented, d) for d in demands
-        }
+        candidates = candidate_lists(enumerate_candidates(augmented, demands))
         want_obj, want_assign = exhaustive_best_assignment(
             augmented, demands, candidates, dummy_penalty(augmented, demands)
         )
@@ -72,7 +70,7 @@ class TestAgainstExhaustiveEnumeration:
     def test_matches_exhaustive_on_tiny_instances(self, seed):
         graph, demands = tiny_instance(seed)
         augmented = augment_clique(graph, demands)
-        candidates = {d.id: enumerate_candidates(augmented, d) for d in demands}
+        candidates = candidate_lists(enumerate_candidates(augmented, demands))
         want_obj, _ = exhaustive_best_assignment(
             augmented, demands, candidates, dummy_penalty(augmented, demands)
         )

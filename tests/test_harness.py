@@ -21,7 +21,13 @@ from cgroute.pricing import enumerate_candidates
 from cgroute.scenario import TelcoProfile, generate_telco_trace, telco_demands
 from cgroute.solver import SolverConfig
 
-from instances import feasibility_instance, gap_suite_instance, hand_graph
+from instances import (
+    candidate_lists,
+    candidates_of,
+    feasibility_instance,
+    gap_suite_instance,
+    hand_graph,
+)
 
 
 def small_trace(n_epochs=2, seed=0):
@@ -36,22 +42,23 @@ class TestDirectCandidates:
     def test_direct_edge_becomes_singleton(self):
         g = hand_graph()
         d = Demand(0, 0, 3, 5.0, 1e6, 0.5)
-        cands = direct_mode_candidates(g, d)
+        cands = candidates_of(g, d, direct_mode_candidates)
         assert len(cands) == 1
         assert cands[0].edges == ((0, 3),)
 
     def test_missing_direct_edge_gives_empty(self, line_graph):
         d = Demand(0, 0, 2, 5.0, 1e6, 0.5)  # only (0,1),(1,2) exist
-        assert direct_mode_candidates(line_graph, d) == []
+        assert len(direct_mode_candidates(line_graph, [d])) == 0
+        assert candidates_of(line_graph, d, direct_mode_candidates) == []
 
     @pytest.mark.parametrize("seed", range(20))
     def test_subset_of_overlay_candidates(self, seed):
         graph, demands = gap_suite_instance(seed % 10)
         augmented = augment_clique(graph, demands)
+        overlay = candidate_lists(enumerate_candidates(augmented, demands))
+        direct = candidate_lists(direct_mode_candidates(augmented, demands))
         for d in demands:
-            overlay = {p.edges for p in enumerate_candidates(augmented, d)}
-            direct = {p.edges for p in direct_mode_candidates(augmented, d)}
-            assert direct <= overlay
+            assert {p.edges for p in direct[d.id]} <= {p.edges for p in overlay[d.id]}
 
 
 class TestThroughput:
@@ -121,7 +128,7 @@ class TestRunTimeseries:
         assert report.acceptance_pct == 100.0
         augmented = augment_clique(g, demands)
         expected = [
-            min(p.total_delay_ms for p in enumerate_candidates(augmented, d))
+            min(p.total_delay_ms for p in candidates_of(augmented, d))
             for d in demands
         ]
         assert report.mean_delay_ms == pytest.approx(sum(expected) / 2)
@@ -155,6 +162,17 @@ class TestRunTimeseries:
                 )
             else:
                 assert r.mean_delay_ms is None
+
+    def test_only_a_single_epoch_report_keeps_its_master(self):
+        # --dump-lp reads the master of one solve; a replay, which keeps
+        # every report, must not keep every epoch's master with it.
+        trace, demands = small_trace()
+        reports = run_timeseries(trace, demands, ["overlay", "direct"], SolverConfig())
+        assert [r.master for r in reports] == [None] * 4
+        graph = trace.graph_for(trace.epochs[0])
+        report = solve_epoch(graph, demands, "overlay", SolverConfig())
+        assert report.master.graph is graph
+        assert report.master.pool_size > len(demands)
 
     def test_unknown_mode_rejected(self):
         trace, demands = small_trace()
@@ -196,16 +214,18 @@ class TestRunTimeseries:
 
         calls = []
 
-        def counting(graph, demand):
-            calls.append(demand.id)
-            return enumerate_candidates(graph, demand)
+        def counting(graph, demands):
+            calls.append([d.id for d in demands])
+            return enumerate_candidates(graph, demands)
 
         monkeypatch.setattr(harness, "enumerate_candidates", counting)
         graph, demands = gap_suite_instance(3)
         report = solve_epoch(graph, demands, "overlay", SolverConfig(seed=3), oracle=True)
         assert report.gap_pct is not None
-        assert sorted(calls) == sorted(d.id for d in demands)
-        assert len(calls) == 30
+        # One table build per epoch, over every demand.
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(d.id for d in demands)
+        assert len(calls[0]) == 30
 
     def test_no_gap_against_unproven_oracle(self):
         # A budget cut leaves the exact result unproven (here the

@@ -16,7 +16,7 @@ from cgroute.model import (
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import DualPoint
 
-from instances import gap_suite_instance, hand_graph
+from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph
 from oracles import brute_force_candidates, scalar_price, scalar_priced_length
 
 
@@ -43,54 +43,115 @@ def price_one(graph, demand, candidates, duals, demands=None, **kwargs):
         graph, demands, {d.id: candidates if d.id == demand.id else [] for d in demands}
     )
     hit = price_demand(table, duals, **kwargs).get(demand.id)
-    return None if hit is None else (table.paths[hit[0]], hit[1])
+    return None if hit is None else (table.path(hit[0]), hit[1])
 
 
 class TestEnumerate:
     def test_complete_graph_counts(self):
         g = hand_graph()
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
-        paths = enumerate_candidates(g, d)
-        assert len(paths) == 3  # direct + 2 relays
+        paths = candidates_of(g, d)
+        assert len(enumerate_candidates(g, [d])) == len(paths) == 3  # direct + 2 relays
         assert paths[0].edges == ((0, 3),)
         assert [p.nodes for p in paths[1:]] == [(0, 1, 3), (0, 2, 3)]
 
     def test_impossible_jitter_gives_empty_list(self):
         g = hand_graph()  # every edge has jitter 5
         d = Demand(0, 0, 3, 10.0, 1.0, 0.5)
-        assert enumerate_candidates(g, d) == []
+        assert len(enumerate_candidates(g, [d])) == 0
+        assert candidates_of(g, d) == []
 
     def test_artificial_edges_never_appear(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)
         d = Demand(9, 2, 0, 1.0, 1e9, 0.01)
-        assert enumerate_candidates(augmented, d) == []
+        assert candidates_of(augmented, d) == []
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_brute_force_enumerator(self, seed):
         graph, demands = gap_suite_instance(seed)
         augmented = augment_clique(graph, demands)
+        got = candidate_lists(enumerate_candidates(augmented, demands))
         for d in demands:
-            got = enumerate_candidates(augmented, d)
             want = brute_force_candidates(augmented, d)
-            assert [p.edges for p in got] == [p.edges for p in want]
+            assert [p.edges for p in got[d.id]] == [p.edges for p in want]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_neighbour_index_matches_relay_scan(self, data):
+    def test_table_matches_relay_scan(self, data):
+        # Per demand, the table's slice made into paths equals the
+        # brute-force scan in list order, so every aggregate is bit-equal.
         graph, demands = data.draw(scenarios())
         augmented = augment_clique(graph, demands)
+        overlay = candidate_lists(enumerate_candidates(augmented, demands))
+        direct = candidate_lists(direct_mode_candidates(augmented, demands))
         for d in demands:
-            assert enumerate_candidates(augmented, d) == brute_force_candidates(augmented, d)
-            assert direct_mode_candidates(augmented, d) == [
-                p for p in brute_force_candidates(augmented, d) if len(p.edges) == 1
-            ]
+            want = brute_force_candidates(augmented, d)
+            assert overlay[d.id] == want
+            assert direct[d.id] == [p for p in want if len(p.edges) == 1]
+
+    def test_edgeless_graph_has_no_candidates(self):
+        g = OverlayGraph.from_edges(3, {}, [100.0] * 3)
+        demands = [Demand(0, 0, 1, 1.0, 1e6, 0.1), Demand(1, 2, 0, 1.0, 1e6, 0.1)]
+        for build in (enumerate_candidates, direct_mode_candidates):
+            table = build(g, demands)
+            assert len(table) == 0
+            assert table.offsets.tolist() == [0, 0, 0]
+            assert table.rows.shape == (0, 5)
+
+    def test_source_without_out_edges(self):
+        # Node 3 has in-edges only; demand 1 starts there, demand 0 does not.
+        g = hand_graph()
+        edges = {e: m for e, m in g.edges.items() if e[0] != 3}
+        g = OverlayGraph.from_edges(4, edges, list(g.node_limits))
+        demands = [Demand(0, 0, 3, 10.0, 1e6, 0.5), Demand(1, 3, 0, 10.0, 1e6, 0.5)]
+        table = enumerate_candidates(g, demands)
+        assert table.offsets.tolist() == [0, 3, 3]
+        assert candidate_lists(table) == {d.id: brute_force_candidates(g, d) for d in demands}
+
+    def test_direct_edge_fails_qos_while_relay_passes(self):
+        # The direct edge is too lossy (0.5 < 0.8); the dogleg keeps 0.9 * 0.95.
+        g = OverlayGraph.from_edges(
+            3,
+            {
+                (0, 2): LinkMetrics(5.0, 1.0, 100.0, 0.5),
+                (0, 1): LinkMetrics(9.0, 1.0, 100.0, 0.9),
+                (1, 2): LinkMetrics(11.0, 1.0, 100.0, 0.95),
+            },
+            [100.0] * 3,
+        )
+        d = Demand(0, 0, 2, 10.0, 50.0, 0.8)
+        assert [p.nodes for p in candidates_of(g, d)] == [(0, 1, 2)]
+        assert candidates_of(g, d, direct_mode_candidates) == []
+        assert candidates_of(g, d)[0] == make_path(g, d, relay=1)
+
+    def test_repeated_pairs_get_their_own_rows(self):
+        g = hand_graph()
+        demands = [Demand(i, 0, 3, 10.0, 1e6 if i != 1 else 10.0, 0.5) for i in range(3)]
+        table = enumerate_candidates(g, demands)
+        assert table.offsets.tolist() == [0, 3, 6, 9]
+        assert table.demand.tolist() == [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        lists = candidate_lists(table)
+        assert [p.demand_id for p in lists[1]] == [1, 1, 1]
+        assert [p.nodes for p in lists[0]] == [p.nodes for p in lists[2]]
+
+    def test_demands_out_of_id_order(self):
+        graph, demands = gap_suite_instance(4)
+        shuffled = demands[::-1]
+        table = enumerate_candidates(graph, shuffled)
+        assert [d.id for d in table.demands] == sorted(d.id for d in demands)
+        assert candidate_lists(table) == {
+            d.id: brute_force_candidates(graph, d) for d in sorted(demands, key=lambda d: d.id)
+        }
+        ordered = enumerate_candidates(graph, demands)
+        for name in ("offsets", "demand", "delay", "rate", "rows"):
+            assert getattr(table, name).tolist() == getattr(ordered, name).tolist()
 
 
 class TestPriceDemand:
     def test_zero_duals_pick_min_delay(self):
         g = hand_graph()
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
-        cands = enumerate_candidates(g, d)
+        cands = candidates_of(g, d)
         duals = duals_for(g, [d], sigma={0: 100.0})
         path, reduced = price_one(g, d, cands, duals)
         assert path.nodes == (0, 1, 3)  # 12 + 22 = 34, cheapest
@@ -99,14 +160,14 @@ class TestPriceDemand:
     def test_no_improvement_when_sigma_small(self):
         g = hand_graph()
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
-        cands = enumerate_candidates(g, d)
+        cands = candidates_of(g, d)
         duals = duals_for(g, [d], sigma={0: 34.0})  # exactly the best length
         assert price_one(g, d, cands, duals) is None
 
     def test_boundary_respects_eps(self):
         g = hand_graph()
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
-        cands = enumerate_candidates(g, d)
+        cands = candidates_of(g, d)
         assert price_one(g, d, cands, duals_for(g, [d], sigma={0: 34.0 + 5e-8})) is None
         hit = price_one(g, d, cands, duals_for(g, [d], sigma={0: 34.0 + 5e-7}))
         assert hit is not None
@@ -136,7 +197,7 @@ class TestPriceDemand:
         for d in demands[:8]:
             sigma = float(rng.uniform(0, 4000))
             duals = duals_for(augmented, demands, edge=lam, node=nu, sigma={d.id: sigma})
-            cands = enumerate_candidates(augmented, d)
+            cands = candidates_of(augmented, d)
             # independent evaluation of the priced length per candidate
             lengths = []
             for p in cands:
@@ -164,7 +225,7 @@ class TestPriceDemand:
     def test_argmin_invariant_under_sigma_shift(self):
         g = hand_graph()
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
-        cands = enumerate_candidates(g, d)
+        cands = candidates_of(g, d)
         rng = np.random.default_rng(1)
         lam = {e: float(rng.uniform(0, 1)) for e in g.edges}
         base = duals_for(g, [d], edge=lam, sigma={0: 1e6})
@@ -177,10 +238,9 @@ class TestPriceDemand:
     def test_zero_duals_priced_length_equals_delay_exactly(self):
         g = hand_graph()
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
-        cands = enumerate_candidates(g, d)
-        table = CandidateTable.pack(g, [d], {d.id: cands})
+        table = enumerate_candidates(g, [d])
         lengths = table.priced_lengths(duals_for(g, [d]))
-        assert lengths.tolist() == [p.total_delay_ms for p in cands]
+        assert lengths.tolist() == [p.total_delay_ms for p in candidate_lists(table)[d.id]]
 
     def test_exact_tie_keeps_first_candidate(self):
         g = OverlayGraph.from_edges(
@@ -193,36 +253,41 @@ class TestPriceDemand:
             [1000.0] * 3,
         )
         d = Demand(0, 0, 2, 10.0, 50.0, 0.9)
-        cands = enumerate_candidates(g, d)
+        cands = candidates_of(g, d)
         assert [p.total_delay_ms for p in cands] == [20.0, 20.0]
         path, reduced = price_one(g, d, cands, duals_for(g, [d], sigma={0: 50.0}))
-        assert path is cands[0] and reduced == -30.0
+        assert path == cands[0] != cands[1] and reduced == -30.0
         path, _ = price_one(g, d, cands[::-1], duals_for(g, [d], sigma={0: 50.0}))
-        assert path is cands[1]
+        assert path == cands[1]
 
     def test_demands_without_candidates_between_priced_ones(self):
         g = hand_graph()
         demands = [Demand(i, 0, 3, 10.0, 1e6 if i != 1 else 1.0, 0.5) for i in range(3)]
-        candidates = {d.id: enumerate_candidates(g, d) for d in demands}
-        assert candidates[1] == []
-        table = CandidateTable.pack(g, demands, candidates)
+        table = enumerate_candidates(g, demands)
+        assert candidate_lists(table)[1] == []
         hits = price_demand(table, duals_for(g, demands, sigma={0: 100.0, 1: 100.0, 2: 100.0}))
         assert list(hits) == [0, 2]
-        assert all(table.paths[index].nodes == (0, 1, 3) for index, _ in hits.values())
+        assert all(table.path(index).nodes == (0, 1, 3) for index, _ in hits.values())
 
 
 class TestPack:
-    """The table is the master's column universe, so it admits only routes."""
+    """The table is the master's column universe, so it admits only routes.
+
+    Tables come from the enumerator's build, or from ``pack`` for a
+    hand-picked candidate set; both give the same arrays for the same set.
+    """
 
     def test_demand_row_per_candidate(self):
         g = hand_graph()
         demands = [Demand(i, 0, 3, 10.0, 1e6 if i != 1 else 1.0, 0.5) for i in (2, 1, 0)]
-        candidates = {d.id: enumerate_candidates(g, d) for d in demands}
-        table = CandidateTable.pack(g, demands, candidates)
+        table = enumerate_candidates(g, demands)
         assert [d.id for d in table.demands] == [0, 1, 2]
         assert table.demand.tolist() == [0, 0, 0, 2, 2, 2]
-        for i, p in enumerate(table.paths):
-            assert table.demands[table.demand[i]].id == p.demand_id
+        for i in range(len(table)):
+            assert table.demands[table.demand[i]].id == table.path(i).demand_id
+        packed = CandidateTable.pack(g, demands, candidate_lists(table))
+        for name in ("offsets", "demand", "delay", "rate", "rows"):
+            assert getattr(packed, name).tolist() == getattr(table, name).tolist()
 
     def test_capacity_rows_in_master_row_space(self):
         g = OverlayGraph.from_edges(
@@ -236,10 +301,13 @@ class TestPack:
             [100.0] * 3,
         )
         d = Demand(0, 0, 2, 10.0, 50.0, 0.9)
-        table = CandidateTable.pack(g, [d], {d.id: [make_path(g, d), make_path(g, d, relay=1)]})
+        packed = CandidateTable.pack(
+            g, [d], {d.id: [make_path(g, d), make_path(g, d, relay=1)]}
+        )
         # Edge rows follow the sorted edge order (0,1), (0,2), (1,2), (2,1);
         # node i is row 4 + i, and row 7 is the pad.
-        assert table.rows.tolist() == [[1, 7, 4, 7, 6], [0, 2, 4, 5, 6]]
+        for table in (packed, enumerate_candidates(g, [d])):
+            assert table.rows.tolist() == [[1, 7, 4, 7, 6], [0, 2, 4, 5, 6]]
 
     def test_qos_infeasible_candidate_rejected(self):
         g = OverlayGraph.from_edges(
@@ -270,8 +338,7 @@ class TestPricingWeights:
         d = Demand(0, 0, 3, 10.0, 1e6, 0.5)
         lam = {e: 0.25 for e in g.edges}
         nu = {1: 0.5}
-        cands = enumerate_candidates(g, d)
-        table = CandidateTable.pack(g, [d], {d.id: cands})
+        table = enumerate_candidates(g, [d])
         lengths = table.priced_lengths(duals_for(g, [d], edge=lam, node=nu))
         direct, via_1, via_2 = lengths.tolist()
         # edge weight: delay + rate * 0.25; node weight: rate * nu, zero off node 1
@@ -282,8 +349,8 @@ class TestPricingWeights:
     def test_zero_duals_reduce_to_delays(self):
         g = hand_graph()
         demands = [Demand(i, s, t, 10.0, 1e6, 0.5) for i, (s, t) in enumerate(g.edges)]
-        candidates = {d.id: enumerate_candidates(g, d) for d in demands}
-        table = CandidateTable.pack(g, demands, candidates)
+        table = enumerate_candidates(g, demands)
+        candidates = candidate_lists(table)
         lengths = table.priced_lengths(duals_for(g, demands))
         assert lengths.tolist() == [p.total_delay_ms for d in demands for p in candidates[d.id]]
 
@@ -336,12 +403,9 @@ class TestBatchedAgainstScalarOracle:
         graph, demands = data.draw(scenarios())
         augmented = augment_clique(graph, demands)
         direct_only = {d.id: data.draw(st.booleans()) for d in demands}
-        candidates = {
-            d.id: (direct_mode_candidates if direct_only[d.id] else enumerate_candidates)(
-                augmented, d
-            )
-            for d in demands
-        }
+        direct = candidate_lists(direct_mode_candidates(augmented, demands))
+        overlay = candidate_lists(enumerate_candidates(augmented, demands))
+        candidates = {d.id: (direct if direct_only[d.id] else overlay)[d.id] for d in demands}
         lam = {e: data.draw(_DUALS) for e in augmented.edges}
         nu = [data.draw(_DUALS) for _ in range(augmented.n_nodes)]
         sigma = {}
@@ -373,6 +437,6 @@ class TestBatchedAgainstScalarOracle:
                 assert hit is None
             else:
                 assert hit is not None
-                assert table.paths[hit[0]] is want[0]
+                assert table.path(hit[0]) == want[0]
                 assert hit[1] == want[1]
         assert list(got) == sorted(got)

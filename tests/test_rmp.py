@@ -7,21 +7,21 @@ from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import RestrictedMaster, dual_objective
 from cgroute.scenario import generate_telco_trace, telco_demands
 
-from instances import gap_suite_instance
+from instances import candidates_of, gap_suite_instance
 from oracles import highs_optimum, min_reduced_cost
 
 
 def master_for(graph, demands, candidates=None):
     """A master over ``candidates`` (default: all enumerated), none joined yet."""
     if candidates is None:
-        candidates = {d.id: enumerate_candidates(graph, d) for d in demands}
+        return RestrictedMaster(graph, enumerate_candidates(graph, demands))
     return RestrictedMaster(graph, CandidateTable.pack(graph, demands, candidates))
 
 
 def full_master(seed):
     graph, demands = gap_suite_instance(seed)
     master = master_for(graph, demands)
-    master.add(range(len(master.table.paths)))
+    master.add(range(len(master.table)))
     return master
 
 
@@ -69,14 +69,14 @@ class TestAddColumn:
         first = master.columns
         assert master.columns is first  # repeated access copies nothing
         d = master.demands[0]
-        p = enumerate_candidates(line_graph, d)[0]
+        p = candidates_of(line_graph, d)[0]
         master.add([int(master.table.offsets[0])])
         assert len(master.columns) == 3
         assert master.columns[master.columns_of(d.id)[-1]].path == p
 
     def test_index_outside_table_rejected(self, line_graph, two_demands):
         master = master_for(line_graph, two_demands)
-        for bad in (-1, len(master.table.paths)):
+        for bad in (-1, len(master.table)):
             with pytest.raises(ContractError):
                 master.add([bad])
         assert master.pool_size == 2
@@ -189,7 +189,7 @@ class TestClosedForm:
         )
         d = Demand(4, 0, 2, 5.0, 10.0, 0.5)
         master = master_for(g, [d])
-        assert master.add(range(len(master.table.paths))) == 2
+        assert master.add(range(len(master.table))) == 2
         sol = master.solve()
         assert len(highs_calls) == 1
         assert sol.objective == pytest.approx(5.5, rel=1e-12)
@@ -229,7 +229,7 @@ class TestLpInvariants:
         graph, demands = gap_suite_instance(seed)
         master = master_for(graph, demands)
         last = master.solve().objective
-        for i in range(len(master.table.paths)):
+        for i in range(len(master.table)):
             master.add([i])
             obj = master.solve().objective
             assert obj <= last + 1e-6 * max(1.0, abs(last))
@@ -266,7 +266,7 @@ class TestDumpLp:
         d4 = Demand(4, 0, 2, 5.0, 10.0, 0.5)
         d7 = Demand(7, 1, 2, 1.5, 10.0, 0.5)
         master = master_for(g, [d7, d4])
-        master.add(range(len(master.table.paths)))
+        master.add(range(len(master.table)))
         assert master.dump_lp() == (
             "\\ restricted master debug dump\n"
             "Minimize\n"

@@ -19,9 +19,15 @@ from cgroute.solver import (
     solve,
 )
 from cgroute.exact import solve_exact
-from cgroute.scenario import generate_telco_trace, telco_demands
+from cgroute.scenario import (
+    SyntheticParams,
+    generate_demands,
+    generate_telco_trace,
+    generate_topology,
+    telco_demands,
+)
 
-from instances import feasibility_instance, gap_suite_instance, hand_graph
+from instances import candidates_of, feasibility_instance, gap_suite_instance, hand_graph
 from oracles import check_routing_feasible, highs_optimum
 
 
@@ -45,7 +51,7 @@ class TestColumnGeneration:
         cg = column_generation(augmented, demands)
         assert cg.certified
         best = sum(
-            min(p.total_delay_ms for p in enumerate_candidates(augmented, d))
+            min(p.total_delay_ms for p in candidates_of(augmented, d))
             for d in demands
         )
         assert cg.solution.objective == pytest.approx(best, rel=1e-9)
@@ -70,11 +76,9 @@ class TestColumnGeneration:
         candidate_fn = mode_candidates(mode)
         cg = column_generation(augmented, demands, candidate_fn=candidate_fn)
         assert cg.certified
-        table = CandidateTable.pack(
-            augmented, demands, {d.id: candidate_fn(augmented, d) for d in demands}
-        )
+        table = candidate_fn(augmented, demands)
         full = RestrictedMaster(augmented, table)
-        full.add(range(len(table.paths)))
+        full.add(range(len(table)))
         want = highs_optimum(full)[1]
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
 
@@ -112,9 +116,7 @@ class TestColumnGeneration:
         augmented = augment_clique(graph, demands)
         cg = column_generation(augmented, demands)
         assert cg.certified
-        table = CandidateTable.pack(
-            augmented, demands, {d.id: enumerate_candidates(augmented, d) for d in demands}
-        )
+        table = enumerate_candidates(augmented, demands)
         assert price_demand(table, cg.solution.duals, eps_rc=1e-7) == {}
 
     def test_iteration_cap_flags_uncertified(self):
@@ -313,3 +315,30 @@ class TestSolve:
         penalty = dummy_penalty(graph, demands)
         max_route_delay = 2 * max(m.delay_ms for m in graph.edges.values())
         assert penalty > len(demands) * max_route_delay
+
+
+class TestObjectBudget:
+    def test_paths_only_for_committed_routes(self, monkeypatch):
+        # Candidates stay table rows: a solve makes one path per accepted
+        # demand and none for rejection columns.
+        import cgroute.pricing as pricing
+        import cgroute.rmp as rmp
+
+        params = SyntheticParams(n_nodes=200, n_edges=3000, n_demands=3000, seed=0)
+        graph = generate_topology(params)
+        demands = generate_demands(params, graph)
+        made = {"path": 0, "dummy": 0}
+
+        def counting(kind, make):
+            def counted(*args, **kwargs):
+                made[kind] += 1
+                return make(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(pricing, "make_path", counting("path", pricing.make_path))
+        monkeypatch.setattr(rmp, "make_dummy_path", counting("dummy", rmp.make_dummy_path))
+        routed = solve(graph, demands)
+        assert made["path"] < len(enumerate_candidates(graph, demands))
+        assert made["dummy"] < len(demands)
+        assert made["path"] == routed.n_accepted
