@@ -42,7 +42,7 @@ _mode_option = click.option(
     show_default=True,
     help="Candidate policy: full overlay routing, direct edges only, or both.",
 )
-_seed_option = click.option("--seed", type=int, default=0, show_default=True)
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 _format_option = click.option(
     "--format",
     "fmt",

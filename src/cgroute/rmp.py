@@ -13,8 +13,10 @@ and one convexity row per demand, with the integrality of the path choice
 relaxed. Solving returns both the primal mix and the dual prices that
 drive pricing. HiGHS runs only when capacity binds: a pool with at most
 one candidate per demand whose loads fit every capacity has a closed-form
-optimum, with zero capacity prices. The exact benchmark solves the same
-matrices as a 0/1 program.
+optimum, with zero capacity prices. A caller may ask that a pool which
+does reach HiGHS first take in the whole table, so that one LP solves the
+full master. The exact benchmark solves the same matrices as a 0/1
+program.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class RestrictedMaster:
 
     Column ``j < len(demands)`` is the rejection (dummy) column of
     ``demands[j]``, so the LP is feasible and bounded from the first solve
-    onward; the rest are table candidates in the order they joined. The
+    onward; the rest are table candidates in the order they joined (a
+    whole-table seed appends the candidates not yet in, ascending). The
     LP relaxation and the integer problem are both built by slicing the
     table's arrays for the pool. ``_b_ub`` holds the capacity of every
     row of the table's row map except the pad. A column's
@@ -227,7 +230,7 @@ class RestrictedMaster:
         cost = np.concatenate((np.full(n_dummy, self.dummy_penalty), t.delay[m]))
         return cost, a_ub, a_eq
 
-    def solve(self) -> RmpSolution:
+    def solve(self, join_all: bool = False) -> RmpSolution:
         """Solve the LP over the current pool and return primal and duals.
 
         HiGHS runs only when capacity binds. When the pool holds at most one
@@ -239,10 +242,16 @@ class RestrictedMaster:
         nonnegative reduced cost, and rejection columns a positive one,
         since the penalty exceeds any path delay. The all-rejection pool of
         the first solve is one such case.
+
+        With ``join_all``, a pool the closed form does not solve first takes
+        in every table candidate, so HiGHS solves the full master and no
+        candidate is left to price in.
         """
         closed = self._uncongested()
         if closed is not None:
             return closed
+        if join_all:
+            self.add(range(len(self.table)))
         cost, a_ub, a_eq = self._assemble()
         res = linprog(
             cost,

@@ -92,6 +92,8 @@ class SyntheticParams:
             raise InputError("counts must be positive")
         if self.rate_mean_mbps <= 0.0:
             raise InputError("mean rate must be positive")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
 
 
 # -- parsing helpers ----------------------------------------------------------
@@ -491,6 +493,8 @@ def generate_telco_trace(
     """
     if n_epochs < 1:
         raise InputError("need at least one epoch")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     n = profile.n_nodes
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     if profile.n_links > len(pairs):

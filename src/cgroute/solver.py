@@ -3,10 +3,12 @@
 Column generation alternates master solves with exact pricing until no
 candidate path of any demand has negative reduced cost (a checkable
 optimality certificate, since candidate sets are fully enumerated) or an
-iteration cap is hit. Randomized rounding then converts the fractional
-path mix into one committed path per demand, or a rejection. Candidates
-stay table rows throughout; only committed routes become
-:class:`~cgroute.model.Path` objects.
+iteration cap is hit. When the whole table fits in a master of at most
+:data:`FULL_MASTER_MAX_COLUMNS` columns, every candidate joins at the
+first HiGHS solve, so the pass after it certifies at once. Randomized
+rounding then converts the fractional path mix into one committed path
+per demand, or a rejection. Candidates stay table rows throughout; only
+committed routes become :class:`~cgroute.model.Path` objects.
 """
 
 from __future__ import annotations
@@ -32,6 +34,16 @@ CandidateFn = Callable[[OverlayGraph, Sequence[Demand]], CandidateTable]
 _INTEGRAL_TOL = 1e-6
 #: Residual-capacity slack absorbing LP-level float noise on commits.
 _CAPACITY_SLACK = 1e-9
+#: Largest full master, ``len(table) + len(demands)`` columns, that column
+#: generation solves whole at its first HiGHS call. The whole LP is faster
+#: than growing the pool at every size measured; two costs set the cap:
+#: memory (on a 50-node, 5000-demand instance, a 13.2k-column full master,
+#: solving it whole raised peak RSS by 24 MB against 15 MB incrementally)
+#: and conditioning (the full LP came back ``numerical`` at 23.6k columns,
+#: on a 300-node, 6000-edge, 10000-demand instance incremental CG solves,
+#: while none of 36 instances of 8.9k to 12.0k columns failed; ROADMAP
+#: item 1).
+FULL_MASTER_MAX_COLUMNS = 10_000
 
 
 @dataclass(frozen=True)
@@ -43,6 +55,8 @@ class SolverConfig:
     max_rounding_passes: Optional[int] = None  # None: one pass per demand
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if self.max_cg_iterations < 1:
             raise InputError("max_cg_iterations must be positive")
         if self.max_rounding_passes is not None and self.max_rounding_passes < 1:
@@ -99,10 +113,19 @@ def column_generation(
     optimal for the formulation over all QoS-feasible routes, and the
     result is flagged ``certified``; hitting the iteration cap returns the
     best solution uncertified.
+
+    Masters the closed form solves (the all-rejection first one, and one
+    whose cheapest routes fit) never reach HiGHS. When the full master,
+    ``len(table) + len(demands)`` columns, is at most
+    :data:`FULL_MASTER_MAX_COLUMNS`, the first master that does reach
+    HiGHS is seeded with the whole table: the next pricing pass has no
+    candidate left to add and certifies, so a congested solve takes two
+    iterations and one LP.
     """
     table = candidate_fn(graph, demands)
     master = RestrictedMaster(graph, table)
-    solution = master.solve()
+    join_all = len(table) + len(demands) <= FULL_MASTER_MAX_COLUMNS
+    solution = master.solve(join_all)
     iterations = 0
     certified = False
     while iterations < config.max_cg_iterations:
@@ -111,7 +134,7 @@ def column_generation(
         if master.add(index for index, _ in entering.values()) == 0:
             certified = True
             break
-        solution = master.solve()
+        solution = master.solve(join_all)
     return CgResult(
         solution=solution,
         master=master,

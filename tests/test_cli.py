@@ -256,6 +256,32 @@ class TestReplay:
         assert captured.out == ""
 
 
+class TestSeed:
+    @pytest.fixture
+    def telco_dir(self, tmp_path):
+        out = tmp_path / "telco"
+        assert run(["generate", "--profile", "telco", "--epochs", "1", "--out-dir", out]) == 0
+        return out
+
+    @pytest.mark.parametrize("command", ["solve", "replay", "sweep", "generate", "exact-gap"])
+    def test_negative_seed_exits_2(self, telco_dir, tmp_path, capsys, command):
+        inputs = ["--node-limits", telco_dir / "node_limits.csv",
+                  "--demands", telco_dir / "demands.csv"]
+        args = {
+            "solve": ["--graph", telco_dir / "graph.csv", *inputs],
+            "exact-gap": ["--graph", telco_dir / "graph.csv", *inputs],
+            "replay": ["--trace", telco_dir / "trace.csv", *inputs],
+            "sweep": [],
+            "generate": ["--out-dir", tmp_path / "out"],
+        }[command]
+        capsys.readouterr()
+        assert run([command, *args, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "--seed" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweep:
     def test_small_sweep(self, tmp_path):
         params = _small_params(tmp_path)

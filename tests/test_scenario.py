@@ -154,6 +154,11 @@ class TestStaticFiles:
         with pytest.raises(FormatError):
             load_params(ppath)
 
+    def test_params_negative_seed_rejected(self, tmp_path):
+        ppath = write(tmp_path, "p.cfg", "n_demands = 5\nseed = -1\n")
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            load_params(ppath)
+
 
 class TestGenerateTopology:
     def test_default_edge_count_exact(self):
@@ -277,6 +282,12 @@ class TestTelcoTrace:
         assert len(edge_sets) == 1  # constant link set over time
         assert [e.timestamp for e in trace.epochs] == [0.0, 300.0, 600.0, 900.0]
         assert trace.node_limits == (profile.node_capacity_mbps,) * 11
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            generate_telco_trace(1, seed=-1)
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            telco_demands(seed=-1)
 
     def test_marginals_match_profile_targets(self):
         # The regime split is binomial over 82 links per seed, so pool a

@@ -12,6 +12,7 @@ from cgroute.model import (
 )
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import DualPoint, RestrictedMaster, RmpSolution
+from cgroute import solver
 from cgroute.solver import (
     SolverConfig,
     column_generation,
@@ -37,6 +38,10 @@ class TestConfig:
             SolverConfig(max_cg_iterations=0)
         with pytest.raises(InputError):
             SolverConfig(max_rounding_passes=0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed must be nonnegative"):
+            SolverConfig(seed=-1)
 
 
 class TestColumnGeneration:
@@ -90,14 +95,50 @@ class TestColumnGeneration:
     def test_direct_mode_matches_one_shot_full_lp(self, seed):
         self._check_matches_one_shot_full_lp(seed, "direct")
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_incremental_cg_matches_one_shot_full_lp(self, seed, monkeypatch):
+        # These masters are all under the cap; with it at zero the pool
+        # grows by pricing alone, as on masters too large to seed.
+        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        self._check_matches_one_shot_full_lp(seed, "overlay")
+
     def test_congested_instance_calls_highs(self, highs_calls):
         # Gap-suite instance 9's cheapest routes overrun a capacity, so the
-        # master needs the LP solver; test_matches_one_shot_full_lp checks
+        # master needs the LP solver; its full master (55 columns) is under
+        # the cap, so that one HiGHS call solves the whole table and the
+        # next pricing pass certifies. test_matches_one_shot_full_lp checks
         # the optimum it reaches.
         graph, demands = gap_suite_instance(9)
         cg = column_generation(augment_clique(graph, demands), demands)
+        assert cg.certified and cg.iterations == 2
+        assert len(highs_calls) == 1
+        assert cg.master.pool_size == len(cg.master.table) + len(demands)
+
+    @staticmethod
+    def _cg_under_cap(monkeypatch, columns_over_cap):
+        """Gap-suite instance 9 with the cap set relative to its full master."""
+        graph, demands = gap_suite_instance(9)
+        augmented = augment_clique(graph, demands)
+        full = len(enumerate_candidates(augmented, demands)) + len(demands)
+        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", full - columns_over_cap)
+        cg = column_generation(augmented, demands)
+        return cg, full
+
+    def test_full_master_at_the_cap_is_seeded(self, highs_calls, monkeypatch):
+        cg, full = self._cg_under_cap(monkeypatch, 0)
+        assert cg.certified and cg.iterations == 2
+        assert len(highs_calls) == 1
+        assert cg.master.pool_size == full
+
+    def test_master_over_the_cap_grows_incrementally(self, highs_calls, monkeypatch):
+        cg, full = self._cg_under_cap(monkeypatch, 1)
         assert cg.certified and cg.iterations == 4
         assert len(highs_calls) == 3  # every master after the all-rejection one
+        assert cg.master.pool_size < full
+        whole = RestrictedMaster(cg.master.graph, cg.master.table)
+        whole.add(range(len(whole.table)))
+        want = highs_optimum(whole)[1]
+        assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
 
     def test_uncongested_telco_epoch_skips_highs(self, highs_calls):
         # Every demand's cheapest route fits: the first pricing pass adds
