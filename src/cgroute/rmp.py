@@ -15,8 +15,11 @@ drive pricing. HiGHS runs only when capacity binds: a pool with at most
 one candidate per demand whose loads fit every capacity has a closed-form
 optimum, with zero capacity prices. A caller may ask that a pool which
 does reach HiGHS first take in the whole table, so that one LP solves the
-full master. The exact benchmark solves the same matrices as a 0/1
-program.
+full master. HiGHS is called straight through SciPy's bundled binding
+when the installed SciPy has one, with the model, options, status codes
+and post-solve check of ``scipy.optimize.linprog``, which older SciPy
+releases call instead. The exact benchmark solves the same matrices as a
+0/1 program.
 """
 
 from __future__ import annotations
@@ -26,7 +29,13 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, linprog, milp
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
+from scipy.optimize import linprog as _scipy_linprog
+
+try:  # HiGHS's own Python binding, which newer SciPy releases vendor
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # SciPy 1.10 has none; its compiled linprog wrapper is lean
+    _highs = None
 
 from .errors import ContractError, InputError, SolverError
 from .model import Demand, OverlayGraph, Path, dummy_penalty, make_dummy_path
@@ -49,6 +58,25 @@ _STATUS = {
     3: "unbounded",
     4: "numerical",
 }
+
+# linprog's status code and message prefix for each HiGHS model status, as
+# scipy.optimize._linprog_highs maps them; the direct call reports the same.
+_LINPROG_STATUS = {
+    "kOptimal": (0, "Optimization terminated successfully. "),
+    "kTimeLimit": (1, "Time limit reached. "),
+    "kIterationLimit": (1, "Iteration limit reached. "),
+    "kInfeasible": (2, "The problem is infeasible. "),
+    "kModelError": (2, ""),
+    "kUnbounded": (3, "The problem is unbounded. "),
+    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
+    **dict.fromkeys(
+        ("kNotset", "kLoadError", "kPresolveError", "kSolveError", "kPostsolveError",
+         "kModelEmpty", "kObjectiveBound", "kObjectiveTarget"),
+        (4, ""),
+    ),
+}
+#: linprog's post-solve feasibility tolerance, ``10 * sqrt(tol)`` at its default ``tol``.
+_CHECK_TOL = 10 * np.sqrt(1e-9)
 
 
 @dataclass(frozen=True)
@@ -139,9 +167,10 @@ class RestrictedMaster:
         self.demands = table.demands
         self.dummy_penalty = dummy_penalty(graph, table.demands)
         self._b_ub = np.concatenate((graph.arrays.capacity, graph.node_limits))
-        # Joined candidates in join order, and the same as a set.
-        self._joined: list[int] = []
-        self._members: set[int] = set()
+        # Joined candidates in join order, and a membership mask over the table.
+        self._joined = np.zeros(0, dtype=np.intp)
+        self._joined.flags.writeable = False
+        self._member = np.zeros(len(table), dtype=bool)
         self._columns: tuple[Column, ...] = ()
         # The joined pool columns grouped by demand, made on first use.
         self._groups: Optional[tuple[list[int], list[int]]] = None
@@ -162,8 +191,8 @@ class RestrictedMaster:
 
     @property
     def joined(self) -> np.ndarray:
-        """The table index of each joined candidate, in pool order."""
-        return np.array(self._joined, dtype=np.intp)
+        """The table index of each joined candidate, in pool order (read-only)."""
+        return self._joined
 
     def column(self, j: int) -> Column:
         """Pool column ``j``, with its path made afresh."""
@@ -185,20 +214,24 @@ class RestrictedMaster:
         return [r] + joined[bounds[r] : bounds[r + 1]]
 
     def add(self, candidates: Iterable[int]) -> int:
-        """Let table candidates join the pool; return how many were new."""
-        added = 0
-        size = len(self.table)
-        for i in candidates:
-            if not 0 <= i < size:
-                raise ContractError(f"no candidate {i} in the table")
-            if i in self._members:
-                continue
-            self._joined.append(i)
-            self._members.add(i)
-            added += 1
-        if added:
+        """Let table candidates join the pool; return how many were new.
+
+        New candidates join in the order given, each at its first
+        occurrence. An index outside the table raises before any joins.
+        """
+        given = np.fromiter(candidates, dtype=np.intp)
+        outside = given[(given < 0) | (given >= len(self.table))]
+        if len(outside):
+            raise ContractError(f"no candidate {outside[0]} in the table")
+        first = np.unique(given, return_index=True)[1]
+        new = given[np.sort(first)]
+        new = new[~self._member[new]]
+        if len(new):
+            self._member[new] = True
+            self._joined = np.concatenate((self._joined, new))
+            self._joined.flags.writeable = False
             self._groups = None
-        return added
+        return len(new)
 
     # -- LP -----------------------------------------------------------------
 
@@ -246,6 +279,13 @@ class RestrictedMaster:
         With ``join_all``, a pool the closed form does not solve first takes
         in every table candidate, so HiGHS solves the full master and no
         candidate is left to price in.
+
+        HiGHS runs through the module's ``linprog``: the direct call to
+        SciPy's bundled binding where there is one, else
+        ``scipy.optimize.linprog``. Both solve the same model with the same
+        options and return the same point; a status other than optimal,
+        including a solution that fails the post-solve feasibility check,
+        raises :class:`~cgroute.errors.SolverError`.
         """
         closed = self._uncongested()
         if closed is not None:
@@ -362,3 +402,117 @@ def _rows(matrix) -> list[tuple[list[int], list[float]]]:
     return [
         (csr.indices[a:b].tolist(), csr.data[a:b].tolist()) for a, b in zip(bounds, bounds[1:])
     ]
+
+
+# -- HiGHS ------------------------------------------------------------------
+
+
+def _highs_linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method, options) -> OptimizeResult:
+    """``scipy.optimize.linprog(method="highs")`` for the master, without its wrapper.
+
+    Passes HiGHS the model ``linprog`` builds (``[A_ub; A_eq]`` in CSC
+    form, capacity rows ``(-inf, b_ub]``, convexity rows ``[b_eq, b_eq]``,
+    columns ``[0, inf)``) with the options it sets (``options`` plus dual
+    simplex and no output), and returns its result fields ``solve`` reads:
+    ``status`` and ``message`` as ``linprog`` reports them, ``x``, ``fun``
+    and the row marginals. SciPy's own wrapper also walks every column's
+    basis status in Python to fill bound marginals, which the master never
+    reads. Only ``method="highs"`` with ``bounds=(0, None)`` is supported.
+    """
+    if method != "highs" or tuple(bounds) != (0.0, None):
+        raise ContractError("the direct HiGHS call solves method='highs' with x >= 0 only")
+    h = _highs
+    highs = h._Highs()
+    dual_simplex = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    for name, value in {"output_flag": False, "simplex_strategy": dual_simplex, **options}.items():
+        if name == "presolve":
+            value = "on" if value else "off"
+        if highs.setOptionValue(name, value) != h.HighsStatus.kOk:
+            raise ContractError(f"HiGHS rejected option {name}={value!r}")
+    a = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
+    n_rows, n_cols = a.shape
+    # The array overload hands HiGHS the buffers as they are; filling a
+    # HighsLp, as SciPy's wrapper does, copies them element by element.
+    # Every column is continuous (integrality 0).
+    passed = highs.passModel(
+        n_cols,
+        n_rows,
+        a.nnz,
+        int(h.MatrixFormat.kColwise),
+        int(h.ObjSense.kMinimize),
+        0.0,
+        c,
+        np.zeros(n_cols),
+        np.full(n_cols, h.kHighsInf),
+        np.concatenate((np.full(len(b_ub), -h.kHighsInf), b_eq)),
+        np.concatenate((b_ub, b_eq)),
+        a.indptr,
+        a.indices,
+        a.data,
+        np.zeros(n_cols, dtype=np.int32),
+    )
+    if passed == h.HighsStatus.kError:
+        status = h.HighsModelStatus.kModelError
+        return _linprog_status(status, highs.modelStatusToString(status))
+    if highs.run() == h.HighsStatus.kError:
+        status = highs.getModelStatus()
+        return _linprog_status(status, highs.modelStatusToString(status))
+    status, info = highs.getModelStatus(), highs.getInfo()
+    if status != h.HighsModelStatus.kOptimal:
+        primal = highs.solutionStatusToString(info.primal_solution_status)
+        return _linprog_status(
+            status, f"model_status is {highs.modelStatusToString(status)}; primal_status is {primal}"
+        )
+    solution = highs.getSolution()
+    x, dual = np.array(solution.col_value), np.array(solution.row_dual)
+    return _checked(a, b_ub, b_eq, x, info.objective_function_value, dual)
+
+
+def _linprog_status(status, text: str) -> OptimizeResult:
+    """``linprog``'s status code and message for a HiGHS model status."""
+    code, prefix = _LINPROG_STATUS.get(
+        status.name, (4, "The HiGHS status code was not recognized. ")
+    )
+    return OptimizeResult(status=code, message=f"{prefix}(HiGHS Status {int(status)}: {text})")
+
+
+def _checked(a, b_ub, b_eq, x, fun, dual) -> OptimizeResult:
+    """An optimal HiGHS point, after ``linprog``'s post-solve feasibility check.
+
+    Status 0 needs no NaN, ``x >= -tol``, capacity slack ``>= -tol`` and
+    every convexity residual within ``tol``, with ``tol`` = :data:`_CHECK_TOL`;
+    otherwise the status is 4, ``numerical``, with ``linprog``'s message.
+    """
+    m = len(b_ub)
+    activity = a @ x
+    slack, con = b_ub - activity[:m], b_eq - activity[m:]
+    tol = _CHECK_TOL
+    feasible = not (np.isnan(x).any() or np.isnan(fun) or np.isnan(activity).any()) and (
+        (x >= -tol).all() and (slack >= -tol).all() and (np.abs(con) <= tol).all()
+    )
+    if feasible:
+        result = _linprog_status(_highs.HighsModelStatus.kOptimal, "Optimal")
+    else:
+        result = OptimizeResult(
+            status=4,
+            message="The solution does not satisfy the constraints within the required "
+            f"tolerance of {tol:.2E}, yet no errors were raised and there is no "
+            "certificate of infeasibility or unboundedness. Check whether the slack "
+            "and constraint residuals are acceptable; if not, consider enabling "
+            "presolve, adjusting the tolerance option(s), and/or using a different "
+            "method. Please consider submitting a bug report.",
+        )
+    result.update(
+        x=x,
+        fun=fun,
+        ineqlin=OptimizeResult(marginals=dual[:m]),
+        eqlin=OptimizeResult(marginals=dual[m:]),
+    )
+    return result
+
+
+# ``RestrictedMaster.solve`` calls HiGHS through this module attribute, whose
+# name stays ``linprog`` although it is the direct call wherever SciPy bundles
+# the binding: perfbench wraps ``rmp.linprog`` as its ``rmp.highs`` span, so
+# the rename waits for ROADMAP item 7.
+linprog = _scipy_linprog if _highs is None else _highs_linprog

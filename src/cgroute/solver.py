@@ -161,75 +161,93 @@ def randomized_round(
     committed and its siblings zeroed, a draw that does not fit leaves the
     demand fractional until the next pass. Sweeping stops when a full pass
     changes nothing, and whatever is still fractional is rejected.
+
+    The weights are read as arrays: each demand's top weight, and the
+    first pool column holding it, come from one pass over the LP support,
+    and only the demands still fractional after the integral-first commits
+    get a list of columns to draw from, in ascending pool index order.
     """
     demands = sorted(demands, key=lambda d: d.id)
-    by_id = {d.id: d for d in demands}
     if max_passes is None:
         max_passes = max(1, len(demands))
-    # Remaining capacity of every master row, plus the pad row of direct
-    # paths, which never binds; ``rows`` holds each pool column's rows,
-    # none for the rejection columns that lead the pool.
-    residual = master._b_ub.tolist() + [math.inf]
-    n_dummy = len(master.demands)
-    rows = [()] * n_dummy + master.table.rows[master.joined].tolist()
-    outcomes: dict[int, Optional[Path]] = {}
-    weights: dict[int, dict[int, float]] = {}
-    for d in demands:
-        weights[d.id] = {
-            j: solution.values[j]
-            for j in master.columns_of(d.id)
-            if solution.values[j] > 1e-12
-        }
+    table, joined, n_dummy = master.table, master.joined, len(master.demands)
+    # The LP support (weights above 1e-12), grouped by the convexity row of
+    # the owning demand and ascending by pool index within each group.
+    values = np.asarray(solution.values)
+    owner = np.concatenate((np.arange(n_dummy), table.demand[joined]))
+    support = np.flatnonzero(values > 1e-12)
+    support = support[np.argsort(owner[support], kind="stable")]
+    row = owner[support]
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    # Each group's top weight, the first column in pool order on ties.
+    best = support[np.lexsort((support, -values[support], row))[starts]]
+    grouped = row[starts]
+    top = np.full(n_dummy, -1)
+    top[grouped] = best
+    top_weight = np.zeros(n_dummy)
+    top_weight[grouped] = values[best]
+    bounds = np.zeros((n_dummy, 2), dtype=np.intp)
+    bounds[grouped] = np.stack((starts, np.append(starts[1:], len(support))), axis=1)
+    at = np.array([master._row[d.id] for d in demands], dtype=np.intp)
+    top, integral, bounds = top[at], top_weight[at] >= 1.0 - _INTEGRAL_TOL, bounds[at]
 
-    def fits(column_id: int, rate: float) -> bool:
-        for r in rows[column_id]:
+    # Remaining capacity of every master row, plus the pad row of direct
+    # paths, which never binds.
+    residual = master._b_ub.tolist() + [math.inf]
+    # Each decided demand's committed pool column, or None for a rejection;
+    # the committed columns become paths in one batch at the end.
+    outcomes: dict[int, Optional[int]] = {}
+
+    def commit(demand: Demand, column_id: int, rows: list[int]) -> bool:
+        rate = demand.rate_mbps
+        for r in rows:
             if rate > residual[r] + _CAPACITY_SLACK:
                 return False
+        for r in rows:
+            residual[r] -= rate
+        outcomes[demand.id] = column_id
         return True
 
-    def commit(demand: Demand, column_id: int):
-        for r in rows[column_id]:
-            residual[r] -= demand.rate_mbps
-        outcomes[demand.id] = master.column(column_id).path
-        weights.pop(demand.id)
-
     # Integral-first: the LP guarantees these fit together, up to float noise.
-    for d in demands:
-        top = max(weights[d.id], key=lambda j: weights[d.id][j], default=None)
-        if top is None:
-            outcomes[d.id] = None
-            weights.pop(d.id)
-            continue
-        if weights[d.id][top] < 1.0 - _INTEGRAL_TOL:
-            continue
-        if top < n_dummy:
-            outcomes[d.id] = None
-            weights.pop(d.id)
-        elif fits(top, d.rate_mbps):
-            commit(d, top)
+    pending = np.flatnonzero(~integral & (top >= 0)).tolist()
+    first = np.flatnonzero(integral | (top < 0))
+    first_top = top[first]
+    tested = first_top[first_top >= n_dummy]
+    tested_rows = iter(table.rows[joined[tested - n_dummy]].tolist())
+    for i, j in zip(first.tolist(), first_top.tolist()):
+        if j < n_dummy:
+            outcomes[demands[i].id] = None
+        elif not commit(demands[i], j, next(tested_rows)):
+            pending.append(i)
+
+    # The fractional demands in ascending id order, each with its columns
+    # and their normalized weights.
+    weights: dict[int, tuple[Demand, list[int], np.ndarray]] = {}
+    for i in sorted(pending):
+        lo, hi = bounds[i].tolist()
+        probs = np.array(values[support[lo:hi]].tolist())
+        weights[demands[i].id] = (demands[i], support[lo:hi].tolist(), probs / probs.sum())
 
     passes = 0
     changed = True
     while weights and changed and passes < max_passes:
         passes += 1
         changed = False
-        for did in sorted(weights):
-            d = by_id[did]
-            cols = sorted(weights[did])
-            probs = np.array([weights[did][j] for j in cols])
-            probs = probs / probs.sum()
+        for did, (d, cols, probs) in list(weights.items()):
             pick = cols[int(rng.choice(len(cols), p=probs))]
             if pick < n_dummy:
                 outcomes[did] = None  # a rejection draw is terminal
-                weights.pop(did)
-                changed = True
-            elif fits(pick, d.rate_mbps):
-                commit(d, pick)
-                changed = True
-            # else: restore, demand may be redrawn next pass
+            elif not commit(d, pick, table.rows[joined[pick - n_dummy]].tolist()):
+                continue  # restore, demand may be redrawn next pass
+            del weights[did]
+            changed = True
 
-    for did in sorted(weights):
+    for did in weights:
         outcomes[did] = None
+
+    committed = [did for did, j in outcomes.items() if j is not None]
+    columns = np.array([outcomes[did] for did in committed], dtype=np.intp)
+    outcomes.update(zip(committed, table.paths(joined[columns - n_dummy])))
 
     penalty = master.dummy_penalty
     objective = sum(

@@ -32,11 +32,11 @@ def two_demands():
 
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """Every call ``RestrictedMaster.solve`` makes to HiGHS, counted."""
+    """Every call ``RestrictedMaster.solve`` makes to HiGHS, as its ``(args, kwargs)``."""
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append((args, kwargs))
         return linprog(*args, **kwargs)
 
     linprog = rmp.linprog

@@ -8,12 +8,19 @@ implementations under test.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
 
 from cgroute.model import Demand, OverlayGraph, Path, make_path, qos_feasible
+from cgroute.rmp import RestrictedMaster, RmpSolution
+from cgroute.solver import RoutingSolution
+
+#: ``solver``'s rounding constants, repeated for :func:`reference_round`.
+_INTEGRAL_TOL = 1e-6
+_CAPACITY_SLACK = 1e-9
 
 
 def brute_force_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
@@ -153,11 +160,11 @@ def scalar_price(
     return None
 
 
-def highs_optimum(master):
+def highs_result(master):
     """The master's LP solved by HiGHS on its assembled matrices.
 
     Goes straight to ``scipy.optimize.linprog``, so it checks any shortcut
-    ``RestrictedMaster.solve`` takes. Returns ``(values, objective)``.
+    ``RestrictedMaster.solve`` takes. Returns linprog's result.
     """
     cost, a_ub, a_eq = master._assemble()
     res = linprog(
@@ -171,6 +178,12 @@ def highs_optimum(master):
         options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
     )
     assert res.status == 0, res.message
+    return res
+
+
+def highs_optimum(master):
+    """:func:`highs_result` as ``(values, objective)``."""
+    res = highs_result(master)
     return res.x, res.fun
 
 
@@ -185,3 +198,108 @@ def min_reduced_cost(master, duals) -> float:
         did = col.path.demand_id
         best = min(best, scalar_priced_length(col.path, rate[did], lam, nu) - sigma[did])
     return best
+
+
+def reference_round(
+    solution: RmpSolution,
+    master: RestrictedMaster,
+    graph: OverlayGraph,
+    demands: Sequence[Demand],
+    rng: np.random.Generator,
+    max_passes: Optional[int] = None,
+) -> RoutingSolution:
+    """Fix one path per demand by sampling the fractional LP mix.
+
+    The dict-based rounding ``solver.randomized_round`` replaced, kept
+    verbatim as its reference: same commits, draws and objective for the
+    same generator state.
+
+    Demands the LP already resolved onto a single real path are committed
+    first, so later draws cannot steal their capacity. Remaining demands
+    are then swept in ascending id order: each draws one path with
+    probability equal to its LP weight (dummy weight draws reject the
+    demand outright); a draw that fits the residual capacities is
+    committed and its siblings zeroed, a draw that does not fit leaves the
+    demand fractional until the next pass. Sweeping stops when a full pass
+    changes nothing, and whatever is still fractional is rejected.
+    """
+    demands = sorted(demands, key=lambda d: d.id)
+    by_id = {d.id: d for d in demands}
+    if max_passes is None:
+        max_passes = max(1, len(demands))
+    # Remaining capacity of every master row, plus the pad row of direct
+    # paths, which never binds; ``rows`` holds each pool column's rows,
+    # none for the rejection columns that lead the pool.
+    residual = master._b_ub.tolist() + [math.inf]
+    n_dummy = len(master.demands)
+    rows = [()] * n_dummy + master.table.rows[master.joined].tolist()
+    outcomes: dict[int, Optional[Path]] = {}
+    weights: dict[int, dict[int, float]] = {}
+    for d in demands:
+        weights[d.id] = {
+            j: solution.values[j]
+            for j in master.columns_of(d.id)
+            if solution.values[j] > 1e-12
+        }
+
+    def fits(column_id: int, rate: float) -> bool:
+        for r in rows[column_id]:
+            if rate > residual[r] + _CAPACITY_SLACK:
+                return False
+        return True
+
+    def commit(demand: Demand, column_id: int):
+        for r in rows[column_id]:
+            residual[r] -= demand.rate_mbps
+        outcomes[demand.id] = master.column(column_id).path
+        weights.pop(demand.id)
+
+    # Integral-first: the LP guarantees these fit together, up to float noise.
+    for d in demands:
+        top = max(weights[d.id], key=lambda j: weights[d.id][j], default=None)
+        if top is None:
+            outcomes[d.id] = None
+            weights.pop(d.id)
+            continue
+        if weights[d.id][top] < 1.0 - _INTEGRAL_TOL:
+            continue
+        if top < n_dummy:
+            outcomes[d.id] = None
+            weights.pop(d.id)
+        elif fits(top, d.rate_mbps):
+            commit(d, top)
+
+    passes = 0
+    changed = True
+    while weights and changed and passes < max_passes:
+        passes += 1
+        changed = False
+        for did in sorted(weights):
+            d = by_id[did]
+            cols = sorted(weights[did])
+            probs = np.array([weights[did][j] for j in cols])
+            probs = probs / probs.sum()
+            pick = cols[int(rng.choice(len(cols), p=probs))]
+            if pick < n_dummy:
+                outcomes[did] = None  # a rejection draw is terminal
+                weights.pop(did)
+                changed = True
+            elif fits(pick, d.rate_mbps):
+                commit(d, pick)
+                changed = True
+            # else: restore, demand may be redrawn next pass
+
+    for did in sorted(weights):
+        outcomes[did] = None
+
+    penalty = master.dummy_penalty
+    objective = sum(
+        p.total_delay_ms if p is not None else penalty for p in outcomes.values()
+    )
+    return RoutingSolution(
+        outcomes=MappingProxyType(dict(sorted(outcomes.items()))),
+        objective=objective,
+        iterations=0,
+        duration_s=0.0,
+        certified=False,
+    )

@@ -89,6 +89,18 @@ class TestEnumerate:
             assert overlay[d.id] == want
             assert direct[d.id] == [p for p in want if len(p.edges) == 1]
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_paths_equal_make_path(self, data):
+        # repr spells every float exactly, so equal reprs are bit-equal paths.
+        graph, demands = data.draw(scenarios())
+        for build in (enumerate_candidates, direct_mode_candidates):
+            table = build(augment_clique(graph, demands), demands)
+            index = np.arange(len(table))[::-1]
+            got = [repr(p) for p in table.paths(index)]
+            assert got == [repr(table.path(i)) for i in index.tolist()]
+            assert table.paths(index[:0]) == []
+
     def test_edgeless_graph_has_no_candidates(self):
         g = OverlayGraph.from_edges(3, {}, [100.0] * 3)
         demands = [Demand(0, 0, 1, 1.0, 1e6, 0.1), Demand(1, 2, 0, 1.0, 1e6, 0.1)]

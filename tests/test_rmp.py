@@ -1,14 +1,19 @@
+import importlib.util
+
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy import sparse
 
-from cgroute.errors import ContractError, InputError
+from cgroute import rmp
+from cgroute.errors import ContractError, InputError, SolverError
 from cgroute.model import Demand, LinkMetrics, OverlayGraph, make_path
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import RestrictedMaster, dual_objective
 from cgroute.scenario import generate_telco_trace, telco_demands
 
 from instances import candidates_of, gap_suite_instance
-from oracles import highs_optimum, min_reduced_cost
+from oracles import highs_optimum, highs_result, min_reduced_cost
 
 
 def master_for(graph, demands, candidates=None):
@@ -81,6 +86,20 @@ class TestAddColumn:
                 master.add([bad])
         assert master.pool_size == 2
 
+    def test_candidates_join_once_in_the_order_given(self):
+        master = master_for(*gap_suite_instance(0))
+        n_dummy = master.pool_size
+        assert master.add([5, 3, 5, 1, 3]) == 3
+        assert master.add(i for i in (1, 7, 3)) == 1
+        assert master.joined.tolist() == [5, 3, 1, 7]
+        assert master.columns_of(master.demands[master.table.demand[7]].id)[-1] == n_dummy + 3
+
+    def test_index_outside_table_adds_nothing(self):
+        master = master_for(*gap_suite_instance(0))
+        with pytest.raises(ContractError, match=f"no candidate {len(master.table)} in"):
+            master.add([0, 1, len(master.table), 2])
+        assert len(master.joined) == 0
+
     def test_table_of_another_graph_rejected(self, line_graph, two_demands):
         table = CandidateTable.pack(line_graph, two_demands, {0: [], 1: []})
         bigger = OverlayGraph.from_edges(4, dict(line_graph.edges), [200.0] * 4)
@@ -123,6 +142,88 @@ class TestSolve:
         assert sol.objective == pytest.approx(502.0, rel=1e-9)
         routed_mass = sol.values[2] + sol.values[3]
         assert routed_mass == pytest.approx(1.0, abs=1e-9)
+
+
+direct_call = pytest.mark.skipif(
+    rmp._highs is None,
+    reason="this SciPy has no scipy.optimize._highspy._core; rmp.linprog is scipy.optimize.linprog",
+)
+
+
+def direct_call_args(master, highs_calls):
+    """The one HiGHS call ``master.solve()`` makes, as ``(args, kwargs)``."""
+    master.solve()
+    (call,) = highs_calls
+    return call
+
+
+class TestHighsCall:
+    """The direct HiGHS call solves the model ``linprog`` solves, to the same point."""
+
+    def test_direct_call_is_the_path_on_this_scipy(self):
+        # A SciPy that ships the _highspy package must also give the direct
+        # call its binding, or the slow wrapper would come back unnoticed.
+        if importlib.util.find_spec("scipy.optimize._highspy") is None:
+            pytest.skip("this SciPy has no scipy.optimize._highspy; linprog is the path")
+        assert rmp._highs is not None
+        assert rmp.linprog is rmp._highs_linprog
+
+    @direct_call
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_linprog(self, seed, highs_calls):
+        master = full_master(seed)
+        args, kwargs = direct_call_args(master, highs_calls)
+        got, want = rmp._highs_linprog(*args, **kwargs), highs_result(master)
+        assert got.status == 0 and got.fun == want.fun
+        np.testing.assert_array_equal(got.x, want.x)
+        np.testing.assert_array_equal(got.ineqlin.marginals, want.ineqlin.marginals)
+        np.testing.assert_array_equal(got.eqlin.marginals, want.eqlin.marginals)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_linprog_fallback_returns_the_same_solution(self, seed, monkeypatch):
+        got = full_master(seed).solve()
+        monkeypatch.setattr(rmp, "linprog", scipy.optimize.linprog)
+        want = full_master(seed).solve()
+        assert got.values == want.values and got.objective == want.objective
+        for name in ("edge_duals", "node_duals", "convexity_duals"):
+            np.testing.assert_array_equal(getattr(got.duals, name), getattr(want.duals, name))
+
+    @direct_call
+    @pytest.mark.parametrize(
+        "option", [{"no_such_option": 1}, {"primal_feasibility_tolerance": "tight"}]
+    )
+    def test_rejected_option_raises(self, option, highs_calls):
+        args, kwargs = direct_call_args(full_master(9), highs_calls)
+        kwargs["options"] = {**kwargs["options"], **option}
+        with pytest.raises(ContractError, match="HiGHS rejected option"):
+            rmp._highs_linprog(*args, **kwargs)
+
+    @direct_call
+    @pytest.mark.parametrize("over_tol", [False, True])
+    def test_capacity_violation_over_tol_is_numerical(self, over_tol, monkeypatch):
+        # Shift one column on the tightest capacity row so that the row's
+        # load grows by 2 * tol or by tol / 2; the column's convexity row
+        # moves by less than tol either way.
+        checked, tol = rmp._checked, rmp._CHECK_TOL
+
+        def shifted(a, b_ub, b_eq, x, fun, dual):
+            slack = b_ub - (a @ x)[: len(b_ub)]
+            row = int(np.argmin(slack))
+            assert slack[row] < 1e-9  # the master is congested: a row binds
+            by_row = sparse.csr_array(a)
+            j, rate = by_row.indices[by_row.indptr[row]], by_row.data[by_row.indptr[row]]
+            assert rate > 4.0
+            x = x.copy()
+            x[j] += (2.0 if over_tol else 0.5) * tol / rate
+            return checked(a, b_ub, b_eq, x, fun, dual)
+
+        monkeypatch.setattr(rmp, "_checked", shifted)
+        master = full_master(9)
+        if over_tol:
+            with pytest.raises(SolverError, match="returned 'numerical'.*tolerance of 3.16E-04"):
+                master.solve()
+        else:
+            master.solve()  # within tol: accepted
 
 
 def telco_after_first_pricing():

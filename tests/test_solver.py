@@ -29,7 +29,7 @@ from cgroute.scenario import (
 )
 
 from instances import candidates_of, feasibility_instance, gap_suite_instance, hand_graph
-from oracles import check_routing_feasible, highs_optimum
+from oracles import check_routing_feasible, highs_optimum, reference_round
 
 
 class TestConfig:
@@ -200,7 +200,57 @@ def make_split_state():
     return augmented, d, master, fake, direct, dogleg
 
 
+class CountingRng:
+    """A seeded Generator that counts ``choice`` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.draws = 0
+
+    def choice(self, *args, **kwargs):
+        self.draws += 1
+        return self._rng.choice(*args, **kwargs)
+
+
+def dense_lp_instance():
+    """A congested instance of the dense-LP benchmark size: 50 nodes, 450 edges, 5000 demands."""
+    params = SyntheticParams(n_nodes=50, n_edges=450, n_demands=5000, seed=201)
+    graph = generate_topology(params)
+    return graph, generate_demands(params, graph)
+
+
 class TestRandomizedRound:
+    @pytest.mark.parametrize("instance", [*(f"gap-{s}" for s in range(20)), "dense-lp"])
+    def test_matches_reference_round(self, instance):
+        if instance == "dense-lp":
+            graph, demands = dense_lp_instance()
+        else:
+            graph, demands = gap_suite_instance(int(instance[len("gap-") :]))
+        cg = column_generation(graph, demands)
+        for seed, passes in ((0, None), (1, None), (2, 1)):
+            got_rng, want_rng = CountingRng(seed), CountingRng(seed)
+            got = randomized_round(cg.solution, cg.master, graph, demands, got_rng, passes)
+            want = reference_round(cg.solution, cg.master, graph, demands, want_rng, passes)
+            assert got.objective == want.objective
+            assert list(got.outcomes.items()) == list(want.outcomes.items())
+            assert got_rng.draws == want_rng.draws
+        if instance == "dense-lp":
+            assert want_rng.draws > 0  # congested: some demands stay fractional
+
+    def test_tied_top_weights_commit_the_first_pool_column(self):
+        # Two columns of one demand at weight 1 (no LP returns this): the
+        # integral-first commit takes the lower pool index, as the
+        # reference does, and draws nothing.
+        augmented, d, master, fake, direct, dogleg = make_split_state()
+        values = list(fake.values)
+        values[direct] = values[dogleg] = 1.0
+        tied = RmpSolution(values=tuple(values), objective=0.0, duals=fake.duals)
+        got_rng, want_rng = CountingRng(0), CountingRng(0)
+        got = randomized_round(tied, master, augmented, [d], got_rng)
+        want = reference_round(tied, master, augmented, [d], want_rng)
+        assert got.outcomes[d.id] == want.outcomes[d.id] == master.columns[direct].path
+        assert got_rng.draws == want_rng.draws == 0
+
     def test_integral_input_is_committed_verbatim(self):
         g = hand_graph()
         demands = [Demand(0, 0, 3, 5.0, 1e6, 0.5)]
@@ -361,7 +411,8 @@ class TestSolve:
 class TestObjectBudget:
     def test_paths_only_for_committed_routes(self, monkeypatch):
         # Candidates stay table rows: a solve makes one path per accepted
-        # demand and none for rejection columns.
+        # demand and none for rejection columns, whether one by one through
+        # make_path or in a batch through CandidateTable.paths.
         import cgroute.pricing as pricing
         import cgroute.rmp as rmp
 
@@ -378,6 +429,7 @@ class TestObjectBudget:
             return counted
 
         monkeypatch.setattr(pricing, "make_path", counting("path", pricing.make_path))
+        monkeypatch.setattr(pricing, "Path", counting("path", pricing.Path))
         monkeypatch.setattr(rmp, "make_dummy_path", counting("dummy", rmp.make_dummy_path))
         routed = solve(graph, demands)
         assert made["path"] < len(enumerate_candidates(graph, demands))
