@@ -20,10 +20,20 @@ when the installed SciPy has one, with the model, options, status codes
 and post-solve check of ``scipy.optimize.linprog``, which older SciPy
 releases call instead. The exact benchmark solves the same matrices as a
 0/1 program.
+
+The rejection penalty grows with the demand count (about 2e8 at 20k
+demands) while path delays stay near 1-500 ms, and HiGHS dual simplex
+fails on costs that far apart. Both solves therefore hand HiGHS the cost
+vector times ``2**s``, with ``s`` from :func:`_cost_exponent`, so the
+penalty lands at or below :data:`_PENALTY_CEILING`; the objective and
+every dual are scaled back by ``2**-s``. A power of two changes only the
+floating-point exponent, so both steps are exact, and a penalty already
+at or below the ceiling gets ``s = 0``, the unscaled LP.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -44,12 +54,19 @@ if TYPE_CHECKING:
     from .pricing import CandidateTable
 
 # HiGHS is already tight by default; pin the tolerances so dual certificates
-# stay well inside the 1e-7 reduced-cost threshold used by pricing.
+# stay inside the 1e-7 reduced-cost threshold used by pricing. They act on
+# the scaled costs, so in delay units the dual tolerance is 1e-9 * 2**-s
+# (2.6e-7 at s = -8); the solver tests re-price the whole table at 1e-7 on
+# scaled masters.
 _LP_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
+
+#: The largest rejection penalty HiGHS sees; :func:`_cost_exponent` scales
+#: the costs of a master whose penalty exceeds it.
+_PENALTY_CEILING = 1e6
 
 _STATUS = {
     0: "optimal",
@@ -137,6 +154,16 @@ def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
     paid = sum(lam * cap for lam, cap in zip(duals.edge_duals.tolist(), caps))
     paid += sum(nu * cap for nu, cap in zip(duals.node_duals.tolist(), graph.node_limits))
     return sum(duals.convexity_duals.tolist()) - paid
+
+
+def _cost_exponent(penalty: float) -> int:
+    """The power of two ``s`` a master's costs are scaled by before HiGHS.
+
+    ``-max(0, ceil(log2(penalty / _PENALTY_CEILING)))``: zero for a penalty
+    at or below :data:`_PENALTY_CEILING`, else the shift that brings the
+    scaled penalty into ``(ceiling / 2, ceiling]``.
+    """
+    return -max(0, math.ceil(math.log2(penalty / _PENALTY_CEILING)))
 
 
 class RestrictedMaster:
@@ -285,7 +312,9 @@ class RestrictedMaster:
         ``scipy.optimize.linprog``. Both solve the same model with the same
         options and return the same point; a status other than optimal,
         including a solution that fails the post-solve feasibility check,
-        raises :class:`~cgroute.errors.SolverError`.
+        raises :class:`~cgroute.errors.SolverError`. Either gets the costs
+        times ``2**s`` (:func:`_cost_exponent`); the objective and the
+        duals returned are scaled back, so they are in delay units.
         """
         closed = self._uncongested()
         if closed is not None:
@@ -293,8 +322,9 @@ class RestrictedMaster:
         if join_all:
             self.add(range(len(self.table)))
         cost, a_ub, a_eq = self._assemble()
+        scale = _cost_exponent(self.dummy_penalty)
         res = linprog(
-            cost,
+            np.ldexp(cost, scale),
             A_ub=a_ub,
             b_ub=self._b_ub,
             A_eq=a_eq,
@@ -309,13 +339,15 @@ class RestrictedMaster:
                 f"LP backend returned '{status}' on a master that is feasible "
                 f"and bounded by construction: {res.message}"
             )
-        price = -res.ineqlin.marginals
+        price = np.ldexp(-res.ineqlin.marginals, -scale)
         price = np.where(price > 0.0, price, 0.0)
         return RmpSolution(
             values=tuple(res.x.tolist()),
-            objective=float(res.fun),
+            objective=math.ldexp(res.fun, -scale),
             duals=DualPoint(
-                price[: self.table.n_edges], price[self.table.n_edges :], res.eqlin.marginals
+                price[: self.table.n_edges],
+                price[self.table.n_edges :],
+                np.ldexp(res.eqlin.marginals, -scale),
             ),
         )
 
@@ -347,14 +379,18 @@ class RestrictedMaster:
     def solve_integer(self, time_limit_s: float, node_limit: int) -> OptimizeResult:
         """Solve the pool as a 0/1 program with the HiGHS MIP solver.
 
-        Same matrices as :meth:`solve`, with every column binary and a zero
-        relative gap, so ``status == 0`` means proven optimal. On a budget
-        cut ``status`` is 1 and ``x`` holds the best integer point found,
-        or is ``None`` if there is none yet.
+        Same matrices and cost scaling as :meth:`solve`, with every column
+        binary and a zero relative gap, so ``status == 0`` means proven
+        optimal. On a budget cut ``status`` is nonzero (1 for the time
+        limit; SciPy 1.17 reports the node limit, HiGHS's "Solution limit
+        reached", as 4) and ``x`` holds the best integer point found, or is
+        ``None`` if there is none yet. ``fun`` and ``mip_dual_bound``, where
+        set, are scaled back to delay units.
         """
         cost, a_ub, a_eq = self._assemble()
-        return milp(
-            cost,
+        scale = _cost_exponent(self.dummy_penalty)
+        res = milp(
+            np.ldexp(cost, scale),
             integrality=np.ones(len(cost)),
             bounds=Bounds(0.0, 1.0),
             constraints=[
@@ -367,6 +403,10 @@ class RestrictedMaster:
                 "node_limit": node_limit,
             },
         )
+        for name in ("fun", "mip_dual_bound"):
+            if res.get(name) is not None:
+                res[name] = math.ldexp(res[name], -scale)
+        return res
 
     # -- diagnostics ----------------------------------------------------------
 

@@ -4,8 +4,9 @@ Column generation alternates master solves with exact pricing until no
 candidate path of any demand has negative reduced cost (a checkable
 optimality certificate, since candidate sets are fully enumerated) or an
 iteration cap is hit. When the whole table fits in a master of at most
-:data:`FULL_MASTER_MAX_COLUMNS` columns, every candidate joins at the
-first HiGHS solve, so the pass after it certifies at once. Randomized
+:data:`FULL_MASTER_MAX_COLUMNS` columns, a budget set by memory alone,
+every candidate joins at the first HiGHS solve, so the pass after it
+certifies at once; larger masters grow incrementally. Randomized
 rounding then converts the fractional path mix into one committed path
 per demand, or a rejection. Candidates stay table rows throughout; only
 committed routes become :class:`~cgroute.model.Path` objects.
@@ -35,15 +36,16 @@ _INTEGRAL_TOL = 1e-6
 #: Residual-capacity slack absorbing LP-level float noise on commits.
 _CAPACITY_SLACK = 1e-9
 #: Largest full master, ``len(table) + len(demands)`` columns, that column
-#: generation solves whole at its first HiGHS call. The whole LP is faster
-#: than growing the pool at every size measured; two costs set the cap:
-#: memory (on a 50-node, 5000-demand instance, a 13.2k-column full master,
-#: solving it whole raised peak RSS by 24 MB against 15 MB incrementally)
-#: and conditioning (the full LP came back ``numerical`` at 23.6k columns,
-#: on a 300-node, 6000-edge, 10000-demand instance incremental CG solves,
-#: while none of 36 instances of 8.9k to 12.0k columns failed; ROADMAP
-#: item 1).
-FULL_MASTER_MAX_COLUMNS = 10_000
+#: generation solves whole at its first HiGHS call. The whole LP takes two
+#: iterations and one HiGHS call, and was no slower than growing the pool
+#: at any size measured; what it costs is memory, which alone sets this
+#: cap, since the master's cost scaling keeps large LPs well conditioned.
+#: HiGHS's ``run`` holds about 1 KB per column. Peak RSS of one column
+#: generation run, solved whole against incrementally: 102 against 95 MB
+#: at 13.6k columns (50 nodes, 450 edges, 5000 demands), 122 against 112
+#: MB at 23.6k (300/6000/10000) and 144 against 128 MB at 39.3k
+#: (100/1200/17000). Larger masters grow by pricing.
+FULL_MASTER_MAX_COLUMNS = 40_000
 
 
 @dataclass(frozen=True)

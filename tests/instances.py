@@ -38,6 +38,29 @@ def gap_suite_instance(seed: int) -> tuple[OverlayGraph, list[Demand]]:
     return graph, generate_demands(params, graph)
 
 
+def scaled_cost_instance() -> tuple[OverlayGraph, list[Demand]]:
+    """Gap-suite distributions on 12 nodes with 600 demands: a small master
+    (1157 columns in full, node limits binding) whose rejection penalty,
+    5.9e6, is over the 1e6 at which the master scales its costs (by 2**-3).
+    """
+    params = SyntheticParams(
+        n_nodes=12,
+        n_edges=40,
+        n_demands=600,
+        capacity_range_mbps=(300.0, 500.0),
+        delay_range_ms=(1.0, 500.0),
+        jitter_range_ms=(0.0, 50.0),
+        loss_range=(0.0, 0.2),
+        node_capacity_mbps=400.0,
+        rate_mean_mbps=50.0,
+        jitter_bound_range_ms=(25.0, 200.0),
+        loss_bound_range=(0.1, 0.8),
+        seed=0,
+    )
+    graph = generate_topology(params)
+    return graph, generate_demands(params, graph)
+
+
 def tiny_instance(seed: int) -> tuple[OverlayGraph, list[Demand]]:
     """At most 6 nodes and 8 demands: exhaustive enumeration stays cheap."""
     rng = np.random.default_rng([seed, 11])

@@ -160,15 +160,16 @@ def scalar_price(
     return None
 
 
-def highs_result(master):
+def highs_result(master, exponent: int = 0):
     """The master's LP solved by HiGHS on its assembled matrices.
 
     Goes straight to ``scipy.optimize.linprog``, so it checks any shortcut
-    ``RestrictedMaster.solve`` takes. Returns linprog's result.
+    ``RestrictedMaster.solve`` takes. The costs are multiplied by
+    ``2**exponent`` first. Returns linprog's result, in those units.
     """
     cost, a_ub, a_eq = master._assemble()
     res = linprog(
-        cost,
+        np.ldexp(cost, exponent),
         A_ub=a_ub,
         b_ub=master._b_ub,
         A_eq=a_eq,

@@ -1,18 +1,21 @@
 import importlib.util
+import math
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 
 from cgroute import rmp
 from cgroute.errors import ContractError, InputError, SolverError
-from cgroute.model import Demand, LinkMetrics, OverlayGraph, make_path
+from cgroute.model import Demand, LinkMetrics, OverlayGraph, dummy_penalty, make_path
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import RestrictedMaster, dual_objective
 from cgroute.scenario import generate_telco_trace, telco_demands
 
-from instances import candidates_of, gap_suite_instance
+from instances import candidates_of, gap_suite_instance, scaled_cost_instance
 from oracles import highs_optimum, highs_result, min_reduced_cost
 
 
@@ -24,7 +27,8 @@ def master_for(graph, demands, candidates=None):
 
 
 def full_master(seed):
-    graph, demands = gap_suite_instance(seed)
+    """Gap-suite instance ``seed``'s full master; ``"scaled"`` is the scaled-cost instance's."""
+    graph, demands = scaled_cost_instance() if seed == "scaled" else gap_suite_instance(seed)
     master = master_for(graph, demands)
     master.add(range(len(master.table)))
     return master
@@ -169,17 +173,22 @@ class TestHighsCall:
         assert rmp.linprog is rmp._highs_linprog
 
     @direct_call
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", [*range(10), "scaled"])
     def test_matches_linprog(self, seed, highs_calls):
+        # Both sides get the costs times the same power of two: 1 on the
+        # gap suite, 2**-3 on the scaled-cost instance.
         master = full_master(seed)
         args, kwargs = direct_call_args(master, highs_calls)
-        got, want = rmp._highs_linprog(*args, **kwargs), highs_result(master)
+        exponent = rmp._cost_exponent(master.dummy_penalty)
+        assert exponent == (-3 if seed == "scaled" else 0)
+        np.testing.assert_array_equal(args[0], np.ldexp(master._assemble()[0], exponent))
+        got, want = rmp._highs_linprog(*args, **kwargs), highs_result(master, exponent)
         assert got.status == 0 and got.fun == want.fun
         np.testing.assert_array_equal(got.x, want.x)
         np.testing.assert_array_equal(got.ineqlin.marginals, want.ineqlin.marginals)
         np.testing.assert_array_equal(got.eqlin.marginals, want.eqlin.marginals)
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", [*range(10), "scaled"])
     def test_linprog_fallback_returns_the_same_solution(self, seed, monkeypatch):
         got = full_master(seed).solve()
         monkeypatch.setattr(rmp, "linprog", scipy.optimize.linprog)
@@ -224,6 +233,62 @@ class TestHighsCall:
                 master.solve()
         else:
             master.solve()  # within tol: accepted
+
+
+class TestCostScaling:
+    """HiGHS gets the costs times ``2**s``; callers see delay units."""
+
+    @given(st.floats(min_value=1.0, max_value=1e6))
+    def test_no_scaling_up_to_a_penalty_of_1e6(self, penalty):
+        assert rmp._cost_exponent(penalty) == 0
+
+    @given(st.floats(min_value=1e6, max_value=1e15, exclude_min=True))
+    def test_larger_penalties_land_at_or_under_1e6(self, penalty):
+        exponent = rmp._cost_exponent(penalty)
+        assert exponent < 0
+        assert 5e5 < math.ldexp(penalty, exponent) <= 1e6 * (1 + 1e-15)
+
+    def test_gap_suite_and_telco_are_unscaled(self):
+        # Penalties reach 2.9e5 on the gap suite and 3.3e5 on telco traces
+        # 0-9: HiGHS sees their unscaled LP, so their reports cannot move.
+        penalties = [dummy_penalty(*gap_suite_instance(seed)) for seed in range(50)]
+        for seed in range(10):
+            trace, demands = generate_telco_trace(4, seed=seed), telco_demands(seed=seed)
+            penalties += [dummy_penalty(trace.graph_for(e), demands) for e in trace.epochs]
+        assert {rmp._cost_exponent(p) for p in penalties} == {0}
+
+    def test_solution_is_scaled_back(self):
+        master = full_master("scaled")
+        sol = master.solve()
+        scaled = highs_result(master, -3)
+        assert sol.objective == math.ldexp(scaled.fun, 3)
+        np.testing.assert_array_equal(
+            sol.duals.convexity_duals, np.ldexp(scaled.eqlin.marginals, 3)
+        )
+        price = np.ldexp(-scaled.ineqlin.marginals, 3)
+        np.testing.assert_array_equal(
+            np.concatenate((sol.duals.edge_duals, sol.duals.node_duals)),
+            np.where(price > 0.0, price, 0.0),
+        )
+        # The scaled LP has the unscaled LP's optimum.
+        assert sol.objective == pytest.approx(highs_result(master).fun, rel=1e-12)
+
+    def test_integer_solve_sees_the_scaled_costs(self, monkeypatch):
+        master = full_master("scaled")
+        seen = []
+
+        def recording(c, **kwargs):
+            seen.append(c)
+            return scipy.optimize.milp(c, **kwargs)
+
+        monkeypatch.setattr(rmp, "milp", recording)
+        # One node proves nothing here, but leaves an incumbent and a bound.
+        res = master.solve_integer(time_limit_s=30.0, node_limit=1)
+        cost = master._assemble()[0]
+        (c,) = seen
+        np.testing.assert_array_equal(c, np.ldexp(cost, -3))
+        assert res.fun == pytest.approx(float(cost @ res.x), rel=1e-12)
+        assert master.solve().objective * (1 - 1e-9) <= res.mip_dual_bound <= res.fun
 
 
 def telco_after_first_pricing():
@@ -297,7 +362,7 @@ class TestClosedForm:
 
 
 class TestLpInvariants:
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), "scaled"])
     def test_duality_and_convexity(self, seed):
         master = full_master(seed)
         sol = master.solve()
@@ -310,8 +375,10 @@ class TestLpInvariants:
             mass = sum(sol.values[j] for j in master.columns_of(d.id))
             assert mass == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", [*range(8), "scaled"])
     def test_duals_feasible_for_every_pool_column(self, seed):
+        # On "scaled" HiGHS solved the costs times 2**-3; the duals checked
+        # here are the ones solve returns, in delay units.
         master = full_master(seed)
         sol = master.solve()
         lam = dict(zip(master.graph.edges, sol.duals.edge_duals))

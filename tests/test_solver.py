@@ -10,8 +10,8 @@ from cgroute.model import (
     augment_clique,
     make_path,
 )
-from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
-from cgroute.rmp import DualPoint, RestrictedMaster, RmpSolution
+from cgroute.pricing import EPS_REDUCED_COST, CandidateTable, enumerate_candidates, price_demand
+from cgroute.rmp import DualPoint, RestrictedMaster, RmpSolution, _cost_exponent
 from cgroute import solver
 from cgroute.solver import (
     SolverConfig,
@@ -29,7 +29,7 @@ from cgroute.scenario import (
 )
 
 from instances import candidates_of, feasibility_instance, gap_suite_instance, hand_graph
-from oracles import check_routing_feasible, highs_optimum, reference_round
+from oracles import check_routing_feasible, highs_optimum, min_reduced_cost, reference_round
 
 
 class TestConfig:
@@ -140,6 +140,20 @@ class TestColumnGeneration:
         want = highs_optimum(whole)[1]
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
 
+    def test_dense_lp_size_is_solved_whole(self, highs_calls, monkeypatch):
+        # A dense-lp benchmark instance: 13,610 columns in full, under the
+        # cap, so one HiGHS call solves the whole master; growing the pool
+        # by pricing instead (cap 0) reaches the same LP optimum.
+        graph, demands = dense_lp_instance()
+        whole = column_generation(graph, demands)
+        assert whole.certified and whole.iterations == 2
+        assert len(highs_calls) == 1
+        assert whole.master.pool_size == len(whole.master.table) + len(demands)
+        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        grown = column_generation(graph, demands)
+        assert grown.certified and grown.iterations > 2
+        assert whole.solution.objective == pytest.approx(grown.solution.objective, rel=1e-9)
+
     def test_uncongested_telco_epoch_skips_highs(self, highs_calls):
         # Every demand's cheapest route fits: the first pricing pass adds
         # them, the closed form solves that pool, and the second pass
@@ -168,6 +182,46 @@ class TestColumnGeneration:
         )
         assert cg.iterations == 1
         assert not cg.certified  # one pass cannot both add columns and verify
+
+
+def synthetic_instance(n_nodes, n_edges, n_demands, seed=0):
+    """A synthetic-profile instance of the given size."""
+    params = SyntheticParams(n_nodes=n_nodes, n_edges=n_edges, n_demands=n_demands, seed=seed)
+    graph = generate_topology(params)
+    return graph, generate_demands(params, graph)
+
+
+class TestConditioning:
+    """Masters whose rejection penalty dwarfs every delay solve and certify.
+
+    Their costs reach HiGHS scaled by a power of two; unscaled, dual
+    simplex fails on both with ``numerical``. HiGHS's dual tolerance then
+    acts on scaled costs, so the final duals are re-priced over the whole
+    table, independently of pricing, at pricing's threshold.
+    """
+
+    @staticmethod
+    def _check_certified(graph, demands, exponent):
+        cg = column_generation(graph, demands)
+        assert _cost_exponent(cg.master.dummy_penalty) == exponent
+        assert cg.certified
+        whole = RestrictedMaster(graph, cg.master.table)
+        whole.add(range(len(whole.table)))
+        assert min_reduced_cost(whole, cg.solution.duals) >= -EPS_REDUCED_COST
+        return cg
+
+    def test_20k_demands(self):
+        # 46,353 columns in full: over the cap, so the pool grows by pricing.
+        graph, demands = synthetic_instance(100, 1200, 20000)
+        cg = self._check_certified(graph, demands, -8)
+        assert len(cg.master.table) + len(demands) > solver.FULL_MASTER_MAX_COLUMNS
+        assert cg.master.pool_size < len(cg.master.table) + len(demands)
+
+    def test_incremental_cg_at_8k_demands(self, monkeypatch):
+        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        graph, demands = synthetic_instance(300, 6000, 8000)
+        cg = self._check_certified(graph, demands, -7)
+        assert cg.iterations > 2
 
 
 def make_split_state():
@@ -214,9 +268,7 @@ class CountingRng:
 
 def dense_lp_instance():
     """A congested instance of the dense-LP benchmark size: 50 nodes, 450 edges, 5000 demands."""
-    params = SyntheticParams(n_nodes=50, n_edges=450, n_demands=5000, seed=201)
-    graph = generate_topology(params)
-    return graph, generate_demands(params, graph)
+    return synthetic_instance(50, 450, 5000, seed=201)
 
 
 class TestRandomizedRound:
