@@ -4,10 +4,14 @@ Every QoS-feasible route of every demand joins the master as a column up
 front, so the integer problem is a pure selection: one route or a
 rejection per demand under the shared capacity rows. The restricted
 master solves it in one HiGHS MIP call on the same matrices as its LP
-relaxation, so the heuristic and the benchmark share one model. Only the
-chosen routes become paths, and they are recosted exactly in Python.
-Intended for small instances; the point is measuring the heuristic's
-optimality gap.
+relaxation, so the heuristic and the benchmark share one model. That call
+goes straight to SciPy's bundled HiGHS binding, with the feasibility-jump
+heuristic off, or through ``scipy.optimize.milp`` where SciPy bundles
+none (:meth:`~cgroute.rmp.RestrictedMaster.solve_integer`). Each demand's
+choice is read from the MIP's point as arrays; only the chosen routes
+become paths, in one batch, and the objective sums their delays in demand
+order. Intended for small instances; the point is measuring the
+heuristic's optimality gap.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import time
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .model import Demand, OverlayGraph, Path, augment_clique
@@ -90,17 +96,23 @@ def solve_exact(
         outcomes = {d.id: None for d in master.demands}
         objective = master.dummy_penalty * len(master.demands)
     else:
+        # Each demand's column closest to 1 is the one HiGHS picked. On a
+        # tie the first in pool order wins: the demand's rejection column,
+        # then its candidates in join order.
+        n_dummy, joined = len(master.demands), master.joined
+        owner = np.concatenate((np.arange(n_dummy), table.demand[joined]))
+        order = np.lexsort((-res.x, owner))
+        chosen = order[np.searchsorted(owner[order], np.arange(n_dummy))] - n_dummy
+        routed = chosen >= 0
+        paths = iter(table.paths(joined[chosen[routed]]))
         outcomes, objective = {}, 0.0
-        for r, d in enumerate(master.demands):
-            # The demand's column closest to 1 is the one HiGHS picked; its
-            # rejection column is column r.
-            chosen = max(master.columns_of(d.id), key=lambda j: res.x[j])
-            if chosen == r:
+        for d, is_routed in zip(master.demands, routed.tolist()):
+            if is_routed:
+                outcomes[d.id] = next(paths)
+                objective += outcomes[d.id].total_delay_ms
+            else:
                 outcomes[d.id] = None
                 objective += master.dummy_penalty
-            else:
-                outcomes[d.id] = master.column(chosen).path
-                objective += outcomes[d.id].total_delay_ms
     return ExactSolution(
         outcomes=MappingProxyType(outcomes),
         objective=objective,

@@ -19,7 +19,9 @@ full master. HiGHS is called straight through SciPy's bundled binding
 when the installed SciPy has one, with the model, options, status codes
 and post-solve check of ``scipy.optimize.linprog``, which older SciPy
 releases call instead. The exact benchmark solves the same matrices as a
-0/1 program.
+0/1 program, through the same binding and model passing, with HiGHS's
+feasibility-jump heuristic off; ``scipy.optimize.milp`` is its fallback
+where SciPy bundles no binding.
 
 The rejection penalty grows with the demand count (about 2e8 at 20k
 demands) while path delays stay near 1-500 ms, and HiGHS dual simplex
@@ -64,6 +66,17 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 
+#: The direct MIP call's options besides its budget. Feasibility jump is a
+#: primal heuristic HiGHS 1.12 runs on every MIP whatever its size: on the
+#: gap suite's 50 exact-benchmark MIPs it made the solves 3.5 times slower
+#: (0.38 s against 0.11 s in all), and HiGHS proves every one optimal, at
+#: the same objective, without it.
+_MIP_OPTIONS = {"mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
+
+#: Options a HiGHS may not know, which a solve goes on without: a HiGHS
+#: older than feasibility jump has no option to switch it off.
+_OPTIONAL_OPTIONS = frozenset({"mip_heuristic_run_feasibility_jump"})
+
 #: The largest rejection penalty HiGHS sees; :func:`_cost_exponent` scales
 #: the costs of a master whose penalty exceeds it.
 _PENALTY_CEILING = 1e6
@@ -77,7 +90,8 @@ _STATUS = {
 }
 
 # linprog's status code and message prefix for each HiGHS model status, as
-# scipy.optimize._linprog_highs maps them; the direct call reports the same.
+# scipy.optimize._linprog_highs maps them for linprog and milp; the direct
+# calls report the same.
 _LINPROG_STATUS = {
     "kOptimal": (0, "Optimization terminated successfully. "),
     "kTimeLimit": (1, "Time limit reached. "),
@@ -381,28 +395,37 @@ class RestrictedMaster:
 
         Same matrices and cost scaling as :meth:`solve`, with every column
         binary and a zero relative gap, so ``status == 0`` means proven
-        optimal. On a budget cut ``status`` is nonzero (1 for the time
-        limit; SciPy 1.17 reports the node limit, HiGHS's "Solution limit
-        reached", as 4) and ``x`` holds the best integer point found, or is
-        ``None`` if there is none yet. ``fun`` and ``mip_dual_bound``, where
-        set, are scaled back to delay units.
+        optimal. On a budget cut ``status`` is nonzero: 1 for the time
+        limit, 4 for the node limit (HiGHS's "Solution limit reached"), on
+        the direct call as in ``milp``. ``x`` holds the best integer point
+        found, or is ``None`` if there is none yet. ``fun`` and
+        ``mip_dual_bound`` are scaled back to delay units, and
+        ``mip_node_count`` counts HiGHS's branch-and-bound nodes (``milp``
+        leaves it ``None`` where it has no point).
+
+        HiGHS runs through :func:`_highs_milp`, the direct call to SciPy's
+        bundled binding, with :data:`_MIP_OPTIONS`; ``scipy.optimize.milp``,
+        which cannot turn feasibility jump off, is the fallback where SciPy
+        bundles no binding. Neither goes through the module's ``linprog``,
+        which carries the LP calls only.
         """
         cost, a_ub, a_eq = self._assemble()
         scale = _cost_exponent(self.dummy_penalty)
-        res = milp(
-            np.ldexp(cost, scale),
-            integrality=np.ones(len(cost)),
-            bounds=Bounds(0.0, 1.0),
-            constraints=[
-                LinearConstraint(a_ub, -np.inf, self._b_ub),
-                LinearConstraint(a_eq, 1.0, 1.0),
-            ],
-            options={
-                "mip_rel_gap": 0.0,
-                "time_limit": time_limit_s,
-                "node_limit": node_limit,
-            },
-        )
+        c, b_eq = np.ldexp(cost, scale), np.ones(len(self.demands))
+        if _highs is None:
+            res = milp(
+                c,
+                integrality=np.ones(len(c)),
+                bounds=Bounds(0.0, 1.0),
+                constraints=[
+                    LinearConstraint(a_ub, -np.inf, self._b_ub),
+                    LinearConstraint(a_eq, b_eq, b_eq),
+                ],
+                options={"mip_rel_gap": 0.0, "time_limit": time_limit_s, "node_limit": node_limit},
+            )
+        else:
+            options = {**_MIP_OPTIONS, "time_limit": time_limit_s, "mip_max_nodes": node_limit}
+            res = _highs_milp(c, a_ub, self._b_ub, a_eq, b_eq, options)
         for name in ("fun", "mip_dual_bound"):
             if res.get(name) is not None:
                 res[name] = math.ldexp(res[name], -scale)
@@ -447,11 +470,54 @@ def _rows(matrix) -> list[tuple[list[int], list[float]]]:
 # -- HiGHS ------------------------------------------------------------------
 
 
+def _highs_model(c, a_ub, b_ub, a_eq, b_eq, upper, integrality, options):
+    """A fresh HiGHS holding ``options`` and the master's model.
+
+    The model is the one ``linprog`` and ``milp`` build: ``[A_ub; A_eq]``
+    in CSC form, capacity rows ``(-inf, b_ub]``, convexity rows
+    ``[b_eq, b_eq]``, columns ``[0, upper]`` of type ``integrality`` (0
+    continuous, 1 integer). The array overload of ``passModel`` hands
+    HiGHS the buffers as they are; filling a ``HighsLp``, as SciPy's
+    wrapper does, copies them element by element. Output is off. An option
+    HiGHS rejects raises :class:`~cgroute.errors.ContractError`, except
+    one in :data:`_OPTIONAL_OPTIONS`, which the solve goes on without.
+    Returns the HiGHS object, the stacked matrix and whether the model
+    was passed.
+    """
+    h = _highs
+    highs = h._Highs()
+    for name, value in {"output_flag": False, **options}.items():
+        if name == "presolve":
+            value = "on" if value else "off"
+        rejected = highs.setOptionValue(name, value) != h.HighsStatus.kOk
+        if rejected and name not in _OPTIONAL_OPTIONS:
+            raise ContractError(f"HiGHS rejected option {name}={value!r}")
+    a = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
+    n_rows, n_cols = a.shape
+    passed = highs.passModel(
+        n_cols,
+        n_rows,
+        a.nnz,
+        int(h.MatrixFormat.kColwise),
+        int(h.ObjSense.kMinimize),
+        0.0,
+        c,
+        np.zeros(n_cols),
+        np.full(n_cols, upper),
+        np.concatenate((np.full(len(b_ub), -h.kHighsInf), b_eq)),
+        np.concatenate((b_ub, b_eq)),
+        a.indptr,
+        a.indices,
+        a.data,
+        np.full(n_cols, integrality, dtype=np.int32),
+    )
+    return highs, a, passed != h.HighsStatus.kError
+
+
 def _highs_linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method, options) -> OptimizeResult:
     """``scipy.optimize.linprog(method="highs")`` for the master, without its wrapper.
 
-    Passes HiGHS the model ``linprog`` builds (``[A_ub; A_eq]`` in CSC
-    form, capacity rows ``(-inf, b_ub]``, convexity rows ``[b_eq, b_eq]``,
+    Passes HiGHS the model ``linprog`` builds (:func:`_highs_model`, with
     columns ``[0, inf)``) with the options it sets (``options`` plus dual
     simplex and no output), and returns its result fields ``solve`` reads:
     ``status`` and ``message`` as ``linprog`` reports them, ``x``, ``fun``
@@ -462,36 +528,11 @@ def _highs_linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method, options) -> Opt
     if method != "highs" or tuple(bounds) != (0.0, None):
         raise ContractError("the direct HiGHS call solves method='highs' with x >= 0 only")
     h = _highs
-    highs = h._Highs()
     dual_simplex = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    for name, value in {"output_flag": False, "simplex_strategy": dual_simplex, **options}.items():
-        if name == "presolve":
-            value = "on" if value else "off"
-        if highs.setOptionValue(name, value) != h.HighsStatus.kOk:
-            raise ContractError(f"HiGHS rejected option {name}={value!r}")
-    a = sparse.csc_array(sparse.vstack((A_ub, A_eq)))
-    n_rows, n_cols = a.shape
-    # The array overload hands HiGHS the buffers as they are; filling a
-    # HighsLp, as SciPy's wrapper does, copies them element by element.
-    # Every column is continuous (integrality 0).
-    passed = highs.passModel(
-        n_cols,
-        n_rows,
-        a.nnz,
-        int(h.MatrixFormat.kColwise),
-        int(h.ObjSense.kMinimize),
-        0.0,
-        c,
-        np.zeros(n_cols),
-        np.full(n_cols, h.kHighsInf),
-        np.concatenate((np.full(len(b_ub), -h.kHighsInf), b_eq)),
-        np.concatenate((b_ub, b_eq)),
-        a.indptr,
-        a.indices,
-        a.data,
-        np.zeros(n_cols, dtype=np.int32),
+    highs, a, passed = _highs_model(
+        c, A_ub, b_ub, A_eq, b_eq, h.kHighsInf, 0, {"simplex_strategy": dual_simplex, **options}
     )
-    if passed == h.HighsStatus.kError:
+    if not passed:
         status = h.HighsModelStatus.kModelError
         return _linprog_status(status, highs.modelStatusToString(status))
     if highs.run() == h.HighsStatus.kError:
@@ -506,6 +547,32 @@ def _highs_linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method, options) -> Opt
     solution = highs.getSolution()
     x, dual = np.array(solution.col_value), np.array(solution.row_dual)
     return _checked(a, b_ub, b_eq, x, info.objective_function_value, dual)
+
+
+def _highs_milp(c, a_ub, b_ub, a_eq, b_eq, options) -> OptimizeResult:
+    """The master's 0/1 program, solved by HiGHS MIP without ``milp``'s wrapper.
+
+    Passes the model of :func:`_highs_model` with every column binary and
+    returns the result fields ``milp`` returns: ``status`` and ``message``
+    as ``milp`` maps HiGHS's model status (0 optimal, 1 time limit, 4 the
+    node limit, which HiGHS reports as "Solution limit reached"), ``x``
+    and ``fun`` where HiGHS holds an integer point and ``None`` otherwise,
+    ``mip_node_count`` and ``mip_dual_bound``.
+    """
+    h = _highs
+    highs, _, passed = _highs_model(c, a_ub, b_ub, a_eq, b_eq, 1.0, 1, options)
+    ran = passed and highs.run() != h.HighsStatus.kError
+    status = highs.getModelStatus() if passed else h.HighsModelStatus.kModelError
+    result = _linprog_status(status, highs.modelStatusToString(status))
+    info = highs.getInfo()
+    found = ran and info.primal_solution_status == int(h.SolutionStatus.kSolutionStatusFeasible)
+    result.update(
+        x=np.array(highs.getSolution().col_value) if found else None,
+        fun=info.objective_function_value if found else None,
+        mip_node_count=info.mip_node_count,
+        mip_dual_bound=info.mip_dual_bound,
+    )
+    return result
 
 
 def _linprog_status(status, text: str) -> OptimizeResult:

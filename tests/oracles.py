@@ -12,7 +12,7 @@ from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from cgroute.model import Demand, OverlayGraph, Path, make_path, qos_feasible
 from cgroute.rmp import RestrictedMaster, RmpSolution
@@ -177,6 +177,29 @@ def highs_result(master, exponent: int = 0):
         bounds=(0.0, None),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
+    )
+    assert res.status == 0, res.message
+    return res
+
+
+def milp_result(master, exponent: int = 0):
+    """The master's 0/1 program solved by ``scipy.optimize.milp`` to a zero gap.
+
+    Built from the master's assembled matrices, so it checks the direct
+    HiGHS MIP call ``RestrictedMaster.solve_integer`` makes. The costs are
+    multiplied by ``2**exponent`` first. Returns milp's result, proven
+    optimal, in those units.
+    """
+    cost, a_ub, a_eq = master._assemble()
+    res = milp(
+        np.ldexp(cost, exponent),
+        integrality=np.ones(len(cost)),
+        bounds=Bounds(0.0, 1.0),
+        constraints=[
+            LinearConstraint(a_ub, -np.inf, master._b_ub),
+            LinearConstraint(a_eq, 1.0, 1.0),
+        ],
+        options={"mip_rel_gap": 0.0},
     )
     assert res.status == 0, res.message
     return res

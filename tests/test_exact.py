@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from cgroute.exact import ExactLimits, solve_exact
@@ -11,6 +12,7 @@ from cgroute.model import (
     dummy_penalty,
 )
 from cgroute.pricing import enumerate_candidates
+from cgroute.rmp import RestrictedMaster
 from cgroute.solver import SolverConfig, column_generation, solve
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph, tiny_instance
@@ -93,6 +95,37 @@ class TestOrderingAgainstHeuristic:
         assert result.objective <= heuristic.objective + 1e-6 * scale
         assert result.objective >= cg.solution.objective - 1e-6 * scale
         assert result.n_accepted >= heuristic.n_accepted
+
+
+class TestReadingTheChoice:
+    """The MIP point is read as the per-demand loop over ``columns_of`` reads it."""
+
+    @pytest.mark.parametrize("seed,tied", [(s, False) for s in range(5)] + [(3, True), (8, True)])
+    def test_matches_the_loop_reference(self, seed, tied, monkeypatch):
+        # ``tied`` replaces the point with values in {0, 0.5, 1}, so most
+        # demands have several columns at their top value.
+        seen = []
+        solve_integer = RestrictedMaster.solve_integer
+
+        def recording(master, *args):
+            res = solve_integer(master, *args)
+            if tied:
+                res.x = np.random.default_rng(seed).integers(0, 3, len(res.x)) / 2.0
+            seen.append((master, res.x))
+            return res
+
+        monkeypatch.setattr(RestrictedMaster, "solve_integer", recording)
+        got = solve_exact(*gap_suite_instance(seed))
+        ((master, x),) = seen
+        want, objective = {}, 0.0
+        for d in master.demands:
+            # max keeps the first of equal values: the rejection column,
+            # then the candidates in join order.
+            chosen = max(master.columns_of(d.id), key=lambda j: x[j])
+            want[d.id] = None if chosen < len(master.demands) else master.column(chosen).path
+            objective += master.dummy_penalty if want[d.id] is None else want[d.id].total_delay_ms
+        assert dict(got.outcomes) == want
+        assert got.objective == objective
 
 
 class TestLimits:

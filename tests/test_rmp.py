@@ -16,7 +16,7 @@ from cgroute.rmp import RestrictedMaster, dual_objective
 from cgroute.scenario import generate_telco_trace, telco_demands
 
 from instances import candidates_of, gap_suite_instance, scaled_cost_instance
-from oracles import highs_optimum, highs_result, min_reduced_cost
+from oracles import highs_optimum, highs_result, milp_result, min_reduced_cost
 
 
 def master_for(graph, demands, candidates=None):
@@ -277,11 +277,14 @@ class TestCostScaling:
         master = full_master("scaled")
         seen = []
 
-        def recording(c, **kwargs):
+        def recording(c, *args, **kwargs):
             seen.append(c)
-            return scipy.optimize.milp(c, **kwargs)
+            return call(c, *args, **kwargs)
 
-        monkeypatch.setattr(rmp, "milp", recording)
+        # The direct MIP call, or milp where SciPy bundles no binding.
+        name = "milp" if rmp._highs is None else "_highs_milp"
+        call = getattr(rmp, name)
+        monkeypatch.setattr(rmp, name, recording)
         # One node proves nothing here, but leaves an incumbent and a bound.
         res = master.solve_integer(time_limit_s=30.0, node_limit=1)
         cost = master._assemble()[0]
@@ -289,6 +292,100 @@ class TestCostScaling:
         np.testing.assert_array_equal(c, np.ldexp(cost, -3))
         assert res.fun == pytest.approx(float(cost @ res.x), rel=1e-12)
         assert master.solve().objective * (1 - 1e-9) <= res.mip_dual_bound <= res.fun
+
+
+def integer_master(seed):
+    """:func:`full_master`, but ``"scaled"`` holds every fourth candidate only.
+
+    The scaled-cost instance's full 0/1 program is still unproven after
+    20 s; on this pool HiGHS proves the optimum in under a second.
+    """
+    if seed != "scaled":
+        return full_master(seed)
+    master = master_for(*scaled_cost_instance())
+    master.add(range(0, len(master.table), 4))
+    return master
+
+
+def solve_integer(master):
+    return master.solve_integer(time_limit_s=60.0, node_limit=1_000_000)
+
+
+class FakeBinding:
+    """SciPy's HiGHS binding, with a HiGHS that rejects the ``rejected`` options.
+
+    Every HiGHS object it makes is kept in ``made``.
+    """
+
+    def __init__(self, rejected=()):
+        self.real, self.rejected, self.made = rmp._highs, set(rejected), []
+
+    def __getattr__(self, name):
+        return getattr(self.real, name)
+
+    def _Highs(self):
+        highs = FakeHighs(self.real._Highs(), self)
+        self.made.append(highs)
+        return highs
+
+
+class FakeHighs:
+    def __init__(self, highs, binding):
+        self.highs, self.binding = highs, binding
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+    def setOptionValue(self, name, value):
+        if name in self.binding.rejected:
+            return self.binding.real.HighsStatus.kError
+        return self.highs.setOptionValue(name, value)
+
+
+@direct_call
+class TestIntegerCall:
+    """The direct HiGHS MIP call solves the program ``milp`` solves, to the same optimum."""
+
+    @pytest.mark.parametrize("seed", [*range(10), "scaled"])
+    def test_matches_milp(self, seed):
+        master = integer_master(seed)
+        exponent = rmp._cost_exponent(master.dummy_penalty)
+        assert exponent == (-3 if seed == "scaled" else 0)
+        res = solve_integer(master)
+        assert res.status == 0 and res.mip_node_count >= 0
+        assert res.fun == math.ldexp(milp_result(master, exponent).fun, -exponent)
+
+    @pytest.mark.parametrize("seed", [2, 9, "scaled"])
+    def test_milp_fallback_returns_the_same_objective(self, seed, monkeypatch):
+        got = solve_integer(integer_master(seed))
+        monkeypatch.setattr(rmp, "_highs", None)
+        want = solve_integer(integer_master(seed))
+        assert got.status == want.status == 0
+        assert got.fun == want.fun
+
+    def test_mip_bypasses_the_lp_hook(self, highs_calls):
+        # perfbench times ``rmp.linprog`` as a child of the LP solve.
+        solve_integer(full_master(2))
+        assert highs_calls == []
+
+    def test_feasibility_jump_is_off(self, monkeypatch):
+        binding = FakeBinding()
+        monkeypatch.setattr(rmp, "_highs", binding)
+        solve_integer(full_master(2))
+        (highs,) = binding.made
+        status, value = highs.getOptionValue("mip_heuristic_run_feasibility_jump")
+        assert status == binding.HighsStatus.kOk and value is False
+
+    def test_highs_without_feasibility_jump_solves_on(self, monkeypatch):
+        master = full_master(2)
+        monkeypatch.setattr(rmp, "_highs", FakeBinding({"mip_heuristic_run_feasibility_jump"}))
+        res = solve_integer(master)
+        assert res.status == 0 and res.fun == milp_result(master).fun
+
+    def test_other_rejected_option_raises(self, monkeypatch):
+        monkeypatch.setattr(rmp, "_highs", FakeBinding({"mip_max_nodes"}))
+        with pytest.raises(ContractError, match="HiGHS rejected option mip_max_nodes=1000000"):
+            solve_integer(full_master(2))
 
 
 def telco_after_first_pricing():
