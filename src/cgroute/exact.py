@@ -4,10 +4,10 @@ Every QoS-feasible route of every demand joins the master as a column up
 front, so the integer problem is a pure selection: one route or a
 rejection per demand under the shared capacity rows. The restricted
 master solves it in one HiGHS MIP call on the same matrices as its LP
-relaxation, so the heuristic and the benchmark share one model. That call
-goes straight to SciPy's bundled HiGHS binding, with the feasibility-jump
-heuristic off, or through ``scipy.optimize.milp`` where SciPy bundles
-none (:meth:`~cgroute.rmp.RestrictedMaster.solve_integer`). Each demand's
+relaxation, so the heuristic and the benchmark share one model and one
+HiGHS entry point, with the feasibility-jump heuristic off; SciPy 1.10,
+which bundles no HiGHS binding, runs ``scipy.optimize.milp`` instead
+(:meth:`~cgroute.rmp.RestrictedMaster.solve_integer`). Each demand's
 choice is read from the MIP's point as arrays; only the chosen routes
 become paths, in one batch, and the objective sums their delays in demand
 order. Intended for small instances; the point is measuring the
@@ -116,8 +116,8 @@ def solve_exact(
     return ExactSolution(
         outcomes=MappingProxyType(outcomes),
         objective=objective,
-        optimal=res.status == 0,
-        nodes_explored=res.mip_node_count or 0,
+        optimal=res.status == "optimal",
+        nodes_explored=res.nodes or 0,
         lp_solves=1,
         duration_s=time.perf_counter() - started,
     )

@@ -326,7 +326,11 @@ def emit_reports(
     destination: FsPath,
     include_timing: bool = True,
 ):
-    """Write reports to ``destination`` as CSV or JSON (or both)."""
+    """Write reports to ``destination`` as CSV (``fmt="csv"``) or JSON (``"json"``).
+
+    No reports, any other ``fmt`` or a failed write raises
+    :class:`~cgroute.errors.InputError`.
+    """
     if not reports:
         raise InputError("no reports to emit")
     dest = FsPath(destination)

@@ -15,13 +15,10 @@ drive pricing. HiGHS runs only when capacity binds: a pool with at most
 one candidate per demand whose loads fit every capacity has a closed-form
 optimum, with zero capacity prices. A caller may ask that a pool which
 does reach HiGHS first take in the whole table, so that one LP solves the
-full master. HiGHS is called straight through SciPy's bundled binding
-when the installed SciPy has one, with the model, options, status codes
-and post-solve check of ``scipy.optimize.linprog``, which older SciPy
-releases call instead. The exact benchmark solves the same matrices as a
-0/1 program, through the same binding and model passing, with HiGHS's
-feasibility-jump heuristic off; ``scipy.optimize.milp`` is its fallback
-where SciPy bundles no binding.
+full master. The exact benchmark solves the same matrices as a 0/1
+program. Both go through one entry point, :func:`_call_highs`: a direct
+call to SciPy's bundled HiGHS binding, or ``scipy.optimize.linprog`` and
+``milp`` on SciPy 1.10, which bundles none.
 
 The rejection penalty grows with the demand count (about 2e8 at 20k
 demands) while path delays stay near 1-500 ms, and HiGHS dual simplex
@@ -41,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
+from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.optimize import linprog as _scipy_linprog
 
 try:  # HiGHS's own Python binding, which newer SciPy releases vendor
@@ -66,9 +63,9 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-9,
 }
 
-#: The direct MIP call's options besides its budget. Feasibility jump is a
-#: primal heuristic HiGHS 1.12 runs on every MIP whatever its size: on the
-#: gap suite's 50 exact-benchmark MIPs it made the solves 3.5 times slower
+#: The MIP's options besides its budget. Feasibility jump is a primal
+#: heuristic HiGHS 1.12 runs on every MIP whatever its size: on the gap
+#: suite's 50 exact-benchmark MIPs it made the solves 3.5 times slower
 #: (0.38 s against 0.11 s in all), and HiGHS proves every one optimal, at
 #: the same objective, without it.
 _MIP_OPTIONS = {"mip_rel_gap": 0.0, "mip_heuristic_run_feasibility_jump": False}
@@ -81,31 +78,17 @@ _OPTIONAL_OPTIONS = frozenset({"mip_heuristic_run_feasibility_jump"})
 #: the costs of a master whose penalty exceeds it.
 _PENALTY_CEILING = 1e6
 
-_STATUS = {
-    0: "optimal",
-    1: "iteration_limit",
-    2: "infeasible",
-    3: "unbounded",
-    4: "numerical",
+#: The name of each HiGHS model status a solve can end in (the node limit
+#: is HiGHS's "Solution limit reached"); any other is ``numerical``.
+_HIGHS_STATUS = {
+    "kOptimal": "optimal",
+    "kTimeLimit": "time_limit",
+    "kIterationLimit": "iteration_limit",
+    "kSolutionLimit": "node_limit",
+    "kInfeasible": "infeasible",
+    "kUnbounded": "unbounded",
 }
 
-# linprog's status code and message prefix for each HiGHS model status, as
-# scipy.optimize._linprog_highs maps them for linprog and milp; the direct
-# calls report the same.
-_LINPROG_STATUS = {
-    "kOptimal": (0, "Optimization terminated successfully. "),
-    "kTimeLimit": (1, "Time limit reached. "),
-    "kIterationLimit": (1, "Iteration limit reached. "),
-    "kInfeasible": (2, "The problem is infeasible. "),
-    "kModelError": (2, ""),
-    "kUnbounded": (3, "The problem is unbounded. "),
-    "kUnboundedOrInfeasible": (4, "The problem is unbounded or infeasible. "),
-    **dict.fromkeys(
-        ("kNotset", "kLoadError", "kPresolveError", "kSolveError", "kPostsolveError",
-         "kModelEmpty", "kObjectiveBound", "kObjectiveTarget"),
-        (4, ""),
-    ),
-}
 #: linprog's post-solve feasibility tolerance, ``10 * sqrt(tol)`` at its default ``tol``.
 _CHECK_TOL = 10 * np.sqrt(1e-9)
 
@@ -160,6 +143,26 @@ class RmpSolution:
     values: tuple[float, ...]
     objective: float
     duals: DualPoint
+
+
+@dataclass
+class HighsResult:
+    """One HiGHS call's outcome, in the cost units HiGHS was given.
+
+    ``status`` is a name from :data:`_HIGHS_STATUS`, else ``numerical``.
+    ``x`` and ``objective`` are the LP's optimal point or the MIP's best
+    integer point, ``None`` without one. ``row_dual`` (an LP's, capacity
+    rows first), ``nodes`` and ``dual_bound`` (a MIP's) are ``None`` where
+    they do not apply. ``message`` says why a solve is not optimal.
+    """
+
+    status: str
+    x: Optional[np.ndarray] = None
+    objective: Optional[float] = None
+    row_dual: Optional[np.ndarray] = None
+    nodes: Optional[int] = None
+    dual_bound: Optional[float] = None
+    message: str = ""
 
 
 def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
@@ -321,14 +324,12 @@ class RestrictedMaster:
         in every table candidate, so HiGHS solves the full master and no
         candidate is left to price in.
 
-        HiGHS runs through the module's ``linprog``: the direct call to
-        SciPy's bundled binding where there is one, else
-        ``scipy.optimize.linprog``. Both solve the same model with the same
-        options and return the same point; a status other than optimal,
-        including a solution that fails the post-solve feasibility check,
-        raises :class:`~cgroute.errors.SolverError`. Either gets the costs
-        times ``2**s`` (:func:`_cost_exponent`); the objective and the
-        duals returned are scaled back, so they are in delay units.
+        HiGHS runs through the module's ``linprog``, which is
+        :func:`_call_highs`; a status other than optimal, including a point
+        that fails the post-solve feasibility check, raises
+        :class:`~cgroute.errors.SolverError`. HiGHS gets the costs times
+        ``2**s`` (:func:`_cost_exponent`); the objective and the duals
+        returned are scaled back, so they are in delay units.
         """
         closed = self._uncongested()
         if closed is not None:
@@ -337,31 +338,23 @@ class RestrictedMaster:
             self.add(range(len(self.table)))
         cost, a_ub, a_eq = self._assemble()
         scale = _cost_exponent(self.dummy_penalty)
+        b_eq = np.ones(len(self.demands))
         res = linprog(
-            np.ldexp(cost, scale),
-            A_ub=a_ub,
-            b_ub=self._b_ub,
-            A_eq=a_eq,
-            b_eq=np.ones(len(self.demands)),
-            bounds=(0.0, None),
-            method="highs",
-            options=_LP_OPTIONS,
+            np.ldexp(cost, scale), a_ub, self._b_ub, a_eq, b_eq, integer=False, options=_LP_OPTIONS
         )
-        status = _STATUS.get(res.status, f"status_{res.status}")
-        if res.status != 0:
+        if res.status != "optimal":
             raise SolverError(
-                f"LP backend returned '{status}' on a master that is feasible "
+                f"LP backend returned '{res.status}' on a master that is feasible "
                 f"and bounded by construction: {res.message}"
             )
-        price = np.ldexp(-res.ineqlin.marginals, -scale)
+        n_rows, n_edges = len(self._b_ub), self.table.n_edges
+        price = np.ldexp(-res.row_dual[:n_rows], -scale)
         price = np.where(price > 0.0, price, 0.0)
         return RmpSolution(
             values=tuple(res.x.tolist()),
-            objective=math.ldexp(res.fun, -scale),
+            objective=math.ldexp(res.objective, -scale),
             duals=DualPoint(
-                price[: self.table.n_edges],
-                price[self.table.n_edges :],
-                np.ldexp(res.eqlin.marginals, -scale),
+                price[:n_edges], price[n_edges:], np.ldexp(res.row_dual[n_rows:], -scale)
             ),
         )
 
@@ -390,45 +383,31 @@ class RestrictedMaster:
             duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
         )
 
-    def solve_integer(self, time_limit_s: float, node_limit: int) -> OptimizeResult:
+    def solve_integer(self, time_limit_s: float, node_limit: int) -> HighsResult:
         """Solve the pool as a 0/1 program with the HiGHS MIP solver.
 
         Same matrices and cost scaling as :meth:`solve`, with every column
-        binary and a zero relative gap, so ``status == 0`` means proven
-        optimal. On a budget cut ``status`` is nonzero: 1 for the time
-        limit, 4 for the node limit (HiGHS's "Solution limit reached"), on
-        the direct call as in ``milp``. ``x`` holds the best integer point
-        found, or is ``None`` if there is none yet. ``fun`` and
-        ``mip_dual_bound`` are scaled back to delay units, and
-        ``mip_node_count`` counts HiGHS's branch-and-bound nodes (``milp``
-        leaves it ``None`` where it has no point).
-
-        HiGHS runs through :func:`_highs_milp`, the direct call to SciPy's
-        bundled binding, with :data:`_MIP_OPTIONS`; ``scipy.optimize.milp``,
-        which cannot turn feasibility jump off, is the fallback where SciPy
-        bundles no binding. Neither goes through the module's ``linprog``,
+        binary, a zero relative gap and :data:`_MIP_OPTIONS`, so ``status``
+        is ``optimal`` only when proven; a budget cut gives ``time_limit``
+        or ``node_limit``. ``x`` holds the best integer point found, or is
+        ``None`` if there is none yet. ``objective`` and ``dual_bound`` are
+        scaled back to delay units, and ``nodes`` counts HiGHS's
+        branch-and-bound nodes (``milp``, the SciPy 1.10 fallback, leaves it
+        ``None`` where it has no point). HiGHS runs through
+        :func:`_call_highs` by name, not through the module's ``linprog``,
         which carries the LP calls only.
         """
         cost, a_ub, a_eq = self._assemble()
         scale = _cost_exponent(self.dummy_penalty)
-        c, b_eq = np.ldexp(cost, scale), np.ones(len(self.demands))
-        if _highs is None:
-            res = milp(
-                c,
-                integrality=np.ones(len(c)),
-                bounds=Bounds(0.0, 1.0),
-                constraints=[
-                    LinearConstraint(a_ub, -np.inf, self._b_ub),
-                    LinearConstraint(a_eq, b_eq, b_eq),
-                ],
-                options={"mip_rel_gap": 0.0, "time_limit": time_limit_s, "node_limit": node_limit},
-            )
-        else:
-            options = {**_MIP_OPTIONS, "time_limit": time_limit_s, "mip_max_nodes": node_limit}
-            res = _highs_milp(c, a_ub, self._b_ub, a_eq, b_eq, options)
-        for name in ("fun", "mip_dual_bound"):
-            if res.get(name) is not None:
-                res[name] = math.ldexp(res[name], -scale)
+        options = {**_MIP_OPTIONS, "time_limit": time_limit_s, "mip_max_nodes": node_limit}
+        b_eq = np.ones(len(self.demands))
+        res = _call_highs(
+            np.ldexp(cost, scale), a_ub, self._b_ub, a_eq, b_eq, integer=True, options=options
+        )
+        if res.objective is not None:
+            res.objective = math.ldexp(res.objective, -scale)
+        if res.dual_bound is not None:
+            res.dual_bound = math.ldexp(res.dual_bound, -scale)
         return res
 
     # -- diagnostics ----------------------------------------------------------
@@ -470,22 +449,60 @@ def _rows(matrix) -> list[tuple[list[int], list[float]]]:
 # -- HiGHS ------------------------------------------------------------------
 
 
-def _highs_model(c, a_ub, b_ub, a_eq, b_eq, upper, integrality, options):
-    """A fresh HiGHS holding ``options`` and the master's model.
+def _call_highs(c, a_ub, b_ub, a_eq, b_eq, integer, options) -> HighsResult:
+    """Minimize ``c @ x`` over ``A_ub x <= b_ub``, ``A_eq x == b_eq`` and ``x >= 0``.
 
-    The model is the one ``linprog`` and ``milp`` build: ``[A_ub; A_eq]``
-    in CSC form, capacity rows ``(-inf, b_ub]``, convexity rows
-    ``[b_eq, b_eq]``, columns ``[0, upper]`` of type ``integrality`` (0
-    continuous, 1 integer). The array overload of ``passModel`` hands
-    HiGHS the buffers as they are; filling a ``HighsLp``, as SciPy's
-    wrapper does, copies them element by element. Output is off. An option
-    HiGHS rejects raises :class:`~cgroute.errors.ContractError`, except
-    one in :data:`_OPTIONAL_OPTIONS`, which the solve goes on without.
-    Returns the HiGHS object, the stacked matrix and whether the model
-    was passed.
+    With ``integer`` every column is binary and HiGHS runs its MIP solver;
+    otherwise it runs dual simplex on the LP. A fresh HiGHS from SciPy's
+    bundled binding gets ``[A_ub; A_eq]`` in CSC form through the array
+    overload of ``passModel``, which hands HiGHS the buffers as they are
+    (filling a ``HighsLp``, as SciPy's wrapper does, copies them element
+    by element). Output is off. An option HiGHS rejects raises
+    :class:`~cgroute.errors.ContractError`, except one in
+    :data:`_OPTIONAL_OPTIONS`, which the solve goes on without. An optimal
+    LP point must pass ``linprog``'s post-solve check (:func:`_feasible`).
+
+    SciPy 1.10 bundles no binding (``_highs is None``); there ``linprog``
+    or ``milp`` solves the same model, and its status code 0-4 is read as
+    ``optimal``, ``iteration_limit`` (a MIP's ``time_limit``),
+    ``infeasible``, ``unbounded`` and ``numerical`` (``milp``'s node limit).
     """
+    if _highs is None:
+        row_dual = None
+        if integer:
+            res = milp(
+                c,
+                integrality=np.ones(len(c)),
+                bounds=Bounds(0.0, 1.0),
+                constraints=[
+                    LinearConstraint(a_ub, -np.inf, b_ub),
+                    LinearConstraint(a_eq, b_eq, b_eq),
+                ],
+                options={
+                    "mip_rel_gap": options["mip_rel_gap"],
+                    "time_limit": options["time_limit"],
+                    "node_limit": options["mip_max_nodes"],
+                },
+            )
+        else:
+            res = _scipy_linprog(c, a_ub, b_ub, a_eq, b_eq, method="highs", options=options)
+            if res.status == 0:
+                row_dual = np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
+        limit = "time_limit" if integer else "iteration_limit"
+        return HighsResult(
+            status=("optimal", limit, "infeasible", "unbounded", "numerical")[res.status],
+            x=res.x,
+            objective=res.fun,
+            row_dual=row_dual,
+            nodes=res.get("mip_node_count"),
+            dual_bound=res.get("mip_dual_bound"),
+            message=res.message,
+        )
     h = _highs
     highs = h._Highs()
+    if not integer:
+        dual_simplex = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+        options = {"simplex_strategy": dual_simplex, **options}
     for name, value in {"output_flag": False, **options}.items():
         if name == "presolve":
             value = "on" if value else "off"
@@ -503,123 +520,52 @@ def _highs_model(c, a_ub, b_ub, a_eq, b_eq, upper, integrality, options):
         0.0,
         c,
         np.zeros(n_cols),
-        np.full(n_cols, upper),
+        np.full(n_cols, 1.0 if integer else h.kHighsInf),
         np.concatenate((np.full(len(b_ub), -h.kHighsInf), b_eq)),
         np.concatenate((b_ub, b_eq)),
         a.indptr,
         a.indices,
         a.data,
-        np.full(n_cols, integrality, dtype=np.int32),
+        np.full(n_cols, int(integer), dtype=np.int32),
     )
-    return highs, a, passed != h.HighsStatus.kError
-
-
-def _highs_linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, method, options) -> OptimizeResult:
-    """``scipy.optimize.linprog(method="highs")`` for the master, without its wrapper.
-
-    Passes HiGHS the model ``linprog`` builds (:func:`_highs_model`, with
-    columns ``[0, inf)``) with the options it sets (``options`` plus dual
-    simplex and no output), and returns its result fields ``solve`` reads:
-    ``status`` and ``message`` as ``linprog`` reports them, ``x``, ``fun``
-    and the row marginals. SciPy's own wrapper also walks every column's
-    basis status in Python to fill bound marginals, which the master never
-    reads. Only ``method="highs"`` with ``bounds=(0, None)`` is supported.
-    """
-    if method != "highs" or tuple(bounds) != (0.0, None):
-        raise ContractError("the direct HiGHS call solves method='highs' with x >= 0 only")
-    h = _highs
-    dual_simplex = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
-    highs, a, passed = _highs_model(
-        c, A_ub, b_ub, A_eq, b_eq, h.kHighsInf, 0, {"simplex_strategy": dual_simplex, **options}
-    )
-    if not passed:
-        status = h.HighsModelStatus.kModelError
-        return _linprog_status(status, highs.modelStatusToString(status))
-    if highs.run() == h.HighsStatus.kError:
-        status = highs.getModelStatus()
-        return _linprog_status(status, highs.modelStatusToString(status))
-    status, info = highs.getModelStatus(), highs.getInfo()
-    if status != h.HighsModelStatus.kOptimal:
-        primal = highs.solutionStatusToString(info.primal_solution_status)
-        return _linprog_status(
-            status, f"model_status is {highs.modelStatusToString(status)}; primal_status is {primal}"
-        )
+    ran = passed != h.HighsStatus.kError and highs.run() != h.HighsStatus.kError
+    model_status, info = highs.getModelStatus(), highs.getInfo()
+    res = HighsResult(_HIGHS_STATUS.get(model_status.name, "numerical") if ran else "numerical")
+    if res.status != "optimal":
+        res.message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
+    if integer:
+        res.nodes, res.dual_bound = info.mip_node_count, info.mip_dual_bound
+        feasible = int(h.SolutionStatus.kSolutionStatusFeasible)
+        if not ran or info.primal_solution_status != feasible:
+            return res
+    elif res.status != "optimal":
+        return res
     solution = highs.getSolution()
-    x, dual = np.array(solution.col_value), np.array(solution.row_dual)
-    return _checked(a, b_ub, b_eq, x, info.objective_function_value, dual)
+    res.x, res.objective = np.array(solution.col_value), info.objective_function_value
+    if not integer:
+        res.row_dual = np.array(solution.row_dual)
+        if not _feasible(a, b_ub, b_eq, res.x, res.objective):
+            res.status = "numerical"
+            res.message = f"optimal point outside the post-solve tolerance of {_CHECK_TOL:.2E}"
+    return res
 
 
-def _highs_milp(c, a_ub, b_ub, a_eq, b_eq, options) -> OptimizeResult:
-    """The master's 0/1 program, solved by HiGHS MIP without ``milp``'s wrapper.
+def _feasible(a, b_ub, b_eq, x, objective) -> bool:
+    """``linprog``'s post-solve check of an optimal point, at ``tol`` = :data:`_CHECK_TOL`.
 
-    Passes the model of :func:`_highs_model` with every column binary and
-    returns the result fields ``milp`` returns: ``status`` and ``message``
-    as ``milp`` maps HiGHS's model status (0 optimal, 1 time limit, 4 the
-    node limit, which HiGHS reports as "Solution limit reached"), ``x``
-    and ``fun`` where HiGHS holds an integer point and ``None`` otherwise,
-    ``mip_node_count`` and ``mip_dual_bound``.
-    """
-    h = _highs
-    highs, _, passed = _highs_model(c, a_ub, b_ub, a_eq, b_eq, 1.0, 1, options)
-    ran = passed and highs.run() != h.HighsStatus.kError
-    status = highs.getModelStatus() if passed else h.HighsModelStatus.kModelError
-    result = _linprog_status(status, highs.modelStatusToString(status))
-    info = highs.getInfo()
-    found = ran and info.primal_solution_status == int(h.SolutionStatus.kSolutionStatusFeasible)
-    result.update(
-        x=np.array(highs.getSolution().col_value) if found else None,
-        fun=info.objective_function_value if found else None,
-        mip_node_count=info.mip_node_count,
-        mip_dual_bound=info.mip_dual_bound,
-    )
-    return result
-
-
-def _linprog_status(status, text: str) -> OptimizeResult:
-    """``linprog``'s status code and message for a HiGHS model status."""
-    code, prefix = _LINPROG_STATUS.get(
-        status.name, (4, "The HiGHS status code was not recognized. ")
-    )
-    return OptimizeResult(status=code, message=f"{prefix}(HiGHS Status {int(status)}: {text})")
-
-
-def _checked(a, b_ub, b_eq, x, fun, dual) -> OptimizeResult:
-    """An optimal HiGHS point, after ``linprog``'s post-solve feasibility check.
-
-    Status 0 needs no NaN, ``x >= -tol``, capacity slack ``>= -tol`` and
-    every convexity residual within ``tol``, with ``tol`` = :data:`_CHECK_TOL`;
-    otherwise the status is 4, ``numerical``, with ``linprog``'s message.
+    No NaN, ``x >= -tol``, capacity slack ``>= -tol`` and every convexity
+    residual within ``tol``.
     """
     m = len(b_ub)
     activity = a @ x
+    if np.isnan(x).any() or np.isnan(objective) or np.isnan(activity).any():
+        return False
     slack, con = b_ub - activity[:m], b_eq - activity[m:]
     tol = _CHECK_TOL
-    feasible = not (np.isnan(x).any() or np.isnan(fun) or np.isnan(activity).any()) and (
-        (x >= -tol).all() and (slack >= -tol).all() and (np.abs(con) <= tol).all()
-    )
-    if feasible:
-        result = _linprog_status(_highs.HighsModelStatus.kOptimal, "Optimal")
-    else:
-        result = OptimizeResult(
-            status=4,
-            message="The solution does not satisfy the constraints within the required "
-            f"tolerance of {tol:.2E}, yet no errors were raised and there is no "
-            "certificate of infeasibility or unboundedness. Check whether the slack "
-            "and constraint residuals are acceptable; if not, consider enabling "
-            "presolve, adjusting the tolerance option(s), and/or using a different "
-            "method. Please consider submitting a bug report.",
-        )
-    result.update(
-        x=x,
-        fun=fun,
-        ineqlin=OptimizeResult(marginals=dual[:m]),
-        eqlin=OptimizeResult(marginals=dual[m:]),
-    )
-    return result
+    return bool((x >= -tol).all() and (slack >= -tol).all() and (np.abs(con) <= tol).all())
 
 
-# ``RestrictedMaster.solve`` calls HiGHS through this module attribute, whose
-# name stays ``linprog`` although it is the direct call wherever SciPy bundles
-# the binding: perfbench wraps ``rmp.linprog`` as its ``rmp.highs`` span, so
-# the rename waits for ROADMAP item 7.
-linprog = _scipy_linprog if _highs is None else _highs_linprog
+# ``RestrictedMaster.solve`` calls HiGHS through this module attribute, which
+# perfbench wraps as its ``rmp.highs`` span (``solve_integer`` calls
+# ``_call_highs`` by name); its rename waits for ROADMAP item 7.
+linprog = _call_highs

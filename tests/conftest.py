@@ -32,7 +32,13 @@ def two_demands():
 
 @pytest.fixture
 def highs_calls(monkeypatch):
-    """Every call ``RestrictedMaster.solve`` makes to HiGHS, as its ``(args, kwargs)``."""
+    """Every call ``RestrictedMaster.solve`` makes to HiGHS, as its ``(args, kwargs)``.
+
+    The LP goes through ``rmp.linprog``, the one HiGHS entry point
+    ``rmp._call_highs`` (which runs ``scipy.optimize.linprog`` on SciPy
+    1.10); the MIP of ``solve_integer`` calls ``_call_highs`` by name and
+    is not counted.
+    """
     calls = []
 
     def counting(*args, **kwargs):

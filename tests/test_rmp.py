@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import sparse
 
 from cgroute import rmp
 from cgroute.errors import ContractError, InputError, SolverError
+from cgroute.exact import solve_exact
 from cgroute.model import Demand, LinkMetrics, OverlayGraph, dummy_penalty, make_path
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import RestrictedMaster, dual_objective
@@ -150,7 +150,7 @@ class TestSolve:
 
 direct_call = pytest.mark.skipif(
     rmp._highs is None,
-    reason="this SciPy has no scipy.optimize._highspy._core; rmp.linprog is scipy.optimize.linprog",
+    reason="this SciPy has no scipy.optimize._highspy._core; HiGHS runs through linprog and milp",
 )
 
 
@@ -170,7 +170,7 @@ class TestHighsCall:
         if importlib.util.find_spec("scipy.optimize._highspy") is None:
             pytest.skip("this SciPy has no scipy.optimize._highspy; linprog is the path")
         assert rmp._highs is not None
-        assert rmp.linprog is rmp._highs_linprog
+        assert rmp.linprog is rmp._call_highs
 
     @direct_call
     @pytest.mark.parametrize("seed", [*range(10), "scaled"])
@@ -182,16 +182,17 @@ class TestHighsCall:
         exponent = rmp._cost_exponent(master.dummy_penalty)
         assert exponent == (-3 if seed == "scaled" else 0)
         np.testing.assert_array_equal(args[0], np.ldexp(master._assemble()[0], exponent))
-        got, want = rmp._highs_linprog(*args, **kwargs), highs_result(master, exponent)
-        assert got.status == 0 and got.fun == want.fun
+        got, want = rmp._call_highs(*args, **kwargs), highs_result(master, exponent)
+        assert got.status == "optimal" and got.objective == want.fun
         np.testing.assert_array_equal(got.x, want.x)
-        np.testing.assert_array_equal(got.ineqlin.marginals, want.ineqlin.marginals)
-        np.testing.assert_array_equal(got.eqlin.marginals, want.eqlin.marginals)
+        m = len(master._b_ub)
+        np.testing.assert_array_equal(got.row_dual[:m], want.ineqlin.marginals)
+        np.testing.assert_array_equal(got.row_dual[m:], want.eqlin.marginals)
 
     @pytest.mark.parametrize("seed", [*range(10), "scaled"])
     def test_linprog_fallback_returns_the_same_solution(self, seed, monkeypatch):
         got = full_master(seed).solve()
-        monkeypatch.setattr(rmp, "linprog", scipy.optimize.linprog)
+        monkeypatch.setattr(rmp, "_highs", None)
         want = full_master(seed).solve()
         assert got.values == want.values and got.objective == want.objective
         for name in ("edge_duals", "node_duals", "convexity_duals"):
@@ -205,7 +206,7 @@ class TestHighsCall:
         args, kwargs = direct_call_args(full_master(9), highs_calls)
         kwargs["options"] = {**kwargs["options"], **option}
         with pytest.raises(ContractError, match="HiGHS rejected option"):
-            rmp._highs_linprog(*args, **kwargs)
+            rmp._call_highs(*args, **kwargs)
 
     @direct_call
     @pytest.mark.parametrize("over_tol", [False, True])
@@ -213,9 +214,9 @@ class TestHighsCall:
         # Shift one column on the tightest capacity row so that the row's
         # load grows by 2 * tol or by tol / 2; the column's convexity row
         # moves by less than tol either way.
-        checked, tol = rmp._checked, rmp._CHECK_TOL
+        feasible, tol = rmp._feasible, rmp._CHECK_TOL
 
-        def shifted(a, b_ub, b_eq, x, fun, dual):
+        def shifted(a, b_ub, b_eq, x, objective):
             slack = b_ub - (a @ x)[: len(b_ub)]
             row = int(np.argmin(slack))
             assert slack[row] < 1e-9  # the master is congested: a row binds
@@ -224,9 +225,9 @@ class TestHighsCall:
             assert rate > 4.0
             x = x.copy()
             x[j] += (2.0 if over_tol else 0.5) * tol / rate
-            return checked(a, b_ub, b_eq, x, fun, dual)
+            return feasible(a, b_ub, b_eq, x, objective)
 
-        monkeypatch.setattr(rmp, "_checked", shifted)
+        monkeypatch.setattr(rmp, "_feasible", shifted)
         master = full_master(9)
         if over_tol:
             with pytest.raises(SolverError, match="returned 'numerical'.*tolerance of 3.16E-04"):
@@ -281,17 +282,17 @@ class TestCostScaling:
             seen.append(c)
             return call(c, *args, **kwargs)
 
-        # The direct MIP call, or milp where SciPy bundles no binding.
-        name = "milp" if rmp._highs is None else "_highs_milp"
-        call = getattr(rmp, name)
-        monkeypatch.setattr(rmp, name, recording)
+        call = rmp._call_highs
+        monkeypatch.setattr(rmp, "_call_highs", recording)
         # One node proves nothing here, but leaves an incumbent and a bound.
         res = master.solve_integer(time_limit_s=30.0, node_limit=1)
         cost = master._assemble()[0]
         (c,) = seen
         np.testing.assert_array_equal(c, np.ldexp(cost, -3))
-        assert res.fun == pytest.approx(float(cost @ res.x), rel=1e-12)
-        assert master.solve().objective * (1 - 1e-9) <= res.mip_dual_bound <= res.fun
+        # milp, the fallback, reports the node limit as its catch-all code 4.
+        assert res.status == ("numerical" if rmp._highs is None else "node_limit")
+        assert res.objective == pytest.approx(float(cost @ res.x), rel=1e-12)
+        assert master.solve().objective * (1 - 1e-9) <= res.dual_bound <= res.objective
 
 
 def integer_master(seed):
@@ -314,11 +315,13 @@ def solve_integer(master):
 class FakeBinding:
     """SciPy's HiGHS binding, with a HiGHS that rejects the ``rejected`` options.
 
+    With ``failing_run`` its ``run`` returns ``kError`` without solving.
     Every HiGHS object it makes is kept in ``made``.
     """
 
-    def __init__(self, rejected=()):
+    def __init__(self, rejected=(), failing_run=False):
         self.real, self.rejected, self.made = rmp._highs, set(rejected), []
+        self.failing_run = failing_run
 
     def __getattr__(self, name):
         return getattr(self.real, name)
@@ -341,6 +344,11 @@ class FakeHighs:
             return self.binding.real.HighsStatus.kError
         return self.highs.setOptionValue(name, value)
 
+    def run(self):
+        if self.binding.failing_run:
+            return self.binding.real.HighsStatus.kError
+        return self.highs.run()
+
 
 @direct_call
 class TestIntegerCall:
@@ -352,16 +360,16 @@ class TestIntegerCall:
         exponent = rmp._cost_exponent(master.dummy_penalty)
         assert exponent == (-3 if seed == "scaled" else 0)
         res = solve_integer(master)
-        assert res.status == 0 and res.mip_node_count >= 0
-        assert res.fun == math.ldexp(milp_result(master, exponent).fun, -exponent)
+        assert res.status == "optimal" and res.nodes >= 0
+        assert res.objective == math.ldexp(milp_result(master, exponent).fun, -exponent)
 
     @pytest.mark.parametrize("seed", [2, 9, "scaled"])
     def test_milp_fallback_returns_the_same_objective(self, seed, monkeypatch):
         got = solve_integer(integer_master(seed))
         monkeypatch.setattr(rmp, "_highs", None)
         want = solve_integer(integer_master(seed))
-        assert got.status == want.status == 0
-        assert got.fun == want.fun
+        assert got.status == want.status == "optimal"
+        assert got.objective == want.objective
 
     def test_mip_bypasses_the_lp_hook(self, highs_calls):
         # perfbench times ``rmp.linprog`` as a child of the LP solve.
@@ -380,12 +388,35 @@ class TestIntegerCall:
         master = full_master(2)
         monkeypatch.setattr(rmp, "_highs", FakeBinding({"mip_heuristic_run_feasibility_jump"}))
         res = solve_integer(master)
-        assert res.status == 0 and res.fun == milp_result(master).fun
+        assert res.status == "optimal" and res.objective == milp_result(master).fun
 
     def test_other_rejected_option_raises(self, monkeypatch):
         monkeypatch.setattr(rmp, "_highs", FakeBinding({"mip_max_nodes"}))
         with pytest.raises(ContractError, match="HiGHS rejected option mip_max_nodes=1000000"):
             solve_integer(full_master(2))
+
+
+@direct_call
+class TestHighsError:
+    """A HiGHS whose ``run`` fails reads as ``numerical``, with no point."""
+
+    @pytest.fixture
+    def failing_run(self, monkeypatch):
+        monkeypatch.setattr(rmp, "_highs", FakeBinding(failing_run=True))
+
+    def test_lp_raises_numerical(self, failing_run):
+        with pytest.raises(SolverError, match="returned 'numerical'"):
+            full_master(9).solve()
+
+    def test_mip_has_no_point(self, failing_run):
+        res = solve_integer(full_master(2))
+        assert res.status == "numerical" and res.x is None and res.objective is None
+
+    def test_exact_falls_back_to_all_rejected(self, failing_run):
+        graph, demands = gap_suite_instance(2)
+        result = solve_exact(graph, demands)
+        assert not result.optimal and result.n_accepted == 0
+        assert result.objective == dummy_penalty(graph, demands) * len(demands)
 
 
 def telco_after_first_pricing():
