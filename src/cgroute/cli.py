@@ -14,7 +14,7 @@ import click
 
 from .errors import InputError, SolverError
 from .exact import ExactLimits
-from .harness import MODES, emit_reports, run_timeseries, solve_epoch
+from .harness import MODES, emit_reports, format_reports, run_timeseries, solve_epoch
 from .scenario import (
     SyntheticParams,
     TelcoProfile,
@@ -68,14 +68,7 @@ def _expand_modes(mode: str) -> list[str]:
 
 def _write(reports, fmt, out, include_timing):
     if out is None:
-        from .harness import reports_to_csv, reports_to_json
-
-        text = (
-            reports_to_csv(reports, include_timing)
-            if fmt == "csv"
-            else reports_to_json(reports, include_timing)
-        )
-        click.echo(text, nl=False)
+        click.echo(format_reports(reports, fmt, include_timing), nl=False)
     else:
         emit_reports(reports, fmt, out, include_timing)
         click.echo(f"wrote {out}", err=True)

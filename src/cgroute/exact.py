@@ -8,10 +8,12 @@ relaxation, so the heuristic and the benchmark share one model and one
 HiGHS entry point, with the feasibility-jump heuristic off; SciPy 1.10,
 which bundles no HiGHS binding, runs ``scipy.optimize.milp`` instead
 (:meth:`~cgroute.rmp.RestrictedMaster.solve_integer`). Each demand's
-choice is read from the MIP's point as arrays; only the chosen routes
-become paths, in one batch, and the objective sums their delays in demand
-order. Intended for small instances; the point is measuring the
-heuristic's optimality gap.
+choice is its column closest to 1 in the MIP's point
+(:meth:`~cgroute.rmp.RestrictedMaster.top_columns`), and the master reads
+the routing out as it does for rounding
+(:meth:`~cgroute.rmp.RestrictedMaster.routing`), so a routing both sides
+choose has one objective. Intended for small instances; the point is
+measuring the heuristic's optimality gap.
 """
 
 from __future__ import annotations
@@ -93,28 +95,12 @@ def solve_exact(
     if res.x is None:
         # A budget cut before HiGHS found any integer point: fall back to
         # all-rejected, which is always feasible.
-        outcomes = {d.id: None for d in master.demands}
-        objective = master.dummy_penalty * len(master.demands)
-    else:
-        # Each demand's column closest to 1 is the one HiGHS picked. On a
-        # tie the first in pool order wins: the demand's rejection column,
-        # then its candidates in join order.
-        n_dummy, joined = len(master.demands), master.joined
-        owner = np.concatenate((np.arange(n_dummy), table.demand[joined]))
-        order = np.lexsort((-res.x, owner))
-        chosen = order[np.searchsorted(owner[order], np.arange(n_dummy))] - n_dummy
-        routed = chosen >= 0
-        paths = iter(table.paths(joined[chosen[routed]]))
-        outcomes, objective = {}, 0.0
-        for d, is_routed in zip(master.demands, routed.tolist()):
-            if is_routed:
-                outcomes[d.id] = next(paths)
-                objective += outcomes[d.id].total_delay_ms
-            else:
-                outcomes[d.id] = None
-                objective += master.dummy_penalty
+        chosen = np.arange(len(master.demands))
+    else:  # each demand's column closest to 1 is the one HiGHS picked
+        chosen = master.top_columns(res.x)
+    outcomes, objective = master.routing(chosen)
     return ExactSolution(
-        outcomes=MappingProxyType(outcomes),
+        outcomes=outcomes,
         objective=objective,
         optimal=res.status == "optimal",
         nodes_explored=res.nodes or 0,

@@ -320,26 +320,36 @@ def reports_to_json(reports: Sequence[EpochReport], include_timing: bool = True)
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def format_reports(
+    reports: Sequence[EpochReport], fmt: str, include_timing: bool = True
+) -> str:
+    """The reports as CSV (``fmt="csv"``) or JSON (``"json"``).
+
+    Any other ``fmt`` raises :class:`~cgroute.errors.InputError`.
+    """
+    if fmt == "csv":
+        return reports_to_csv(reports, include_timing)
+    if fmt == "json":
+        return reports_to_json(reports, include_timing)
+    raise InputError(f"unknown report format {fmt!r}")
+
+
 def emit_reports(
     reports: Sequence[EpochReport],
     fmt: str,
     destination: FsPath,
     include_timing: bool = True,
 ):
-    """Write reports to ``destination`` as CSV (``fmt="csv"``) or JSON (``"json"``).
+    """Write reports to ``destination`` in :func:`format_reports`' format.
 
     No reports, any other ``fmt`` or a failed write raises
     :class:`~cgroute.errors.InputError`.
     """
     if not reports:
         raise InputError("no reports to emit")
+    text = format_reports(reports, fmt, include_timing)
     dest = FsPath(destination)
     try:
-        if fmt == "csv":
-            dest.write_text(reports_to_csv(reports, include_timing))
-        elif fmt == "json":
-            dest.write_text(reports_to_json(reports, include_timing))
-        else:
-            raise InputError(f"unknown report format {fmt!r}")
+        dest.write_text(text)
     except OSError as exc:
         raise InputError(f"cannot write {dest}: {exc}") from None

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ContractError
-from .model import Demand, OverlayGraph, Path, check_endpoints, make_path
+from .model import Demand, OverlayGraph, Path, check_endpoints
 from .rmp import DualPoint
 
 #: Absolute reduced-cost tolerance: a column must beat its convexity price
@@ -166,13 +166,11 @@ class CandidateTable:
         )
 
     def path(self, i: int) -> Path:
-        """Candidate ``i`` as a :class:`~cgroute.model.Path`, made by ``make_path``."""
-        relay = int(self.rows[i, 3]) - self.n_edges
-        demand = self.demands[self.demand[i]]
-        return make_path(self.graph, demand, relay if relay < self.n_nodes else None)
+        """Candidate ``i`` as a :class:`~cgroute.model.Path`, made by :meth:`paths`."""
+        return self.paths(np.array([i]))[0]
 
     def paths(self, index: np.ndarray) -> list[Path]:
-        """Candidates ``index`` as paths equal to :meth:`path`'s, made in one pass.
+        """Candidates ``index`` as paths equal to ``make_path``'s, made in one pass.
 
         Jitter and success are summed and multiplied in edge order from
         0.0 and 1.0, as ``make_path`` does; the delay is the table's, which

@@ -20,6 +20,11 @@ program. Both go through one entry point, :func:`_call_highs`: a direct
 call to SciPy's bundled HiGHS binding, or ``scipy.optimize.linprog`` and
 ``milp`` on SciPy 1.10, which bundles none.
 
+The master is also the one read-out of a routing: rounding and the exact
+benchmark each pick one pool column per demand, and
+:meth:`RestrictedMaster.routing` makes the paths and sums the objective in
+ascending demand id, so one routing has one objective whoever chose it.
+
 The rejection penalty grows with the demand count (about 2e8 at 20k
 demands) while path delays stay near 1-500 ms, and HiGHS dual simplex
 fails on costs that far apart. Both solves therefore hand HiGHS the cost
@@ -34,7 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -194,7 +200,7 @@ class RestrictedMaster:
     table's arrays for the pool. ``_b_ub`` holds the capacity of every
     row of the table's row map except the pad. A column's
     :class:`~cgroute.model.Path` is made only when it is read, through
-    :meth:`column` or :attr:`columns`.
+    :meth:`column`, :attr:`columns` or :meth:`routing`.
     """
 
     def __init__(self, graph: OverlayGraph, table: CandidateTable):
@@ -216,8 +222,8 @@ class RestrictedMaster:
         self._joined.flags.writeable = False
         self._member = np.zeros(len(table), dtype=bool)
         self._columns: tuple[Column, ...] = ()
-        # The joined pool columns grouped by demand, made on first use.
-        self._groups: Optional[tuple[list[int], list[int]]] = None
+        # ``owner`` and the pool grouped by it, made on first use per pool.
+        self._groups: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- pool ---------------------------------------------------------------
 
@@ -245,17 +251,61 @@ class RestrictedMaster:
             return Column(make_dummy_path(self.demands[j], self.dummy_penalty))
         return Column(self.table.path(self._joined[j - n_dummy]))
 
-    def columns_of(self, demand_id: int) -> list[int]:
-        """The demand's rejection column, then its candidates in join order."""
+    @property
+    def owner(self) -> np.ndarray:
+        """Each pool column's convexity row, its demand's index in ``demands`` (read-only)."""
+        return self._grouped()[0]
+
+    def _grouped(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``owner``; ``order``, the pool sorted stably by it; and ``bounds``:
+        ``demands[r]`` owns ``order[bounds[r]:bounds[r + 1]]``, its rejection
+        column, then its candidates in join order. Made once per pool.
+        """
         if self._groups is None:
             n_dummy = len(self.demands)
-            owner = self.table.demand[self.joined]
+            owner = np.concatenate((np.arange(n_dummy), self.table.demand[self._joined]))
+            owner.flags.writeable = False
             order = np.argsort(owner, kind="stable")
-            bounds = np.searchsorted(owner[order], np.arange(n_dummy + 1))
-            self._groups = ((order + n_dummy).tolist(), bounds.tolist())
-        joined, bounds = self._groups
+            self._groups = (owner, order, np.searchsorted(owner[order], np.arange(n_dummy + 1)))
+        return self._groups
+
+    def columns_of(self, demand_id: int) -> list[int]:
+        """The demand's rejection column, then its candidates in join order."""
+        _, order, bounds = self._grouped()
         r = self._row[demand_id]
-        return [r] + joined[bounds[r] : bounds[r + 1]]
+        return order[bounds[r] : bounds[r + 1]].tolist()
+
+    def top_columns(self, x: np.ndarray) -> np.ndarray:
+        """Each demand's pool column with the largest ``x``, in convexity-row order.
+
+        On a tie the first in pool order wins: the rejection column, then
+        the candidates in join order.
+        """
+        _, order, bounds = self._grouped()
+        grouped, starts = x[order], bounds[:-1]
+        top = np.repeat(np.maximum.reduceat(grouped, starts), np.diff(bounds))
+        at_top = np.where(grouped == top, np.arange(len(order)), len(order))
+        return order[np.minimum.reduceat(at_top, starts)]
+
+    def routing(self, chosen: np.ndarray) -> tuple[Mapping[int, Optional[Path]], float]:
+        """The routing that takes pool column ``chosen[r]`` for ``demands[r]``.
+
+        A rejection column rejects its demand. Returns each demand's path,
+        or ``None``, by ascending id, the paths made in one batch; and the
+        objective, path delays and rejection penalties summed in that order.
+        """
+        n_dummy = len(self.demands)
+        routed = chosen >= n_dummy
+        picked = self._joined[chosen[routed] - n_dummy]
+        paths = iter(self.table.paths(picked))
+        outcomes = {d.id: next(paths) if r else None for d, r in zip(self.demands, routed.tolist())}
+        cost = np.full(n_dummy, self.dummy_penalty)
+        cost[routed] = self.table.delay[picked]
+        # A plain loop: from Python 3.12, ``sum`` compensates float rounding.
+        objective = 0.0
+        for c in cost.tolist():
+            objective += c
+        return MappingProxyType(outcomes), objective
 
     def add(self, candidates: Iterable[int]) -> int:
         """Let table candidates join the pool; return how many were new.
@@ -299,7 +349,7 @@ class RestrictedMaster:
             (coeffs, rows[keep].astype(np.int32), indptr.astype(np.int32)),
             shape=(n_rows, self.pool_size),
         )
-        eq_rows = np.concatenate((np.arange(n_dummy), t.demand[m])).astype(np.int32)
+        eq_rows = self.owner.astype(np.int32)
         a_eq = sparse.csc_matrix(
             (np.ones(self.pool_size), eq_rows, np.arange(self.pool_size + 1, dtype=np.int32)),
             shape=(n_dummy, self.pool_size),
@@ -362,7 +412,7 @@ class RestrictedMaster:
         """The closed-form optimum of :meth:`solve`, or ``None`` if it does not apply."""
         t, n_dummy = self.table, len(self.demands)
         m = self.joined
-        owner = t.demand[m]
+        owner = self.owner[n_dummy:]
         joined = np.bincount(owner, minlength=n_dummy)
         if (joined > 1).any():
             return None

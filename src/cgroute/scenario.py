@@ -146,6 +146,23 @@ def _metrics_from(parts: list[str], lineno: int) -> LinkMetrics:
         raise FormatError(str(exc), lineno) from None
 
 
+def _edge_from(
+    parts: list[str], n_nodes: int, seen: Mapping[Edge, LinkMetrics], lineno: int
+) -> Edge:
+    """The edge a graph or trace row names: two distinct nodes below
+    ``n_nodes``, not already in ``seen`` (the file's or the epoch's edges).
+    """
+    i = _parse_int(parts[0], "src", lineno)
+    j = _parse_int(parts[1], "dst", lineno)
+    if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+        raise FormatError(f"edge ({i},{j}) references unknown node", lineno)
+    if i == j:
+        raise FormatError(f"self-loop ({i},{j}) not allowed", lineno)
+    if (i, j) in seen:
+        raise FormatError(f"duplicate edge ({i},{j})", lineno)
+    return i, j
+
+
 # -- node limits ---------------------------------------------------------------
 
 
@@ -156,7 +173,10 @@ def load_node_limits(path: FsPath) -> tuple[float, ...]:
         node = _parse_int(parts[0], "node id", lineno)
         if node in limits:
             raise FormatError(f"duplicate node {node}", lineno)
-        limits[node] = _parse_float(parts[1], "processing limit", lineno)
+        limit = _parse_float(parts[1], "processing limit", lineno)
+        if not (math.isfinite(limit) and limit >= 0.0):
+            raise FormatError(f"node {node}: processing limit must be finite and >= 0", lineno)
+        limits[node] = limit
     if not limits:
         raise FormatError(f"{path}: no node limits found")
     if sorted(limits) != list(range(len(limits))):
@@ -177,15 +197,9 @@ def load_graph(graph_path: FsPath, limits_path: FsPath) -> OverlayGraph:
     edges: dict[Edge, LinkMetrics] = {}
     for lineno, line in _data_lines(graph_path):
         parts = _parse_fields(line, 6, lineno)
-        i = _parse_int(parts[0], "src", lineno)
-        j = _parse_int(parts[1], "dst", lineno)
-        if (i, j) in edges:
-            raise FormatError(f"duplicate edge ({i},{j})", lineno)
-        edges[(i, j)] = _metrics_from(parts[2:], lineno)
-    try:
-        return OverlayGraph.from_edges(len(limits), edges, limits)
-    except InputError as exc:
-        raise FormatError(f"{graph_path}: {exc}") from None
+        edge = _edge_from(parts, len(limits), edges, lineno)
+        edges[edge] = _metrics_from(parts[2:], lineno)
+    return OverlayGraph.from_edges(len(limits), edges, limits)
 
 
 def save_graph(graph: OverlayGraph, path: FsPath):
@@ -273,15 +287,8 @@ def load_trace(trace_path: FsPath, limits_path: FsPath) -> Trace:
                 raise FormatError("epoch timestamps must be nondecreasing", lineno)
             flush(lineno)
             current_ts = ts
-        i = _parse_int(parts[1], "src", lineno)
-        j = _parse_int(parts[2], "dst", lineno)
-        if not (0 <= i < len(limits) and 0 <= j < len(limits)):
-            raise FormatError(f"edge ({i},{j}) references unknown node", lineno)
-        if i == j:
-            raise FormatError(f"self-loop ({i},{j}) not allowed", lineno)
-        if (i, j) in current:
-            raise FormatError(f"duplicate edge ({i},{j}) within epoch", lineno)
-        current[(i, j)] = _metrics_from(parts[3:], lineno)
+        edge = _edge_from(parts[1:], len(limits), current, lineno)
+        current[edge] = _metrics_from(parts[3:], lineno)
     flush(lines[-1][0] if lines else 0)
     if not epochs:
         raise FormatError(f"{trace_path}: trace contains no epochs")

@@ -8,8 +8,9 @@ iteration cap is hit. When the whole table fits in a master of at most
 every candidate joins at the first HiGHS solve, so the pass after it
 certifies at once; larger masters grow incrementally. Randomized
 rounding then converts the fractional path mix into one committed path
-per demand, or a rejection. Candidates stay table rows throughout; only
-committed routes become :class:`~cgroute.model.Path` objects.
+per demand, or a rejection. Candidates stay table rows throughout; the
+master's read-out, as for the exact benchmark, makes the committed routes'
+:class:`~cgroute.model.Path` objects and sums the objective.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ class RoutingSolution:
     @property
     def n_accepted(self) -> int:
         return sum(1 for p in self.outcomes.values() if p is not None)
-
-    def acceptance_pct(self) -> float:
-        if not self.outcomes:
-            return 100.0
-        return 100.0 * self.n_accepted / len(self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -164,113 +160,73 @@ def randomized_round(
     demand fractional until the next pass. Sweeping stops when a full pass
     changes nothing, and whatever is still fractional is rejected.
 
-    The weights are read as arrays: each demand's top weight, and the
-    first pool column holding it, come from one pass over the LP support,
-    and only the demands still fractional after the integral-first commits
-    get a list of columns to draw from, in ascending pool index order.
+    ``demands`` are the master's. Each one's top weight comes from
+    :meth:`~cgroute.rmp.RestrictedMaster.top_columns`, and the chosen pool
+    columns are read out by :meth:`~cgroute.rmp.RestrictedMaster.routing`;
+    only the demands still fractional after the integral-first commits get
+    a list of columns to draw from, in ascending pool index order.
     """
-    demands = sorted(demands, key=lambda d: d.id)
     if max_passes is None:
         max_passes = max(1, len(demands))
     table, joined, n_dummy = master.table, master.joined, len(master.demands)
-    # The LP support (weights above 1e-12), grouped by the convexity row of
-    # the owning demand and ascending by pool index within each group.
     values = np.asarray(solution.values)
-    owner = np.concatenate((np.arange(n_dummy), table.demand[joined]))
-    support = np.flatnonzero(values > 1e-12)
-    support = support[np.argsort(owner[support], kind="stable")]
-    row = owner[support]
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
-    # Each group's top weight, the first column in pool order on ties.
-    best = support[np.lexsort((support, -values[support], row))[starts]]
-    grouped = row[starts]
-    top = np.full(n_dummy, -1)
-    top[grouped] = best
-    top_weight = np.zeros(n_dummy)
-    top_weight[grouped] = values[best]
-    bounds = np.zeros((n_dummy, 2), dtype=np.intp)
-    bounds[grouped] = np.stack((starts, np.append(starts[1:], len(support))), axis=1)
-    at = np.array([master._row[d.id] for d in demands], dtype=np.intp)
-    top, integral, bounds = top[at], top_weight[at] >= 1.0 - _INTEGRAL_TOL, bounds[at]
+    top = master.top_columns(values)
+    top_weight = values[top]
+    # Each demand's pool column by convexity row: its rejection until a commit.
+    chosen = np.arange(n_dummy)
 
     # Remaining capacity of every master row, plus the pad row of direct
     # paths, which never binds.
     residual = master._b_ub.tolist() + [math.inf]
-    # Each decided demand's committed pool column, or None for a rejection;
-    # the committed columns become paths in one batch at the end.
-    outcomes: dict[int, Optional[int]] = {}
 
-    def commit(demand: Demand, column_id: int, rows: list[int]) -> bool:
-        rate = demand.rate_mbps
-        for r in rows:
-            if rate > residual[r] + _CAPACITY_SLACK:
+    def commit(r: int, column_id: int, rows: list[int]) -> bool:
+        rate = master.demands[r].rate_mbps
+        for row in rows:
+            if rate > residual[row] + _CAPACITY_SLACK:
                 return False
-        for r in rows:
-            residual[r] -= rate
-        outcomes[demand.id] = column_id
+        for row in rows:
+            residual[row] -= rate
+        chosen[r] = column_id
         return True
 
     # Integral-first: the LP guarantees these fit together, up to float noise.
-    pending = np.flatnonzero(~integral & (top >= 0)).tolist()
-    first = np.flatnonzero(integral | (top < 0))
-    first_top = top[first]
-    tested = first_top[first_top >= n_dummy]
-    tested_rows = iter(table.rows[joined[tested - n_dummy]].tolist())
-    for i, j in zip(first.tolist(), first_top.tolist()):
-        if j < n_dummy:
-            outcomes[demands[i].id] = None
-        elif not commit(demands[i], j, next(tested_rows)):
-            pending.append(i)
+    # A demand whose top weight is its rejection's, or at most 1e-12, stays rejected.
+    integral = top_weight >= 1.0 - _INTEGRAL_TOL
+    pending = np.flatnonzero(~integral & (top_weight > 1e-12)).tolist()
+    tested = np.flatnonzero(integral & (top >= n_dummy))
+    tested_rows = table.rows[joined[top[tested] - n_dummy]].tolist()
+    for r, rows in zip(tested.tolist(), tested_rows):
+        if not commit(r, top[r], rows):
+            pending.append(r)
 
     # The fractional demands in ascending id order, each with its columns
     # and their normalized weights.
-    weights: dict[int, tuple[Demand, list[int], np.ndarray]] = {}
-    for i in sorted(pending):
-        lo, hi = bounds[i].tolist()
-        probs = np.array(values[support[lo:hi]].tolist())
-        weights[demands[i].id] = (demands[i], support[lo:hi].tolist(), probs / probs.sum())
+    weights: dict[int, tuple[list[int], np.ndarray]] = {}
+    for r in sorted(pending):
+        cols = np.array(master.columns_of(master.demands[r].id))
+        cols = cols[values[cols] > 1e-12]
+        probs = values[cols]
+        weights[r] = (cols.tolist(), probs / probs.sum())
 
     passes = 0
     changed = True
     while weights and changed and passes < max_passes:
         passes += 1
         changed = False
-        for did, (d, cols, probs) in list(weights.items()):
+        for r, (cols, probs) in list(weights.items()):
             pick = cols[int(rng.choice(len(cols), p=probs))]
-            if pick < n_dummy:
-                outcomes[did] = None  # a rejection draw is terminal
-            elif not commit(d, pick, table.rows[joined[pick - n_dummy]].tolist()):
-                continue  # restore, demand may be redrawn next pass
-            del weights[did]
-            changed = True
+            # A rejection draw is terminal; a route that does not fit is redrawn next pass.
+            if pick < n_dummy or commit(r, pick, table.rows[joined[pick - n_dummy]].tolist()):
+                del weights[r]
+                changed = True
 
-    for did in weights:
-        outcomes[did] = None
-
-    committed = [did for did, j in outcomes.items() if j is not None]
-    columns = np.array([outcomes[did] for did in committed], dtype=np.intp)
-    outcomes.update(zip(committed, table.paths(joined[columns - n_dummy])))
-
-    penalty = master.dummy_penalty
-    objective = sum(
-        p.total_delay_ms if p is not None else penalty for p in outcomes.values()
-    )
+    outcomes, objective = master.routing(chosen)
     return RoutingSolution(
-        outcomes=MappingProxyType(dict(sorted(outcomes.items()))),
+        outcomes=outcomes,
         objective=objective,
         iterations=0,
         duration_s=0.0,
         certified=False,
-    )
-
-
-def _empty_solution(duration: float) -> RoutingSolution:
-    return RoutingSolution(
-        outcomes=MappingProxyType({}),
-        objective=0.0,
-        iterations=0,
-        duration_s=duration,
-        certified=True,
     )
 
 
@@ -287,7 +243,13 @@ def solve(
     """
     started = time.perf_counter()
     if not demands:
-        return _empty_solution(time.perf_counter() - started)
+        return RoutingSolution(
+            outcomes=MappingProxyType({}),
+            objective=0.0,
+            iterations=0,
+            duration_s=time.perf_counter() - started,
+            certified=True,
+        )
     augment_clique(graph, demands)
     cg = column_generation(graph, demands, config, candidate_fn)
     rng = np.random.default_rng(config.seed)

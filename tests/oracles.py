@@ -224,6 +224,17 @@ def min_reduced_cost(master, duals) -> float:
     return best
 
 
+def routing_objective(outcomes: dict[int, Optional[Path]], penalty: float) -> float:
+    """A routing's objective by the one convention: each demand's path delay,
+    or ``penalty`` for a rejection, added one at a time in ascending demand id.
+    """
+    objective = 0.0
+    for did in sorted(outcomes):
+        path = outcomes[did]
+        objective += penalty if path is None else path.total_delay_ms
+    return objective
+
+
 def reference_round(
     solution: RmpSolution,
     master: RestrictedMaster,
@@ -234,9 +245,9 @@ def reference_round(
 ) -> RoutingSolution:
     """Fix one path per demand by sampling the fractional LP mix.
 
-    The dict-based rounding ``solver.randomized_round`` replaced, kept
-    verbatim as its reference: same commits, draws and objective for the
-    same generator state.
+    The dict-based rounding ``solver.randomized_round`` replaced, kept as
+    its reference: same commits, draws and objective for the same
+    generator state. The objective is :func:`routing_objective`'s.
 
     Demands the LP already resolved onto a single real path are committed
     first, so later draws cannot steal their capacity. Remaining demands
@@ -316,13 +327,9 @@ def reference_round(
     for did in sorted(weights):
         outcomes[did] = None
 
-    penalty = master.dummy_penalty
-    objective = sum(
-        p.total_delay_ms if p is not None else penalty for p in outcomes.values()
-    )
     return RoutingSolution(
         outcomes=MappingProxyType(dict(sorted(outcomes.items()))),
-        objective=objective,
+        objective=routing_objective(outcomes, master.dummy_penalty),
         iterations=0,
         duration_s=0.0,
         certified=False,

@@ -16,7 +16,7 @@ from cgroute.rmp import RestrictedMaster
 from cgroute.solver import SolverConfig, column_generation, solve
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph, tiny_instance
-from oracles import check_routing_feasible, exhaustive_best_assignment
+from oracles import check_routing_feasible, exhaustive_best_assignment, routing_objective
 
 
 class TestSmallCases:
@@ -143,8 +143,9 @@ class TestLimits:
         result = solve_exact(graph, demands, ExactLimits(time_limit_s=1e-9))
         assert not result.optimal
         assert result.n_accepted == 0
-        penalty = dummy_penalty(graph, demands)
-        assert result.objective == penalty * len(demands)
+        # The penalty added once per demand in ascending id, not penalty * 23.
+        rejected = dict.fromkeys(d.id for d in demands)
+        assert result.objective == routing_objective(rejected, dummy_penalty(graph, demands))
         assert not check_routing_feasible(graph, demands, result.outcomes)
 
     def test_limit_validation(self):

@@ -4,9 +4,10 @@ import math
 import pytest
 
 from cgroute.errors import InputError
-from cgroute.exact import ExactLimits
+from cgroute.exact import ExactLimits, solve_exact
 from cgroute.harness import (
     CSV_HEADER,
+    MODES,
     EpochReport,
     direct_mode_candidates,
     emit_reports,
@@ -173,6 +174,30 @@ class TestRunTimeseries:
         report = solve_epoch(graph, demands, "overlay", SolverConfig())
         assert report.master.graph is graph
         assert report.master.pool_size > len(demands)
+
+    def test_gap_is_never_negative_and_zero_on_the_same_routes(self, monkeypatch):
+        # One routing has one objective: a heuristic that picks the MIP's
+        # routes scores the MIP's objective to the bit, and no heuristic
+        # scores below a proven optimum.
+        import cgroute.harness as harness
+
+        benchmarks = []
+
+        def recording(*args):
+            benchmarks.append(solve_exact(*args))
+            return benchmarks[-1]
+
+        monkeypatch.setattr(harness, "solve_exact", recording)
+        for seed in range(50):
+            graph, demands = gap_suite_instance(seed)
+            for mode in MODES:
+                report = solve_epoch(graph, demands, mode, SolverConfig(), oracle=True)
+                best = benchmarks[-1]
+                assert best.optimal and report.gap_pct >= 0.0, (seed, mode, report.gap_pct)
+                routes = {o["demand"]: tuple(o.get("path", ())) for o in report.outcomes}
+                if routes == {did: p.nodes if p else () for did, p in best.outcomes.items()}:
+                    assert report.gap_pct == 0.0, (seed, mode)
+                    assert report.objective == best.objective, (seed, mode)
 
     def test_unknown_mode_rejected(self):
         trace, demands = small_trace()

@@ -16,7 +16,7 @@ from cgroute.rmp import RestrictedMaster, dual_objective
 from cgroute.scenario import generate_telco_trace, telco_demands
 
 from instances import candidates_of, gap_suite_instance, scaled_cost_instance
-from oracles import highs_optimum, highs_result, milp_result, min_reduced_cost
+from oracles import highs_optimum, highs_result, milp_result, min_reduced_cost, routing_objective
 
 
 def master_for(graph, demands, candidates=None):
@@ -416,7 +416,8 @@ class TestHighsError:
         graph, demands = gap_suite_instance(2)
         result = solve_exact(graph, demands)
         assert not result.optimal and result.n_accepted == 0
-        assert result.objective == dummy_penalty(graph, demands) * len(demands)
+        rejected = dict.fromkeys(d.id for d in demands)
+        assert result.objective == routing_objective(rejected, dummy_penalty(graph, demands))
 
 
 def telco_after_first_pricing():

@@ -10,6 +10,7 @@ from cgroute.model import LinkMetrics, OverlayGraph
 from cgroute.scenario import (
     SyntheticParams,
     TelcoProfile,
+    TRACE_HEADER,
     Trace,
     TraceEpoch,
     generate_demands,
@@ -136,6 +137,35 @@ class TestStaticFiles:
         gpath = write(tmp_path, "g.csv", "0,1,10.0,1.0,100.0\n")
         lpath = write(tmp_path, "l.csv", "0,10.0\n1,10.0\n")
         with pytest.raises(FormatError, match="line 1"):
+            load_graph(gpath, lpath)
+
+    @pytest.mark.parametrize(
+        "ends,message",
+        [
+            ("1,5", r"edge \(1,5\) references unknown node"),
+            ("2,2", r"self-loop \(2,2\) not allowed"),
+            ("0,1", r"duplicate edge \(0,1\)"),
+        ],
+    )
+    def test_bad_edge_reports_line_in_graph_and_trace(self, tmp_path, ends, message):
+        metrics = ",10.0,1.0,100.0,0.99\n"
+        lpath = write(tmp_path, "l.csv", LIMITS3)
+        rows = ["0,1", "1,2", ends]
+        gpath = write(tmp_path, "g.csv", "".join(r + metrics for r in rows))
+        with pytest.raises(FormatError, match=f"^line 3: {message}$"):
+            load_graph(gpath, lpath)
+        tpath = write(tmp_path, "t.csv", TRACE_HEADER + "\n" + "".join(f"0.0,{r}{metrics}" for r in rows))
+        with pytest.raises(FormatError, match=f"^line 4: {message}$"):
+            load_trace(tpath, lpath)
+
+    @pytest.mark.parametrize("limit", ["-5", "nan", "inf"])
+    def test_bad_node_limit_reports_line(self, tmp_path, limit):
+        lpath = write(tmp_path, "l.csv", f"0,100.0\n1,{limit}\n")
+        want = "^line 2: node 1: processing limit must be finite and >= 0$"
+        with pytest.raises(FormatError, match=want):
+            load_node_limits(lpath)
+        gpath = write(tmp_path, "g.csv", "0,1,10.0,1.0,100.0,0.99\n")
+        with pytest.raises(FormatError, match="^line 2: node 1"):
             load_graph(gpath, lpath)
 
     def test_infinite_demand_rate_reports_line(self, tmp_path):

@@ -463,8 +463,8 @@ class TestSolve:
 class TestObjectBudget:
     def test_paths_only_for_committed_routes(self, monkeypatch):
         # Candidates stay table rows: a solve makes one path per accepted
-        # demand and none for rejection columns, whether one by one through
-        # make_path or in a batch through CandidateTable.paths.
+        # demand and none for rejection columns. CandidateTable.path builds
+        # through CandidateTable.paths, so counting Path there counts both.
         import cgroute.pricing as pricing
         import cgroute.rmp as rmp
 
@@ -480,7 +480,6 @@ class TestObjectBudget:
 
             return counted
 
-        monkeypatch.setattr(pricing, "make_path", counting("path", pricing.make_path))
         monkeypatch.setattr(pricing, "Path", counting("path", pricing.Path))
         monkeypatch.setattr(rmp, "make_dummy_path", counting("dummy", rmp.make_dummy_path))
         routed = solve(graph, demands)
