@@ -100,7 +100,7 @@ def cli():
 def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fmt, dump_lp_path, timing):
     """Solve one static scenario."""
     graph = load_graph(graph_path, limits_path)
-    demands = load_demands(demands_path)
+    demands = load_demands(demands_path, graph.n_nodes)
     config = SolverConfig(seed=seed)
     reports = [
         solve_epoch(graph, demands, m, config, oracle=oracle, with_throughput=True)
@@ -129,7 +129,7 @@ def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fm
 def replay_cmd(trace_path, limits_path, demands_path, mode, seed, oracle, out, fmt, timing):
     """Replay a metric trace epoch by epoch, re-allocating all demands."""
     trace = load_trace(trace_path, limits_path)
-    demands = load_demands(demands_path)
+    demands = load_demands(demands_path, trace.n_nodes)
     reports = run_timeseries(
         trace, demands, _expand_modes(mode), SolverConfig(seed=seed), oracle=oracle
     )
@@ -221,7 +221,7 @@ def generate_cmd(profile, params_path, epochs, seed, out_dir):
 def exact_gap_cmd(graph_path, limits_path, demands_path, mode, seed, time_limit, max_nodes, out, fmt, timing):
     """Heuristic-vs-exact gap on one scenario (desk-scale instances)."""
     graph = load_graph(graph_path, limits_path)
-    demands = load_demands(demands_path)
+    demands = load_demands(demands_path, graph.n_nodes)
     limits = ExactLimits(max_nodes=max_nodes, time_limit_s=time_limit)
     reports = [
         solve_epoch(graph, demands, m, SolverConfig(seed=seed), oracle=True, oracle_limits=limits)

@@ -12,14 +12,16 @@ class InputError(CgRouteError):
 class FormatError(InputError):
     """A scenario/trace file failed strict parsing.
 
-    Carries the offending line number when known.
+    Carries the offending file and line number when known; the message
+    reads ``<path>: line <N>: <reason>``.
     """
 
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
+    def __init__(self, reason: str, line: int | None = None, path: object = None):
+        message = reason if line is None else f"line {line}: {reason}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line
+        self.reason, self.line, self.path = reason, line, path
 
 
 class ContractError(CgRouteError):

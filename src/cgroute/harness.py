@@ -7,7 +7,10 @@ throughput estimates. A routing mode picks how the candidate table is
 built: the overlay mode builds direct and one-relay routes, the direct
 mode only the direct-edge rows of the same build. Reports serialize to a flat CSV and a
 nested JSON that also carries plot-ready series (metric vs time, metric
-vs demand count).
+vs demand count). The JSON is ``json.dumps(payload, indent=2)``'s text,
+byte for byte, but only the envelope goes through ``json.dumps``: the
+outcome rows, most of the text, are written from one fixed template per
+row shape, since ``indent`` makes ``json`` use its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
 
-from .errors import InputError, SolverError
+from .errors import ContractError, InputError, SolverError
 from .exact import ExactLimits, solve_exact
 from .model import Demand, OverlayGraph, Path, check_endpoints
 from .pricing import CandidateTable, enumerate_candidates
@@ -53,9 +56,11 @@ class ThroughputEstimate:
 class EpochReport:
     """Aggregated outcome of solving one epoch in one mode.
 
-    ``master`` is the restricted master the heuristic solved, kept for
-    ``cgroute solve --dump-lp``; it is not part of any serialized report,
-    and :func:`run_timeseries` drops it.
+    ``outcomes`` holds one row per demand, in ascending id, in one of the
+    three shapes :func:`reports_to_json` lays out (rejected; accepted;
+    accepted with throughput). ``master`` is the restricted master the
+    heuristic solved, kept for ``cgroute solve --dump-lp``; it is not part
+    of any serialized report, and :func:`run_timeseries` drops it.
     """
 
     epoch_ts: float
@@ -293,8 +298,9 @@ def _series(reports: Sequence[EpochReport], include_timing: bool) -> dict:
     return out
 
 
-def reports_to_json(reports: Sequence[EpochReport], include_timing: bool = True) -> str:
-    payload = {
+def _payload(reports: Sequence[EpochReport], include_timing: bool) -> dict:
+    """The JSON report as a dict, outcome rows included."""
+    return {
         "note": "mean_delay_ms averages accepted demands only; acceptance counts "
         "differ across modes, so delay comparisons between modes are not "
         "like-for-like",
@@ -317,7 +323,78 @@ def reports_to_json(reports: Sequence[EpochReport], include_timing: bool = True)
         ],
         "series": _series(reports, include_timing),
     }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+# The outcome rows ``_outcome_rows`` makes, one template per shape, as
+# ``json.dumps(..., indent=2)`` lays them out at their depth in the report:
+# the row at 8 spaces, its keys at 10, path nodes at 12.
+_REJECTED_ROW = '        {\n          "demand": %d,\n          "accepted": %s\n        }'
+_ACCEPTED_ROW = (
+    '        {\n          "demand": %d,\n          "accepted": %s,\n'
+    '          "path": [\n            %s\n          ],\n          "delay_ms": %s'
+)
+_ROW_TEMPLATES = {
+    ("demand", "accepted"): _REJECTED_ROW,
+    ("demand", "accepted", "path", "delay_ms"): _ACCEPTED_ROW + "\n        }",
+    ("demand", "accepted", "path", "delay_ms", "throughput_mbps", "throughput_loss_free"): (
+        _ACCEPTED_ROW
+        + ',\n          "throughput_mbps": %s,\n          "throughput_loss_free": %s\n        }'
+    ),
+}
+_PATH_SEP = ",\n            "
+
+
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps(..., allow_nan=False)`` writes it."""
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _json_bool(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _outcomes_json(rows: Sequence[dict]) -> str:
+    """A report's ``outcomes`` list, byte for byte as ``json.dumps`` lays it out."""
+    if not rows:
+        return "[]"
+    out = []
+    for row in rows:
+        keys = tuple(row)
+        template = _ROW_TEMPLATES.get(keys)
+        if template is None:
+            raise ContractError(f"outcome row with keys {keys} has no report layout")
+        values: tuple = (row["demand"], _json_bool(row["accepted"]))
+        if len(keys) > 2:
+            path = _PATH_SEP.join(map(str, row["path"]))
+            values += (path, _json_float(row["delay_ms"]))
+            if len(keys) > 4:
+                values += (
+                    _json_float(row["throughput_mbps"]),
+                    _json_bool(row["throughput_loss_free"]),
+                )
+        out.append(template % values)
+    return "[\n" + ",\n".join(out) + "\n      ]"
+
+
+def reports_to_json(reports: Sequence[EpochReport], include_timing: bool = True) -> str:
+    """The reports as ``json.dumps(payload, indent=2, allow_nan=False)``.
+
+    ``json.dumps`` encodes the payload with every ``outcomes`` list empty;
+    each report's rows are then written from :data:`_ROW_TEMPLATES` into
+    its ``"outcomes": []``. ``json.dumps`` escapes every ``"`` inside a
+    string, so that text can only be the key.
+    """
+    payload = _payload(reports, include_timing)
+    blocks = []
+    for entry in payload["reports"]:
+        blocks.append(_outcomes_json(entry["outcomes"]))
+        entry["outcomes"] = []
+    pieces = json.dumps(payload, indent=2, allow_nan=False).split('"outcomes": []')
+    assert len(pieces) == len(blocks) + 1, "outcomes key found outside the reports"
+    spliced = "".join(f'{piece}"outcomes": {block}' for piece, block in zip(pieces, blocks))
+    return spliced + pieces[-1] + "\n"
 
 
 def format_reports(

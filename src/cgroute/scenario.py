@@ -12,11 +12,15 @@ precision so save/load is bit-exact):
   ``epoch_ts,src,dst,delay_ms,jitter_ms,capacity_mbps,success_prob``
 * synthetic-parameters file: ``key = value`` lines mirroring
   :class:`SyntheticParams` field names, ranges as ``lo,hi``.
+
+A bad row raises :class:`~cgroute.errors.FormatError` reading
+``<path>: line <N>: <reason>``.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 from types import MappingProxyType
@@ -25,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import FormatError, InputError
-from .model import Demand, Edge, LinkMetrics, OverlayGraph
+from .model import Demand, Edge, LinkMetrics, OverlayGraph, check_endpoints
 
 
 @dataclass(frozen=True)
@@ -120,6 +124,17 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
         raise FormatError(f"bad {what} value {text!r}", lineno) from None
 
 
+@contextmanager
+def _naming(path: FsPath):
+    """Put ``path`` into every :class:`FormatError` raised inside that has none."""
+    try:
+        yield
+    except FormatError as exc:
+        if exc.path is not None:
+            raise
+        raise FormatError(exc.reason, exc.line, path) from None
+
+
 def _data_lines(path: FsPath) -> list[tuple[int, str]]:
     try:
         raw = FsPath(path).read_text()
@@ -168,19 +183,20 @@ def _edge_from(
 
 def load_node_limits(path: FsPath) -> tuple[float, ...]:
     limits: dict[int, float] = {}
-    for lineno, line in _data_lines(path):
-        parts = _parse_fields(line, 2, lineno)
-        node = _parse_int(parts[0], "node id", lineno)
-        if node in limits:
-            raise FormatError(f"duplicate node {node}", lineno)
-        limit = _parse_float(parts[1], "processing limit", lineno)
-        if not (math.isfinite(limit) and limit >= 0.0):
-            raise FormatError(f"node {node}: processing limit must be finite and >= 0", lineno)
-        limits[node] = limit
-    if not limits:
-        raise FormatError(f"{path}: no node limits found")
-    if sorted(limits) != list(range(len(limits))):
-        raise FormatError(f"{path}: node ids must be dense 0..{len(limits) - 1}")
+    with _naming(path):
+        for lineno, line in _data_lines(path):
+            parts = _parse_fields(line, 2, lineno)
+            node = _parse_int(parts[0], "node id", lineno)
+            if node in limits:
+                raise FormatError(f"duplicate node {node}", lineno)
+            limit = _parse_float(parts[1], "processing limit", lineno)
+            if not (math.isfinite(limit) and limit >= 0.0):
+                raise FormatError(f"node {node}: processing limit must be finite and >= 0", lineno)
+            limits[node] = limit
+        if not limits:
+            raise FormatError("no node limits found")
+        if sorted(limits) != list(range(len(limits))):
+            raise FormatError(f"node ids must be dense 0..{len(limits) - 1}")
     return tuple(limits[i] for i in range(len(limits)))
 
 
@@ -195,10 +211,11 @@ def save_node_limits(limits: Sequence[float], path: FsPath):
 def load_graph(graph_path: FsPath, limits_path: FsPath) -> OverlayGraph:
     limits = load_node_limits(limits_path)
     edges: dict[Edge, LinkMetrics] = {}
-    for lineno, line in _data_lines(graph_path):
-        parts = _parse_fields(line, 6, lineno)
-        edge = _edge_from(parts, len(limits), edges, lineno)
-        edges[edge] = _metrics_from(parts[2:], lineno)
+    with _naming(graph_path):
+        for lineno, line in _data_lines(graph_path):
+            parts = _parse_fields(line, 6, lineno)
+            edge = _edge_from(parts, len(limits), edges, lineno)
+            edges[edge] = _metrics_from(parts[2:], lineno)
     return OverlayGraph.from_edges(len(limits), edges, limits)
 
 
@@ -214,28 +231,34 @@ def save_graph(graph: OverlayGraph, path: FsPath):
 # -- demands --------------------------------------------------------------------
 
 
-def load_demands(path: FsPath) -> list[Demand]:
+def load_demands(path: FsPath, n_nodes: Optional[int] = None) -> list[Demand]:
+    """The demands of ``path``; with ``n_nodes``, each endpoint must be one
+    of the nodes ``0 .. n_nodes - 1``, checked on the demand's own line.
+    """
     demands: list[Demand] = []
     seen: set[int] = set()
-    for lineno, line in _data_lines(path):
-        parts = _parse_fields(line, 6, lineno)
-        did = _parse_int(parts[0], "demand id", lineno)
-        if did in seen:
-            raise FormatError(f"duplicate demand id {did}", lineno)
-        seen.add(did)
-        try:
-            demands.append(
-                Demand(
-                    id=did,
-                    source=_parse_int(parts[1], "src", lineno),
-                    destination=_parse_int(parts[2], "dst", lineno),
-                    rate_mbps=_parse_float(parts[3], "rate", lineno),
-                    max_jitter_ms=_parse_float(parts[4], "jitter bound", lineno),
-                    min_success_prob=_parse_float(parts[5], "success bound", lineno),
-                )
+    with _naming(path):
+        for lineno, line in _data_lines(path):
+            parts = _parse_fields(line, 6, lineno)
+            did = _parse_int(parts[0], "demand id", lineno)
+            if did in seen:
+                raise FormatError(f"duplicate demand id {did}", lineno)
+            seen.add(did)
+            values = (
+                did,
+                _parse_int(parts[1], "src", lineno),
+                _parse_int(parts[2], "dst", lineno),
+                _parse_float(parts[3], "rate", lineno),
+                _parse_float(parts[4], "jitter bound", lineno),
+                _parse_float(parts[5], "success bound", lineno),
             )
-        except InputError as exc:
-            raise FormatError(str(exc), lineno) from None
+            try:
+                demand = Demand(*values)
+                if n_nodes is not None:
+                    check_endpoints(n_nodes, [demand])
+            except InputError as exc:
+                raise FormatError(str(exc), lineno) from None
+            demands.append(demand)
     return demands
 
 
@@ -258,7 +281,7 @@ def load_trace(trace_path: FsPath, limits_path: FsPath) -> Trace:
     limits = load_node_limits(limits_path)
     lines = _data_lines(trace_path)
     if not lines or lines[0][1] != TRACE_HEADER:
-        raise FormatError(f"{trace_path}: first line must be '{TRACE_HEADER}'")
+        raise FormatError(f"first line must be '{TRACE_HEADER}'", path=trace_path)
     epochs: list[TraceEpoch] = []
     current_ts: Optional[float] = None
     current: dict[Edge, LinkMetrics] = {}
@@ -279,19 +302,20 @@ def load_trace(trace_path: FsPath, limits_path: FsPath) -> Trace:
         epochs.append(TraceEpoch(current_ts, MappingProxyType(dict(sorted(current.items())))))
         current = {}
 
-    for lineno, line in lines[1:]:
-        parts = _parse_fields(line, 7, lineno)
-        ts = _parse_float(parts[0], "epoch timestamp", lineno)
-        if current_ts is None or ts != current_ts:
-            if current_ts is not None and ts < current_ts:
-                raise FormatError("epoch timestamps must be nondecreasing", lineno)
-            flush(lineno)
-            current_ts = ts
-        edge = _edge_from(parts[1:], len(limits), current, lineno)
-        current[edge] = _metrics_from(parts[3:], lineno)
-    flush(lines[-1][0] if lines else 0)
-    if not epochs:
-        raise FormatError(f"{trace_path}: trace contains no epochs")
+    with _naming(trace_path):
+        for lineno, line in lines[1:]:
+            parts = _parse_fields(line, 7, lineno)
+            ts = _parse_float(parts[0], "epoch timestamp", lineno)
+            if current_ts is None or ts != current_ts:
+                if current_ts is not None and ts < current_ts:
+                    raise FormatError("epoch timestamps must be nondecreasing", lineno)
+                flush(lineno)
+                current_ts = ts
+            edge = _edge_from(parts[1:], len(limits), current, lineno)
+            current[edge] = _metrics_from(parts[3:], lineno)
+        flush(lines[-1][0])
+        if not epochs:
+            raise FormatError("trace contains no epochs")
     return Trace(n_nodes=len(limits), epochs=tuple(epochs), node_limits=limits)
 
 
@@ -325,29 +349,30 @@ def save_params(params: SyntheticParams, path: FsPath):
 def load_params(path: FsPath) -> SyntheticParams:
     known = {f.name: f for f in fields(SyntheticParams)}
     kwargs = {}
-    for lineno, line in _data_lines(path):
-        if "=" not in line:
-            raise FormatError("expected 'key = value'", lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in known:
-            raise FormatError(f"unknown parameter {key!r}", lineno)
-        if value.lower() == "none":
-            kwargs[key] = None
-        elif "," in value:
-            lo, _, hi = value.partition(",")
-            kwargs[key] = (
-                _parse_float(lo.strip(), key, lineno),
-                _parse_float(hi.strip(), key, lineno),
-            )
-        elif key in ("n_nodes", "n_edges", "n_demands", "seed"):
-            kwargs[key] = _parse_int(value, key, lineno)
-        else:
-            kwargs[key] = _parse_float(value, key, lineno)
-    try:
-        return SyntheticParams(**kwargs)
-    except TypeError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    with _naming(path):
+        for lineno, line in _data_lines(path):
+            if "=" not in line:
+                raise FormatError("expected 'key = value'", lineno)
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in known:
+                raise FormatError(f"unknown parameter {key!r}", lineno)
+            if value.lower() == "none":
+                kwargs[key] = None
+            elif "," in value:
+                lo, _, hi = value.partition(",")
+                kwargs[key] = (
+                    _parse_float(lo.strip(), key, lineno),
+                    _parse_float(hi.strip(), key, lineno),
+                )
+            elif key in ("n_nodes", "n_edges", "n_demands", "seed"):
+                kwargs[key] = _parse_int(value, key, lineno)
+            else:
+                kwargs[key] = _parse_float(value, key, lineno)
+        try:
+            return SyntheticParams(**kwargs)
+        except (TypeError, InputError) as exc:
+            raise FormatError(str(exc)) from None
 
 
 # -- synthetic topology ------------------------------------------------------------

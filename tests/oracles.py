@@ -7,6 +7,7 @@ implementations under test.
 
 from __future__ import annotations
 
+import json
 import math
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -334,3 +335,8 @@ def reference_round(
         duration_s=0.0,
         certified=False,
     )
+
+
+def reference_report_json(payload: dict) -> str:
+    """A JSON report's text, laid out by ``json.dumps`` alone."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"

@@ -164,17 +164,27 @@ class TestSolve:
     def test_infinite_capacity_exits_2(self, tmp_path, capsys):
         files = _two_node_scenario(tmp_path, _EDGE_01 + "1,0,10.0,1.0,inf,0.99\n", _DEMAND_01)
         assert run(["solve", *files]) == 2
-        assert "line 2: capacity must be finite" in capsys.readouterr().err
+        assert f"{tmp_path / 'graph.csv'}: line 2: capacity must be finite" in capsys.readouterr().err
 
     def test_infinite_rate_exits_2(self, tmp_path, capsys):
         files = _two_node_scenario(tmp_path, _EDGE_01, _DEMAND_01 + "1,0,1,inf,50.0,0.5\n")
         assert run(["solve", *files]) == 2
-        assert "line 2: demand 1: rate must be finite" in capsys.readouterr().err
+        assert f"{tmp_path / 'demands.csv'}: line 2: demand 1: rate must be finite" in capsys.readouterr().err
 
     def test_demand_outside_graph_exits_2(self, tmp_path, capsys):
         files = _two_node_scenario(tmp_path, _EDGE_01, _DEMAND_01 + "1,0,7,5.0,50.0,0.5\n")
         assert run(["solve", *files]) == 2
-        assert "demand 1: endpoint outside" in capsys.readouterr().err
+        want = f"input error: {tmp_path / 'demands.csv'}: line 2: demand 1: endpoint outside the graph's nodes 0..1\n"
+        assert capsys.readouterr().err == want
+        assert run(["exact-gap", *files]) == 2
+        assert capsys.readouterr().err == want
+
+    def test_bad_node_limit_names_its_file(self, tmp_path, capsys):
+        files = _two_node_scenario(tmp_path, _EDGE_01, _DEMAND_01)
+        (tmp_path / "limits.csv").write_text("0,100.0\n1,-5\n")
+        assert run(["solve", *files]) == 2
+        want = f"{tmp_path / 'limits.csv'}: line 2: node 1: processing limit must be finite and >= 0"
+        assert want in capsys.readouterr().err
 
     def test_zero_delay_graph_solves(self, tmp_path, capsys):
         files = _two_node_scenario(tmp_path, "0,1,0.0,0.0,100.0,0.99\n", _DEMAND_01)
@@ -252,7 +262,7 @@ class TestReplay:
         ])
         captured = capsys.readouterr()
         assert code == 2
-        assert "demand 1: endpoint outside" in captured.err
+        assert f"{tmp_path / 'demands.csv'}: line 2: demand 1: endpoint outside" in captured.err
         assert captured.out == ""
 
 

@@ -1,9 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from cgroute.errors import InputError
+from cgroute import harness
+from cgroute.errors import ContractError, InputError
 from cgroute.exact import ExactLimits, solve_exact
 from cgroute.harness import (
     CSV_HEADER,
@@ -29,6 +31,7 @@ from instances import (
     gap_suite_instance,
     hand_graph,
 )
+from oracles import reference_report_json
 
 
 def small_trace(n_epochs=2, seed=0):
@@ -343,3 +346,72 @@ class TestEmit:
             emit_reports([], "csv", tmp_path / "never.csv")
         with pytest.raises(InputError):
             emit_reports(reports, "xml", tmp_path / "never.xml")
+
+
+class TestJsonWriter:
+    """``reports_to_json`` against ``json.dumps`` over the same payload."""
+
+    @staticmethod
+    def assert_matches_reference(reports):
+        for timing in (True, False):
+            payload = harness._payload(reports, timing)
+            assert reports_to_json(reports, timing) == reference_report_json(payload)
+
+    @pytest.mark.parametrize("with_throughput", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_telco_replays(self, seed, with_throughput):
+        trace, demands = small_trace(n_epochs=2, seed=seed)
+        reports = run_timeseries(trace, demands, MODES, SolverConfig(seed=seed),
+                                 with_throughput=with_throughput)
+        assert {len(row) for r in reports for row in r.outcomes} == (
+            {2, 6} if with_throughput else {2, 4}
+        )
+        self.assert_matches_reference(reports)
+
+    def test_loss_free_row(self):
+        g = OverlayGraph.from_edges(
+            3,
+            {(0, 1): LinkMetrics(5.0, 0.0, 100.0, 1.0), (1, 2): LinkMetrics(7.5, 1.0, 100.0, 0.9)},
+            [100.0] * 3,
+        )
+        demands = [Demand(0, 0, 1, 1.0, 10.0, 0.9), Demand(1, 1, 2, 1.0, 10.0, 0.5),
+                   Demand(2, 2, 0, 1.0, 10.0, 0.5)]
+        report = solve_epoch(g, demands, "overlay", SolverConfig(), with_throughput=True)
+        assert [row["accepted"] for row in report.outcomes] == [True, True, False]
+        assert [row.get("throughput_loss_free") for row in report.outcomes] == [True, False, None]
+        self.assert_matches_reference([report])
+
+    def test_failed_epoch_with_a_quoting_error(self):
+        trace, demands = small_trace(n_epochs=1)
+        (good,) = run_timeseries(trace, demands, ["overlay"], SolverConfig())
+        failed = EpochReport(
+            epoch_ts=300.0, mode="direct", n_demands=len(demands), n_accepted=0,
+            runtime_ms=0.0, mean_delay_ms=None, objective=math.inf,
+            error='HiGHS said "no"; "outcomes": [] and "outcomes": [',
+        )
+        reports = [failed, good, failed]
+        self.assert_matches_reference(reports)
+        parsed = json.loads(reports_to_json(reports))["reports"]
+        assert [r["error"] for r in parsed] == [failed.error, None, failed.error]
+        assert parsed[0]["objective"] is None and parsed[0]["outcomes"] == []
+
+    @pytest.mark.parametrize("key", ["delay_ms", "throughput_mbps"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises(self, key, bad):
+        g = hand_graph()
+        demands = [Demand(0, 0, 3, 1.0, 1e6, 0.5)]
+        report = solve_epoch(g, demands, "overlay", SolverConfig(), with_throughput=True)
+        rows = (dict(report.outcomes[0], **{key: bad}),)
+        broken = replace(report, outcomes=rows)
+        with pytest.raises(ValueError):
+            reference_report_json(harness._payload([broken], True))
+        with pytest.raises(ValueError):
+            reports_to_json([broken])
+
+    def test_unknown_row_shape_is_refused(self):
+        g = hand_graph()
+        report = solve_epoch(g, [Demand(0, 0, 3, 1.0, 1e6, 0.5)], "overlay", SolverConfig())
+        row = report.outcomes[0]
+        for bad in ({**row, "extra": 1}, {"accepted": row["accepted"], "demand": row["demand"]}):
+            with pytest.raises(ContractError):
+                reports_to_json([replace(report, outcomes=(bad,))])

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -39,6 +40,11 @@ def write(tmp_path, name, text):
 LIMITS3 = "0,100.0\n1,100.0\n2,100.0\n"
 
 
+def at(path, lineno):
+    """The start of a per-row error message: the file, then the line."""
+    return f"^{re.escape(str(path))}: line {lineno}: "
+
+
 class TestLoadTrace:
     def test_single_epoch(self, tmp_path):
         trace_file = write(
@@ -64,7 +70,7 @@ class TestLoadTrace:
             "0.0,1,2,12.0,2.0,100.0,1.3\n",
         )
         limits_file = write(tmp_path, "l.csv", LIMITS3)
-        with pytest.raises(FormatError, match="line 3"):
+        with pytest.raises(FormatError, match=at(trace_file, 3)):
             load_trace(trace_file, limits_file)
 
     def test_nonpositive_capacity_rejected(self, tmp_path):
@@ -75,7 +81,7 @@ class TestLoadTrace:
             "0.0,0,1,10.0,1.0,0.0,0.99\n",
         )
         limits_file = write(tmp_path, "l.csv", LIMITS3)
-        with pytest.raises(FormatError, match="line 2"):
+        with pytest.raises(FormatError, match=at(trace_file, 2)):
             load_trace(trace_file, limits_file)
 
     def test_inconsistent_edge_sets_rejected(self, tmp_path):
@@ -136,7 +142,7 @@ class TestStaticFiles:
     def test_malformed_row_reports_line(self, tmp_path):
         gpath = write(tmp_path, "g.csv", "0,1,10.0,1.0,100.0\n")
         lpath = write(tmp_path, "l.csv", "0,10.0\n1,10.0\n")
-        with pytest.raises(FormatError, match="line 1"):
+        with pytest.raises(FormatError, match=at(gpath, 1)):
             load_graph(gpath, lpath)
 
     @pytest.mark.parametrize(
@@ -152,26 +158,52 @@ class TestStaticFiles:
         lpath = write(tmp_path, "l.csv", LIMITS3)
         rows = ["0,1", "1,2", ends]
         gpath = write(tmp_path, "g.csv", "".join(r + metrics for r in rows))
-        with pytest.raises(FormatError, match=f"^line 3: {message}$"):
+        with pytest.raises(FormatError, match=f"{at(gpath, 3)}{message}$"):
             load_graph(gpath, lpath)
         tpath = write(tmp_path, "t.csv", TRACE_HEADER + "\n" + "".join(f"0.0,{r}{metrics}" for r in rows))
-        with pytest.raises(FormatError, match=f"^line 4: {message}$"):
+        with pytest.raises(FormatError, match=f"{at(tpath, 4)}{message}$"):
             load_trace(tpath, lpath)
 
     @pytest.mark.parametrize("limit", ["-5", "nan", "inf"])
     def test_bad_node_limit_reports_line(self, tmp_path, limit):
         lpath = write(tmp_path, "l.csv", f"0,100.0\n1,{limit}\n")
-        want = "^line 2: node 1: processing limit must be finite and >= 0$"
+        want = f"{at(lpath, 2)}node 1: processing limit must be finite and >= 0$"
         with pytest.raises(FormatError, match=want):
             load_node_limits(lpath)
         gpath = write(tmp_path, "g.csv", "0,1,10.0,1.0,100.0,0.99\n")
-        with pytest.raises(FormatError, match="^line 2: node 1"):
+        # The graph's loader reads the limits file too; the error names that file.
+        with pytest.raises(FormatError, match=want):
             load_graph(gpath, lpath)
 
     def test_infinite_demand_rate_reports_line(self, tmp_path):
         dpath = write(tmp_path, "d.csv", "0,0,1,5.0,50.0,0.5\n1,1,0,inf,50.0,0.5\n")
-        with pytest.raises(FormatError, match="line 2: demand 1: rate must be finite"):
+        with pytest.raises(FormatError, match=f"{at(dpath, 2)}demand 1: rate must be finite"):
             load_demands(dpath)
+
+    def test_bad_demand_field_names_its_line_once(self, tmp_path):
+        dpath = write(tmp_path, "d.csv", "0,0,x,5.0,50.0,0.5\n")
+        with pytest.raises(FormatError, match=f"{at(dpath, 1)}bad dst value 'x'$"):
+            load_demands(dpath)
+
+    def test_demand_endpoint_checked_on_its_line(self, tmp_path):
+        dpath = write(tmp_path, "d.csv", "0,0,1,5.0,50.0,0.5\n\n1,0,7,5.0,50.0,0.5\n")
+        want = f"{at(dpath, 3)}demand 1: endpoint outside the graph's nodes 0..2$"
+        with pytest.raises(FormatError, match=want) as caught:
+            load_demands(dpath, n_nodes=3)
+        assert (caught.value.path, caught.value.line) == (dpath, 3)
+        # Without a node count the endpoints are left to the solver's check.
+        assert [d.destination for d in load_demands(dpath)] == [1, 7]
+        assert len(load_demands(dpath, n_nodes=8)) == 2
+
+    def test_file_level_errors_name_the_file_without_a_line(self, tmp_path):
+        lpath = write(tmp_path, "l.csv", "# nothing\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(lpath))}: no node limits found$"):
+            load_node_limits(lpath)
+
+    def test_params_row_error_names_file_and_line(self, tmp_path):
+        ppath = write(tmp_path, "p.cfg", "n_demands = 5\nn_nodes = many\n")
+        with pytest.raises(FormatError, match=f"{at(ppath, 2)}bad n_nodes value 'many'$"):
+            load_params(ppath)
 
     def test_params_roundtrip(self, tmp_path):
         params = SyntheticParams(n_demands=130, rate_fixed_mbps=25.0, seed=9)
@@ -186,7 +218,7 @@ class TestStaticFiles:
 
     def test_params_negative_seed_rejected(self, tmp_path):
         ppath = write(tmp_path, "p.cfg", "n_demands = 5\nseed = -1\n")
-        with pytest.raises(InputError, match="seed must be nonnegative"):
+        with pytest.raises(InputError, match=f"^{re.escape(str(ppath))}: seed must be nonnegative$"):
             load_params(ppath)
 
 
