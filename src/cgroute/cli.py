@@ -15,6 +15,7 @@ import click
 from .errors import InputError, SolverError
 from .exact import ExactLimits
 from .harness import MODES, emit_reports, format_reports, run_timeseries, solve_epoch
+from .pricing import RouteGeometry
 from .scenario import (
     SyntheticParams,
     TelcoProfile,
@@ -102,8 +103,12 @@ def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fm
     graph = load_graph(graph_path, limits_path)
     demands = load_demands(demands_path, graph.n_nodes)
     config = SolverConfig(seed=seed)
+    # Both modes read their tables from one search for the demands' routes.
+    geometry = RouteGeometry.find(graph, demands)
     reports = [
-        solve_epoch(graph, demands, m, config, oracle=oracle, with_throughput=True)
+        solve_epoch(
+            graph, demands, m, config, oracle=oracle, with_throughput=True, geometry=geometry
+        )
         for m in _expand_modes(mode)
     ]
     if dump_lp_path is not None:
@@ -163,8 +168,10 @@ def sweep_cmd(params_path, demand_counts, mode, seed, out, fmt, timing):
     reports = []
     for k in counts:
         demands = generate_demands(replace(params, n_demands=k), graph)
+        geometry = RouteGeometry.find(graph, demands)
         for m in _expand_modes(mode):
-            reports.append(solve_epoch(graph, demands, m, SolverConfig(seed=seed)))
+            report = solve_epoch(graph, demands, m, SolverConfig(seed=seed), geometry=geometry)
+            reports.append(report)
     _write(reports, fmt, out, timing)
 
 
@@ -223,8 +230,12 @@ def exact_gap_cmd(graph_path, limits_path, demands_path, mode, seed, time_limit,
     graph = load_graph(graph_path, limits_path)
     demands = load_demands(demands_path, graph.n_nodes)
     limits = ExactLimits(max_nodes=max_nodes, time_limit_s=time_limit)
+    geometry = RouteGeometry.find(graph, demands)
     reports = [
-        solve_epoch(graph, demands, m, SolverConfig(seed=seed), oracle=True, oracle_limits=limits)
+        solve_epoch(
+            graph, demands, m, SolverConfig(seed=seed), oracle=True, oracle_limits=limits,
+            geometry=geometry,
+        )
         for m in _expand_modes(mode)
     ]
     for r in reports:

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InputError
 from .model import Demand, OverlayGraph, Path, augment_clique
 from .pricing import enumerate_candidates
-from .rmp import RestrictedMaster
+from .rmp import RestrictedMaster, Routing
 from .solver import CandidateFn
 
 
@@ -66,6 +66,8 @@ class ExactSolution:
 
     @property
     def n_accepted(self) -> int:
+        if isinstance(self.outcomes, Routing):  # read from its arrays, no path made
+            return self.outcomes.n_accepted
         return sum(1 for p in self.outcomes.values() if p is not None)
 
 

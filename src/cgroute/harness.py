@@ -3,14 +3,16 @@
 An epoch report captures one (epoch, mode) solve: acceptance, runtime,
 mean delay over accepted demands, the full per-demand outcomes, and
 optionally the gap against the exact benchmark and per-demand TCP
-throughput estimates. A routing mode picks how the candidate table is
-built: the overlay mode builds direct and one-relay routes, the direct
-mode only the direct-edge rows of the same build. Reports serialize to a flat CSV and a
-nested JSON that also carries plot-ready series (metric vs time, metric
-vs demand count). The JSON is ``json.dumps(payload, indent=2)``'s text,
-byte for byte, but only the envelope goes through ``json.dumps``: the
-outcome rows, most of the text, are written from one fixed template per
-row shape, since ``indent`` makes ``json`` use its pure-Python encoder.
+throughput estimates. A routing mode picks which of a demand set's
+routes enter the candidate table: the overlay mode keeps the direct and
+one-relay routes, the direct mode only the direct ones, of the same
+:class:`~cgroute.pricing.RouteGeometry`, which a replay finds once per
+trace. Reports serialize to a flat CSV and a nested JSON that also
+carries plot-ready series (metric vs time, metric vs demand count). The
+JSON is ``json.dumps(payload, indent=2)``'s text, byte for byte, but
+only the envelope goes through ``json.dumps``: the outcome rows, most of
+the text, are written from one fixed template per row shape, since
+``indent`` makes ``json`` use its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional, Sequence
 from .errors import ContractError, InputError, SolverError
 from .exact import ExactLimits, solve_exact
 from .model import Demand, OverlayGraph, Path, check_endpoints
-from .pricing import CandidateTable, enumerate_candidates
+from .pricing import CandidateTable, RouteGeometry, enumerate_candidates
 from .rmp import RestrictedMaster
 from .solver import CandidateFn, RoutingSolution, SolverConfig, solve
 from .scenario import Trace
@@ -112,30 +114,40 @@ def estimate_throughput(path: Path, loss_free_cap_mbps: float = 10000.0) -> Thro
     return ThroughputEstimate(bps / 1e6, loss_free=False)
 
 
-def _outcome_rows(
-    demands: Sequence[Demand],
-    routed: RoutingSolution,
-    with_throughput: bool,
-) -> tuple[dict, ...]:
+def _outcome_rows(routed: RoutingSolution, with_throughput: bool) -> tuple[dict, ...]:
+    """One row per demand, in ascending id, read from the routing's arrays.
+
+    A path is made only for a throughput estimate, which needs its success
+    probability.
+    """
+    routing = routed.outcomes
+    if not routing:  # an empty demand set
+        return ()
+    table = routing.table
+    n = table.n_nodes
+    src, relay, dst = table.ends(routing.picked)
+    routes = zip(src, relay, dst, table.delay[routing.picked].tolist())
     rows = []
-    for d in sorted(demands, key=lambda x: x.id):
-        path = routed.outcomes[d.id]
-        row: dict = {"demand": d.id, "accepted": path is not None}
-        if path is not None:
-            row["path"] = list(path.nodes)
-            row["delay_ms"] = path.total_delay_ms
-            if with_throughput:
-                est = estimate_throughput(path)
-                row["throughput_mbps"] = est.mbps
-                row["throughput_loss_free"] = est.loss_free
+    for did, accepted in zip(routing, routing.accepted.tolist()):
+        if not accepted:
+            rows.append({"demand": did, "accepted": False})
+            continue
+        s, k, t, delay = next(routes)
+        path = [s, k, t] if k < n else [s, t]
+        row = {"demand": did, "accepted": True, "path": path, "delay_ms": delay}
+        if with_throughput:
+            est = estimate_throughput(routing[did])
+            row["throughput_mbps"] = est.mbps
+            row["throughput_loss_free"] = est.loss_free
         rows.append(row)
     return tuple(rows)
 
 
 def _mean_delay(routed: RoutingSolution) -> Optional[float]:
-    delays = [p.total_delay_ms for p in routed.outcomes.values() if p is not None]
-    if not delays:
+    routing = routed.outcomes
+    if not routing or not routing.n_accepted:
         return None
+    delays = routing.table.delay[routing.picked].tolist()
     return sum(delays) / len(delays)
 
 
@@ -148,15 +160,22 @@ def solve_epoch(
     oracle: bool = False,
     oracle_limits: ExactLimits = ExactLimits(),
     with_throughput: bool = False,
+    geometry: Optional[RouteGeometry] = None,
 ) -> EpochReport:
     """Solve one snapshot in one mode and package the report.
 
     The candidate table is built once; the heuristic and the oracle share
-    it. The runtime covers the build and the heuristic, not the oracle.
+    it. ``geometry``, if given, is ``RouteGeometry.find`` of ``demands`` on
+    a graph with ``graph``'s edges, such as another epoch of the same
+    trace: the table is then read from it rather than enumerated. The
+    runtime covers the table and the heuristic, not the oracle.
     """
     enumerate_fn = mode_candidates(mode)
     started = time.perf_counter()
-    table = enumerate_fn(graph, demands)
+    if geometry is None:
+        table = enumerate_fn(graph, demands)
+    else:
+        table = geometry.table(graph, relays=mode == "overlay")
 
     def candidate_fn(g: OverlayGraph, ds: Sequence[Demand]) -> CandidateTable:
         return table
@@ -179,7 +198,7 @@ def solve_epoch(
         mean_delay_ms=_mean_delay(routed),
         objective=routed.objective,
         gap_pct=gap,
-        outcomes=_outcome_rows(demands, routed, with_throughput),
+        outcomes=_outcome_rows(routed, with_throughput),
         master=routed.master,
     )
 
@@ -193,7 +212,13 @@ def run_timeseries(
     oracle_limits: ExactLimits = ExactLimits(),
     with_throughput: bool = False,
 ) -> list[EpochReport]:
-    """Re-allocate every demand from scratch on each epoch snapshot.
+    """Solve every demand afresh on each epoch snapshot, in each mode.
+
+    The epochs share one edge set (:class:`~cgroute.scenario.Trace`
+    checks this), so the demands' routes are found once, on the first
+    epoch (:meth:`~cgroute.pricing.RouteGeometry.find`), and each (epoch,
+    mode) solve only reads its epoch's metrics for them. Each report
+    equals :func:`solve_epoch`'s on that epoch's graph, runtime aside.
 
     Bad input (an unknown mode, a demand endpoint outside the trace's
     nodes) raises :class:`InputError` before any epoch is solved. Solver
@@ -205,8 +230,11 @@ def run_timeseries(
     # Every epoch has the trace's node set, so one check covers them all.
     check_endpoints(trace.n_nodes, demands)
     reports: list[EpochReport] = []
+    geometry = None
     for epoch in trace.epochs:
         graph = trace.graph_for(epoch)
+        if geometry is None:
+            geometry = RouteGeometry.find(graph, demands)
         for mode in modes:
             try:
                 report = solve_epoch(
@@ -218,6 +246,7 @@ def run_timeseries(
                     oracle=oracle,
                     oracle_limits=oracle_limits,
                     with_throughput=with_throughput,
+                    geometry=geometry,
                 )
                 # A replay keeps every report; a master would keep its
                 # epoch's graph and candidate table alive with it.

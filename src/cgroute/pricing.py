@@ -2,9 +2,14 @@
 
 With at most one relay per route, the feasible path set of a demand is
 small enough to enumerate outright: the direct edge plus one dogleg per
-relay node. :func:`enumerate_candidates` builds the routes of every demand
-at once, in array operations over the graph's edge arrays, into one flat
-:class:`CandidateTable`; no per-candidate Python object is made, and a
+relay node. Enumeration takes two steps. :meth:`RouteGeometry.find` finds
+which routes exist for a demand set on an edge set, from the edges alone;
+:meth:`RouteGeometry.table` reads one graph's metrics for those routes and
+keeps the QoS-feasible ones, in one flat :class:`CandidateTable`.
+:func:`enumerate_candidates` is the two steps on one graph; a trace replay,
+whose epochs share one edge set, finds its routes once and reads each
+epoch's metrics for them. Both steps are array operations over the graph's
+edge arrays: no per-candidate Python object is made, and a
 :class:`~cgroute.model.Path` exists only for a candidate a caller reads.
 Pricing scans the whole table, so it returns an exact minimizer of the
 dual-adjusted length with no approximation gap, and one pricing pass over
@@ -43,6 +48,122 @@ def _find(key: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True, eq=False)
+class RouteGeometry:
+    """Every route a demand set has on an edge set, whatever the metrics.
+
+    A route is a demand's direct edge, or a relay ``k`` with edges
+    ``s -> k`` and ``k -> t``. The routes are grouped by ``owner``, the
+    demand's index in ``demands`` (ascending id), each demand's direct
+    route first and its relays ascending: the candidate-list order.
+    ``rows`` holds each route's five capacity rows, as
+    :class:`CandidateTable` does. ``first`` is each route's first edge;
+    ``relayed`` indexes the relayed routes and ``second`` holds their
+    second edges. ``max_jitter``, ``min_success`` and ``rate`` are the
+    owner's bounds and rate, per route. ``key`` is the edge keys the
+    routes were found on (:attr:`OverlayGraph.arrays`); any graph with
+    the same keys, such as every epoch of a trace, can read its metrics
+    for them.
+    """
+
+    demands: tuple[Demand, ...]
+    key: np.ndarray
+    n_nodes: int
+    owner: np.ndarray
+    rows: np.ndarray
+    first: np.ndarray
+    relayed: np.ndarray
+    second: np.ndarray
+    max_jitter: np.ndarray
+    min_success: np.ndarray
+    rate: np.ndarray
+
+    @classmethod
+    def find(cls, graph: OverlayGraph, demands: Sequence[Demand]) -> RouteGeometry:
+        """The routes of ``demands`` on ``graph``'s edges, in one pass over its arrays.
+
+        A relay is the head of an out-edge of the source with an edge on to
+        the destination. A demand endpoint outside the graph raises
+        :class:`~cgroute.errors.InputError`.
+        """
+        demands = tuple(sorted(demands, key=lambda d: d.id))
+        a, n, n_edges = graph.arrays, graph.n_nodes, len(graph.edges)
+        ends = np.array([(d.source, d.destination) for d in demands], dtype=np.int64).reshape(-1, 2)
+        if not ((0 <= ends) & (ends < n)).all():
+            check_endpoints(n, demands)  # raises, naming the first such demand
+        src, dst = ends.T
+        bound = np.array(
+            [(d.max_jitter_ms, d.min_success_prob, d.rate_mbps) for d in demands], dtype=float
+        ).reshape(-1, 3)
+        pos, found = _find(a.key, src * n + dst)
+        with_edge = np.flatnonzero(found)  # the demands with a direct edge
+        # Every out-edge of each demand's source is a first hop.
+        start = np.searchsorted(a.key, np.arange(n + 1) * n)
+        fan = (start[1:] - start[:-1])[src]
+        q = np.repeat(np.arange(len(demands)), fan)
+        hop1 = np.arange(len(q)) + np.repeat(start[src] - np.cumsum(fan) + fan, fan)
+        k = a.head[hop1]
+        # k == t would need a self-loop t -> t, which no graph has.
+        hop2, found = _find(a.key, k * n + dst[q])
+        q, hop1, hop2, k = q[found], hop1[found], hop2[found], k[found]
+        owner = np.concatenate((with_edge, q))
+        # Stable: direct routes stay ahead of relay routes, and relays ascending.
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        first = np.concatenate((pos[with_edge], hop1))[order]
+        second = np.concatenate((np.full(len(with_edge), n_edges + n), hop2))[order]
+        relay = np.concatenate((np.full(len(with_edge), n), k))[order]
+        relayed = np.flatnonzero(relay < n)
+        return cls(
+            demands=demands,
+            key=a.key,
+            n_nodes=n,
+            owner=owner,
+            rows=np.stack((first, second, src[owner], relay, dst[owner]), axis=1)
+            + np.array([0, 0, n_edges, n_edges, n_edges]),
+            first=first,
+            relayed=relayed,
+            second=second[relayed],
+            max_jitter=bound[owner, 0],
+            min_success=bound[owner, 1],
+            rate=bound[owner, 2],
+        )
+
+    def table(self, graph: OverlayGraph, relays: bool) -> CandidateTable:
+        """The QoS-feasible routes on ``graph``, or only the direct ones when
+        ``relays`` is false, as a candidate table.
+
+        ``graph`` must have the edges the routes were found on, else
+        :class:`~cgroute.errors.ContractError`. Delay and jitter are summed
+        and success multiplied in edge order, starting from 0.0 as
+        ``make_path`` does, so every aggregate is bit-equal to the path's.
+        """
+        a = graph.arrays
+        if not np.array_equal(a.key, self.key):
+            raise ContractError("graph has other edges than the routes were found on")
+        first = self.first
+        delay, jitter, success = 0.0 + a.delay[first], a.jitter[first], a.success[first]
+        delay[self.relayed] += a.delay[self.second]
+        jitter[self.relayed] += a.jitter[self.second]
+        success[self.relayed] *= a.success[self.second]
+        keep = (jitter <= self.max_jitter) & (success >= self.min_success)
+        if not relays:
+            keep[self.relayed] = False
+        keep = np.flatnonzero(keep)
+        owner = self.owner[keep]
+        return CandidateTable(
+            graph=graph,
+            demands=self.demands,
+            offsets=np.searchsorted(owner, np.arange(len(self.demands) + 1)),
+            demand=owner,
+            delay=delay[keep],
+            rate=self.rate[keep],
+            rows=self.rows[keep],
+            n_edges=len(self.key),
+            n_nodes=self.n_nodes,
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class CandidateTable:
     """Every demand's candidate paths in flat arrays, compressed by demand.
 
@@ -76,61 +197,10 @@ class CandidateTable:
     @classmethod
     def build(cls, graph: OverlayGraph, demands: Sequence[Demand], relays: bool) -> CandidateTable:
         """The table of :func:`enumerate_candidates`, or only its direct
-        routes when ``relays`` is false, in one pass over the graph's arrays.
-
-        A relay is the head of an out-edge of the source with an edge on to
-        the destination. Delay and jitter are summed and success multiplied
-        in edge order, starting from 0.0 as ``make_path`` does, so every
-        aggregate is bit-equal to the path's.
+        routes when ``relays`` is false: :meth:`RouteGeometry.find`, then
+        :meth:`RouteGeometry.table` on the same graph.
         """
-        demands = tuple(sorted(demands, key=lambda d: d.id))
-        a, n, n_edges = graph.arrays, graph.n_nodes, len(graph.edges)
-        ends = np.array([(d.source, d.destination) for d in demands], dtype=np.int64).reshape(-1, 2)
-        if not ((0 <= ends) & (ends < n)).all():
-            check_endpoints(n, demands)  # raises, naming the first such demand
-        src, dst = ends.T
-        bound = np.array(
-            [(d.max_jitter_ms, d.min_success_prob, d.rate_mbps) for d in demands], dtype=float
-        ).reshape(-1, 3)
-        pos, found = _find(a.key, src * n + dst)
-        owner = np.flatnonzero(found)
-        first = pos[owner]
-        second = np.full(len(owner), n_edges + n)
-        relay = np.full(len(owner), n)
-        delay, jitter, success = 0.0 + a.delay[first], a.jitter[first], a.success[first]
-        if relays:
-            # Every out-edge of each demand's source is a first hop.
-            start = np.searchsorted(a.key, np.arange(n + 1) * n)
-            fan = (start[1:] - start[:-1])[src]
-            q = np.repeat(np.arange(len(demands)), fan)
-            hop1 = np.arange(len(q)) + np.repeat(start[src] - np.cumsum(fan) + fan, fan)
-            k = a.head[hop1]
-            # k == t would need a self-loop t -> t, which no graph has.
-            hop2, found = _find(a.key, k * n + dst[q])
-            q, hop1, hop2, k = q[found], hop1[found], hop2[found], k[found]
-            owner, first = np.concatenate((owner, q)), np.concatenate((first, hop1))
-            second, relay = np.concatenate((second, hop2)), np.concatenate((relay, k))
-            delay = np.concatenate((delay, (0.0 + a.delay[hop1]) + a.delay[hop2]))
-            jitter = np.concatenate((jitter, a.jitter[hop1] + a.jitter[hop2]))
-            success = np.concatenate((success, a.success[hop1] * a.success[hop2]))
-        keep = np.flatnonzero((jitter <= bound[owner, 0]) & (success >= bound[owner, 1]))
-        # Stable: direct rows stay ahead of relay rows, and relays ascending.
-        keep = keep[np.argsort(owner[keep], kind="stable")]
-        owner = owner[keep]
-        return cls(
-            graph=graph,
-            demands=demands,
-            offsets=np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=len(demands))))),
-            demand=owner,
-            delay=delay[keep],
-            rate=bound[owner, 2],
-            rows=np.stack(
-                (first[keep], second[keep], src[owner], relay[keep], dst[owner]), axis=1
-            )
-            + np.array([0, 0, n_edges, n_edges, n_edges]),
-            n_edges=n_edges,
-            n_nodes=n,
-        )
+        return RouteGeometry.find(graph, demands).table(graph, relays)
 
     @classmethod
     def pack(
@@ -169,6 +239,12 @@ class CandidateTable:
         """Candidate ``i`` as a :class:`~cgroute.model.Path`, made by :meth:`paths`."""
         return self.paths(np.array([i]))[0]
 
+    def ends(self, index: np.ndarray) -> list[list[int]]:
+        """Source, relay and destination node of candidates ``index``, as
+        three lists; a direct route's relay is ``n_nodes``.
+        """
+        return (self.rows[index, 2:] - self.n_edges).T.tolist()
+
     def paths(self, index: np.ndarray) -> list[Path]:
         """Candidates ``index`` as paths equal to ``make_path``'s, made in one pass.
 
@@ -177,25 +253,19 @@ class CandidateTable:
         is built the same way.
         """
         a, rows = self.graph.arrays, self.rows[index]
-        src, relay, dst = (rows[:, 2:] - self.n_edges).T
-        relayed = relay < self.n_nodes
+        relayed = rows[:, 3] < self.n_edges + self.n_nodes
         jitter = 0.0 + a.jitter[rows[:, 0]]
         success = 1.0 * a.success[rows[:, 0]]
         jitter[relayed] += a.jitter[rows[relayed, 1]]
         success[relayed] *= a.success[rows[relayed, 1]]
         ids = [self.demands[r].id for r in self.demand[index].tolist()]
+        src, relay, dst = self.ends(index)
         return [
             Path(did, ((s, k), (k, t)), (s, k, t), delay, j, p)
             if k < self.n_nodes
             else Path(did, ((s, t),), (s, t), delay, j, p)
             for did, s, k, t, delay, j, p in zip(
-                ids,
-                src.tolist(),
-                relay.tolist(),
-                dst.tolist(),
-                self.delay[index].tolist(),
-                jitter.tolist(),
-                success.tolist(),
+                ids, src, relay, dst, self.delay[index].tolist(), jitter.tolist(), success.tolist()
             )
         ]
 

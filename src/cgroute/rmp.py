@@ -22,8 +22,10 @@ call to SciPy's bundled HiGHS binding, or ``scipy.optimize.linprog`` and
 
 The master is also the one read-out of a routing: rounding and the exact
 benchmark each pick one pool column per demand, and
-:meth:`RestrictedMaster.routing` makes the paths and sums the objective in
-ascending demand id, so one routing has one objective whoever chose it.
+:meth:`RestrictedMaster.routing` sums the objective in ascending demand
+id, so one routing has one objective whoever chose it. It returns a
+:class:`Routing`, which holds the choice as arrays and makes its paths
+only when one is read.
 
 The rejection penalty grows with the demand count (about 2e8 at 20k
 demands) while path delays stay near 1-500 ms, and HiGHS dual simplex
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -189,6 +190,57 @@ def _cost_exponent(penalty: float) -> int:
     return -max(0, math.ceil(math.log2(penalty / _PENALTY_CEILING)))
 
 
+class Routing(Mapping[int, Optional[Path]]):
+    """A routing read out of a master: each demand's path, or ``None`` for
+    a rejection, by ascending demand id. Read-only.
+
+    ``accepted`` marks the routed demands in the table's demand order, and
+    ``picked`` holds each routed demand's table index, in the same order;
+    ``n_accepted`` is their count. Counts, routes and delays can be read
+    from these arrays and the ``table``. The paths are made in one
+    :meth:`~cgroute.pricing.CandidateTable.paths` batch the first time a
+    path is read.
+    """
+
+    def __init__(
+        self,
+        table: CandidateTable,
+        accepted: np.ndarray,
+        picked: np.ndarray,
+        row: Mapping[int, int],
+    ):
+        self.table = table
+        self.accepted = accepted
+        self.picked = picked
+        self.accepted.flags.writeable = self.picked.flags.writeable = False
+        # Each demand id's position in ``table.demands``.
+        self._row = row
+        self._paths: Optional[list[Optional[Path]]] = None
+
+    @property
+    def n_accepted(self) -> int:
+        return len(self.picked)
+
+    def __getitem__(self, demand_id: int) -> Optional[Path]:
+        r = self._row[demand_id]
+        if self._paths is None:
+            made = iter(self.table.paths(self.picked))
+            self._paths = [next(made) if a else None for a in self.accepted.tolist()]
+        return self._paths[r]
+
+    def __contains__(self, demand_id) -> bool:
+        return demand_id in self._row
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self._row)
+
+    def __repr__(self) -> str:
+        return f"Routing({dict(self)!r})"
+
+
 class RestrictedMaster:
     """A growing subset of a candidate table, plus LP assembly and solve.
 
@@ -200,7 +252,8 @@ class RestrictedMaster:
     table's arrays for the pool. ``_b_ub`` holds the capacity of every
     row of the table's row map except the pad. A column's
     :class:`~cgroute.model.Path` is made only when it is read, through
-    :meth:`column`, :attr:`columns` or :meth:`routing`.
+    :meth:`column`, :attr:`columns` or the :class:`Routing` of
+    :meth:`routing`.
     """
 
     def __init__(self, graph: OverlayGraph, table: CandidateTable):
@@ -287,25 +340,23 @@ class RestrictedMaster:
         at_top = np.where(grouped == top, np.arange(len(order)), len(order))
         return order[np.minimum.reduceat(at_top, starts)]
 
-    def routing(self, chosen: np.ndarray) -> tuple[Mapping[int, Optional[Path]], float]:
+    def routing(self, chosen: np.ndarray) -> tuple[Routing, float]:
         """The routing that takes pool column ``chosen[r]`` for ``demands[r]``.
 
-        A rejection column rejects its demand. Returns each demand's path,
-        or ``None``, by ascending id, the paths made in one batch; and the
-        objective, path delays and rejection penalties summed in that order.
+        A rejection column rejects its demand. Returns the :class:`Routing`,
+        which makes its paths only when one is read; and the objective,
+        path delays and rejection penalties summed in ascending demand id.
         """
         n_dummy = len(self.demands)
-        routed = chosen >= n_dummy
-        picked = self._joined[chosen[routed] - n_dummy]
-        paths = iter(self.table.paths(picked))
-        outcomes = {d.id: next(paths) if r else None for d, r in zip(self.demands, routed.tolist())}
+        accepted = chosen >= n_dummy
+        picked = self._joined[chosen[accepted] - n_dummy]
         cost = np.full(n_dummy, self.dummy_penalty)
-        cost[routed] = self.table.delay[picked]
+        cost[accepted] = self.table.delay[picked]
         # A plain loop: from Python 3.12, ``sum`` compensates float rounding.
         objective = 0.0
         for c in cost.tolist():
             objective += c
-        return MappingProxyType(outcomes), objective
+        return Routing(self.table, accepted, picked, self._row), objective
 
     def add(self, candidates: Iterable[int]) -> int:
         """Let table candidates join the pool; return how many were new.
@@ -412,6 +463,13 @@ class RestrictedMaster:
         """The closed-form optimum of :meth:`solve`, or ``None`` if it does not apply."""
         t, n_dummy = self.table, len(self.demands)
         m = self.joined
+        if not len(m):  # the all-rejection pool: nothing loads any row
+            sigma = [self.dummy_penalty] * n_dummy
+            return RmpSolution(
+                values=(1.0,) * n_dummy,
+                objective=sum(sigma),
+                duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
+            )
         owner = self.owner[n_dummy:]
         joined = np.bincount(owner, minlength=n_dummy)
         if (joined > 1).any():

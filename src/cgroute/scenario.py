@@ -42,11 +42,25 @@ class TraceEpoch:
 
 @dataclass(frozen=True)
 class Trace:
-    """An ordered sequence of epochs over a fixed edge set and node limits."""
+    """An ordered sequence of epochs over a fixed edge set and node limits.
+
+    Every epoch must list the first epoch's edges in the same order, so a
+    replay can find the demands' routes once for all of them; another
+    edge set raises :class:`~cgroute.errors.InputError` naming the epoch.
+    """
 
     n_nodes: int
     epochs: tuple[TraceEpoch, ...]
     node_limits: tuple[float, ...]
+
+    def __post_init__(self):
+        if self.epochs:
+            edges = tuple(self.epochs[0].edges)
+            for epoch in self.epochs[1:]:
+                if tuple(epoch.edges) != edges:
+                    raise InputError(
+                        f"epoch {epoch.timestamp!r} has other edges than the first epoch"
+                    )
 
     def graph_for(self, epoch: TraceEpoch) -> OverlayGraph:
         return OverlayGraph.from_edges(self.n_nodes, epoch.edges, self.node_limits)
@@ -187,6 +201,8 @@ def load_node_limits(path: FsPath) -> tuple[float, ...]:
         for lineno, line in _data_lines(path):
             parts = _parse_fields(line, 2, lineno)
             node = _parse_int(parts[0], "node id", lineno)
+            if node < 0:
+                raise FormatError("node id must be >= 0", lineno)
             if node in limits:
                 raise FormatError(f"duplicate node {node}", lineno)
             limit = _parse_float(parts[1], "processing limit", lineno)
@@ -195,8 +211,10 @@ def load_node_limits(path: FsPath) -> tuple[float, ...]:
             limits[node] = limit
         if not limits:
             raise FormatError("no node limits found")
-        if sorted(limits) != list(range(len(limits))):
-            raise FormatError(f"node ids must be dense 0..{len(limits) - 1}")
+        # Distinct ids >= 0 are 0..n-1 exactly when the largest is n - 1.
+        if max(limits) != len(limits) - 1:
+            missing = min(set(range(len(limits))) - set(limits))
+            raise FormatError(f"node ids must be dense 0..{len(limits) - 1}: no node {missing}")
     return tuple(limits[i] for i in range(len(limits)))
 
 

@@ -9,8 +9,10 @@ every candidate joins at the first HiGHS solve, so the pass after it
 certifies at once; larger masters grow incrementally. Randomized
 rounding then converts the fractional path mix into one committed path
 per demand, or a rejection. Candidates stay table rows throughout; the
-master's read-out, as for the exact benchmark, makes the committed routes'
-:class:`~cgroute.model.Path` objects and sums the objective.
+master's read-out, as for the exact benchmark, sums the objective and
+returns a :class:`~cgroute.rmp.Routing`, which makes the committed routes'
+:class:`~cgroute.model.Path` objects only when one is read: a solve itself
+makes none.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import InputError
 from .model import Demand, OverlayGraph, Path, augment_clique
 from .pricing import CandidateTable, enumerate_candidates, price_demand
-from .rmp import RestrictedMaster, RmpSolution
+from .rmp import RestrictedMaster, RmpSolution, Routing
 
 #: Builds the candidate table of a demand set on a graph, such as
 #: :func:`~cgroute.pricing.enumerate_candidates`.
@@ -83,6 +85,8 @@ class RoutingSolution:
 
     @property
     def n_accepted(self) -> int:
+        if isinstance(self.outcomes, Routing):  # read from its arrays, no path made
+            return self.outcomes.n_accepted
         return sum(1 for p in self.outcomes.values() if p is not None)
 
 

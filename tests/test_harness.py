@@ -14,6 +14,7 @@ from cgroute.harness import (
     direct_mode_candidates,
     emit_reports,
     estimate_throughput,
+    mode_candidates,
     reports_to_csv,
     reports_to_json,
     run_timeseries,
@@ -22,7 +23,7 @@ from cgroute.harness import (
 from cgroute.model import Demand, LinkMetrics, OverlayGraph, augment_clique, make_path
 from cgroute.pricing import enumerate_candidates
 from cgroute.scenario import TelcoProfile, generate_telco_trace, telco_demands
-from cgroute.solver import SolverConfig
+from cgroute.solver import SolverConfig, solve
 
 from instances import (
     candidate_lists,
@@ -201,6 +202,57 @@ class TestRunTimeseries:
                 if routes == {did: p.nodes if p else () for did, p in best.outcomes.items()}:
                     assert report.gap_pct == 0.0, (seed, mode)
                     assert report.objective == best.objective, (seed, mode)
+
+    @pytest.mark.parametrize("with_throughput", [False, True])
+    @pytest.mark.parametrize("oracle", [False, True])
+    def test_replay_equals_fresh_solves(self, oracle, with_throughput):
+        # A replay finds its routes once per trace; each report must still be
+        # the one a fresh solve_epoch on that epoch's graph makes.
+        traces = [small_trace(n_epochs=3)]
+        traces += [(generate_telco_trace(2, seed=s), telco_demands(seed=s)) for s in range(3)]
+        for trace, demands in traces:
+            config = SolverConfig(seed=1)
+            reports = run_timeseries(
+                trace, demands, MODES, config, oracle=oracle, with_throughput=with_throughput
+            )
+            fresh = [
+                replace(
+                    solve_epoch(
+                        trace.graph_for(ep),
+                        demands,
+                        mode,
+                        config,
+                        epoch_ts=ep.timestamp,
+                        oracle=oracle,
+                        with_throughput=with_throughput,
+                    ),
+                    master=None,
+                )
+                for ep in trace.epochs
+                for mode in MODES
+            ]
+            assert [replace(r, runtime_ms=0.0) for r in reports] == [
+                replace(r, runtime_ms=0.0) for r in fresh
+            ]
+            assert any(r.gap_pct is not None for r in reports) == oracle
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_match_the_routing_paths(self, seed):
+        # The rows are read from the routing's arrays, without its paths;
+        # they must say what the paths say.
+        graph, demands = gap_suite_instance(seed)
+        for mode in MODES:
+            report = solve_epoch(graph, demands, mode, SolverConfig(seed=seed))
+            routed = solve(graph, demands, SolverConfig(seed=seed), mode_candidates(mode))
+            paths = sorted(routed.outcomes.items())
+            assert [row["demand"] for row in report.outcomes] == [did for did, _ in paths]
+            for row, (_, p) in zip(report.outcomes, paths):
+                assert row["accepted"] is (p is not None)
+                if p is not None:
+                    assert (row["path"], row["delay_ms"]) == (list(p.nodes), p.total_delay_ms)
+            delays = [p.total_delay_ms for _, p in paths if p is not None]
+            assert report.n_accepted == len(delays) == routed.n_accepted
+            assert report.mean_delay_ms == (sum(delays) / len(delays) if delays else None)
 
     def test_unknown_mode_rejected(self):
         trace, demands = small_trace()

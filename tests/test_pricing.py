@@ -13,7 +13,7 @@ from cgroute.model import (
     make_dummy_path,
     make_path,
 )
-from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
+from cgroute.pricing import CandidateTable, RouteGeometry, enumerate_candidates, price_demand
 from cgroute.rmp import DualPoint
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph
@@ -406,6 +406,58 @@ def scenarios(draw):
             )
         )
     return graph, demands
+
+
+class TestRouteGeometry:
+    """Routes found once on one graph, metrics read from another with the same edges."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_split_build_lists_brute_force_candidates(self, data):
+        # A trace's epochs share edges but not metrics: routes found on one
+        # epoch's graph, read on another's, must be that graph's own
+        # candidates, in list order and bit for bit.
+        graph, demands = data.draw(scenarios())
+        redrawn = OverlayGraph.from_edges(
+            graph.n_nodes,
+            {
+                e: LinkMetrics(
+                    data.draw(_DELAYS),
+                    data.draw(st.sampled_from([0.0, 5.0, 20.0])),
+                    100.0,
+                    data.draw(st.sampled_from([1.0, 0.9, 0.5])),
+                )
+                for e in graph.edges
+            },
+            graph.node_limits,
+        )
+        geometry = RouteGeometry.find(graph, demands)
+        for g in (graph, redrawn):
+            overlay = candidate_lists(geometry.table(g, relays=True))
+            direct = candidate_lists(geometry.table(g, relays=False))
+            for d in demands:
+                want = brute_force_candidates(g, d)
+                assert overlay[d.id] == want
+                assert direct[d.id] == [p for p in want if len(p.edges) == 1]
+
+    def test_tables_equal_the_one_step_build(self):
+        graph, demands = gap_suite_instance(5)
+        geometry = RouteGeometry.find(graph, demands[::-1])
+        for relays in (True, False):
+            got = geometry.table(graph, relays)
+            want = CandidateTable.build(graph, demands, relays)
+            for name in ("offsets", "demand", "delay", "rate", "rows"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    def test_graph_with_other_edges_refused(self):
+        graph, demands = gap_suite_instance(5)
+        geometry = RouteGeometry.find(graph, demands)
+        fewer = dict(graph.edges)
+        fewer.popitem()
+        other = OverlayGraph.from_edges(graph.n_nodes, fewer, graph.node_limits)
+        with pytest.raises(ContractError, match="other edges"):
+            geometry.table(other, relays=True)
 
 
 class TestBatchedAgainstScalarOracle:

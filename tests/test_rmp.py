@@ -460,6 +460,20 @@ class TestClosedForm:
         assert min_reduced_cost(master, sol.duals) >= -1e-9
         assert dual_objective(sol.duals, master.graph) == sol.objective
 
+    def test_all_rejection_pool_exactly(self, highs_calls):
+        # The first master of every solve: each demand on its rejection,
+        # each convexity price the penalty, all to the bit.
+        master = telco_after_first_pricing()
+        master = RestrictedMaster(master.graph, master.table)
+        sol = master.solve()
+        n, penalty = len(master.demands), master.dummy_penalty
+        assert highs_calls == []
+        assert sol.values == (1.0,) * n
+        assert sol.objective == sum([penalty] * n)
+        assert sol.duals.convexity_duals.tolist() == [penalty] * n
+        assert sol.duals.edge_duals.tolist() == [0.0] * len(master.graph.edges)
+        assert sol.duals.node_duals.tolist() == [0.0] * master.graph.n_nodes
+
     def test_load_equal_to_capacity_fits(self, highs_calls):
         sol = edge_at_capacity(40.0).solve()
         assert highs_calls == []

@@ -96,6 +96,19 @@ class TestLoadTrace:
         with pytest.raises(FormatError, match="different edge set"):
             load_trace(trace_file, limits_file)
 
+    def test_api_trace_with_another_edge_set_rejected(self):
+        # Through the API there is no file line to name, so the epoch's
+        # timestamp names it; a replay finds routes on the first epoch only.
+        m = LinkMetrics(10.0, 1.0, 100.0, 0.99)
+        full = TraceEpoch(0.0, {(0, 1): m, (1, 2): m})
+        with pytest.raises(InputError, match=r"^epoch 300\.0 has other edges than the first epoch$"):
+            Trace(3, (full, TraceEpoch(300.0, {(0, 1): m})), (100.0,) * 3)
+        reordered = TraceEpoch(600.0, {(1, 2): m, (0, 1): m})
+        with pytest.raises(InputError, match=r"^epoch 600\.0 "):
+            Trace(3, (full, full, reordered), (100.0,) * 3)
+        assert len(Trace(3, (full, full), (100.0,) * 3).epochs) == 2
+        assert Trace(3, (), (100.0,) * 3).epochs == ()
+
     def test_missing_header_rejected(self, tmp_path):
         trace_file = write(tmp_path, "t.csv", "0.0,0,1,10.0,1.0,100.0,0.99\n")
         limits_file = write(tmp_path, "l.csv", LIMITS3)
@@ -138,6 +151,22 @@ class TestStaticFiles:
         limits_file = write(tmp_path, "l.csv", "0,10.0\n2,10.0\n")
         with pytest.raises(FormatError):
             load_node_limits(limits_file)
+
+    @pytest.mark.parametrize(
+        "ids,missing", [("0,2", 1), ("1,2", 0), ("0,1,5", 2), ("3,0,4,1", 2)]
+    )
+    def test_gap_in_node_ids_names_the_first_missing_id(self, tmp_path, ids, missing):
+        rows = "".join(f"{i},10.0\n" for i in ids.split(","))
+        lpath = write(tmp_path, "l.csv", rows)
+        n = len(ids.split(","))
+        want = f"^{re.escape(str(lpath))}: node ids must be dense 0..{n - 1}: no node {missing}$"
+        with pytest.raises(FormatError, match=want):
+            load_node_limits(lpath)
+
+    def test_negative_node_id_fails_on_its_row(self, tmp_path):
+        lpath = write(tmp_path, "l.csv", "0,10.0\n# comment\n-1,10.0\n1,10.0\n")
+        with pytest.raises(FormatError, match=f"{at(lpath, 3)}node id must be >= 0$"):
+            load_node_limits(lpath)
 
     def test_malformed_row_reports_line(self, tmp_path):
         gpath = write(tmp_path, "g.csv", "0,1,10.0,1.0,100.0\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgroute.errors import InputError
-from cgroute.harness import mode_candidates
+from cgroute.harness import mode_candidates, run_timeseries
 from cgroute.model import (
     Demand,
     LinkMetrics,
@@ -461,17 +461,14 @@ class TestSolve:
 
 
 class TestObjectBudget:
-    def test_paths_only_for_committed_routes(self, monkeypatch):
-        # Candidates stay table rows: a solve makes one path per accepted
-        # demand and none for rejection columns. CandidateTable.path builds
-        # through CandidateTable.paths, so counting Path there counts both.
+    @staticmethod
+    def count_made(monkeypatch):
+        """Counters of paths made (through ``CandidateTable.paths``, which
+        ``CandidateTable.path`` calls too), of ``paths`` calls and of dummy paths."""
         import cgroute.pricing as pricing
         import cgroute.rmp as rmp
 
-        params = SyntheticParams(n_nodes=200, n_edges=3000, n_demands=3000, seed=0)
-        graph = generate_topology(params)
-        demands = generate_demands(params, graph)
-        made = {"path": 0, "dummy": 0}
+        made = {"path": 0, "batch": 0, "dummy": 0}
 
         def counting(kind, make):
             def counted(*args, **kwargs):
@@ -481,8 +478,33 @@ class TestObjectBudget:
             return counted
 
         monkeypatch.setattr(pricing, "Path", counting("path", pricing.Path))
+        monkeypatch.setattr(
+            pricing.CandidateTable, "paths", counting("batch", pricing.CandidateTable.paths)
+        )
         monkeypatch.setattr(rmp, "make_dummy_path", counting("dummy", rmp.make_dummy_path))
+        return made
+
+    def test_paths_only_for_committed_routes(self, monkeypatch):
+        # Candidates stay table rows, and a routing makes its paths only
+        # when one is read: solve makes none, and the first read of the
+        # outcomes makes one per accepted demand, in one batch.
+        params = SyntheticParams(n_nodes=200, n_edges=3000, n_demands=3000, seed=0)
+        graph = generate_topology(params)
+        demands = generate_demands(params, graph)
+        made = self.count_made(monkeypatch)
         routed = solve(graph, demands)
-        assert made["path"] < len(enumerate_candidates(graph, demands))
-        assert made["dummy"] < len(demands)
-        assert made["path"] == routed.n_accepted
+        assert made == {"path": 0, "batch": 0, "dummy": 0}
+        assert 0 < routed.n_accepted < len(demands)
+        first = routed.outcomes[demands[0].id]
+        assert made == {"path": routed.n_accepted, "batch": 1, "dummy": 0}
+        assert sum(p is not None for p in routed.outcomes.values()) == routed.n_accepted
+        assert routed.outcomes[demands[0].id] is first
+        assert made == {"path": routed.n_accepted, "batch": 1, "dummy": 0}
+
+    def test_replay_without_throughput_makes_no_path(self, monkeypatch):
+        trace = generate_telco_trace(3, seed=1)
+        demands = telco_demands(seed=1)
+        made = self.count_made(monkeypatch)
+        reports = run_timeseries(trace, demands)
+        assert sum(r.n_accepted for r in reports) > 0
+        assert made == {"path": 0, "batch": 0, "dummy": 0}
