@@ -5,8 +5,7 @@ front, so the integer problem is a pure selection: one route or a
 rejection per demand under the shared capacity rows. The restricted
 master solves it in one HiGHS MIP call on the same matrices as its LP
 relaxation, so the heuristic and the benchmark share one model and one
-HiGHS entry point, with the feasibility-jump heuristic off; SciPy 1.10,
-which bundles no HiGHS binding, runs ``scipy.optimize.milp`` instead
+HiGHS entry point, with the feasibility-jump heuristic off
 (:meth:`~cgroute.rmp.RestrictedMaster.solve_integer`). Each demand's
 choice is its column closest to 1 in the MIP's point
 (:meth:`~cgroute.rmp.RestrictedMaster.top_columns`), and the master reads
@@ -105,7 +104,7 @@ def solve_exact(
         outcomes=outcomes,
         objective=objective,
         optimal=res.status == "optimal",
-        nodes_explored=res.nodes or 0,
+        nodes_explored=res.nodes,
         lp_solves=1,
         duration_s=time.perf_counter() - started,
     )

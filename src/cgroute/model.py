@@ -63,6 +63,8 @@ class Demand:
     min_success_prob: float
 
     def __post_init__(self):
+        if self.id < 0:
+            raise InputError(f"demand {self.id}: id must be >= 0")
         if self.source == self.destination:
             raise InputError(f"demand {self.id}: source equals destination")
         if not (math.isfinite(self.rate_mbps) and self.rate_mbps > 0.0):

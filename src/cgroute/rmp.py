@@ -16,9 +16,8 @@ one candidate per demand whose loads fit every capacity has a closed-form
 optimum, with zero capacity prices. A caller may ask that a pool which
 does reach HiGHS first take in the whole table, so that one LP solves the
 full master. The exact benchmark solves the same matrices as a 0/1
-program. Both go through one entry point, :func:`_call_highs`: a direct
-call to SciPy's bundled HiGHS binding, or ``scipy.optimize.linprog`` and
-``milp`` on SciPy 1.10, which bundles none.
+program. Both go through one entry point, :func:`_call_highs`, a direct
+call to SciPy's bundled HiGHS binding.
 
 The master is also the one read-out of a routing: rounding and the exact
 benchmark each pick one pool column per demand, and
@@ -45,13 +44,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.optimize import linprog as _scipy_linprog
-
-try:  # HiGHS's own Python binding, which newer SciPy releases vendor
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # SciPy 1.10 has none; its compiled linprog wrapper is lean
-    _highs = None
+from scipy.optimize._highspy import _core as _highs  # HiGHS's own binding, as SciPy vendors it
 
 from .errors import ContractError, InputError, SolverError
 from .model import Demand, OverlayGraph, Path, dummy_penalty, make_dummy_path
@@ -65,7 +58,7 @@ if TYPE_CHECKING:
 # (2.6e-7 at s = -8); the solver tests re-price the whole table at 1e-7 on
 # scaled masters.
 _LP_OPTIONS = {
-    "presolve": True,
+    "presolve": "on",
     "primal_feasibility_tolerance": 1e-9,
     "dual_feasibility_tolerance": 1e-9,
 }
@@ -159,8 +152,9 @@ class HighsResult:
     ``status`` is a name from :data:`_HIGHS_STATUS`, else ``numerical``.
     ``x`` and ``objective`` are the LP's optimal point or the MIP's best
     integer point, ``None`` without one. ``row_dual`` (an LP's, capacity
-    rows first), ``nodes`` and ``dual_bound`` (a MIP's) are ``None`` where
-    they do not apply. ``message`` says why a solve is not optimal.
+    rows first) is ``None`` where it does not apply; ``nodes`` and
+    ``dual_bound`` are set on every MIP and are ``None`` on an LP.
+    ``message`` says why a solve is not optimal.
     """
 
     status: str
@@ -500,10 +494,9 @@ class RestrictedMaster:
         or ``node_limit``. ``x`` holds the best integer point found, or is
         ``None`` if there is none yet. ``objective`` and ``dual_bound`` are
         scaled back to delay units, and ``nodes`` counts HiGHS's
-        branch-and-bound nodes (``milp``, the SciPy 1.10 fallback, leaves it
-        ``None`` where it has no point). HiGHS runs through
-        :func:`_call_highs` by name, not through the module's ``linprog``,
-        which carries the LP calls only.
+        branch-and-bound nodes. HiGHS runs through :func:`_call_highs` by
+        name, not through the module's ``linprog``, which carries the LP
+        calls only.
         """
         cost, a_ub, a_eq = self._assemble()
         scale = _cost_exponent(self.dummy_penalty)
@@ -569,51 +562,13 @@ def _call_highs(c, a_ub, b_ub, a_eq, b_eq, integer, options) -> HighsResult:
     :class:`~cgroute.errors.ContractError`, except one in
     :data:`_OPTIONAL_OPTIONS`, which the solve goes on without. An optimal
     LP point must pass ``linprog``'s post-solve check (:func:`_feasible`).
-
-    SciPy 1.10 bundles no binding (``_highs is None``); there ``linprog``
-    or ``milp`` solves the same model, and its status code 0-4 is read as
-    ``optimal``, ``iteration_limit`` (a MIP's ``time_limit``),
-    ``infeasible``, ``unbounded`` and ``numerical`` (``milp``'s node limit).
     """
-    if _highs is None:
-        row_dual = None
-        if integer:
-            res = milp(
-                c,
-                integrality=np.ones(len(c)),
-                bounds=Bounds(0.0, 1.0),
-                constraints=[
-                    LinearConstraint(a_ub, -np.inf, b_ub),
-                    LinearConstraint(a_eq, b_eq, b_eq),
-                ],
-                options={
-                    "mip_rel_gap": options["mip_rel_gap"],
-                    "time_limit": options["time_limit"],
-                    "node_limit": options["mip_max_nodes"],
-                },
-            )
-        else:
-            res = _scipy_linprog(c, a_ub, b_ub, a_eq, b_eq, method="highs", options=options)
-            if res.status == 0:
-                row_dual = np.concatenate((res.ineqlin.marginals, res.eqlin.marginals))
-        limit = "time_limit" if integer else "iteration_limit"
-        return HighsResult(
-            status=("optimal", limit, "infeasible", "unbounded", "numerical")[res.status],
-            x=res.x,
-            objective=res.fun,
-            row_dual=row_dual,
-            nodes=res.get("mip_node_count"),
-            dual_bound=res.get("mip_dual_bound"),
-            message=res.message,
-        )
     h = _highs
     highs = h._Highs()
     if not integer:
         dual_simplex = int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
         options = {"simplex_strategy": dual_simplex, **options}
     for name, value in {"output_flag": False, **options}.items():
-        if name == "presolve":
-            value = "on" if value else "off"
         rejected = highs.setOptionValue(name, value) != h.HighsStatus.kOk
         if rejected and name not in _OPTIONAL_OPTIONS:
             raise ContractError(f"HiGHS rejected option {name}={value!r}")

@@ -102,14 +102,24 @@ class SyntheticParams:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
                 raise InputError(f"{name} must be a nonempty finite range")
+        if self.capacity_range_mbps[0] <= 0.0:
+            raise InputError("capacity_range_mbps must stay above 0")
+        for name in ("delay_range_ms", "jitter_range_ms", "jitter_bound_range_ms"):
+            if getattr(self, name)[0] < 0.0:
+                raise InputError(f"{name} must stay at or above 0")
         if self.loss_range[1] >= 1.0 or self.loss_range[0] < 0.0:
             raise InputError("link loss range must stay within [0, 1)")
         if self.loss_bound_range[1] >= 1.0 or self.loss_bound_range[0] < 0.0:
             raise InputError("demand loss bound range must stay within [0, 1)")
         if self.n_nodes < 2 or self.n_demands < 0 or self.n_edges < 0:
             raise InputError("counts must be positive")
-        if self.rate_mean_mbps <= 0.0:
-            raise InputError("mean rate must be positive")
+        if not (math.isfinite(self.rate_mean_mbps) and self.rate_mean_mbps > 0.0):
+            raise InputError("rate_mean_mbps must be finite and > 0")
+        rate = self.rate_fixed_mbps
+        if rate is not None and not (math.isfinite(rate) and rate > 0.0):
+            raise InputError("rate_fixed_mbps must be finite and > 0")
+        if not (math.isfinite(self.node_capacity_mbps) and self.node_capacity_mbps >= 0.0):
+            raise InputError("node_capacity_mbps must be finite and >= 0")
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
 

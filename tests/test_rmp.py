@@ -1,4 +1,3 @@
-import importlib.util
 import math
 
 import numpy as np
@@ -148,12 +147,6 @@ class TestSolve:
         assert routed_mass == pytest.approx(1.0, abs=1e-9)
 
 
-direct_call = pytest.mark.skipif(
-    rmp._highs is None,
-    reason="this SciPy has no scipy.optimize._highspy._core; HiGHS runs through linprog and milp",
-)
-
-
 def direct_call_args(master, highs_calls):
     """The one HiGHS call ``master.solve()`` makes, as ``(args, kwargs)``."""
     master.solve()
@@ -164,15 +157,6 @@ def direct_call_args(master, highs_calls):
 class TestHighsCall:
     """The direct HiGHS call solves the model ``linprog`` solves, to the same point."""
 
-    def test_direct_call_is_the_path_on_this_scipy(self):
-        # A SciPy that ships the _highspy package must also give the direct
-        # call its binding, or the slow wrapper would come back unnoticed.
-        if importlib.util.find_spec("scipy.optimize._highspy") is None:
-            pytest.skip("this SciPy has no scipy.optimize._highspy; linprog is the path")
-        assert rmp._highs is not None
-        assert rmp.linprog is rmp._call_highs
-
-    @direct_call
     @pytest.mark.parametrize("seed", [*range(10), "scaled"])
     def test_matches_linprog(self, seed, highs_calls):
         # Both sides get the costs times the same power of two: 1 on the
@@ -189,16 +173,6 @@ class TestHighsCall:
         np.testing.assert_array_equal(got.row_dual[:m], want.ineqlin.marginals)
         np.testing.assert_array_equal(got.row_dual[m:], want.eqlin.marginals)
 
-    @pytest.mark.parametrize("seed", [*range(10), "scaled"])
-    def test_linprog_fallback_returns_the_same_solution(self, seed, monkeypatch):
-        got = full_master(seed).solve()
-        monkeypatch.setattr(rmp, "_highs", None)
-        want = full_master(seed).solve()
-        assert got.values == want.values and got.objective == want.objective
-        for name in ("edge_duals", "node_duals", "convexity_duals"):
-            np.testing.assert_array_equal(getattr(got.duals, name), getattr(want.duals, name))
-
-    @direct_call
     @pytest.mark.parametrize(
         "option", [{"no_such_option": 1}, {"primal_feasibility_tolerance": "tight"}]
     )
@@ -208,7 +182,6 @@ class TestHighsCall:
         with pytest.raises(ContractError, match="HiGHS rejected option"):
             rmp._call_highs(*args, **kwargs)
 
-    @direct_call
     @pytest.mark.parametrize("over_tol", [False, True])
     def test_capacity_violation_over_tol_is_numerical(self, over_tol, monkeypatch):
         # Shift one column on the tightest capacity row so that the row's
@@ -289,8 +262,7 @@ class TestCostScaling:
         cost = master._assemble()[0]
         (c,) = seen
         np.testing.assert_array_equal(c, np.ldexp(cost, -3))
-        # milp, the fallback, reports the node limit as its catch-all code 4.
-        assert res.status == ("numerical" if rmp._highs is None else "node_limit")
+        assert res.status == "node_limit"
         assert res.objective == pytest.approx(float(cost @ res.x), rel=1e-12)
         assert master.solve().objective * (1 - 1e-9) <= res.dual_bound <= res.objective
 
@@ -350,7 +322,6 @@ class FakeHighs:
         return self.highs.run()
 
 
-@direct_call
 class TestIntegerCall:
     """The direct HiGHS MIP call solves the program ``milp`` solves, to the same optimum."""
 
@@ -362,14 +333,6 @@ class TestIntegerCall:
         res = solve_integer(master)
         assert res.status == "optimal" and res.nodes >= 0
         assert res.objective == math.ldexp(milp_result(master, exponent).fun, -exponent)
-
-    @pytest.mark.parametrize("seed", [2, 9, "scaled"])
-    def test_milp_fallback_returns_the_same_objective(self, seed, monkeypatch):
-        got = solve_integer(integer_master(seed))
-        monkeypatch.setattr(rmp, "_highs", None)
-        want = solve_integer(integer_master(seed))
-        assert got.status == want.status == "optimal"
-        assert got.objective == want.objective
 
     def test_mip_bypasses_the_lp_hook(self, highs_calls):
         # perfbench times ``rmp.linprog`` as a child of the LP solve.
@@ -396,7 +359,6 @@ class TestIntegerCall:
             solve_integer(full_master(2))
 
 
-@direct_call
 class TestHighsError:
     """A HiGHS whose ``run`` fails reads as ``numerical``, with no point."""
 

@@ -209,6 +209,24 @@ class TestStaticFiles:
         with pytest.raises(FormatError, match=f"{at(dpath, 2)}demand 1: rate must be finite"):
             load_demands(dpath)
 
+    def test_negative_demand_id_fails_on_its_line(self, tmp_path):
+        dpath = write(tmp_path, "d.csv", "0,0,1,5.0,50.0,0.5\n-1,1,0,5.0,50.0,0.5\n")
+        with pytest.raises(FormatError, match=f"{at(dpath, 2)}demand -1: id must be >= 0$"):
+            load_demands(dpath)
+
+    def test_numbers_follow_python_int_and_float(self, tmp_path):
+        # The file format is Python's number grammar: digit-group underscores
+        # and non-ASCII decimal digits parse as ``int`` and ``float`` read them.
+        dpath = write(tmp_path, "d.csv", "1_0,0,1,1_000.5,\u0665\u0660,0.5\n\u0663,1,0,5.0,50.0,0.5\n")
+        assert [(d.id, d.rate_mbps, d.max_jitter_ms) for d in load_demands(dpath)] == [
+            (10, 1000.5, 50.0),
+            (3, 5.0, 50.0),
+        ]
+        lpath = write(tmp_path, "l.csv", "0,1_000\n\u0661,\u0662\u0660\u0660.5\n")
+        assert load_node_limits(lpath) == (1000.0, 200.5)
+        ppath = write(tmp_path, "p.cfg", "n_demands = 1_2\nseed = \u0667\n")
+        assert (load_params(ppath).n_demands, load_params(ppath).seed) == (12, 7)
+
     def test_bad_demand_field_names_its_line_once(self, tmp_path):
         dpath = write(tmp_path, "d.csv", "0,0,x,5.0,50.0,0.5\n")
         with pytest.raises(FormatError, match=f"{at(dpath, 1)}bad dst value 'x'$"):
@@ -248,6 +266,37 @@ class TestStaticFiles:
     def test_params_negative_seed_rejected(self, tmp_path):
         ppath = write(tmp_path, "p.cfg", "n_demands = 5\nseed = -1\n")
         with pytest.raises(InputError, match=f"^{re.escape(str(ppath))}: seed must be nonnegative$"):
+            load_params(ppath)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "rate_mean_mbps = nan",
+            "rate_mean_mbps = inf",
+            "rate_mean_mbps = 0",
+            "rate_fixed_mbps = -5",
+            "rate_fixed_mbps = nan",
+            "node_capacity_mbps = -1",
+            "node_capacity_mbps = nan",
+            "capacity_range_mbps = -5,1",
+            "capacity_range_mbps = 0,1",
+            "delay_range_ms = -1,5",
+            "jitter_range_ms = -1,5",
+            "jitter_bound_range_ms = -1,5",
+        ],
+    )
+    def test_params_bad_value_names_the_file(self, tmp_path, line):
+        # Each of these used to pass loading and fail only at generation,
+        # naming neither the file nor the key.
+        key = line.split()[0]
+        rule = {
+            "rate_mean_mbps": "must be finite and > 0",
+            "rate_fixed_mbps": "must be finite and > 0",
+            "node_capacity_mbps": "must be finite and >= 0",
+            "capacity_range_mbps": "must stay above 0",
+        }.get(key, "must stay at or above 0")
+        ppath = write(tmp_path, "p.cfg", f"n_demands = 5\n{line}\n")
+        with pytest.raises(InputError, match=f"^{re.escape(str(ppath))}: {key} {rule}$"):
             load_params(ppath)
 
 
