@@ -78,8 +78,12 @@ class RouteGeometry:
     rate: np.ndarray
 
     @classmethod
-    def find(cls, graph: OverlayGraph, demands: Sequence[Demand]) -> RouteGeometry:
-        """The routes of ``demands`` on ``graph``'s edges, in one pass over its arrays.
+    def find(
+        cls, graph: OverlayGraph, demands: Sequence[Demand], relays: bool = True
+    ) -> RouteGeometry:
+        """The routes of ``demands`` on ``graph``'s edges, in one pass over its
+        arrays; only the direct routes, without searching for relays, when
+        ``relays`` is false.
 
         A relay is the head of an out-edge of the source with an edge on to
         the destination. A demand endpoint outside the graph raises
@@ -96,9 +100,10 @@ class RouteGeometry:
         ).reshape(-1, 3)
         pos, found = _find(a.key, src * n + dst)
         with_edge = np.flatnonzero(found)  # the demands with a direct edge
-        # Every out-edge of each demand's source is a first hop.
+        # Every out-edge of each demand's source is a first hop, or none
+        # without relays.
         start = np.searchsorted(a.key, np.arange(n + 1) * n)
-        fan = (start[1:] - start[:-1])[src]
+        fan = (start[1:] - start[:-1])[src] * relays
         q = np.repeat(np.arange(len(demands)), fan)
         hop1 = np.arange(len(q)) + np.repeat(start[src] - np.cumsum(fan) + fan, fan)
         k = a.head[hop1]
@@ -200,7 +205,7 @@ class CandidateTable:
         routes when ``relays`` is false: :meth:`RouteGeometry.find`, then
         :meth:`RouteGeometry.table` on the same graph.
         """
-        return RouteGeometry.find(graph, demands).table(graph, relays)
+        return RouteGeometry.find(graph, demands, relays).table(graph, relays)
 
     @classmethod
     def pack(

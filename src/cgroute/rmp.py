@@ -153,7 +153,8 @@ class HighsResult:
     ``x`` and ``objective`` are the LP's optimal point or the MIP's best
     integer point, ``None`` without one. ``row_dual`` (an LP's, capacity
     rows first) is ``None`` where it does not apply; ``nodes`` and
-    ``dual_bound`` are set on every MIP and are ``None`` on an LP.
+    ``dual_bound`` are set on every MIP whose run succeeded, are 0 and
+    ``None`` on a MIP whose run failed, and are ``None`` on an LP.
     ``message`` says why a solve is not optimal.
     """
 
@@ -597,7 +598,8 @@ def _call_highs(c, a_ub, b_ub, a_eq, b_eq, integer, options) -> HighsResult:
     if res.status != "optimal":
         res.message = f"HiGHS model status {highs.modelStatusToString(model_status)}"
     if integer:
-        res.nodes, res.dual_bound = info.mip_node_count, info.mip_dual_bound
+        # After a failed run HiGHS's info holds sentinels (a node count of -1).
+        res.nodes, res.dual_bound = (info.mip_node_count, info.mip_dual_bound) if ran else (0, None)
         feasible = int(h.SolutionStatus.kSolutionStatusFeasible)
         if not ran or info.primal_solution_status != feasible:
             return res

@@ -426,13 +426,20 @@ def _preferential_targets(
     return sorted(targets)
 
 
+def _uniform(lo, hi, u):
+    """What ``rng.uniform(lo, hi)`` returns when the double it draws is ``u``."""
+    return lo + (hi - lo) * u
+
+
 def generate_topology(params: SyntheticParams) -> OverlayGraph:
     """Preferential-attachment overlay with independently sampled directions.
 
     Grows a star seed by attaching each new node to ``m`` degree-weighted
     existing nodes, ``m`` chosen to approximate the requested directed edge
     count (saturating to the complete graph). Every undirected attachment
-    becomes two directed edges whose metrics are sampled independently.
+    becomes two directed edges whose metrics are sampled independently:
+    after the attachment draws, four uniform doubles per directed edge, in
+    (delay, jitter, capacity, loss) order, ``(u, v)`` before ``(v, u)``.
     Connected by construction and deterministic per seed.
     """
     n = params.n_nodes
@@ -456,18 +463,11 @@ def generate_topology(params: SyntheticParams) -> OverlayGraph:
                 repeated.append(tgt)
             repeated.extend([new] * m)
 
-    def sample(lo_hi: tuple[float, float]) -> float:
-        return float(rng.uniform(lo_hi[0], lo_hi[1]))
-
-    edges: dict[Edge, LinkMetrics] = {}
-    for u, v in undirected:
-        for e in ((u, v), (v, u)):
-            edges[e] = LinkMetrics(
-                delay_ms=sample(params.delay_range_ms),
-                jitter_ms=sample(params.jitter_range_ms),
-                capacity_mbps=sample(params.capacity_range_mbps),
-                success_prob=1.0 - sample(params.loss_range),
-            )
+    ranges = (params.delay_range_ms, params.jitter_range_ms, params.capacity_range_mbps, params.loss_range)
+    lo, hi = np.array(ranges, dtype=float).T
+    metrics = _uniform(lo, hi, rng.random((2 * len(undirected), 4))).tolist()
+    ends = [e for u, v in undirected for e in ((u, v), (v, u))]
+    edges = {e: LinkMetrics(d, j, c, 1.0 - x) for e, (d, j, c, x) in zip(ends, metrics)}
     limits = [params.node_capacity_mbps] * n
     return OverlayGraph.from_edges(n, edges, limits)
 
@@ -481,29 +481,23 @@ def generate_demands(params: SyntheticParams, graph: OverlayGraph) -> list[Deman
     """
     if graph.n_nodes < 2:
         raise InputError("demand generation needs at least two nodes")
+    # Bounded integers and exponentials are interleaved with the uniforms,
+    # so the draws stay scalar; each uniform is :func:`_uniform` inlined.
     rng = np.random.default_rng([params.seed, 1])
+    integers, exponential, random = rng.integers, rng.exponential, rng.random
+    n, fixed, mean = graph.n_nodes, params.rate_fixed_mbps, params.rate_mean_mbps
+    (jitter_lo, jitter_hi), (loss_lo, loss_hi) = params.jitter_bound_range_ms, params.loss_bound_range
+    jitter_span, loss_span = jitter_hi - jitter_lo, loss_hi - loss_lo
     out: list[Demand] = []
     for did in range(params.n_demands):
-        s = int(rng.integers(graph.n_nodes))
-        t = int(rng.integers(graph.n_nodes - 1))
+        s = int(integers(n))
+        t = int(integers(n - 1))
         if t >= s:
             t += 1
-        if params.rate_fixed_mbps is not None:
-            rate = params.rate_fixed_mbps
-        else:
-            rate = max(float(rng.exponential(params.rate_mean_mbps)), 1e-9)
-        out.append(
-            Demand(
-                id=did,
-                source=s,
-                destination=t,
-                rate_mbps=rate,
-                max_jitter_ms=float(
-                    rng.uniform(*params.jitter_bound_range_ms)
-                ),
-                min_success_prob=1.0 - float(rng.uniform(*params.loss_bound_range)),
-            )
-        )
+        rate = fixed if fixed is not None else max(exponential(mean), 1e-9)
+        jitter = jitter_lo + jitter_span * random()
+        loss = loss_lo + loss_span * random()
+        out.append(Demand(did, s, t, rate, jitter, 1.0 - loss))
     return out
 
 
@@ -563,36 +557,32 @@ def generate_telco_trace(
     chosen = [pairs[k] for k in rng.permutation(len(pairs))[: profile.n_links]]
     chosen.sort()
 
-    base_delay = {}
-    high_jitter = {}
-    heavy_loss = {}
-    for e in chosen:
-        slow = rng.random() < profile.slow_delay_share
-        base_delay[e] = float(rng.uniform(80.0, 200.0) if slow else rng.uniform(5.0, 80.0))
-        high_jitter[e] = rng.random() < profile.high_jitter_share
-        heavy_loss[e] = rng.random() < profile.heavy_loss_share
+    # Per link: slow-delay test, base delay, jitter class, loss class.
+    slow, base, jitter_class, loss_class = rng.random((len(chosen), 4)).T
+    base_delay = np.where(
+        slow < profile.slow_delay_share, _uniform(80.0, 200.0, base), _uniform(5.0, 80.0, base)
+    )
+    high_jitter = jitter_class < profile.high_jitter_share
+    heavy_loss = loss_class < profile.heavy_loss_share
 
-    epochs = []
-    for k in range(n_epochs):
-        edges: dict[Edge, LinkMetrics] = {}
-        for e in chosen:
-            delay = float(np.clip(base_delay[e] + rng.uniform(-3.0, 3.0), 5.0, 250.0))
-            if high_jitter[e]:
-                jitter = float(rng.uniform(330.0, 5000.0))
-            else:
-                jitter = float(rng.uniform(1.0, 120.0))
-            if heavy_loss[e]:
-                loss = float(rng.uniform(0.02, 0.04))
-            elif rng.random() < profile.spike_prob:
-                loss = float(rng.uniform(0.01, 0.05))
-            else:
-                loss = float(rng.uniform(0.0001, 0.0025))
-            edges[e] = LinkMetrics(
-                delay_ms=delay,
-                jitter_ms=jitter,
-                capacity_mbps=profile.link_capacity_mbps,
-                success_prob=1.0 - loss,
-            )
+    # Each epoch, link after link: delay, jitter, then the loss, which a link
+    # outside the heavy-loss class follows a spike test with. Epochs follow
+    # one another in the stream, one row each.
+    width = np.where(heavy_loss, 3, 4)
+    first = np.cumsum(width) - width
+    draws = rng.random((n_epochs, int(width.sum())))
+    delay = np.clip(base_delay + _uniform(-3.0, 3.0, draws[:, first]), 5.0, 250.0)
+    jitter_u = draws[:, first + 1]
+    jitter = np.where(high_jitter, _uniform(330.0, 5000.0, jitter_u), _uniform(1.0, 120.0, jitter_u))
+    loss_u, spike = draws[:, first + width - 1], draws[:, first + 2] < profile.spike_prob
+    loss = np.where(
+        heavy_loss,
+        _uniform(0.02, 0.04, loss_u),
+        np.where(spike, _uniform(0.01, 0.05, loss_u), _uniform(0.0001, 0.0025, loss_u)),
+    )
+    capacity, epochs = profile.link_capacity_mbps, []
+    for k, row in enumerate(zip(delay.tolist(), jitter.tolist(), loss.tolist())):
+        edges = {e: LinkMetrics(d, j, capacity, 1.0 - x) for e, d, j, x in zip(chosen, *row)}
         epochs.append(TraceEpoch(k * profile.period_s, MappingProxyType(edges)))
     return Trace(
         n_nodes=n,

@@ -2,8 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Property tests draw the same examples on every run, so a failure in the
+# suite or in CI reproduces; each test keeps its own ``max_examples``. Pass
+# ``--hypothesis-profile=default`` for a randomized run.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 from cgroute import rmp
 from cgroute.model import Demand, LinkMetrics, OverlayGraph

@@ -15,8 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from cgroute.model import Demand, OverlayGraph, Path, make_path, qos_feasible
+from cgroute.model import Demand, LinkMetrics, OverlayGraph, Path, make_path, qos_feasible
 from cgroute.rmp import RestrictedMaster, RmpSolution
+from cgroute.scenario import SyntheticParams, TelcoProfile, Trace, TraceEpoch
 from cgroute.solver import RoutingSolution
 
 #: ``solver``'s rounding constants, repeated for :func:`reference_round`.
@@ -340,3 +341,113 @@ def reference_round(
 def reference_report_json(payload: dict) -> str:
     """A JSON report's text, laid out by ``json.dumps`` alone."""
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+# -- reference scenario generators ------------------------------------------------
+#
+# ``cgroute.scenario`` draws its link metrics and trace epochs as arrays. These
+# draw every number with its own scalar call, in the stream order that names a
+# scenario, so a seed must give the same scenario from both.
+
+
+def reference_topology(params: SyntheticParams) -> OverlayGraph:
+    """``generate_topology`` with one ``rng.uniform`` call per link metric."""
+    n = params.n_nodes
+    target = params.n_edges // 2
+    m = min(
+        range(1, n),
+        key=lambda m: abs((n * (n - 1) // 2 if m == n - 1 else m * (n - m)) - target),
+    )
+    rng = np.random.default_rng([params.seed, 0])
+    if m == n - 1:
+        undirected = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    else:
+        undirected = [(0, leaf) for leaf in range(1, m + 1)]
+        repeated = [0] * m + list(range(1, m + 1))
+        for new in range(m + 1, n):
+            targets: set[int] = set()
+            while len(targets) < m:
+                targets.add(repeated[int(rng.integers(len(repeated)))])
+            for tgt in sorted(targets):
+                undirected.append((tgt, new))
+                repeated.append(tgt)
+            repeated.extend([new] * m)
+
+    def sample(lo_hi: tuple[float, float]) -> float:
+        return float(rng.uniform(lo_hi[0], lo_hi[1]))
+
+    edges = {}
+    for u, v in undirected:
+        for e in ((u, v), (v, u)):
+            edges[e] = LinkMetrics(
+                delay_ms=sample(params.delay_range_ms),
+                jitter_ms=sample(params.jitter_range_ms),
+                capacity_mbps=sample(params.capacity_range_mbps),
+                success_prob=1.0 - sample(params.loss_range),
+            )
+    return OverlayGraph.from_edges(n, edges, [params.node_capacity_mbps] * n)
+
+
+def reference_demands(params: SyntheticParams, n_nodes: int) -> list[Demand]:
+    """``generate_demands`` with ``rng.uniform`` for the QoS bounds."""
+    rng = np.random.default_rng([params.seed, 1])
+    out = []
+    for did in range(params.n_demands):
+        s = int(rng.integers(n_nodes))
+        t = int(rng.integers(n_nodes - 1))
+        if t >= s:
+            t += 1
+        if params.rate_fixed_mbps is not None:
+            rate = params.rate_fixed_mbps
+        else:
+            rate = max(float(rng.exponential(params.rate_mean_mbps)), 1e-9)
+        out.append(
+            Demand(
+                id=did,
+                source=s,
+                destination=t,
+                rate_mbps=rate,
+                max_jitter_ms=float(rng.uniform(*params.jitter_bound_range_ms)),
+                min_success_prob=1.0 - float(rng.uniform(*params.loss_bound_range)),
+            )
+        )
+    return out
+
+
+def reference_telco_trace(n_epochs: int, seed: int, profile: TelcoProfile) -> Trace:
+    """``generate_telco_trace`` with one scalar draw per regime test and sample."""
+    n = profile.n_nodes
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    rng = np.random.default_rng([seed, 2])
+    chosen = sorted(pairs[k] for k in rng.permutation(len(pairs))[: profile.n_links])
+
+    base_delay, high_jitter, heavy_loss = {}, {}, {}
+    for e in chosen:
+        slow = rng.random() < profile.slow_delay_share
+        base_delay[e] = float(rng.uniform(80.0, 200.0) if slow else rng.uniform(5.0, 80.0))
+        high_jitter[e] = rng.random() < profile.high_jitter_share
+        heavy_loss[e] = rng.random() < profile.heavy_loss_share
+
+    epochs = []
+    for k in range(n_epochs):
+        edges = {}
+        for e in chosen:
+            delay = float(np.clip(base_delay[e] + rng.uniform(-3.0, 3.0), 5.0, 250.0))
+            if high_jitter[e]:
+                jitter = float(rng.uniform(330.0, 5000.0))
+            else:
+                jitter = float(rng.uniform(1.0, 120.0))
+            if heavy_loss[e]:
+                loss = float(rng.uniform(0.02, 0.04))
+            elif rng.random() < profile.spike_prob:
+                loss = float(rng.uniform(0.01, 0.05))
+            else:
+                loss = float(rng.uniform(0.0001, 0.0025))
+            edges[e] = LinkMetrics(
+                delay_ms=delay,
+                jitter_ms=jitter,
+                capacity_mbps=profile.link_capacity_mbps,
+                success_prob=1.0 - loss,
+            )
+        epochs.append(TraceEpoch(k * profile.period_s, MappingProxyType(edges)))
+    return Trace(n_nodes=n, epochs=tuple(epochs), node_limits=(profile.node_capacity_mbps,) * n)

@@ -15,6 +15,7 @@ from cgroute.model import (
 )
 from cgroute.pricing import CandidateTable, RouteGeometry, enumerate_candidates, price_demand
 from cgroute.rmp import DualPoint
+from cgroute.scenario import generate_telco_trace, telco_demands
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph
 from oracles import brute_force_candidates, scalar_price, scalar_priced_length
@@ -411,7 +412,7 @@ def scenarios(draw):
 class TestRouteGeometry:
     """Routes found once on one graph, metrics read from another with the same edges."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_split_build_lists_brute_force_candidates(self, data):
         # A trace's epochs share edges but not metrics: routes found on one
@@ -449,6 +450,27 @@ class TestRouteGeometry:
             for name in ("offsets", "demand", "delay", "rate", "rows"):
                 assert getattr(got, name).dtype == getattr(want, name).dtype
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()
+
+    @pytest.mark.parametrize("instance", ["telco", "gap-suite"])
+    def test_direct_table_is_the_overlay_table_without_relays(self, instance):
+        # The direct build skips the relay search; its table must still be
+        # the overlay table's direct rows, in the same order and dtypes.
+        if instance == "telco":
+            trace = generate_telco_trace(1, seed=3)
+            graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
+        else:
+            graph, demands = gap_suite_instance(5)
+        overlay = CandidateTable.build(graph, demands, relays=True)
+        direct = CandidateTable.build(graph, demands, relays=False)
+        keep = overlay.rows[:, 3] == overlay.n_edges + overlay.n_nodes
+        assert 0 < keep.sum() < len(overlay)
+        assert len(RouteGeometry.find(graph, demands, relays=False).relayed) == 0
+        counts = np.bincount(overlay.demand[keep], minlength=len(overlay.demands))
+        assert direct.offsets.tolist() == [0, *np.cumsum(counts).tolist()]
+        assert direct.demands == overlay.demands
+        for name in ("demand", "delay", "rate", "rows"):
+            assert getattr(direct, name).dtype == getattr(overlay, name).dtype
+            assert getattr(direct, name).tolist() == getattr(overlay, name)[keep].tolist()
 
     def test_graph_with_other_edges_refused(self):
         graph, demands = gap_suite_instance(5)

@@ -374,10 +374,15 @@ class TestHighsError:
         res = solve_integer(full_master(2))
         assert res.status == "numerical" and res.x is None and res.objective is None
 
+    def test_mip_reports_no_nodes_and_no_bound(self, failing_run):
+        res = solve_integer(full_master(2))
+        assert res.nodes == 0 and res.dual_bound is None
+
     def test_exact_falls_back_to_all_rejected(self, failing_run):
         graph, demands = gap_suite_instance(2)
         result = solve_exact(graph, demands)
         assert not result.optimal and result.n_accepted == 0
+        assert result.nodes_explored == 0
         rejected = dict.fromkeys(d.id for d in demands)
         assert result.objective == routing_objective(rejected, dummy_penalty(graph, demands))
 

@@ -1,9 +1,11 @@
 import math
 import re
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from cgroute.errors import FormatError, InputError
@@ -29,6 +31,8 @@ from cgroute.scenario import (
     save_trace,
     telco_demands,
 )
+
+from oracles import reference_demands, reference_telco_trace, reference_topology
 
 
 def write(tmp_path, name, text):
@@ -453,3 +457,126 @@ class TestTelcoTrace:
         b = generate_telco_trace(2, seed=5)
         for ea, eb in zip(a.epochs, b.epochs):
             assert dict(ea.edges) == dict(eb.edges)
+
+
+def typed(values):
+    """``values`` with each one's type, so ``1`` and ``1.0`` or ``np.float64`` differ."""
+    return [(type(v), v) for v in values]
+
+
+def graph_fields(graph):
+    edges = [(typed(e), typed(astuple(m))) for e, m in graph.edges.items()]
+    return typed((graph.n_nodes,)), typed(graph.node_limits), edges
+
+
+def demand_fields(demands):
+    return [typed(astuple(d)) for d in demands]
+
+
+def trace_fields(trace):
+    epochs = [
+        (typed((ep.timestamp,)), [(typed(e), typed(astuple(m))) for e, m in ep.edges.items()])
+        for ep in trace.epochs
+    ]
+    return typed((trace.n_nodes,)), typed(trace.node_limits), epochs
+
+
+def assert_synthetic_matches_reference(params):
+    graph = generate_topology(params)
+    assert graph_fields(graph) == graph_fields(reference_topology(params))
+    demands = generate_demands(params, graph)
+    assert demand_fields(demands) == demand_fields(reference_demands(params, graph.n_nodes))
+
+
+def assert_telco_matches_reference(n_epochs, seed, profile):
+    got = generate_telco_trace(n_epochs, seed, profile)
+    assert trace_fields(got) == trace_fields(reference_telco_trace(n_epochs, seed, profile))
+
+
+@st.composite
+def ranges(draw, lo, hi):
+    a, b = sorted(draw(st.floats(lo, hi, allow_nan=False)) for _ in range(2))
+    return (a, a) if draw(st.booleans()) else (a, b)
+
+
+class TestStreamOracle:
+    """The array draws name the scenarios the scalar reference draws name,
+    field for field: values, Python types, edge order and epoch order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_synthetic_matches_reference(self, data):
+        n = data.draw(st.integers(2, 25))
+        undirected = data.draw(st.integers(n - 1, n * (n - 1) // 2))
+        params = SyntheticParams(
+            n_nodes=n,
+            n_edges=2 * undirected,
+            capacity_range_mbps=data.draw(ranges(1.0, 1000.0)),
+            delay_range_ms=data.draw(ranges(0.0, 500.0)),
+            jitter_range_ms=data.draw(ranges(0.0, 50.0)),
+            loss_range=data.draw(ranges(0.0, 0.5)),
+            n_demands=data.draw(st.integers(0, 30)),
+            rate_fixed_mbps=data.draw(st.sampled_from([None, 7.5])),
+            jitter_bound_range_ms=data.draw(ranges(0.0, 300.0)),
+            loss_bound_range=data.draw(ranges(0.0, 0.9)),
+            seed=data.draw(st.integers(0, 2**32)),
+        )
+        assert_synthetic_matches_reference(params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_telco_matches_reference(self, data):
+        n = data.draw(st.integers(2, 8))
+        shares = st.sampled_from([0.0, 0.05, 0.5, 1.0])
+        profile = TelcoProfile(
+            n_nodes=n,
+            n_links=data.draw(st.integers(0, n * (n - 1))),
+            slow_delay_share=data.draw(shares),
+            high_jitter_share=data.draw(shares),
+            heavy_loss_share=data.draw(shares),
+            spike_prob=data.draw(shares),
+        )
+        n_epochs = data.draw(st.integers(1, 5))
+        assert_telco_matches_reference(n_epochs, data.draw(st.integers(0, 2**32)), profile)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            TelcoProfile(),
+            TelcoProfile(n_links=0),
+            TelcoProfile(heavy_loss_share=0.0),
+            TelcoProfile(heavy_loss_share=1.0),
+            TelcoProfile(spike_prob=0.0),
+            TelcoProfile(spike_prob=1.0),
+        ],
+        ids=["default", "no-links", "no-heavy", "all-heavy", "no-spikes", "all-spikes"],
+    )
+    @pytest.mark.parametrize("n_epochs", [1, 4])
+    def test_telco_edge_cases(self, seed, profile, n_epochs):
+        assert_telco_matches_reference(n_epochs, seed, profile)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "params",
+        [
+            SyntheticParams(),
+            SyntheticParams(n_nodes=6, n_edges=30, n_demands=20),  # complete graph
+            SyntheticParams(n_nodes=2, n_edges=2, n_demands=5),
+            SyntheticParams(n_demands=0),
+            SyntheticParams(
+                n_nodes=12,
+                n_edges=40,
+                capacity_range_mbps=(100.0, 100.0),
+                delay_range_ms=(3.0, 3.0),
+                jitter_range_ms=(0.0, 0.0),
+                loss_range=(0.01, 0.01),
+                rate_fixed_mbps=25.0,
+                jitter_bound_range_ms=(40.0, 40.0),
+                loss_bound_range=(0.2, 0.2),
+            ),
+        ],
+        ids=["default", "complete", "two-nodes", "no-demands", "point-ranges"],
+    )
+    def test_synthetic_edge_cases(self, seed, params):
+        assert_synthetic_matches_reference(replace(params, seed=seed))
