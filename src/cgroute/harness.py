@@ -39,11 +39,13 @@ CSV_HEADER = (
 
 MODES = ("overlay", "direct")
 
-#: TCP throughput model: segment size, the model constant C, and RTT as a
-#: multiple of the one-way path delay.
+#: TCP throughput model: segment size, the model constant C, RTT as a
+#: multiple of the one-way path delay, and the throughput reported where
+#: the model diverges (no loss, or no delay).
 MSS_BYTES = 1460
 THROUGHPUT_C = 1.0
 RTT_FACTOR = 2.0
+LOSS_FREE_CAP_MBPS = 10000.0
 
 
 @dataclass(frozen=True)
@@ -96,20 +98,20 @@ def mode_candidates(mode: str) -> CandidateFn:
     return enumerate_candidates if mode == "overlay" else direct_mode_candidates
 
 
-def estimate_throughput(path: Path, loss_free_cap_mbps: float = 10000.0) -> ThroughputEstimate:
+def estimate_throughput(path: Path) -> ThroughputEstimate:
     """TCP throughput of a path: MSS * C / (RTT * sqrt(loss)).
 
     RTT is taken as ``RTT_FACTOR`` times the one-way path delay. The model
-    diverges as loss approaches zero, so loss-free paths return the
-    configured cap instead, flagged. It diverges at zero RTT too, so
-    zero-delay paths also return the cap, flagged as lossy.
+    diverges as loss approaches zero, so loss-free paths return
+    ``LOSS_FREE_CAP_MBPS`` instead, flagged. It diverges at zero RTT too,
+    so zero-delay paths also return the cap, flagged as lossy.
     """
     p = 1.0 - path.success_prob
     if p <= 0.0:
-        return ThroughputEstimate(loss_free_cap_mbps, loss_free=True)
+        return ThroughputEstimate(LOSS_FREE_CAP_MBPS, loss_free=True)
     rtt_s = RTT_FACTOR * path.total_delay_ms / 1000.0
     if rtt_s <= 0.0:
-        return ThroughputEstimate(loss_free_cap_mbps, loss_free=False)
+        return ThroughputEstimate(LOSS_FREE_CAP_MBPS, loss_free=False)
     bps = MSS_BYTES * 8.0 * THROUGHPUT_C / (rtt_s * math.sqrt(p))
     return ThroughputEstimate(bps / 1e6, loss_free=False)
 
@@ -209,8 +211,6 @@ def run_timeseries(
     modes: Sequence[str] = MODES,
     config: SolverConfig = SolverConfig(),
     oracle: bool = False,
-    oracle_limits: ExactLimits = ExactLimits(),
-    with_throughput: bool = False,
 ) -> list[EpochReport]:
     """Solve every demand afresh on each epoch snapshot, in each mode.
 
@@ -244,8 +244,6 @@ def run_timeseries(
                     config,
                     epoch_ts=epoch.timestamp,
                     oracle=oracle,
-                    oracle_limits=oracle_limits,
-                    with_throughput=with_throughput,
                     geometry=geometry,
                 )
                 # A replay keeps every report; a master would keep its

@@ -291,18 +291,15 @@ class CandidateTable:
         return self.delay + self.rate * rent
 
 
-def price_demand(
-    table: CandidateTable,
-    duals: DualPoint,
-    eps_rc: float = EPS_REDUCED_COST,
-) -> dict[int, tuple[int, float]]:
+def price_demand(table: CandidateTable, duals: DualPoint) -> dict[int, tuple[int, float]]:
     """Exact pricing of every demand at once: the columns that would enter.
 
     Returns ``{demand id: (candidate index, reduced_cost)}`` for each
     demand whose cheapest candidate undercuts its convexity price by more
-    than ``eps_rc``, in ascending demand id order; demands whose duals are
-    already feasible, or that have no candidate, are absent. Ties keep the
-    first candidate in list order, so results are deterministic.
+    than :data:`EPS_REDUCED_COST`, in ascending demand id order; demands
+    whose duals are already feasible, or that have no candidate, are
+    absent. Ties keep the first candidate in list order, so results are
+    deterministic.
     """
     priced = table.priced_lengths(duals)
     if not len(priced):
@@ -318,7 +315,7 @@ def price_demand(
     )
     best = priced[first]
     sigma = duals.convexity_duals[rows]
-    enter = np.flatnonzero(best < sigma - eps_rc)
+    enter = np.flatnonzero(best < sigma - EPS_REDUCED_COST)
     reduced = best[enter] - sigma[enter]
     return {
         table.demands[r].id: (c, rc)

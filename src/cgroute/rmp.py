@@ -15,9 +15,9 @@ drive pricing. HiGHS runs only when capacity binds: a pool with at most
 one candidate per demand whose loads fit every capacity has a closed-form
 optimum, with zero capacity prices. A caller may ask that a pool which
 does reach HiGHS first take in the whole table, so that one LP solves the
-full master. The exact benchmark solves the same matrices as a 0/1
-program. Both go through one entry point, :func:`_call_highs`, a direct
-call to SciPy's bundled HiGHS binding.
+full master. The exact benchmark solves the same model, built once per
+solve in HiGHS's own form (one CSC matrix with row bounds), as a 0/1
+program. Both go unchanged through one entry point, :func:`_call_highs`.
 
 The master is also the one read-out of a routing: rounding and the exact
 benchmark each pick one pool column per demand, and
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize._highspy import _core as _highs  # HiGHS's own binding, as SciPy vendors it
 
 from .errors import ContractError, InputError, SolverError
@@ -243,9 +242,9 @@ class RestrictedMaster:
     ``demands[j]``, so the LP is feasible and bounded from the first solve
     onward; the rest are table candidates in the order they joined (a
     whole-table seed appends the candidates not yet in, ascending). The
-    LP relaxation and the integer problem are both built by slicing the
-    table's arrays for the pool. ``_b_ub`` holds the capacity of every
-    row of the table's row map except the pad. A column's
+    LP relaxation and the integer problem are one model, sliced from the
+    table's arrays (:meth:`_assemble`). ``capacity`` (read-only) bounds
+    every row of the table's row map except the pad. A column's
     :class:`~cgroute.model.Path` is made only when it is read, through
     :meth:`column`, :attr:`columns` or the :class:`Routing` of
     :meth:`routing`.
@@ -264,7 +263,8 @@ class RestrictedMaster:
         self.table = table
         self.demands = table.demands
         self.dummy_penalty = dummy_penalty(graph, table.demands)
-        self._b_ub = np.concatenate((graph.arrays.capacity, graph.node_limits))
+        self.capacity = np.concatenate((graph.arrays.capacity, graph.node_limits))
+        self.capacity.flags.writeable = False
         # Joined candidates in join order, and a membership mask over the table.
         self._joined = np.zeros(0, dtype=np.intp)
         self._joined.flags.writeable = False
@@ -375,33 +375,50 @@ class RestrictedMaster:
 
     # -- LP -----------------------------------------------------------------
 
-    def _assemble(self):
-        """Cost vector, capacity rows ``A_ub`` and convexity rows ``A_eq``.
+    def _assemble(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Cost vector and the constraint matrix, as HiGHS takes them.
 
-        A candidate's capacity rows are its table ``rows`` at the demand's
-        rate, ascending per column so the LP backend sees one fixed entry
-        order; the pad row sorts last and is dropped. Dummy columns have
-        no capacity rows.
+        The matrix is ``[capacity rows; convexity rows]`` as one int32 CSC
+        triple ``(indptr, indices, data)``. A rejection column holds only
+        its convexity 1. A candidate holds its table ``rows`` at the
+        demand's rate, ascending so HiGHS sees one fixed entry order, with
+        the pad row (which sorts last) dropped, then its convexity 1. Each
+        column's slice is what ``Highs.addCols`` takes.
         """
         t, n_dummy = self.table, len(self.demands)
         m = self.joined
-        n_rows = len(self._b_ub)
+        n_rows = len(self.capacity)
         rows = np.sort(t.rows[m], axis=1)
-        keep = rows < n_rows
-        per_column = keep.sum(axis=1)
-        indptr = np.concatenate((np.zeros(n_dummy + 1, dtype=np.intp), np.cumsum(per_column)))
-        coeffs = np.repeat(t.rate[m], per_column)
-        a_ub = sparse.csc_matrix(
-            (coeffs, rows[keep].astype(np.int32), indptr.astype(np.int32)),
-            shape=(n_rows, self.pool_size),
-        )
-        eq_rows = self.owner.astype(np.int32)
-        a_eq = sparse.csc_matrix(
-            (np.ones(self.pool_size), eq_rows, np.arange(self.pool_size + 1, dtype=np.int32)),
-            shape=(n_dummy, self.pool_size),
-        )
+        keep = np.hstack((rows < n_rows, np.ones((len(m), 1), dtype=bool)))
+        rows = np.hstack((rows, n_rows + self.owner[n_dummy:, None]))
+        coeffs = np.hstack((np.repeat(t.rate[m, None], 5, axis=1), np.ones((len(m), 1))))
+        per_column = np.concatenate((np.ones(n_dummy, dtype=np.intp), keep.sum(axis=1)))
+        indptr = np.concatenate(([0], np.cumsum(per_column))).astype(np.int32)
+        indices = np.concatenate((n_rows + np.arange(n_dummy), rows[keep])).astype(np.int32)
+        data = np.concatenate((np.ones(n_dummy), coeffs[keep]))
         cost = np.concatenate((np.full(n_dummy, self.dummy_penalty), t.delay[m]))
-        return cost, a_ub, a_eq
+        return cost, (indptr, indices, data)
+
+    def _solve_scaled(self, integer: bool, options: Mapping) -> HighsResult:
+        """Solve the pool's model, capacity rows in ``(-inf, capacity]`` and
+        convexity rows in ``[1, 1]``, on costs times ``2**s`` (:func:`_cost_exponent`);
+        scale the objective, the dual bound and the row duals back by ``2**-s``.
+        """
+        # The LP goes through the module's ``linprog``, which perfbench wraps.
+        call = _call_highs if integer else linprog
+        cost, a = self._assemble()
+        n_rows, n_dummy = len(self.capacity), len(self.demands)
+        lower = np.concatenate((np.full(n_rows, -np.inf), np.ones(n_dummy)))
+        upper = np.concatenate((self.capacity, np.ones(n_dummy)))
+        scale = _cost_exponent(self.dummy_penalty)
+        res = call(np.ldexp(cost, scale), a, lower, upper, integer=integer, options=options)
+        if res.objective is not None:
+            res.objective = math.ldexp(res.objective, -scale)
+        if res.dual_bound is not None:
+            res.dual_bound = math.ldexp(res.dual_bound, -scale)
+        if res.row_dual is not None:
+            res.row_dual = np.ldexp(res.row_dual, -scale)
+        return res
 
     def solve(self, join_all: bool = False) -> RmpSolution:
         """Solve the LP over the current pool and return primal and duals.
@@ -420,38 +437,31 @@ class RestrictedMaster:
         in every table candidate, so HiGHS solves the full master and no
         candidate is left to price in.
 
-        HiGHS runs through the module's ``linprog``, which is
-        :func:`_call_highs`; a status other than optimal, including a point
-        that fails the post-solve feasibility check, raises
-        :class:`~cgroute.errors.SolverError`. HiGHS gets the costs times
-        ``2**s`` (:func:`_cost_exponent`); the objective and the duals
-        returned are scaled back, so they are in delay units.
+        HiGHS runs on the :meth:`_assemble` model through the module's
+        ``linprog``, which is :func:`_call_highs`; a status other than
+        optimal, including a point that fails the post-solve feasibility
+        check, raises :class:`~cgroute.errors.SolverError`. HiGHS gets the
+        costs times ``2**s`` (:func:`_cost_exponent`); the objective and
+        the duals returned are scaled back, so they are in delay units.
         """
         closed = self._uncongested()
         if closed is not None:
             return closed
         if join_all:
             self.add(range(len(self.table)))
-        cost, a_ub, a_eq = self._assemble()
-        scale = _cost_exponent(self.dummy_penalty)
-        b_eq = np.ones(len(self.demands))
-        res = linprog(
-            np.ldexp(cost, scale), a_ub, self._b_ub, a_eq, b_eq, integer=False, options=_LP_OPTIONS
-        )
+        res = self._solve_scaled(integer=False, options=_LP_OPTIONS)
         if res.status != "optimal":
             raise SolverError(
                 f"LP backend returned '{res.status}' on a master that is feasible "
                 f"and bounded by construction: {res.message}"
             )
-        n_rows, n_edges = len(self._b_ub), self.table.n_edges
-        price = np.ldexp(-res.row_dual[:n_rows], -scale)
+        n_rows, n_edges = len(self.capacity), self.table.n_edges
+        price = -res.row_dual[:n_rows]
         price = np.where(price > 0.0, price, 0.0)
         return RmpSolution(
             values=tuple(res.x.tolist()),
-            objective=math.ldexp(res.objective, -scale),
-            duals=DualPoint(
-                price[:n_edges], price[n_edges:], np.ldexp(res.row_dual[n_rows:], -scale)
-            ),
+            objective=res.objective,
+            duals=DualPoint(price[:n_edges], price[n_edges:], res.row_dual[n_rows:]),
         )
 
     def _uncongested(self) -> Optional[RmpSolution]:
@@ -471,11 +481,11 @@ class RestrictedMaster:
             return None
         # Column by column, so each row sums its loads in path order; the
         # last bin is the pad row of direct paths.
-        n_rows = len(self._b_ub)
+        n_rows = len(self.capacity)
         load = np.bincount(
             t.rows[m].T.ravel(), weights=np.tile(t.rate[m], 5), minlength=n_rows + 1
         )
-        if not (load[:n_rows] <= self._b_ub).all():
+        if not (load[:n_rows] <= self.capacity).all():
             return None
         sigma = np.full(n_dummy, self.dummy_penalty)
         sigma[owner] = t.delay[m]
@@ -489,7 +499,7 @@ class RestrictedMaster:
     def solve_integer(self, time_limit_s: float, node_limit: int) -> HighsResult:
         """Solve the pool as a 0/1 program with the HiGHS MIP solver.
 
-        Same matrices and cost scaling as :meth:`solve`, with every column
+        Same model and cost scaling as :meth:`solve`, with every column
         binary, a zero relative gap and :data:`_MIP_OPTIONS`, so ``status``
         is ``optimal`` only when proven; a budget cut gives ``time_limit``
         or ``node_limit``. ``x`` holds the best integer point found, or is
@@ -499,18 +509,8 @@ class RestrictedMaster:
         name, not through the module's ``linprog``, which carries the LP
         calls only.
         """
-        cost, a_ub, a_eq = self._assemble()
-        scale = _cost_exponent(self.dummy_penalty)
         options = {**_MIP_OPTIONS, "time_limit": time_limit_s, "mip_max_nodes": node_limit}
-        b_eq = np.ones(len(self.demands))
-        res = _call_highs(
-            np.ldexp(cost, scale), a_ub, self._b_ub, a_eq, b_eq, integer=True, options=options
-        )
-        if res.objective is not None:
-            res.objective = math.ldexp(res.objective, -scale)
-        if res.dual_bound is not None:
-            res.dual_bound = math.ldexp(res.dual_bound, -scale)
-        return res
+        return self._solve_scaled(integer=True, options=options)
 
     # -- diagnostics ----------------------------------------------------------
 
@@ -520,17 +520,18 @@ class RestrictedMaster:
         Capacity rows without any column are omitted; terms follow column
         order within each row.
         """
-        cost, a_ub, a_eq = self._assemble()
-        edges = list(self.graph.edges)
+        cost, a = self._assemble()
+        n_rows, edges = len(self.capacity), list(self.graph.edges)
+        rows = _rows(a, n_rows + len(self.demands))
         lines = ["\\ restricted master debug dump", "Minimize"]
         lines.append(" obj: " + " + ".join(f"{c!r} y{j}" for j, c in enumerate(cost.tolist())))
         lines.append("Subject To")
-        for r, ((cols, coeffs), bound) in enumerate(zip(_rows(a_ub), self._b_ub.tolist())):
+        for r, ((cols, coeffs), bound) in enumerate(zip(rows, self.capacity.tolist())):
             if cols:
                 name = f"e_{edges[r][0]}_{edges[r][1]}" if r < len(edges) else f"n_{r - len(edges)}"
                 lhs = " + ".join(f"{a!r} y{j}" for a, j in zip(coeffs, cols))
                 lines.append(f" cap_{name}: {lhs} <= {bound!r}")
-        for d, (cols, _) in zip(self.demands, _rows(a_eq)):
+        for d, (cols, _) in zip(self.demands, rows[n_rows:]):
             lines.append(f" cvx_{d.id}: {' + '.join(f'y{j}' for j in cols)} = 1")
         lines.append("Bounds")
         lines.extend(f" 0 <= y{j}" for j in range(len(cost)))
@@ -538,28 +539,30 @@ class RestrictedMaster:
         return "\n".join(lines) + "\n"
 
 
-def _rows(matrix) -> list[tuple[list[int], list[float]]]:
-    """Column indices and coefficients of every row, columns ascending."""
-    csr = matrix.tocsr()
-    csr.sort_indices()
-    bounds = csr.indptr.tolist()
-    return [
-        (csr.indices[a:b].tolist(), csr.data[a:b].tolist()) for a, b in zip(bounds, bounds[1:])
-    ]
+def _rows(a, n_rows: int) -> list[tuple[list[int], list[float]]]:
+    """Column indices and coefficients of every row of the CSC triple ``a``,
+    columns ascending: a stable sort by row keeps the column order."""
+    indptr, indices, data = a
+    order = np.argsort(indices, kind="stable")
+    cols = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))[order].tolist()
+    coeffs = data[order].tolist()
+    bounds = np.searchsorted(indices[order], np.arange(n_rows + 1)).tolist()
+    return [(cols[a:b], coeffs[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 # -- HiGHS ------------------------------------------------------------------
 
 
-def _call_highs(c, a_ub, b_ub, a_eq, b_eq, integer, options) -> HighsResult:
-    """Minimize ``c @ x`` over ``A_ub x <= b_ub``, ``A_eq x == b_eq`` and ``x >= 0``.
+def _call_highs(c, a, lower, upper, integer, options) -> HighsResult:
+    """Minimize ``c @ x`` over ``lower <= A x <= upper`` and ``x >= 0``.
 
-    With ``integer`` every column is binary and HiGHS runs its MIP solver;
+    ``a`` is ``A`` as a CSC triple ``(indptr, indices, data)``. With
+    ``integer`` every column is binary and HiGHS runs its MIP solver;
     otherwise it runs dual simplex on the LP. A fresh HiGHS from SciPy's
-    bundled binding gets ``[A_ub; A_eq]`` in CSC form through the array
-    overload of ``passModel``, which hands HiGHS the buffers as they are
-    (filling a ``HighsLp``, as SciPy's wrapper does, copies them element
-    by element). Output is off. An option HiGHS rejects raises
+    bundled binding gets the arrays through the array overload of
+    ``passModel``, which hands HiGHS the buffers as they are (filling a
+    ``HighsLp``, as SciPy's wrapper does, copies them element by
+    element). Output is off. An option HiGHS rejects raises
     :class:`~cgroute.errors.ContractError`, except one in
     :data:`_OPTIONAL_OPTIONS`, which the solve goes on without. An optimal
     LP point must pass ``linprog``'s post-solve check (:func:`_feasible`).
@@ -573,23 +576,20 @@ def _call_highs(c, a_ub, b_ub, a_eq, b_eq, integer, options) -> HighsResult:
         rejected = highs.setOptionValue(name, value) != h.HighsStatus.kOk
         if rejected and name not in _OPTIONAL_OPTIONS:
             raise ContractError(f"HiGHS rejected option {name}={value!r}")
-    a = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
-    n_rows, n_cols = a.shape
+    n_cols = len(c)
     passed = highs.passModel(
         n_cols,
-        n_rows,
-        a.nnz,
+        len(lower),
+        len(a[2]),
         int(h.MatrixFormat.kColwise),
         int(h.ObjSense.kMinimize),
         0.0,
         c,
         np.zeros(n_cols),
         np.full(n_cols, 1.0 if integer else h.kHighsInf),
-        np.concatenate((np.full(len(b_ub), -h.kHighsInf), b_eq)),
-        np.concatenate((b_ub, b_eq)),
-        a.indptr,
-        a.indices,
-        a.data,
+        lower,
+        upper,
+        *a,
         np.full(n_cols, int(integer), dtype=np.int32),
     )
     ran = passed != h.HighsStatus.kError and highs.run() != h.HighsStatus.kError
@@ -609,25 +609,27 @@ def _call_highs(c, a_ub, b_ub, a_eq, b_eq, integer, options) -> HighsResult:
     res.x, res.objective = np.array(solution.col_value), info.objective_function_value
     if not integer:
         res.row_dual = np.array(solution.row_dual)
-        if not _feasible(a, b_ub, b_eq, res.x, res.objective):
+        if not _feasible(a, lower, upper, res.x, res.objective):
             res.status = "numerical"
             res.message = f"optimal point outside the post-solve tolerance of {_CHECK_TOL:.2E}"
     return res
 
 
-def _feasible(a, b_ub, b_eq, x, objective) -> bool:
+def _feasible(a, lower, upper, x, objective) -> bool:
     """``linprog``'s post-solve check of an optimal point, at ``tol`` = :data:`_CHECK_TOL`.
 
-    No NaN, ``x >= -tol``, capacity slack ``>= -tol`` and every convexity
-    residual within ``tol``.
+    No NaN, ``x >= -tol`` and every row's activity within ``tol`` of its
+    bounds. The activity sums each row column by column, as SciPy's CSC
+    product does.
     """
-    m = len(b_ub)
-    activity = a @ x
+    indptr, indices, data = a
+    activity = np.bincount(indices, data * np.repeat(x, np.diff(indptr)), len(upper))
     if np.isnan(x).any() or np.isnan(objective) or np.isnan(activity).any():
         return False
-    slack, con = b_ub - activity[:m], b_eq - activity[m:]
     tol = _CHECK_TOL
-    return bool((x >= -tol).all() and (slack >= -tol).all() and (np.abs(con) <= tol).all())
+    return bool(
+        (x >= -tol).all() and (upper - activity >= -tol).all() and (activity - lower >= -tol).all()
+    )
 
 
 # ``RestrictedMaster.solve`` calls HiGHS through this module attribute, which

@@ -107,12 +107,13 @@ class SyntheticParams:
         for name in ("delay_range_ms", "jitter_range_ms", "jitter_bound_range_ms"):
             if getattr(self, name)[0] < 0.0:
                 raise InputError(f"{name} must stay at or above 0")
-        if self.loss_range[1] >= 1.0 or self.loss_range[0] < 0.0:
-            raise InputError("link loss range must stay within [0, 1)")
-        if self.loss_bound_range[1] >= 1.0 or self.loss_bound_range[0] < 0.0:
-            raise InputError("demand loss bound range must stay within [0, 1)")
-        if self.n_nodes < 2 or self.n_demands < 0 or self.n_edges < 0:
-            raise InputError("counts must be positive")
+        for name in ("loss_range", "loss_bound_range"):
+            lo, hi = getattr(self, name)
+            if lo < 0.0 or hi >= 1.0:
+                raise InputError(f"{name} must stay within [0, 1)")
+        for name, least in (("n_nodes", 2), ("n_edges", 0), ("n_demands", 0)):
+            if getattr(self, name) < least:
+                raise InputError(f"{name} must be at least {least}")
         if not (math.isfinite(self.rate_mean_mbps) and self.rate_mean_mbps > 0.0):
             raise InputError("rate_mean_mbps must be finite and > 0")
         rate = self.rate_fixed_mbps

@@ -181,7 +181,7 @@ def randomized_round(
 
     # Remaining capacity of every master row, plus the pad row of direct
     # paths, which never binds.
-    residual = master._b_ub.tolist() + [math.inf]
+    residual = master.capacity.tolist() + [math.inf]
 
     def commit(r: int, column_id: int, rows: list[int]) -> bool:
         rate = master.demands[r].rate_mbps

@@ -42,8 +42,10 @@ def highs_calls(monkeypatch):
     """Every call ``RestrictedMaster.solve`` makes to HiGHS, as its ``(args, kwargs)``.
 
     The LP goes through ``rmp.linprog``, the one HiGHS entry point
-    ``rmp._call_highs``; the MIP of ``solve_integer`` calls ``_call_highs``
-    by name and is not counted.
+    ``rmp._call_highs``, whose arguments are ``(c, a, lower, upper)``:
+    the scaled costs, the master's CSC triple and its row bounds, with
+    ``integer`` and ``options`` by keyword. The MIP of ``solve_integer``
+    calls ``_call_highs`` by name and is not counted.
     """
     calls = []
 

@@ -13,6 +13,7 @@ from types import MappingProxyType
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from cgroute.model import Demand, LinkMetrics, OverlayGraph, Path, make_path, qos_feasible
@@ -162,18 +163,52 @@ def scalar_price(
     return None
 
 
+def master_model(master):
+    """The master's LP built from its pool's paths alone: cost, ``A_ub``,
+    ``b_ub`` and ``A_eq``, the matrices in CSC form.
+
+    Column ``j`` is pool column ``j``: its path's delay (the penalty for a
+    rejection) as cost, the demand's rate on the row of each path edge (in
+    ``graph.edges`` order) and then of each path node, and a 1 on the
+    demand's convexity row. ``b_ub`` holds the edge capacities, then the
+    node limits.
+    """
+    graph = master.graph
+    edge_row = {e: r for r, e in enumerate(graph.edges)}
+    n_edges = len(edge_row)
+    convexity_row = {d.id: r for r, d in enumerate(master.demands)}
+    rate = {d.id: d.rate_mbps for d in master.demands}
+    cost, ub, eq = [], [], []
+    for j, col in enumerate(master.columns):
+        did = col.path.demand_id
+        cost.append(col.path.total_delay_ms)
+        rows = [edge_row[e] for e in col.path.edges] + [n_edges + i for i in col.path.nodes]
+        ub += [(rate[did], r, j) for r in rows]
+        eq.append((1.0, convexity_row[did], j))
+
+    def csc(entries, n_rows):
+        data, rows, cols = zip(*entries) if entries else ((), (), ())
+        coo = sparse.coo_array((data, (rows, cols)), shape=(n_rows, len(cost)))
+        return sparse.csc_array(coo)
+
+    b_ub = [m.capacity_mbps for m in graph.edges.values()] + list(graph.node_limits)
+    a_ub = csc(ub, n_edges + graph.n_nodes)
+    return np.array(cost), a_ub, np.array(b_ub), csc(eq, len(master.demands))
+
+
 def highs_result(master, exponent: int = 0):
-    """The master's LP solved by HiGHS on its assembled matrices.
+    """The master's LP solved by HiGHS on :func:`master_model`'s matrices.
 
     Goes straight to ``scipy.optimize.linprog``, so it checks any shortcut
-    ``RestrictedMaster.solve`` takes. The costs are multiplied by
-    ``2**exponent`` first. Returns linprog's result, in those units.
+    ``RestrictedMaster.solve`` takes and the master's own assembly. The
+    costs are multiplied by ``2**exponent`` first. Returns linprog's
+    result, in those units.
     """
-    cost, a_ub, a_eq = master._assemble()
+    cost, a_ub, b_ub, a_eq = master_model(master)
     res = linprog(
         np.ldexp(cost, exponent),
         A_ub=a_ub,
-        b_ub=master._b_ub,
+        b_ub=b_ub,
         A_eq=a_eq,
         b_eq=np.ones(len(master.demands)),
         bounds=(0.0, None),
@@ -187,18 +222,18 @@ def highs_result(master, exponent: int = 0):
 def milp_result(master, exponent: int = 0):
     """The master's 0/1 program solved by ``scipy.optimize.milp`` to a zero gap.
 
-    Built from the master's assembled matrices, so it checks the direct
+    Built from :func:`master_model`'s matrices, so it checks the direct
     HiGHS MIP call ``RestrictedMaster.solve_integer`` makes. The costs are
     multiplied by ``2**exponent`` first. Returns milp's result, proven
     optimal, in those units.
     """
-    cost, a_ub, a_eq = master._assemble()
+    cost, a_ub, b_ub, a_eq = master_model(master)
     res = milp(
         np.ldexp(cost, exponent),
         integrality=np.ones(len(cost)),
         bounds=Bounds(0.0, 1.0),
         constraints=[
-            LinearConstraint(a_ub, -np.inf, master._b_ub),
+            LinearConstraint(a_ub, -np.inf, b_ub),
             LinearConstraint(a_eq, 1.0, 1.0),
         ],
         options={"mip_rel_gap": 0.0},
@@ -267,7 +302,9 @@ def reference_round(
     # Remaining capacity of every master row, plus the pad row of direct
     # paths, which never binds; ``rows`` holds each pool column's rows,
     # none for the rejection columns that lead the pool.
-    residual = master._b_ub.tolist() + [math.inf]
+    g = master.graph
+    residual = [m.capacity_mbps for m in g.edges.values()] + list(g.node_limits)
+    residual.append(math.inf)
     n_dummy = len(master.demands)
     rows = [()] * n_dummy + master.table.rows[master.joined].tolist()
     outcomes: dict[int, Optional[Path]] = {}

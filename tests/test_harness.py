@@ -9,6 +9,7 @@ from cgroute.errors import ContractError, InputError
 from cgroute.exact import ExactLimits, solve_exact
 from cgroute.harness import (
     CSV_HEADER,
+    LOSS_FREE_CAP_MBPS,
     MODES,
     EpochReport,
     direct_mode_candidates,
@@ -108,21 +109,17 @@ class TestThroughput:
         g = OverlayGraph.from_edges(
             2, {(0, 1): LinkMetrics(50.0, 0.0, 10.0, 1.0)}, [1.0, 1.0]
         )
-        est = estimate_throughput(
-            make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.9)), loss_free_cap_mbps=123.0
-        )
+        est = estimate_throughput(make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.9)))
         assert est.loss_free
-        assert est.mbps == 123.0
+        assert est.mbps == LOSS_FREE_CAP_MBPS == 10000.0
 
     def test_zero_delay_returns_cap(self):
         g = OverlayGraph.from_edges(
             2, {(0, 1): LinkMetrics(0.0, 0.0, 10.0, 0.9)}, [1.0, 1.0]
         )
-        est = estimate_throughput(
-            make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.5)), loss_free_cap_mbps=123.0
-        )
+        est = estimate_throughput(make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.5)))
         assert not est.loss_free
-        assert est.mbps == 123.0
+        assert est.mbps == LOSS_FREE_CAP_MBPS
 
 
 class TestRunTimeseries:
@@ -203,18 +200,15 @@ class TestRunTimeseries:
                     assert report.gap_pct == 0.0, (seed, mode)
                     assert report.objective == best.objective, (seed, mode)
 
-    @pytest.mark.parametrize("with_throughput", [False, True])
     @pytest.mark.parametrize("oracle", [False, True])
-    def test_replay_equals_fresh_solves(self, oracle, with_throughput):
+    def test_replay_equals_fresh_solves(self, oracle):
         # A replay finds its routes once per trace; each report must still be
         # the one a fresh solve_epoch on that epoch's graph makes.
         traces = [small_trace(n_epochs=3)]
         traces += [(generate_telco_trace(2, seed=s), telco_demands(seed=s)) for s in range(3)]
         for trace, demands in traces:
             config = SolverConfig(seed=1)
-            reports = run_timeseries(
-                trace, demands, MODES, config, oracle=oracle, with_throughput=with_throughput
-            )
+            reports = run_timeseries(trace, demands, MODES, config, oracle=oracle)
             fresh = [
                 replace(
                     solve_epoch(
@@ -224,7 +218,6 @@ class TestRunTimeseries:
                         config,
                         epoch_ts=ep.timestamp,
                         oracle=oracle,
-                        with_throughput=with_throughput,
                     ),
                     master=None,
                 )
@@ -413,8 +406,17 @@ class TestJsonWriter:
     @pytest.mark.parametrize("seed", range(3))
     def test_telco_replays(self, seed, with_throughput):
         trace, demands = small_trace(n_epochs=2, seed=seed)
-        reports = run_timeseries(trace, demands, MODES, SolverConfig(seed=seed),
-                                 with_throughput=with_throughput)
+        config = SolverConfig(seed=seed)
+        if with_throughput:  # the rows of ``cgroute solve``; a replay has none
+            reports = [
+                solve_epoch(
+                    trace.graph_for(ep), demands, mode, config, ep.timestamp, with_throughput=True
+                )
+                for ep in trace.epochs
+                for mode in MODES
+            ]
+        else:
+            reports = run_timeseries(trace, demands, MODES, config)
         assert {len(row) for r in reports for row in r.outcomes} == (
             {2, 6} if with_throughput else {2, 4}
         )

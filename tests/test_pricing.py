@@ -13,7 +13,13 @@ from cgroute.model import (
     make_dummy_path,
     make_path,
 )
-from cgroute.pricing import CandidateTable, RouteGeometry, enumerate_candidates, price_demand
+from cgroute.pricing import (
+    EPS_REDUCED_COST,
+    CandidateTable,
+    RouteGeometry,
+    enumerate_candidates,
+    price_demand,
+)
 from cgroute.rmp import DualPoint
 from cgroute.scenario import generate_telco_trace, telco_demands
 
@@ -503,7 +509,6 @@ class TestBatchedAgainstScalarOracle:
                 sigma[d.id] = scalar_priced_length(pick, d.rate_mbps, lam, nu)
             else:
                 sigma[d.id] = data.draw(st.floats(-10.0, 1e4, allow_nan=False))
-        eps_rc = data.draw(st.sampled_from([1e-7, 0.0, 1.0]))
         duals = duals_for(augmented, demands, edge=lam, node=dict(enumerate(nu)), sigma=sigma)
 
         table = CandidateTable.pack(augmented, demands, candidates)
@@ -515,9 +520,11 @@ class TestBatchedAgainstScalarOracle:
         ]
         assert lengths == want_lengths
 
-        got = price_demand(table, duals, eps_rc)
+        got = price_demand(table, duals)
         for d in demands:
-            want = scalar_price(candidates[d.id], d.rate_mbps, lam, nu, sigma[d.id], eps_rc)
+            want = scalar_price(
+                candidates[d.id], d.rate_mbps, lam, nu, sigma[d.id], EPS_REDUCED_COST
+            )
             hit = got.get(d.id)
             if want is None:
                 assert hit is None

@@ -9,13 +9,21 @@ from scipy import sparse
 from cgroute import rmp
 from cgroute.errors import ContractError, InputError, SolverError
 from cgroute.exact import solve_exact
+from cgroute.harness import direct_mode_candidates
 from cgroute.model import Demand, LinkMetrics, OverlayGraph, dummy_penalty, make_path
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import RestrictedMaster, dual_objective
 from cgroute.scenario import generate_telco_trace, telco_demands
 
-from instances import candidates_of, gap_suite_instance, scaled_cost_instance
-from oracles import highs_optimum, highs_result, milp_result, min_reduced_cost, routing_objective
+from instances import candidate_lists, candidates_of, gap_suite_instance, scaled_cost_instance
+from oracles import (
+    highs_optimum,
+    highs_result,
+    master_model,
+    milp_result,
+    min_reduced_cost,
+    routing_objective,
+)
 
 
 def master_for(graph, demands, candidates=None):
@@ -169,7 +177,7 @@ class TestHighsCall:
         got, want = rmp._call_highs(*args, **kwargs), highs_result(master, exponent)
         assert got.status == "optimal" and got.objective == want.fun
         np.testing.assert_array_equal(got.x, want.x)
-        m = len(master._b_ub)
+        m = len(master.capacity)
         np.testing.assert_array_equal(got.row_dual[:m], want.ineqlin.marginals)
         np.testing.assert_array_equal(got.row_dual[m:], want.eqlin.marginals)
 
@@ -184,29 +192,119 @@ class TestHighsCall:
 
     @pytest.mark.parametrize("over_tol", [False, True])
     def test_capacity_violation_over_tol_is_numerical(self, over_tol, monkeypatch):
-        # Shift one column on the tightest capacity row so that the row's
-        # load grows by 2 * tol or by tol / 2; the column's convexity row
-        # moves by less than tol either way.
+        # Shift one column so that one row's residual grows by 2 * tol or
+        # by tol / 2. First a column on the tightest capacity row: its
+        # convexity row moves by less than tol either way. Then a convexity
+        # row from each side: up on demand 0's rejection column, which
+        # loads that row alone, and down on the column with the most weight,
+        # which only unloads its capacity rows.
         feasible, tol = rmp._feasible, rmp._CHECK_TOL
+        step = (2.0 if over_tol else 0.5) * tol
 
-        def shifted(a, b_ub, b_eq, x, objective):
-            slack = b_ub - (a @ x)[: len(b_ub)]
+        def on_capacity(master, a, upper, x):
+            n_rows, (indptr, indices, data) = len(master.capacity), a
+            by_column = sparse.csc_array((data, indices, indptr), shape=(len(upper), len(x)))
+            by_row = sparse.csr_array(by_column)
+            slack = upper[:n_rows] - (by_row @ x)[:n_rows]
             row = int(np.argmin(slack))
             assert slack[row] < 1e-9  # the master is congested: a row binds
-            by_row = sparse.csr_array(a)
             j, rate = by_row.indices[by_row.indptr[row]], by_row.data[by_row.indptr[row]]
             assert rate > 4.0
-            x = x.copy()
-            x[j] += (2.0 if over_tol else 0.5) * tol / rate
-            return feasible(a, b_ub, b_eq, x, objective)
+            return j, step / rate
 
-        monkeypatch.setattr(rmp, "_feasible", shifted)
-        master = full_master(9)
-        if over_tol:
-            with pytest.raises(SolverError, match="returned 'numerical'.*tolerance of 3.16E-04"):
-                master.solve()
-        else:
-            master.solve()  # within tol: accepted
+        def up_on_convexity(master, a, upper, x):
+            indptr, indices, _ = a
+            assert indptr[1] == 1 and indices[0] == len(master.capacity)
+            return 0, step
+
+        def down_on_convexity(master, a, upper, x):
+            return int(np.argmax(x)), -step
+
+        for shift in (on_capacity, up_on_convexity, down_on_convexity):
+            master = full_master(9)
+
+            def shifted(a, lower, upper, x, objective):
+                j, dx = shift(master, a, upper, x)
+                x = x.copy()
+                x[j] += dx
+                return feasible(a, lower, upper, x, objective)
+
+            monkeypatch.setattr(rmp, "_feasible", shifted)
+            if over_tol:
+                match = "returned 'numerical'.*tolerance of 3.16E-04"
+                with pytest.raises(SolverError, match=match):
+                    master.solve()
+            else:
+                master.solve()  # within tol: accepted
+
+
+def shuffled_master(seed):
+    """Gap-suite instance ``seed``'s master with half its table joined in shuffled order."""
+    master = master_for(*gap_suite_instance(seed))
+    order = np.random.default_rng(seed).permutation(len(master.table))
+    master.add(order[: len(order) // 2].tolist())
+    return master
+
+
+def direct_master(seed):
+    """Gap-suite instance ``seed``'s full master over direct paths only."""
+    graph, demands = gap_suite_instance(seed)
+    master = RestrictedMaster(graph, direct_mode_candidates(graph, demands))
+    master.add(range(len(master.table)))
+    return master
+
+
+def master_with_a_bare_demand(seed):
+    """Gap-suite instance ``seed``'s full master, its first demand without candidates."""
+    graph, demands = gap_suite_instance(seed)
+    candidates = candidate_lists(enumerate_candidates(graph, demands))
+    assert candidates[demands[0].id]
+    candidates[demands[0].id] = []
+    master = master_for(graph, demands, candidates)
+    master.add(range(len(master.table)))
+    return master
+
+
+def rejections_only(seed):
+    """Gap-suite instance ``seed``'s first master: one rejection column per demand."""
+    return master_for(*gap_suite_instance(seed))
+
+
+class TestAssembly:
+    """``_assemble`` builds the oracle's ``[A_ub; A_eq]``, entry for entry."""
+
+    @pytest.mark.parametrize(
+        "build, seed",
+        [
+            *((full_master, seed) for seed in [*range(10), "scaled"]),
+            *((shuffled_master, seed) for seed in range(5)),
+            *((direct_master, seed) for seed in range(5)),
+            *((master_with_a_bare_demand, seed) for seed in range(3)),
+            (rejections_only, 0),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_matches_the_oracle(self, build, seed):
+        master = build(seed)
+        cost, (indptr, indices, data) = master._assemble()
+        want_cost, a_ub, b_ub, a_eq = master_model(master)
+        want = sparse.csc_array(sparse.vstack((a_ub, a_eq)))
+        np.testing.assert_array_equal(cost, want_cost)
+        np.testing.assert_array_equal(master.capacity, b_ub)
+        for got, expected in ((indptr, want.indptr), (indices, want.indices), (data, want.data)):
+            np.testing.assert_array_equal(got, expected)
+        # The dtypes the master has always handed HiGHS.
+        assert indptr.dtype == indices.dtype == np.int32 and data.dtype == np.float64
+
+    def test_direct_table_has_pad_rows(self):
+        # The direct-mode cases above drop a pad row from every candidate.
+        master = direct_master(0)
+        assert (master.table.rows[:, 1] == len(master.capacity)).all()
+
+    def test_capacity_is_read_only(self, line_graph, two_demands):
+        master = master_for(line_graph, two_demands)
+        with pytest.raises(ValueError):
+            master.capacity[0] = 0.0
 
 
 class TestCostScaling:

@@ -287,6 +287,12 @@ class TestStaticFiles:
             "delay_range_ms = -1,5",
             "jitter_range_ms = -1,5",
             "jitter_bound_range_ms = -1,5",
+            "loss_range = 0.5,1.5",
+            "loss_range = -0.1,0.5",
+            "loss_bound_range = 0.5,1.5",
+            "n_nodes = 1",
+            "n_edges = -1",
+            "n_demands = -1",
         ],
     )
     def test_params_bad_value_names_the_file(self, tmp_path, line):
@@ -298,6 +304,11 @@ class TestStaticFiles:
             "rate_fixed_mbps": "must be finite and > 0",
             "node_capacity_mbps": "must be finite and >= 0",
             "capacity_range_mbps": "must stay above 0",
+            "loss_range": re.escape("must stay within [0, 1)"),
+            "loss_bound_range": re.escape("must stay within [0, 1)"),
+            "n_nodes": "must be at least 2",
+            "n_edges": "must be at least 0",
+            "n_demands": "must be at least 0",
         }.get(key, "must stay at or above 0")
         ppath = write(tmp_path, "p.cfg", f"n_demands = 5\n{line}\n")
         with pytest.raises(InputError, match=f"^{re.escape(str(ppath))}: {key} {rule}$"):

@@ -172,7 +172,7 @@ class TestColumnGeneration:
         cg = column_generation(augmented, demands)
         assert cg.certified
         table = enumerate_candidates(augmented, demands)
-        assert price_demand(table, cg.solution.duals, eps_rc=1e-7) == {}
+        assert price_demand(table, cg.solution.duals) == {}
 
     def test_iteration_cap_flags_uncertified(self):
         graph, demands = gap_suite_instance(0)
