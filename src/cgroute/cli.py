@@ -116,7 +116,10 @@ def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fm
             raise InputError("--dump-lp needs a nonempty demand set")
         dumped = "overlay" if mode == "both" else mode
         master = next(r.master for r in reports if r.mode == dumped)
-        dump_lp_path.write_text(master.dump_lp())
+        try:
+            dump_lp_path.write_text(master.dump_lp())
+        except OSError as exc:
+            raise InputError(f"cannot write {dump_lp_path}: {exc}") from None
         click.echo(f"wrote {dump_lp_path}", err=True)
     _write(reports, fmt, out, timing)
 
@@ -192,25 +195,33 @@ def sweep_cmd(params_path, demand_counts, mode, seed, out, fmt, timing):
 )
 def generate_cmd(profile, params_path, epochs, seed, out_dir):
     """Write a re-loadable scenario: graph or trace, node limits, demands."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # Everything is drawn before the directory is made, so bad input leaves none behind.
     if profile == "telco":
         tp = TelcoProfile()
         trace = generate_telco_trace(epochs, seed, tp)
-        demands = telco_demands(seed, tp)
-        save_trace(trace, out_dir / "trace.csv")
-        save_node_limits(trace.node_limits, out_dir / "node_limits.csv")
-        save_demands(demands, out_dir / "demands.csv")
         first = Trace(trace.n_nodes, trace.epochs[:1], trace.node_limits)
-        save_graph(first.graph_for(first.epochs[0]), out_dir / "graph.csv")
+        files = {
+            "trace.csv": (save_trace, trace),
+            "node_limits.csv": (save_node_limits, trace.node_limits),
+            "demands.csv": (save_demands, telco_demands(seed, tp)),
+            "graph.csv": (save_graph, first.graph_for(first.epochs[0])),
+        }
     else:
         params = load_params(params_path) if params_path else SyntheticParams()
         params = replace(params, seed=seed)
         graph = generate_topology(params)
-        demands = generate_demands(params, graph)
-        save_graph(graph, out_dir / "graph.csv")
-        save_node_limits(graph.node_limits, out_dir / "node_limits.csv")
-        save_demands(demands, out_dir / "demands.csv")
-        save_params(params, out_dir / "params.cfg")
+        files = {
+            "graph.csv": (save_graph, graph),
+            "node_limits.csv": (save_node_limits, graph.node_limits),
+            "demands.csv": (save_demands, generate_demands(params, graph)),
+            "params.cfg": (save_params, params),
+        }
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, (save, value) in files.items():
+            save(value, out_dir / name)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_dir}: {exc}") from None
     click.echo(f"wrote scenario to {out_dir}", err=True)
 
 

@@ -17,7 +17,10 @@ optimum, with zero capacity prices. A caller may ask that a pool which
 does reach HiGHS first take in the whole table, so that one LP solves the
 full master. The exact benchmark solves the same model, built once per
 solve in HiGHS's own form (one CSC matrix with row bounds), as a 0/1
-program. Both go unchanged through one entry point, :func:`_call_highs`.
+program. Both go unchanged through one entry point, :func:`_call_highs`,
+into HiGHS's own binding as SciPy bundles it. :func:`_load_highs` loads
+that binding from its own file, so importing this module does not run
+``scipy.optimize``'s package init.
 
 The master is also the one read-out of a routing: rounding and the exact
 benchmark each pick one pool column per demand, and
@@ -38,18 +41,58 @@ at or below the ceiling gets ``s = 0``, the unscaled LP.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs  # HiGHS's own binding, as SciPy vendors it
+import scipy
 
 from .errors import ContractError, InputError, SolverError
 from .model import Demand, OverlayGraph, Path, dummy_penalty, make_dummy_path
 
 if TYPE_CHECKING:
     from .pricing import CandidateTable
+
+
+def _load_highs():
+    """HiGHS's own binding, as SciPy bundles it, without ``scipy.optimize``.
+
+    ``from scipy.optimize._highspy import _core`` would first run
+    ``scipy.optimize``'s package ``__init__``, which imports
+    ``scipy.sparse``, ``scipy.linalg``, ``scipy.special`` and more: over
+    300 modules and about 40 MB of memory that nothing here uses. So the
+    extension is loaded from its own file, under its full name, and
+    registered in ``sys.modules``, where a later ``import scipy.optimize``
+    finds and reuses it. A pybind11 module loads only once per process, so
+    one already there (from an earlier ``import scipy.optimize``) is
+    returned as it is.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    # Unlike importlib.util.find_spec, PathFinder imports no parent package.
+    spec = importlib.machinery.PathFinder.find_spec(name, [where])
+    if spec is None:
+        raise ImportError(
+            f"SciPy {scipy.__version__} bundles no HiGHS binding ({name}); cgroute needs scipy>=1.15"
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_highs = _load_highs()
 
 # HiGHS is already tight by default; pin the tolerances so dual certificates
 # stay inside the 1e-7 reduced-cost threshold used by pricing. They act on

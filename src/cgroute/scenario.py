@@ -27,6 +27,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+import numpy.random  # NumPy loads it lazily: load it with the package, not in the first draw
 
 from .errors import FormatError, InputError
 from .model import Demand, Edge, LinkMetrics, OverlayGraph, check_endpoints

@@ -57,6 +57,20 @@ class TestGenerate:
         for name in ("trace.csv", "node_limits.csv", "demands.csv", "graph.csv"):
             assert (out / name).exists()
 
+    @pytest.mark.parametrize("profile", ["synthetic", "telco"])
+    def test_out_dir_under_a_file_exits_2(self, tmp_path, capsys, profile):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x"
+        assert run(["generate", "--profile", profile, "--epochs", "1", "--out-dir", out]) == 2
+        assert f"input error: cannot write {out}: " in capsys.readouterr().err
+
+    def test_bad_input_makes_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "telco"
+        assert run(["generate", "--profile", "telco", "--epochs", "0", "--out-dir", out]) == 2
+        assert "need at least one epoch" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_solve_writes_report(self, scenario_dir, tmp_path):
@@ -149,6 +163,18 @@ class TestSolve:
         assert code == 0
         assert len(calls) == runs
         assert lp.read_text().startswith("\\ restricted master")
+
+    def test_dump_lp_write_error_exits_2(self, scenario_dir, tmp_path, capsys):
+        lp = tmp_path / "missing" / "master.lp"
+        code = run([
+            "solve",
+            "--graph", scenario_dir / "graph.csv",
+            "--node-limits", scenario_dir / "node_limits.csv",
+            "--demands", scenario_dir / "demands.csv",
+            "--dump-lp", lp,
+        ])
+        assert code == 2
+        assert f"input error: cannot write {lp}: " in capsys.readouterr().err
 
     def test_bad_file_exits_2(self, scenario_dir, tmp_path):
         broken = tmp_path / "broken.csv"

@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path as FsPath
 
 import numpy as np
 import pytest
@@ -14,6 +20,7 @@ from cgroute.model import Demand, LinkMetrics, OverlayGraph, dummy_penalty, make
 from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
 from cgroute.rmp import RestrictedMaster, dual_objective
 from cgroute.scenario import generate_telco_trace, telco_demands
+from cgroute.solver import solve
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, scaled_cost_instance
 from oracles import (
@@ -664,3 +671,79 @@ class TestDumpLp:
             " 0 <= y4\n"
             "End\n"
         )
+
+
+def run_fresh(script):
+    """Run ``script`` in a fresh interpreter, ``src`` and ``tests`` on its path; its stdout."""
+    here = FsPath(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    done = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestBindingLoad:
+    """``rmp`` loads SciPy's HiGHS binding without running ``scipy.optimize``'s
+    package init. This suite imports ``scipy.optimize`` before ``cgroute``
+    (through the oracles), so only a fresh interpreter reaches that path."""
+
+    def test_cli_import_skips_scipy_optimize(self):
+        out = run_fresh("""
+            import json, sys
+            import cgroute.cli
+            from cgroute import rmp
+            from cgroute.exact import solve_exact
+            from cgroute.solver import solve
+            from instances import gap_suite_instance
+
+            registered = sys.modules.get("scipy.optimize._highspy._core") is rmp._highs
+            calls, call = [], rmp.linprog
+            rmp.linprog = lambda *a, **k: calls.append(1) or call(*a, **k)
+            graph, demands = gap_suite_instance(9)
+            lp, mip = solve(graph, demands), solve_exact(graph, demands)
+            loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if m in sys.modules]
+            print(json.dumps([loaded, registered, len(calls), lp.objective, mip.objective, mip.optimal]))
+        """)
+        loaded, registered, lp_calls, lp_objective, mip_objective, optimal = json.loads(out)
+        assert loaded == [] and registered
+        # Instance 9's cheapest routes overrun a capacity: the master needs HiGHS.
+        assert lp_calls >= 1 and optimal
+        graph, demands = gap_suite_instance(9)
+        assert lp_objective == solve(graph, demands).objective
+        assert mip_objective == solve_exact(graph, demands).objective
+
+    @staticmethod
+    def _scipy_at(monkeypatch, root):
+        """Point the loader at a SciPy under ``root`` that has not loaded the binding."""
+        monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+        monkeypatch.setattr(rmp.scipy, "__file__", str(root / "scipy" / "__init__.py"))
+
+    def test_missing_binding_names_the_floor(self, monkeypatch, tmp_path):
+        self._scipy_at(monkeypatch, tmp_path)
+        with pytest.raises(ImportError, match=r"bundles no HiGHS binding .*scipy>=1\.15"):
+            rmp._load_highs()
+
+    def test_failed_load_leaves_no_module(self, monkeypatch, tmp_path):
+        self._scipy_at(monkeypatch, tmp_path)
+        where = tmp_path / "scipy" / "optimize" / "_highspy"
+        where.mkdir(parents=True)
+        (where / "_core.py").write_text("raise RuntimeError('broken binding')\n")
+        with pytest.raises(RuntimeError, match="broken binding"):
+            rmp._load_highs()
+        assert "scipy.optimize._highspy._core" not in sys.modules
+
+    @pytest.mark.parametrize("cgroute_first", [True, False])
+    def test_either_import_order_shares_one_binding(self, cgroute_first):
+        imports = ("from cgroute import rmp", "import scipy.optimize")
+        first, second = imports if cgroute_first else imports[::-1]
+        out = run_fresh(f"""
+            {first}
+            {second}
+            import sys
+            res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+            print(rmp._highs is sys.modules["scipy.optimize._highspy._core"], res.status, res.fun)
+        """)
+        assert out.split() == ["True", "0", "1.0"]
