@@ -7,12 +7,14 @@ throughput estimates. A routing mode picks which of a demand set's
 routes enter the candidate table: the overlay mode keeps the direct and
 one-relay routes, the direct mode only the direct ones, of the same
 :class:`~cgroute.pricing.RouteGeometry`, which a replay finds once per
-trace. Reports serialize to a flat CSV and a nested JSON that also
-carries plot-ready series (metric vs time, metric vs demand count). The
-JSON is ``json.dumps(payload, indent=2)``'s text, byte for byte, but
-only the envelope goes through ``json.dumps``: the outcome rows, most of
-the text, are written from one fixed template per row shape, since
-``indent`` makes ``json`` use its pure-Python encoder.
+trace. The outcomes are an :class:`Outcomes`: a few arrays copied from
+the routing, which make a row dict only for a caller that reads one.
+Reports serialize to a flat CSV and a nested JSON that also carries
+plot-ready series (metric vs time, metric vs demand count). The JSON is
+``json.dumps(payload, indent=2)``'s text, byte for byte, but written in
+one pass from fixed layouts, the rows straight from the arrays:
+``indent`` would make ``json`` use its pure-Python encoder, and no
+payload dict is built. ``json.dumps`` only escapes strings.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import ContractError, InputError, SolverError
 from .exact import ExactLimits, solve_exact
@@ -62,9 +66,12 @@ class EpochReport:
 
     ``outcomes`` holds one row per demand, in ascending id, in one of the
     three shapes :func:`reports_to_json` lays out (rejected; accepted;
-    accepted with throughput). ``master`` is the restricted master the
-    heuristic solved, kept for ``cgroute solve --dump-lp``; it is not part
-    of any serialized report, and :func:`run_timeseries` drops it.
+    accepted with throughput). :func:`solve_epoch` makes it an
+    :class:`Outcomes`, which holds arrays and makes a row dict on each
+    read, keeping none; a report built by hand may hold a sequence of
+    dicts instead, in the same shapes. ``master`` is the restricted master
+    the heuristic solved, kept for ``cgroute solve --dump-lp``; it is not
+    part of any serialized report, and :func:`run_timeseries` drops it.
     """
 
     epoch_ts: float
@@ -75,7 +82,7 @@ class EpochReport:
     mean_delay_ms: Optional[float]
     objective: float
     gap_pct: Optional[float] = None
-    outcomes: tuple[dict, ...] = ()
+    outcomes: Sequence[dict] = ()
     error: Optional[str] = None
     master: Optional[RestrictedMaster] = field(default=None, repr=False, compare=False)
 
@@ -98,6 +105,19 @@ def mode_candidates(mode: str) -> CandidateFn:
     return enumerate_candidates if mode == "overlay" else direct_mode_candidates
 
 
+def _throughput(success: np.ndarray, delay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`estimate_throughput` of routes given as arrays: Mbps and the
+    loss-free flag of each, with the same float operations in the same order.
+    """
+    p = 1.0 - success
+    rtt_s = RTT_FACTOR * delay / 1000.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mbps = MSS_BYTES * 8.0 * THROUGHPUT_C / (rtt_s * np.sqrt(p)) / 1e6
+    loss_free = p <= 0.0
+    mbps[loss_free | (rtt_s <= 0.0)] = LOSS_FREE_CAP_MBPS
+    return mbps, loss_free
+
+
 def estimate_throughput(path: Path) -> ThroughputEstimate:
     """TCP throughput of a path: MSS * C / (RTT * sqrt(loss)).
 
@@ -106,51 +126,104 @@ def estimate_throughput(path: Path) -> ThroughputEstimate:
     ``LOSS_FREE_CAP_MBPS`` instead, flagged. It diverges at zero RTT too,
     so zero-delay paths also return the cap, flagged as lossy.
     """
-    p = 1.0 - path.success_prob
-    if p <= 0.0:
-        return ThroughputEstimate(LOSS_FREE_CAP_MBPS, loss_free=True)
-    rtt_s = RTT_FACTOR * path.total_delay_ms / 1000.0
-    if rtt_s <= 0.0:
-        return ThroughputEstimate(LOSS_FREE_CAP_MBPS, loss_free=False)
-    bps = MSS_BYTES * 8.0 * THROUGHPUT_C / (rtt_s * math.sqrt(p))
-    return ThroughputEstimate(bps / 1e6, loss_free=False)
+    mbps, loss_free = _throughput(np.array([path.success_prob]), np.array([path.total_delay_ms]))
+    return ThroughputEstimate(float(mbps[0]), bool(loss_free[0]))
 
 
-def _outcome_rows(routed: RoutingSolution, with_throughput: bool) -> tuple[dict, ...]:
-    """One row per demand, in ascending id, read from the routing's arrays.
+class Outcomes(Sequence[dict]):
+    """An epoch's outcome rows, one per demand in ascending id, held as
+    arrays. Read-only.
 
-    A path is made only for a throughput estimate, which needs its success
-    probability.
+    Row ``i`` is a dict made afresh on each read and kept nowhere. It holds
+    ``demand`` and ``accepted``; for an accepted demand also ``path``, its
+    node list, and ``delay_ms``; and, where throughput was asked for,
+    ``throughput_mbps`` and ``throughput_loss_free``: the three shapes
+    :func:`reports_to_json` lays out, which it reads from the arrays
+    without making a row. ``ids`` and ``accepted`` hold one entry per
+    demand; ``ends`` (source, relay and destination, the relay
+    ``n_nodes`` on a direct route) and ``delay``, and ``mbps`` and
+    ``loss_free`` unless they are ``None``, one per accepted demand, in
+    the same order.
     """
+
+    def __init__(
+        self,
+        ids: np.ndarray,
+        accepted: np.ndarray,
+        ends: np.ndarray,
+        delay: np.ndarray,
+        n_nodes: int,
+        mbps: Optional[np.ndarray] = None,
+        loss_free: Optional[np.ndarray] = None,
+    ):
+        self.ids, self.accepted, self.ends, self.delay = ids, accepted, ends, delay
+        self.n_nodes, self.mbps, self.loss_free = n_nodes, mbps, loss_free
+        # Each demand's position among the accepted ones.
+        self._slot = np.cumsum(accepted) - 1
+        for a in (ids, accepted, ends, delay, mbps, loss_free, self._slot):
+            if a is not None:
+                a.flags.writeable = False
+
+    def _row(self, i: int) -> dict:
+        """Row ``i``, made from the arrays: the one place a row dict is made."""
+        row = {"demand": int(self.ids[i]), "accepted": bool(self.accepted[i])}
+        if row["accepted"]:
+            j = self._slot[i]
+            s, k, t = self.ends[j].tolist()
+            row["path"] = [s, k, t] if k < self.n_nodes else [s, t]
+            row["delay_ms"] = float(self.delay[j])
+            if self.mbps is not None:
+                row["throughput_mbps"] = float(self.mbps[j])
+                row["throughput_loss_free"] = bool(self.loss_free[j])
+        return row
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._row(j) for j in range(len(self))[i]]
+        return self._row(range(len(self))[i])
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Outcomes({list(self)!r})"
+
+
+def _outcomes(routed: RoutingSolution, with_throughput: bool) -> Outcomes:
+    """The routing's rows, read from its arrays and its table; no path is made."""
     routing = routed.outcomes
     if not routing:  # an empty demand set
-        return ()
-    table = routing.table
-    n = table.n_nodes
-    src, relay, dst = table.ends(routing.picked)
-    routes = zip(src, relay, dst, table.delay[routing.picked].tolist())
-    rows = []
-    for did, accepted in zip(routing, routing.accepted.tolist()):
-        if not accepted:
-            rows.append({"demand": did, "accepted": False})
-            continue
-        s, k, t, delay = next(routes)
-        path = [s, k, t] if k < n else [s, t]
-        row = {"demand": did, "accepted": True, "path": path, "delay_ms": delay}
-        if with_throughput:
-            est = estimate_throughput(routing[did])
-            row["throughput_mbps"] = est.mbps
-            row["throughput_loss_free"] = est.loss_free
-        rows.append(row)
-    return tuple(rows)
+        none = np.zeros(0, dtype=np.int64)
+        return Outcomes(none, none.astype(bool), none.reshape(0, 3), none.astype(float), 0)
+    table, picked = routing.table, routing.picked
+    delay = table.delay[picked]
+    mbps = loss_free = None
+    if with_throughput:
+        mbps, loss_free = _throughput(table.success(picked), delay)
+    return Outcomes(
+        np.fromiter(routing, dtype=np.int64, count=len(routing)),
+        routing.accepted,
+        table.rows[picked, 2:] - table.n_edges,
+        delay,
+        table.n_nodes,
+        mbps,
+        loss_free,
+    )
 
 
-def _mean_delay(routed: RoutingSolution) -> Optional[float]:
-    routing = routed.outcomes
-    if not routing or not routing.n_accepted:
-        return None
-    delays = routing.table.delay[routing.picked].tolist()
-    return sum(delays) / len(delays)
+def _mean_delay(outcomes: Outcomes) -> Optional[float]:
+    delays = outcomes.delay.tolist()
+    return sum(delays) / len(delays) if delays else None
 
 
 def solve_epoch(
@@ -191,16 +264,17 @@ def solve_epoch(
         if benchmark.optimal:
             best = benchmark.objective
             gap = 100.0 * (routed.objective - best) / best if best > 0.0 else 0.0
+    outcomes = _outcomes(routed, with_throughput)
     return EpochReport(
         epoch_ts=epoch_ts,
         mode=mode,
         n_demands=len(demands),
         n_accepted=routed.n_accepted,
         runtime_ms=runtime_ms,
-        mean_delay_ms=_mean_delay(routed),
+        mean_delay_ms=_mean_delay(outcomes),
         objective=routed.objective,
         gap_pct=gap,
-        outcomes=_outcome_rows(routed, with_throughput),
+        outcomes=outcomes,
         master=routed.master,
     )
 
@@ -299,129 +373,183 @@ def reports_to_csv(reports: Sequence[EpochReport], include_timing: bool = True) 
     return "\n".join(lines) + "\n"
 
 
-def _series(reports: Sequence[EpochReport], include_timing: bool) -> dict:
-    """Plot-ready series keyed the way the evaluation figures are drawn."""
-    modes = sorted({r.mode for r in reports})
-    by_mode = {m: [r for r in reports if r.mode == m] for m in modes}
-    out: dict = {
-        "acceptance_pct_vs_time": {
-            m: [[r.epoch_ts, r.acceptance_pct] for r in rs] for m, rs in by_mode.items()
-        },
-        "runtime_ms_vs_time": {
-            m: [[r.epoch_ts, r.runtime_ms if include_timing else 0.0] for r in rs]
-            for m, rs in by_mode.items()
-        },
-        "mean_delay_ms_vs_time": {
-            m: [[r.epoch_ts, r.mean_delay_ms] for r in rs] for m, rs in by_mode.items()
-        },
-        "acceptance_pct_vs_demands": {
-            m: [[r.n_demands, r.acceptance_pct] for r in rs] for m, rs in by_mode.items()
-        },
-        "runtime_ms_vs_demands": {
-            m: [[r.n_demands, r.runtime_ms if include_timing else 0.0] for r in rs]
-            for m, rs in by_mode.items()
-        },
-    }
-    return out
+#: The JSON report's note, as it is written.
+_NOTE = json.dumps(
+    "mean_delay_ms averages accepted demands only; acceptance counts "
+    "differ across modes, so delay comparisons between modes are not "
+    "like-for-like"
+)
 
-
-def _payload(reports: Sequence[EpochReport], include_timing: bool) -> dict:
-    """The JSON report as a dict, outcome rows included."""
-    return {
-        "note": "mean_delay_ms averages accepted demands only; acceptance counts "
-        "differ across modes, so delay comparisons between modes are not "
-        "like-for-like",
-        "reports": [
-            {
-                "epoch_ts": r.epoch_ts,
-                "mode": r.mode,
-                "n_demands": r.n_demands,
-                "n_accepted": r.n_accepted,
-                "acceptance_pct": r.acceptance_pct,
-                "runtime_ms": r.runtime_ms if include_timing else 0.0,
-                "mean_delay_ms": r.mean_delay_ms,
-                # A failed epoch's objective is inf, which JSON cannot hold.
-                "objective": r.objective if math.isfinite(r.objective) else None,
-                "gap_pct": r.gap_pct,
-                "error": r.error,
-                "outcomes": list(r.outcomes),
-            }
-            for r in reports
-        ],
-        "series": _series(reports, include_timing),
-    }
-
-
-# The outcome rows ``_outcome_rows`` makes, one template per shape, as
-# ``json.dumps(..., indent=2)`` lays them out at their depth in the report:
-# the row at 8 spaces, its keys at 10, path nodes at 12.
-_REJECTED_ROW = '        {\n          "demand": %d,\n          "accepted": %s\n        }'
+# The JSON report, laid out as ``json.dumps(payload, indent=2)`` lays it
+# out: one layout per report, per outcome row shape and per series point,
+# indented to its depth (a report at 4 spaces, its keys at 6, its rows at
+# 8, their keys at 10 and path nodes at 12; a series at 4, a mode at 6, a
+# point at 8 and its coordinates at 10).
+_REPORT = (
+    '    {\n      "epoch_ts": %s,\n      "mode": %s,\n      "n_demands": %s,\n'
+    '      "n_accepted": %s,\n      "acceptance_pct": %s,\n      "runtime_ms": %s,\n'
+    '      "mean_delay_ms": %s,\n      "objective": %s,\n      "gap_pct": %s,\n'
+    '      "error": %s,\n      "outcomes": %s\n    }'
+)
 _ACCEPTED_ROW = (
-    '        {\n          "demand": %d,\n          "accepted": %s,\n'
+    '        {\n          "demand": %s,\n          "accepted": %s,\n'
     '          "path": [\n            %s\n          ],\n          "delay_ms": %s'
 )
-_ROW_TEMPLATES = {
-    ("demand", "accepted"): _REJECTED_ROW,
+#: Each row shape's keys and layout; a dict row of any other keys has none.
+_ROW_LAYOUTS = {
+    ("demand", "accepted"): (
+        '        {\n          "demand": %s,\n          "accepted": %s\n        }'
+    ),
     ("demand", "accepted", "path", "delay_ms"): _ACCEPTED_ROW + "\n        }",
     ("demand", "accepted", "path", "delay_ms", "throughput_mbps", "throughput_loss_free"): (
         _ACCEPTED_ROW
         + ',\n          "throughput_mbps": %s,\n          "throughput_loss_free": %s\n        }'
     ),
 }
+_REJECTED, _ACCEPTED, _WITH_THROUGHPUT = _ROW_LAYOUTS.values()
 _PATH_SEP = ",\n            "
+_POINT = "        [\n          %s,\n          %s\n        ]"
+#: Each plot-ready series: its name, and its x and y as positions in the
+#: per-report cells of :func:`_series_json`.
+_SERIES = (
+    ("acceptance_pct_vs_time", 0, 1),
+    ("runtime_ms_vs_time", 0, 2),
+    ("mean_delay_ms_vs_time", 0, 3),
+    ("acceptance_pct_vs_demands", 4, 1),
+    ("runtime_ms_vs_demands", 4, 2),
+)
 
 
-def _json_float(x: float) -> str:
-    """``x`` as ``json.dumps(..., allow_nan=False)`` writes it."""
-    if not math.isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-    return float.__repr__(x)
+def _json_value(value) -> str:
+    """A scalar as ``json.dumps(value, allow_nan=False)`` writes it; only
+    strings go through ``json.dumps``, which escapes them.
+    """
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_bool(b: bool) -> str:
-    return "true" if b else "false"
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Finite floats as ``json.dumps`` writes them."""
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return [float.__repr__(x) for x in values.tolist()]
 
 
-def _outcomes_json(rows: Sequence[dict]) -> str:
-    """A report's ``outcomes`` list, byte for byte as ``json.dumps`` lays it out."""
-    if not rows:
+def _dict_row_json(row: dict) -> str:
+    """A hand-built outcome row, in the layout of its keys."""
+    keys = tuple(row)
+    layout = _ROW_LAYOUTS.get(keys)
+    if layout is None:
+        raise ContractError(f"outcome row with keys {keys} has no report layout")
+    values = [_json_value(row["demand"]), _json_value(row["accepted"])]
+    if len(keys) > 2:
+        values += [_PATH_SEP.join(map(_json_value, row["path"])), _json_value(row["delay_ms"])]
+        if len(keys) > 4:
+            values += map(_json_value, (row["throughput_mbps"], row["throughput_loss_free"]))
+    return layout % tuple(values)
+
+
+def _array_rows_json(o: Outcomes) -> list[str]:
+    """Every row of ``o``, in its shape's layout, read from its arrays."""
+    src, relay, dst = o.ends.T.tolist()
+    paths = [
+        f"{s}{_PATH_SEP}{k}{_PATH_SEP}{t}" if k < o.n_nodes else f"{s}{_PATH_SEP}{t}"
+        for s, k, t in zip(src, relay, dst)
+    ]
+    routed = zip(o.ids[o.accepted].tolist(), paths, _json_floats(o.delay))
+    if o.mbps is None:
+        accepted = iter([_ACCEPTED % (did, "true", p, y) for did, p, y in routed])
+    else:
+        flags = map(_json_value, o.loss_free.tolist())
+        accepted = iter(
+            [
+                _WITH_THROUGHPUT % (did, "true", p, y, m, f)
+                for (did, p, y), m, f in zip(routed, _json_floats(o.mbps), flags)
+            ]
+        )
+    return [
+        next(accepted) if a else _REJECTED % (did, "false")
+        for did, a in zip(o.ids.tolist(), o.accepted.tolist())
+    ]
+
+
+def _outcomes_json(outcomes: Sequence[dict]) -> str:
+    """A report's ``outcomes`` list: an :class:`Outcomes` from its arrays,
+    any other sequence of rows row by row.
+    """
+    if not len(outcomes):
         return "[]"
-    out = []
-    for row in rows:
-        keys = tuple(row)
-        template = _ROW_TEMPLATES.get(keys)
-        if template is None:
-            raise ContractError(f"outcome row with keys {keys} has no report layout")
-        values: tuple = (row["demand"], _json_bool(row["accepted"]))
-        if len(keys) > 2:
-            path = _PATH_SEP.join(map(str, row["path"]))
-            values += (path, _json_float(row["delay_ms"]))
-            if len(keys) > 4:
-                values += (
-                    _json_float(row["throughput_mbps"]),
-                    _json_bool(row["throughput_loss_free"]),
-                )
-        out.append(template % values)
-    return "[\n" + ",\n".join(out) + "\n      ]"
+    if isinstance(outcomes, Outcomes):
+        rows = _array_rows_json(outcomes)
+    else:
+        rows = [_dict_row_json(row) for row in outcomes]
+    return "[\n" + ",\n".join(rows) + "\n      ]"
+
+
+def _report_json(r: EpochReport, include_timing: bool) -> str:
+    # A failed epoch's objective is inf, which JSON cannot hold.
+    objective = r.objective if math.isfinite(r.objective) else None
+    values = (
+        r.epoch_ts, r.mode, r.n_demands, r.n_accepted, r.acceptance_pct,
+        r.runtime_ms if include_timing else 0.0, r.mean_delay_ms, objective, r.gap_pct, r.error,
+    )
+    return _REPORT % (*map(_json_value, values), _outcomes_json(r.outcomes))
+
+
+def _series_json(reports: Sequence[EpochReport], include_timing: bool) -> str:
+    """Plot-ready series keyed the way the evaluation figures are drawn:
+    per series and mode, a point per report of that mode.
+    """
+    modes = sorted({r.mode for r in reports})
+    cells = {m: [] for m in modes}
+    for r in reports:
+        values = (
+            r.epoch_ts, r.acceptance_pct, r.runtime_ms if include_timing else 0.0,
+            r.mean_delay_ms, r.n_demands,
+        )
+        cells[r.mode].append(tuple(map(_json_value, values)))
+    blocks = []
+    for name, x, y in _SERIES:
+        lines = [
+            f"      {_json_value(m)}: [\n"
+            + ",\n".join(_POINT % (c[x], c[y]) for c in cs)
+            + "\n      ]"
+            for m, cs in cells.items()
+        ]
+        body = "{\n" + ",\n".join(lines) + "\n    }" if lines else "{}"
+        blocks.append(f'    "{name}": {body}')
+    return "{\n" + ",\n".join(blocks) + "\n  }"
 
 
 def reports_to_json(reports: Sequence[EpochReport], include_timing: bool = True) -> str:
-    """The reports as ``json.dumps(payload, indent=2, allow_nan=False)``.
+    """The reports as ``json.dumps(payload, indent=2, allow_nan=False)``
+    would write them, in one pass from fixed layouts.
 
-    ``json.dumps`` encodes the payload with every ``outcomes`` list empty;
-    each report's rows are then written from :data:`_ROW_TEMPLATES` into
-    its ``"outcomes": []``. ``json.dumps`` escapes every ``"`` inside a
-    string, so that text can only be the key.
+    The payload holds the note, each report's fields and rows, and the
+    plot-ready series. ``json.dumps`` only escapes strings; every other
+    value is written as it would write it, and a non-finite float raises
+    ``ValueError`` as it would. An :class:`Outcomes` is written from its
+    arrays; hand-built rows, a sequence of dicts, go through the same
+    layouts, and a row whose keys match none raises
+    :class:`~cgroute.errors.ContractError`.
     """
-    payload = _payload(reports, include_timing)
-    blocks = []
-    for entry in payload["reports"]:
-        blocks.append(_outcomes_json(entry["outcomes"]))
-        entry["outcomes"] = []
-    pieces = json.dumps(payload, indent=2, allow_nan=False).split('"outcomes": []')
-    assert len(pieces) == len(blocks) + 1, "outcomes key found outside the reports"
-    spliced = "".join(f'{piece}"outcomes": {block}' for piece, block in zip(pieces, blocks))
-    return spliced + pieces[-1] + "\n"
+    body = ",\n".join(_report_json(r, include_timing) for r in reports)
+    listed = "[\n" + body + "\n  ]" if reports else "[]"
+    series = _series_json(reports, include_timing)
+    return f'{{\n  "note": {_NOTE},\n  "reports": {listed},\n  "series": {series}\n}}\n'
 
 
 def format_reports(

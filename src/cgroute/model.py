@@ -124,19 +124,23 @@ class OverlayGraph:
         edge rows), built on first use.
 
         ``key`` is ``tail * n_nodes + head`` and ascends, as
-        :meth:`from_edges` sorts the edges: an edge's row is one
-        :func:`numpy.searchsorted` away, and each node's out-edges are one
-        slice, ascending by head.
+        :meth:`from_edges` sorts the edges, so each node's out-edges are
+        one slice, ascending by head. ``index[tail, head]`` is the edge's
+        row, or -1 where there is no edge: an ``n_nodes`` by ``n_nodes``
+        int32 matrix, 160 KB at 200 nodes.
         """
+        n = self.n_nodes
         ends = np.array(list(self.edges), dtype=np.int64).reshape(-1, 2)
-        key = ends[:, 0] * self.n_nodes + ends[:, 1]
+        key = ends[:, 0] * n + ends[:, 1]
         if (np.diff(key) <= 0).any():
             raise ContractError("graph edges are not in ascending (tail, head) order")
         metrics = np.array(
             [(m.delay_ms, m.jitter_ms, m.success_prob, m.capacity_mbps) for m in self.edges.values()],
             dtype=float,
         ).reshape(-1, 4)
-        columns = [ends[:, 1].copy(), key, *metrics.T.copy()]
+        index = np.full((n, n), -1, dtype=np.int32)
+        index[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
+        columns = [ends[:, 1].copy(), key, index, *metrics.T.copy()]
         for c in columns:
             c.flags.writeable = False
         return EdgeArrays(*columns)
@@ -148,6 +152,7 @@ class EdgeArrays:
 
     head: np.ndarray
     key: np.ndarray
+    index: np.ndarray
     delay: np.ndarray
     jitter: np.ndarray
     success: np.ndarray

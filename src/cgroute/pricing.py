@@ -13,7 +13,10 @@ edge arrays: no per-candidate Python object is made, and a
 :class:`~cgroute.model.Path` exists only for a candidate a caller reads.
 Pricing scans the whole table, so it returns an exact minimizer of the
 dual-adjusted length with no approximation gap, and one pricing pass over
-every demand is a handful of array operations.
+every demand is a handful of array operations. The first pass of column
+generation prices the all-rejection master, whose duals make each demand's
+cheapest candidate the one to enter: :func:`price_rejections` reads it from
+the table's delays, through the segmented argmin :func:`price_demand` uses.
 """
 
 from __future__ import annotations
@@ -37,14 +40,6 @@ def enumerate_candidates(graph: OverlayGraph, demands: Sequence[Demand]) -> Cand
     relay routes by relay node id. A demand without one is never routable.
     """
     return CandidateTable.build(graph, demands, relays=True)
-
-
-def _find(key: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of each ``wanted`` value in the ascending ``key``, and whether it is there."""
-    pos = np.searchsorted(key, wanted)
-    found = pos < len(key)
-    found[found] = key[pos[found]] == wanted[found]
-    return pos, found
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +81,9 @@ class RouteGeometry:
         ``relays`` is false.
 
         A relay is the head of an out-edge of the source with an edge on to
-        the destination. A demand endpoint outside the graph raises
+        the destination; the graph's edge-index matrix
+        (:attr:`~cgroute.model.EdgeArrays.index`) finds that edge and the
+        direct one. A demand endpoint outside the graph raises
         :class:`~cgroute.errors.InputError`.
         """
         demands = tuple(sorted(demands, key=lambda d: d.id))
@@ -98,8 +95,8 @@ class RouteGeometry:
         bound = np.array(
             [(d.max_jitter_ms, d.min_success_prob, d.rate_mbps) for d in demands], dtype=float
         ).reshape(-1, 3)
-        pos, found = _find(a.key, src * n + dst)
-        with_edge = np.flatnonzero(found)  # the demands with a direct edge
+        pos = a.index[src, dst]
+        with_edge = np.flatnonzero(pos >= 0)  # the demands with a direct edge
         # Every out-edge of each demand's source is a first hop, or none
         # without relays.
         start = np.searchsorted(a.key, np.arange(n + 1) * n)
@@ -108,7 +105,8 @@ class RouteGeometry:
         hop1 = np.arange(len(q)) + np.repeat(start[src] - np.cumsum(fan) + fan, fan)
         k = a.head[hop1]
         # k == t would need a self-loop t -> t, which no graph has.
-        hop2, found = _find(a.key, k * n + dst[q])
+        hop2 = a.index[k, dst[q]]
+        found = hop2 >= 0
         q, hop1, hop2, k = q[found], hop1[found], hop2[found], k[found]
         owner = np.concatenate((with_edge, q))
         # Stable: direct routes stay ahead of relay routes, and relays ascending.
@@ -250,19 +248,28 @@ class CandidateTable:
         """
         return (self.rows[index, 2:] - self.n_edges).T.tolist()
 
+    def success(self, index: np.ndarray) -> np.ndarray:
+        """Success probability of candidates ``index``, multiplied in edge
+        order from 1.0 as ``make_path`` does, so each is bit-equal to the path's.
+        """
+        a, rows = self.graph.arrays, self.rows[index]
+        relayed = rows[:, 3] < self.n_edges + self.n_nodes
+        success = 1.0 * a.success[rows[:, 0]]
+        success[relayed] *= a.success[rows[relayed, 1]]
+        return success
+
     def paths(self, index: np.ndarray) -> list[Path]:
         """Candidates ``index`` as paths equal to ``make_path``'s, made in one pass.
 
-        Jitter and success are summed and multiplied in edge order from
-        0.0 and 1.0, as ``make_path`` does; the delay is the table's, which
-        is built the same way.
+        Jitter is summed in edge order from 0.0, as ``make_path`` does, and
+        success is :meth:`success`; the delay is the table's, which is
+        built the same way.
         """
         a, rows = self.graph.arrays, self.rows[index]
         relayed = rows[:, 3] < self.n_edges + self.n_nodes
         jitter = 0.0 + a.jitter[rows[:, 0]]
-        success = 1.0 * a.success[rows[:, 0]]
         jitter[relayed] += a.jitter[rows[relayed, 1]]
-        success[relayed] *= a.success[rows[relayed, 1]]
+        success = self.success(index)
         ids = [self.demands[r].id for r in self.demand[index].tolist()]
         src, relay, dst = self.ends(index)
         return [
@@ -291,6 +298,24 @@ class CandidateTable:
         return self.delay + self.rate * rent
 
 
+def _cheapest(table: CandidateTable, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segmented argmin of ``lengths``, one entry per candidate of ``table``.
+
+    Returns the demands that have candidates at all, as rows of
+    ``table.demands``, and each one's candidate of least length; ties keep
+    the first candidate in list order.
+    """
+    counts = np.diff(table.offsets)
+    rows = np.flatnonzero(counts)
+    if not len(rows):
+        return rows, rows
+    starts = table.offsets[rows]
+    lows = np.minimum.reduceat(lengths, starts)
+    at_low = lengths == np.repeat(lows, counts[rows])
+    first = np.minimum.reduceat(np.where(at_low, np.arange(len(lengths)), len(lengths)), starts)
+    return rows, first
+
+
 def price_demand(table: CandidateTable, duals: DualPoint) -> dict[int, tuple[int, float]]:
     """Exact pricing of every demand at once: the columns that would enter.
 
@@ -302,17 +327,7 @@ def price_demand(table: CandidateTable, duals: DualPoint) -> dict[int, tuple[int
     deterministic.
     """
     priced = table.priced_lengths(duals)
-    if not len(priced):
-        return {}
-    # Segmented argmin over the demands that have candidates at all.
-    counts = np.diff(table.offsets)
-    rows = np.flatnonzero(counts)
-    starts = table.offsets[rows]
-    lows = np.minimum.reduceat(priced, starts)
-    at_low = priced == np.repeat(lows, counts[rows])
-    first = np.minimum.reduceat(
-        np.where(at_low, np.arange(len(priced)), len(priced)), starts
-    )
+    rows, first = _cheapest(table, priced)
     best = priced[first]
     sigma = duals.convexity_duals[rows]
     enter = np.flatnonzero(best < sigma - EPS_REDUCED_COST)
@@ -321,3 +336,18 @@ def price_demand(table: CandidateTable, duals: DualPoint) -> dict[int, tuple[int
         table.demands[r].id: (c, rc)
         for r, c, rc in zip(rows[enter].tolist(), first[enter].tolist(), reduced.tolist())
     }
+
+
+def price_rejections(table: CandidateTable, penalty: float) -> np.ndarray:
+    """:func:`price_demand` at the all-rejection master's duals, read from
+    the table alone: the entering candidates' indices, in ascending demand id.
+
+    Those duals price no capacity and every convexity row at the rejection
+    ``penalty``, so a candidate's priced length is its delay, bit for bit,
+    and each demand's entering column is its cheapest candidate (the first
+    on ties), if it undercuts ``penalty`` by more than
+    :data:`EPS_REDUCED_COST`. The penalty exceeds every route's delay, so
+    every demand with a candidate has one.
+    """
+    _, first = _cheapest(table, table.delay)
+    return first[table.delay[first] < penalty - EPS_REDUCED_COST]

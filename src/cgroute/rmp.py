@@ -180,11 +180,14 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class RmpSolution:
-    """Primal/dual optimum of the master over its current column pool."""
+    """Primal/dual optimum of the master over its current column pool;
+    ``closed_form`` when :meth:`RestrictedMaster.solve` found it without HiGHS.
+    """
 
     values: tuple[float, ...]
     objective: float
     duals: DualPoint
+    closed_form: bool = False
 
 
 @dataclass
@@ -474,7 +477,8 @@ class RestrictedMaster:
         price the chosen column's cost. Every pool column then has a
         nonnegative reduced cost, and rejection columns a positive one,
         since the penalty exceeds any path delay. The all-rejection pool of
-        the first solve is one such case.
+        the first solve is one such case. Such a solution is flagged
+        ``closed_form``.
 
         With ``join_all``, a pool the closed form does not solve first takes
         in every table candidate, so HiGHS solves the full master and no
@@ -517,6 +521,7 @@ class RestrictedMaster:
                 values=(1.0,) * n_dummy,
                 objective=sum(sigma),
                 duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
+                closed_form=True,
             )
         owner = self.owner[n_dummy:]
         joined = np.bincount(owner, minlength=n_dummy)
@@ -537,6 +542,7 @@ class RestrictedMaster:
             values=tuple(values.tolist()),
             objective=sum(sigma.tolist()),
             duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
+            closed_form=True,
         )
 
     def solve_integer(self, time_limit_s: float, node_limit: int) -> HighsResult:

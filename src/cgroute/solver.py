@@ -3,10 +3,14 @@
 Column generation alternates master solves with exact pricing until no
 candidate path of any demand has negative reduced cost (a checkable
 optimality certificate, since candidate sets are fully enumerated) or an
-iteration cap is hit. When the whole table fits in a master of at most
-:data:`FULL_MASTER_MAX_COLUMNS` columns, a budget set by memory alone,
-every candidate joins at the first HiGHS solve, so the pass after it
-certifies at once; larger masters grow incrementally. Randomized
+iteration cap is hit. The first pass prices the all-rejection master,
+whose answer is each demand's cheapest candidate, so it reads them from
+the table; when the closed form solves that pool, which is every demand
+on its cheapest route, nothing can undercut it and the next pass
+certifies without pricing. When the whole table fits in a master of at
+most :data:`FULL_MASTER_MAX_COLUMNS` columns, a budget set by memory
+alone, every candidate joins at the first HiGHS solve, so the pass after
+it certifies at once; larger masters grow incrementally. Randomized
 rounding then converts the fractional path mix into one committed path
 per demand, or a rejection. Candidates stay table rows throughout; the
 master's read-out, as for the exact benchmark, sums the objective and
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .model import Demand, OverlayGraph, Path, augment_clique
-from .pricing import CandidateTable, enumerate_candidates, price_demand
+from .pricing import CandidateTable, enumerate_candidates, price_demand, price_rejections
 from .rmp import RestrictedMaster, RmpSolution, Routing
 
 #: Builds the candidate table of a demand set on a graph, such as
@@ -117,7 +121,15 @@ def column_generation(
     best solution uncertified.
 
     Masters the closed form solves (the all-rejection first one, and one
-    whose cheapest routes fit) never reach HiGHS. When the full master,
+    whose cheapest routes fit) never reach HiGHS. Each pricing pass but the
+    last is followed by one master solve. The first pass prices the
+    all-rejection master, so its columns, each routable demand's cheapest
+    candidate, come straight from the table (:func:`price_rejections`,
+    which is :func:`price_demand` at those duals). A later pass after a
+    closed-form solve certifies without pricing: that pool holds at most
+    one candidate per demand and, since it holds the first pass's, exactly
+    each routable demand's cheapest, so with capacity priced at zero no
+    candidate undercuts its demand's convexity price. When the full master,
     ``len(table) + len(demands)`` columns, is at most
     :data:`FULL_MASTER_MAX_COLUMNS`, the first master that does reach
     HiGHS is seeded with the whole table: the next pricing pass has no
@@ -132,8 +144,14 @@ def column_generation(
     certified = False
     while iterations < config.max_cg_iterations:
         iterations += 1
-        entering = price_demand(table, solution.duals)
-        if master.add(index for index, _ in entering.values()) == 0:
+        if iterations == 1:
+            entering = price_rejections(table, master.dummy_penalty)
+        elif solution.closed_form:
+            certified = True
+            break
+        else:
+            entering = (index for index, _ in price_demand(table, solution.duals).values())
+        if master.add(entering) == 0:
             certified = True
             break
         solution = master.solve(join_all)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Optional, Sequence
 
@@ -373,6 +374,51 @@ def reference_round(
         duration_s=0.0,
         certified=False,
     )
+
+
+def report_payload(reports: Sequence, include_timing: bool) -> dict:
+    """A JSON report as a dict: the note, each report's fields and rows
+    (read one by one from its ``outcomes``), and the plot-ready series.
+    """
+    modes = sorted({r.mode for r in reports})
+    by_mode = {m: [r for r in reports if r.mode == m] for m in modes}
+
+    def runtime(r):
+        return r.runtime_ms if include_timing else 0.0
+
+    def series(x, y):
+        return {m: [[x(r), y(r)] for r in rs] for m, rs in by_mode.items()}
+
+    at, size = attrgetter("epoch_ts"), attrgetter("n_demands")
+    acceptance = attrgetter("acceptance_pct")
+    return {
+        "note": "mean_delay_ms averages accepted demands only; acceptance counts "
+        "differ across modes, so delay comparisons between modes are not "
+        "like-for-like",
+        "reports": [
+            {
+                "epoch_ts": r.epoch_ts,
+                "mode": r.mode,
+                "n_demands": r.n_demands,
+                "n_accepted": r.n_accepted,
+                "acceptance_pct": r.acceptance_pct,
+                "runtime_ms": runtime(r),
+                "mean_delay_ms": r.mean_delay_ms,
+                "objective": r.objective if math.isfinite(r.objective) else None,
+                "gap_pct": r.gap_pct,
+                "error": r.error,
+                "outcomes": list(r.outcomes),
+            }
+            for r in reports
+        ],
+        "series": {
+            "acceptance_pct_vs_time": series(at, acceptance),
+            "runtime_ms_vs_time": series(at, runtime),
+            "mean_delay_ms_vs_time": series(at, attrgetter("mean_delay_ms")),
+            "acceptance_pct_vs_demands": series(size, acceptance),
+            "runtime_ms_vs_demands": series(size, runtime),
+        },
+    }
 
 
 def reference_report_json(payload: dict) -> str:

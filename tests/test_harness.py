@@ -33,7 +33,7 @@ from instances import (
     gap_suite_instance,
     hand_graph,
 )
-from oracles import reference_report_json
+from oracles import report_payload, reference_report_json
 
 
 def small_trace(n_epochs=2, seed=0):
@@ -399,7 +399,7 @@ class TestJsonWriter:
     @staticmethod
     def assert_matches_reference(reports):
         for timing in (True, False):
-            payload = harness._payload(reports, timing)
+            payload = report_payload(reports, timing)
             assert reports_to_json(reports, timing) == reference_report_json(payload)
 
     @pytest.mark.parametrize("with_throughput", [False, True])
@@ -422,6 +422,51 @@ class TestJsonWriter:
         )
         self.assert_matches_reference(reports)
 
+    @staticmethod
+    def hand_built(reports):
+        """The reports with their rows as plain dicts, as tests and checkers build them."""
+        return [replace(r, outcomes=tuple(dict(row) for row in r.outcomes)) for r in reports]
+
+    @pytest.mark.parametrize("with_throughput", [False, True])
+    def test_hand_built_rows_take_the_same_layouts(self, with_throughput):
+        trace, demands = small_trace(n_epochs=2, seed=1)
+        reports = [
+            solve_epoch(trace.graph_for(ep), demands, mode, SolverConfig(), ep.timestamp,
+                        with_throughput=with_throughput)
+            for ep in trace.epochs
+            for mode in MODES
+        ]
+        built = self.hand_built(reports)
+        assert all(type(r.outcomes) is tuple for r in built) and built == reports
+        self.assert_matches_reference(built)
+        for timing in (True, False):
+            assert reports_to_json(built, timing) == reports_to_json(reports, timing)
+
+    def test_replay_report_makes_no_row(self, monkeypatch):
+        # The rows exist only for a reader: a replay and both of its reports
+        # read the routing's arrays alone.
+        made = []
+        row = harness.Outcomes._row
+        monkeypatch.setattr(harness.Outcomes, "_row", lambda o, i: made.append(i) or row(o, i))
+        trace, demands = small_trace(n_epochs=2, seed=2)
+        reports = run_timeseries(trace, demands, MODES, SolverConfig())
+        reports_to_json(reports)
+        reports_to_csv(reports)
+        assert made == []
+        assert reports[0].outcomes[-1]["demand"] == max(d.id for d in demands)
+        assert made == [len(demands) - 1]
+
+    def test_reading_rows_changes_no_byte(self):
+        trace, demands = small_trace(n_epochs=2, seed=0)
+        reports = run_timeseries(trace, demands, MODES, SolverConfig())
+        before = reports_to_json(reports)
+        rows = [list(r.outcomes) for r in reports]
+        rows[0][0]["demand"] = -1  # a reader's copy: the report keeps no row
+        assert reports[0].outcomes[0]["demand"] == min(d.id for d in demands)
+        assert reports_to_json(reports) == before
+        with pytest.raises(ValueError):
+            reports[0].outcomes.delay[0] = 0.0
+
     def test_loss_free_row(self):
         g = OverlayGraph.from_edges(
             3,
@@ -443,10 +488,12 @@ class TestJsonWriter:
             runtime_ms=0.0, mean_delay_ms=None, objective=math.inf,
             error='HiGHS said "no"; "outcomes": [] and "outcomes": [',
         )
-        reports = [failed, good, failed]
+        # json.dumps escapes control and non-ASCII characters too.
+        odd = replace(failed, error="tab\there, newline\nthere, \u00e9\u2028\\ end")
+        reports = [failed, good, failed, odd]
         self.assert_matches_reference(reports)
         parsed = json.loads(reports_to_json(reports))["reports"]
-        assert [r["error"] for r in parsed] == [failed.error, None, failed.error]
+        assert [r["error"] for r in parsed] == [failed.error, None, failed.error, odd.error]
         assert parsed[0]["objective"] is None and parsed[0]["outcomes"] == []
 
     @pytest.mark.parametrize("key", ["delay_ms", "throughput_mbps"])
@@ -458,7 +505,7 @@ class TestJsonWriter:
         rows = (dict(report.outcomes[0], **{key: bad}),)
         broken = replace(report, outcomes=rows)
         with pytest.raises(ValueError):
-            reference_report_json(harness._payload([broken], True))
+            reference_report_json(report_payload([broken], True))
         with pytest.raises(ValueError):
             reports_to_json([broken])
 
@@ -469,3 +516,7 @@ class TestJsonWriter:
         for bad in ({**row, "extra": 1}, {"accepted": row["accepted"], "demand": row["demand"]}):
             with pytest.raises(ContractError):
                 reports_to_json([replace(report, outcomes=(bad,))])
+            # One bad row among hand-built good ones is refused as well.
+            (good,) = self.hand_built([report])
+            with pytest.raises(ContractError):
+                reports_to_json([replace(good, outcomes=(*good.outcomes, bad))])

@@ -58,6 +58,23 @@ class TestValidation:
             OverlayGraph.from_edges(2, {}, [1.0])
 
 
+class TestEdgeArrays:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edge_index_names_every_edge_row(self, seed):
+        trace = generate_telco_trace(1, seed=seed)
+        graph = trace.graph_for(trace.epochs[0])
+        index = graph.arrays.index
+        rows = {e: r for r, e in enumerate(graph.edges)}
+        n = graph.n_nodes
+        assert index.shape == (n, n) and not index.flags.writeable
+        assert [[index[u, v] for v in range(n)] for u in range(n)] == [
+            [rows.get((u, v), -1) for v in range(n)] for u in range(n)
+        ]
+
+    def test_edgeless_graph_has_no_edge_rows(self):
+        assert (OverlayGraph.from_edges(3, {}, [1.0] * 3).arrays.index == -1).all()
+
+
 class TestAugmentClique:
     def test_three_node_line(self, line_graph, two_demands):
         augmented = augment_clique(line_graph, two_demands)

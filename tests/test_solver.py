@@ -10,7 +10,13 @@ from cgroute.model import (
     augment_clique,
     make_path,
 )
-from cgroute.pricing import EPS_REDUCED_COST, CandidateTable, enumerate_candidates, price_demand
+from cgroute.pricing import (
+    EPS_REDUCED_COST,
+    CandidateTable,
+    enumerate_candidates,
+    price_demand,
+    price_rejections,
+)
 from cgroute.rmp import DualPoint, RestrictedMaster, RmpSolution, _cost_exponent
 from cgroute import solver
 from cgroute.solver import (
@@ -164,6 +170,74 @@ class TestColumnGeneration:
         assert highs_calls == []
         assert routed.certified
         assert routed.iterations == 2
+
+    @pytest.mark.parametrize("case", ["closed_form", "whole", "incremental"])
+    def test_one_master_solve_per_pricing_pass(self, case, monkeypatch):
+        # The benchmark's trace counts both (rmp.lp_solves and
+        # solver.cg_iterations) and requires them equal on a certified solve:
+        # the all-rejection solve, then one after each pass that adds columns.
+        if case == "closed_form":  # every cheapest route fits: no HiGHS
+            trace = generate_telco_trace(1, seed=3)
+            graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
+        else:  # gap-suite instance 9 needs HiGHS, whole or grown by pricing
+            graph, demands = gap_suite_instance(9)
+        if case == "incremental":
+            monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        solves = []
+        plain = RestrictedMaster.solve
+
+        def counting(master, *args, **kwargs):
+            solves.append(master)
+            return plain(master, *args, **kwargs)
+
+        monkeypatch.setattr(RestrictedMaster, "solve", counting)
+        priced = []
+        monkeypatch.setattr(
+            solver, "price_demand", lambda *args: priced.append(args) or price_demand(*args)
+        )
+        cg = column_generation(augment_clique(graph, demands), demands)
+        assert cg.certified
+        assert len(solves) == cg.iterations
+        assert cg.iterations == 2 if case != "incremental" else cg.iterations > 2
+        assert cg.solution.closed_form == (case == "closed_form")
+        # The first pass reads the table; a closed-form master certifies unpriced.
+        assert len(priced) == cg.iterations - (2 if case == "closed_form" else 1)
+
+    def test_first_pass_is_pricing_at_the_rejection_duals(self):
+        # Three demands whose cheapest routes tie: 0 -> 3 direct, through 1
+        # and through 2 (20 ms each); 0 -> 2 direct and through 1 (12 ms);
+        # 1 -> 3 direct and through 2 (11 ms). The first pass must add what
+        # price_demand returns at the all-rejection master's duals: on a tie,
+        # the first candidate in list order, here each direct route.
+        delays = {(0, 3): 20.0, (0, 1): 9.0, (1, 3): 11.0, (0, 2): 12.0, (2, 3): 8.0, (1, 2): 3.0}
+        g = OverlayGraph.from_edges(
+            4, {e: LinkMetrics(d, 1.0, 100.0, 0.999) for e, d in delays.items()}, [1000.0] * 4
+        )
+        demands = [Demand(0, 0, 3, 5.0, 50.0, 0.9), Demand(1, 0, 2, 5.0, 50.0, 0.9),
+                   Demand(2, 1, 3, 5.0, 50.0, 0.9), Demand(3, 2, 0, 5.0, 50.0, 0.9)]
+        augmented = augment_clique(g, demands)
+        table = enumerate_candidates(augmented, demands)
+        master = RestrictedMaster(augmented, table)
+        priced = price_demand(table, master.solve().duals)
+        want = [index for index, _ in priced.values()]
+        assert want == table.offsets[:3].tolist()  # demand 3 has no route
+        assert np.diff(table.offsets).tolist() == [3, 2, 2, 0]
+        tied = [len(set(table.delay[a:b].tolist())) for a, b in zip(want, table.offsets[1:])]
+        assert tied == [1, 1, 1]
+        assert price_rejections(table, master.dummy_penalty).tolist() == want
+        first = column_generation(augmented, demands, SolverConfig(max_cg_iterations=1))
+        assert first.master.joined.tolist() == want
+        assert first.iterations == 1 and not first.certified
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_first_pass_matches_pricing_on_gap_suite(self, seed):
+        graph, demands = gap_suite_instance(seed)
+        augmented = augment_clique(graph, demands)
+        for mode in ("overlay", "direct"):
+            table = mode_candidates(mode)(augmented, demands)
+            master = RestrictedMaster(augmented, table)
+            want = [index for index, _ in price_demand(table, master.solve().duals).values()]
+            assert price_rejections(table, master.dummy_penalty).tolist() == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_termination_certificate(self, seed):
