@@ -7,14 +7,14 @@ throughput estimates. A routing mode picks which of a demand set's
 routes enter the candidate table: the overlay mode keeps the direct and
 one-relay routes, the direct mode only the direct ones, of the same
 :class:`~cgroute.pricing.RouteGeometry`, which a replay finds once per
-trace. The outcomes are an :class:`Outcomes`: a few arrays copied from
-the routing, which make a row dict only for a caller that reads one.
-Reports serialize to a flat CSV and a nested JSON that also carries
-plot-ready series (metric vs time, metric vs demand count). The JSON is
-``json.dumps(payload, indent=2)``'s text, byte for byte, but written in
-one pass from fixed layouts, the rows straight from the arrays:
-``indent`` would make ``json`` use its pure-Python encoder, and no
-payload dict is built. ``json.dumps`` only escapes strings.
+trace. The outcomes are always an :class:`Outcomes`: a few arrays
+copied from the routing, which make a row dict only for a caller that
+reads one. Reports serialize to a flat CSV and a nested JSON that also
+carries plot-ready series (metric vs time, metric vs demand count). The
+JSON is ``json.dumps(payload, indent=2)``'s text, byte for byte, but
+written in one pass from fixed layouts, the rows straight from the
+arrays: ``indent`` would make ``json`` use its pure-Python encoder, and
+no payload dict is built. ``json.dumps`` only escapes strings.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ import numpy as np
 
 from .errors import ContractError, InputError, SolverError
 from .exact import ExactLimits, solve_exact
-from .model import Demand, OverlayGraph, Path, check_endpoints
-from .pricing import CandidateTable, RouteGeometry, enumerate_candidates
-from .rmp import RestrictedMaster
+from .model import Demand, OverlayGraph, check_endpoints
+from .pricing import CandidateTable, RouteGeometry, enumerate_candidates, route_metrics
+from .rmp import RestrictedMaster, ordered_sum
 from .solver import CandidateFn, RoutingSolution, SolverConfig, solve
 from .scenario import Trace
 
@@ -53,25 +53,16 @@ LOSS_FREE_CAP_MBPS = 10000.0
 
 
 @dataclass(frozen=True)
-class ThroughputEstimate:
-    """TCP throughput estimate; flagged when the loss-free cap applies."""
-
-    mbps: float
-    loss_free: bool
-
-
-@dataclass(frozen=True)
 class EpochReport:
     """Aggregated outcome of solving one epoch in one mode.
 
-    ``outcomes`` holds one row per demand, in ascending id, in one of the
-    three shapes :func:`reports_to_json` lays out (rejected; accepted;
-    accepted with throughput). :func:`solve_epoch` makes it an
-    :class:`Outcomes`, which holds arrays and makes a row dict on each
-    read, keeping none; a report built by hand may hold a sequence of
-    dicts instead, in the same shapes. ``master`` is the restricted master
-    the heuristic solved, kept for ``cgroute solve --dump-lp``; it is not
-    part of any serialized report, and :func:`run_timeseries` drops it.
+    ``outcomes`` is an :class:`Outcomes`, one row per demand in ascending
+    id, which holds arrays and makes a row dict on each read, keeping
+    none; or it is empty, as in a failed epoch's report.
+    :func:`reports_to_json` writes no other sequence. ``master`` is the
+    restricted master the heuristic solved, kept for ``cgroute solve
+    --dump-lp``; it is not part of any serialized report, and
+    :func:`run_timeseries` drops it.
     """
 
     epoch_ts: float
@@ -82,7 +73,7 @@ class EpochReport:
     mean_delay_ms: Optional[float]
     objective: float
     gap_pct: Optional[float] = None
-    outcomes: Sequence[dict] = ()
+    outcomes: Outcomes | tuple[()] = ()
     error: Optional[str] = None
     master: Optional[RestrictedMaster] = field(default=None, repr=False, compare=False)
 
@@ -95,7 +86,7 @@ class EpochReport:
 
 def direct_mode_candidates(graph: OverlayGraph, demands: Sequence[Demand]) -> CandidateTable:
     """Underlay-style candidates: each demand's direct edge and nothing else."""
-    return CandidateTable.build(graph, demands, relays=False)
+    return RouteGeometry.find(graph, demands).table(graph, relays=False)
 
 
 def mode_candidates(mode: str) -> CandidateFn:
@@ -106,8 +97,13 @@ def mode_candidates(mode: str) -> CandidateFn:
 
 
 def _throughput(success: np.ndarray, delay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`estimate_throughput` of routes given as arrays: Mbps and the
-    loss-free flag of each, with the same float operations in the same order.
+    """TCP throughput of routes, MSS * C / (RTT * sqrt(loss)): the Mbps and
+    loss-free flag of each, given its success probability and one-way delay.
+
+    RTT is taken as ``RTT_FACTOR`` times the one-way delay. The model
+    diverges as loss approaches zero, so loss-free routes get
+    ``LOSS_FREE_CAP_MBPS`` instead, flagged. It diverges at zero RTT too,
+    so zero-delay routes also get the cap, flagged as lossy.
     """
     p = 1.0 - success
     rtt_s = RTT_FACTOR * delay / 1000.0
@@ -116,18 +112,6 @@ def _throughput(success: np.ndarray, delay: np.ndarray) -> tuple[np.ndarray, np.
     loss_free = p <= 0.0
     mbps[loss_free | (rtt_s <= 0.0)] = LOSS_FREE_CAP_MBPS
     return mbps, loss_free
-
-
-def estimate_throughput(path: Path) -> ThroughputEstimate:
-    """TCP throughput of a path: MSS * C / (RTT * sqrt(loss)).
-
-    RTT is taken as ``RTT_FACTOR`` times the one-way path delay. The model
-    diverges as loss approaches zero, so loss-free paths return
-    ``LOSS_FREE_CAP_MBPS`` instead, flagged. It diverges at zero RTT too,
-    so zero-delay paths also return the cap, flagged as lossy.
-    """
-    mbps, loss_free = _throughput(np.array([path.success_prob]), np.array([path.total_delay_ms]))
-    return ThroughputEstimate(float(mbps[0]), bool(loss_free[0]))
 
 
 class Outcomes(Sequence[dict]):
@@ -209,7 +193,8 @@ def _outcomes(routed: RoutingSolution, with_throughput: bool) -> Outcomes:
     delay = table.delay[picked]
     mbps = loss_free = None
     if with_throughput:
-        mbps, loss_free = _throughput(table.success(picked), delay)
+        _, _, success = route_metrics(table.graph.arrays, table.rows[picked])
+        mbps, loss_free = _throughput(success, delay)
     return Outcomes(
         np.fromiter(routing, dtype=np.int64, count=len(routing)),
         routing.accepted,
@@ -223,7 +208,7 @@ def _outcomes(routed: RoutingSolution, with_throughput: bool) -> Outcomes:
 
 def _mean_delay(outcomes: Outcomes) -> Optional[float]:
     delays = outcomes.delay.tolist()
-    return sum(delays) / len(delays) if delays else None
+    return ordered_sum(delays) / len(delays) if delays else None
 
 
 def solve_epoch(
@@ -391,22 +376,17 @@ _REPORT = (
     '      "mean_delay_ms": %s,\n      "objective": %s,\n      "gap_pct": %s,\n'
     '      "error": %s,\n      "outcomes": %s\n    }'
 )
+#: The three outcome row shapes: rejected, accepted, accepted with throughput.
+_REJECTED = '        {\n          "demand": %s,\n          "accepted": %s\n        }'
 _ACCEPTED_ROW = (
     '        {\n          "demand": %s,\n          "accepted": %s,\n'
     '          "path": [\n            %s\n          ],\n          "delay_ms": %s'
 )
-#: Each row shape's keys and layout; a dict row of any other keys has none.
-_ROW_LAYOUTS = {
-    ("demand", "accepted"): (
-        '        {\n          "demand": %s,\n          "accepted": %s\n        }'
-    ),
-    ("demand", "accepted", "path", "delay_ms"): _ACCEPTED_ROW + "\n        }",
-    ("demand", "accepted", "path", "delay_ms", "throughput_mbps", "throughput_loss_free"): (
-        _ACCEPTED_ROW
-        + ',\n          "throughput_mbps": %s,\n          "throughput_loss_free": %s\n        }'
-    ),
-}
-_REJECTED, _ACCEPTED, _WITH_THROUGHPUT = _ROW_LAYOUTS.values()
+_ACCEPTED = _ACCEPTED_ROW + "\n        }"
+_WITH_THROUGHPUT = (
+    _ACCEPTED_ROW
+    + ',\n          "throughput_mbps": %s,\n          "throughput_loss_free": %s\n        }'
+)
 _PATH_SEP = ",\n            "
 _POINT = "        [\n          %s,\n          %s\n        ]"
 #: Each plot-ready series: its name, and its x and y as positions in the
@@ -448,22 +428,15 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return [float.__repr__(x) for x in values.tolist()]
 
 
-def _dict_row_json(row: dict) -> str:
-    """A hand-built outcome row, in the layout of its keys."""
-    keys = tuple(row)
-    layout = _ROW_LAYOUTS.get(keys)
-    if layout is None:
-        raise ContractError(f"outcome row with keys {keys} has no report layout")
-    values = [_json_value(row["demand"]), _json_value(row["accepted"])]
-    if len(keys) > 2:
-        values += [_PATH_SEP.join(map(_json_value, row["path"])), _json_value(row["delay_ms"])]
-        if len(keys) > 4:
-            values += map(_json_value, (row["throughput_mbps"], row["throughput_loss_free"]))
-    return layout % tuple(values)
-
-
-def _array_rows_json(o: Outcomes) -> list[str]:
-    """Every row of ``o``, in its shape's layout, read from its arrays."""
+def _outcomes_json(o: Outcomes | tuple[()]) -> str:
+    """A report's ``outcomes`` list, each row in its shape's layout, read
+    from the arrays; any other nonempty sequence raises
+    :class:`~cgroute.errors.ContractError`.
+    """
+    if not len(o):
+        return "[]"
+    if not isinstance(o, Outcomes):
+        raise ContractError(f"report outcomes are a {type(o).__name__}, not Outcomes")
     src, relay, dst = o.ends.T.tolist()
     paths = [
         f"{s}{_PATH_SEP}{k}{_PATH_SEP}{t}" if k < o.n_nodes else f"{s}{_PATH_SEP}{t}"
@@ -480,22 +453,10 @@ def _array_rows_json(o: Outcomes) -> list[str]:
                 for (did, p, y), m, f in zip(routed, _json_floats(o.mbps), flags)
             ]
         )
-    return [
+    rows = [
         next(accepted) if a else _REJECTED % (did, "false")
         for did, a in zip(o.ids.tolist(), o.accepted.tolist())
     ]
-
-
-def _outcomes_json(outcomes: Sequence[dict]) -> str:
-    """A report's ``outcomes`` list: an :class:`Outcomes` from its arrays,
-    any other sequence of rows row by row.
-    """
-    if not len(outcomes):
-        return "[]"
-    if isinstance(outcomes, Outcomes):
-        rows = _array_rows_json(outcomes)
-    else:
-        rows = [_dict_row_json(row) for row in outcomes]
     return "[\n" + ",\n".join(rows) + "\n      ]"
 
 
@@ -541,9 +502,8 @@ def reports_to_json(reports: Sequence[EpochReport], include_timing: bool = True)
     The payload holds the note, each report's fields and rows, and the
     plot-ready series. ``json.dumps`` only escapes strings; every other
     value is written as it would write it, and a non-finite float raises
-    ``ValueError`` as it would. An :class:`Outcomes` is written from its
-    arrays; hand-built rows, a sequence of dicts, go through the same
-    layouts, and a row whose keys match none raises
+    ``ValueError`` as it would. A report's rows are written from its
+    :class:`Outcomes` arrays; any other nonempty sequence of rows raises
     :class:`~cgroute.errors.ContractError`.
     """
     body = ",\n".join(_report_json(r, include_timing) for r in reports)

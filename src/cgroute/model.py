@@ -264,24 +264,3 @@ def dummy_penalty(graph: OverlayGraph, demands: Sequence[Demand]) -> float:
     max_delay = max((m.delay_ms for m in graph.edges.values()), default=0.0)
     return DUMMY_PENALTY_FACTOR * (2.0 * len(demands) * max_delay + 1.0)
 
-
-def qos_feasible(path: Path, demand: Demand) -> bool:
-    """Whether ``path`` satisfies all of ``demand``'s hard constraints.
-
-    Uses the product form of the success-probability bound, which is exact
-    and better conditioned than a log-sum at one or two hops. Dummy paths
-    are feasible by definition.
-    """
-    if path.is_dummy:
-        return True
-    if path.demand_id != demand.id:
-        raise ContractError(
-            f"path belongs to demand {path.demand_id}, not {demand.id}"
-        )
-    if path.nodes[0] != demand.source or path.nodes[-1] != demand.destination:
-        raise ContractError("path endpoints do not match the demand")
-    return (
-        len(path.edges) <= 2
-        and path.total_jitter_ms <= demand.max_jitter_ms
-        and path.success_prob >= demand.min_success_prob
-    )

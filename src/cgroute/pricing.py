@@ -8,8 +8,11 @@ which routes exist for a demand set on an edge set, from the edges alone;
 keeps the QoS-feasible ones, in one flat :class:`CandidateTable`.
 :func:`enumerate_candidates` is the two steps on one graph; a trace replay,
 whose epochs share one edge set, finds its routes once and reads each
-epoch's metrics for them. Both steps are array operations over the graph's
-edge arrays: no per-candidate Python object is made, and a
+epoch's metrics for them. A route is held as its capacity rows alone, and
+:func:`route_metrics` is the one place its delay, jitter and success are
+computed from them: for the QoS mask, for a :class:`~cgroute.model.Path`
+and for a report's throughput. Both steps are array operations over the
+graph's edge arrays: no per-candidate Python object is made, and a
 :class:`~cgroute.model.Path` exists only for a candidate a caller reads.
 Pricing scans the whole table, so it returns an exact minimizer of the
 dual-adjusted length with no approximation gap, and one pricing pass over
@@ -21,13 +24,13 @@ the table's delays, through the segmented argmin :func:`price_demand` uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractError
-from .model import Demand, OverlayGraph, Path, check_endpoints
+from .model import Demand, EdgeArrays, OverlayGraph, Path, check_endpoints
 from .rmp import DualPoint
 
 #: Absolute reduced-cost tolerance: a column must beat its convexity price
@@ -39,7 +42,24 @@ def enumerate_candidates(graph: OverlayGraph, demands: Sequence[Demand]) -> Cand
     """All QoS-feasible routes of every demand: direct edge first, then
     relay routes by relay node id. A demand without one is never routable.
     """
-    return CandidateTable.build(graph, demands, relays=True)
+    return RouteGeometry.find(graph, demands).table(graph, relays=True)
+
+
+def route_metrics(arrays: EdgeArrays, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delay, jitter and success probability of the routes with capacity
+    ``rows`` (:class:`CandidateTable`'s row layout) on edges ``arrays``.
+
+    Delay and jitter are summed from 0.0 and success multiplied from 1.0,
+    first edge then second, as ``make_path`` does, so each is bit-equal to
+    the path's. A direct route's second edge is the pad row, read as a hop
+    of delay and jitter 0.0 and success 1.0, which changes no bit.
+    """
+    n_edges = len(arrays.key)
+    first, second = rows[:, 0], np.minimum(rows[:, 1], n_edges)
+    delay = (0.0 + arrays.delay[first]) + np.concatenate((arrays.delay, [0.0]))[second]
+    jitter = (0.0 + arrays.jitter[first]) + np.concatenate((arrays.jitter, [0.0]))[second]
+    success = (1.0 * arrays.success[first]) * np.concatenate((arrays.success, [1.0]))[second]
+    return delay, jitter, success
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,13 +71,12 @@ class RouteGeometry:
     demand's index in ``demands`` (ascending id), each demand's direct
     route first and its relays ascending: the candidate-list order.
     ``rows`` holds each route's five capacity rows, as
-    :class:`CandidateTable` does. ``first`` is each route's first edge;
-    ``relayed`` indexes the relayed routes and ``second`` holds their
-    second edges. ``max_jitter``, ``min_success`` and ``rate`` are the
-    owner's bounds and rate, per route. ``key`` is the edge keys the
-    routes were found on (:attr:`OverlayGraph.arrays`); any graph with
-    the same keys, such as every epoch of a trace, can read its metrics
-    for them.
+    :class:`CandidateTable` does; they name its edges, so they are all a
+    graph needs to give the route's metrics (:func:`route_metrics`).
+    ``max_jitter``, ``min_success`` and ``rate`` are the owner's bounds
+    and rate, per route. ``key`` is the edge keys the routes were found on
+    (:attr:`OverlayGraph.arrays`); any graph with the same keys, such as
+    every epoch of a trace, can read its metrics for them.
     """
 
     demands: tuple[Demand, ...]
@@ -65,20 +84,13 @@ class RouteGeometry:
     n_nodes: int
     owner: np.ndarray
     rows: np.ndarray
-    first: np.ndarray
-    relayed: np.ndarray
-    second: np.ndarray
     max_jitter: np.ndarray
     min_success: np.ndarray
     rate: np.ndarray
 
     @classmethod
-    def find(
-        cls, graph: OverlayGraph, demands: Sequence[Demand], relays: bool = True
-    ) -> RouteGeometry:
-        """The routes of ``demands`` on ``graph``'s edges, in one pass over its
-        arrays; only the direct routes, without searching for relays, when
-        ``relays`` is false.
+    def find(cls, graph: OverlayGraph, demands: Sequence[Demand]) -> RouteGeometry:
+        """The routes of ``demands`` on ``graph``'s edges, in one pass over its arrays.
 
         A relay is the head of an out-edge of the source with an edge on to
         the destination; the graph's edge-index matrix
@@ -97,10 +109,9 @@ class RouteGeometry:
         ).reshape(-1, 3)
         pos = a.index[src, dst]
         with_edge = np.flatnonzero(pos >= 0)  # the demands with a direct edge
-        # Every out-edge of each demand's source is a first hop, or none
-        # without relays.
+        # Every out-edge of each demand's source is a first hop.
         start = np.searchsorted(a.key, np.arange(n + 1) * n)
-        fan = (start[1:] - start[:-1])[src] * relays
+        fan = (start[1:] - start[:-1])[src]
         q = np.repeat(np.arange(len(demands)), fan)
         hop1 = np.arange(len(q)) + np.repeat(start[src] - np.cumsum(fan) + fan, fan)
         k = a.head[hop1]
@@ -115,7 +126,6 @@ class RouteGeometry:
         first = np.concatenate((pos[with_edge], hop1))[order]
         second = np.concatenate((np.full(len(with_edge), n_edges + n), hop2))[order]
         relay = np.concatenate((np.full(len(with_edge), n), k))[order]
-        relayed = np.flatnonzero(relay < n)
         return cls(
             demands=demands,
             key=a.key,
@@ -123,9 +133,6 @@ class RouteGeometry:
             owner=owner,
             rows=np.stack((first, second, src[owner], relay, dst[owner]), axis=1)
             + np.array([0, 0, n_edges, n_edges, n_edges]),
-            first=first,
-            relayed=relayed,
-            second=second[relayed],
             max_jitter=bound[owner, 0],
             min_success=bound[owner, 1],
             rate=bound[owner, 2],
@@ -133,24 +140,19 @@ class RouteGeometry:
 
     def table(self, graph: OverlayGraph, relays: bool) -> CandidateTable:
         """The QoS-feasible routes on ``graph``, or only the direct ones when
-        ``relays`` is false, as a candidate table.
+        ``relays`` is false, as a candidate table; delays are
+        :func:`route_metrics`'.
 
         ``graph`` must have the edges the routes were found on, else
-        :class:`~cgroute.errors.ContractError`. Delay and jitter are summed
-        and success multiplied in edge order, starting from 0.0 as
-        ``make_path`` does, so every aggregate is bit-equal to the path's.
+        :class:`~cgroute.errors.ContractError`.
         """
         a = graph.arrays
         if not np.array_equal(a.key, self.key):
             raise ContractError("graph has other edges than the routes were found on")
-        first = self.first
-        delay, jitter, success = 0.0 + a.delay[first], a.jitter[first], a.success[first]
-        delay[self.relayed] += a.delay[self.second]
-        jitter[self.relayed] += a.jitter[self.second]
-        success[self.relayed] *= a.success[self.second]
+        delay, jitter, success = route_metrics(a, self.rows)
         keep = (jitter <= self.max_jitter) & (success >= self.min_success)
         if not relays:
-            keep[self.relayed] = False
+            keep &= self.rows[:, 1] >= len(self.key)
         keep = np.flatnonzero(keep)
         owner = self.owner[keep]
         return CandidateTable(
@@ -180,8 +182,10 @@ class CandidateTable:
     edge, second edge, ``n_edges + s``, ``n_edges + k``, ``n_edges + t``
     for source, relay and destination. A direct path pads its second edge
     and its relay with the row one past the last, ``n_edges + n_nodes``,
-    which carries a zero dual and an unlimited capacity. :meth:`path`
-    makes a candidate's :class:`~cgroute.model.Path` when one is needed.
+    which carries a zero dual and an unlimited capacity. A candidate's
+    jitter and success are not kept: :func:`route_metrics` reads them from
+    ``graph`` and ``rows``, and :meth:`path` makes a candidate's
+    :class:`~cgroute.model.Path` when one is needed.
     """
 
     graph: OverlayGraph
@@ -197,87 +201,24 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.delay)
 
-    @classmethod
-    def build(cls, graph: OverlayGraph, demands: Sequence[Demand], relays: bool) -> CandidateTable:
-        """The table of :func:`enumerate_candidates`, or only its direct
-        routes when ``relays`` is false: :meth:`RouteGeometry.find`, then
-        :meth:`RouteGeometry.table` on the same graph.
-        """
-        return RouteGeometry.find(graph, demands, relays).table(graph, relays)
-
-    @classmethod
-    def pack(
-        cls,
-        graph: OverlayGraph,
-        demands: Sequence[Demand],
-        candidates: Mapping[int, Sequence[Path]],
-    ) -> CandidateTable:
-        """The rows of :func:`enumerate_candidates` that ``candidates[d.id]``
-        lists for each demand, in that order.
-
-        Tests use it for sets the enumerator does not make, such as a
-        subset or another order. A listed path that is not one of the
-        demand's QoS-feasible routes, such as a rejection or another
-        demand's route, raises :class:`ContractError`: only the master
-        creates rejection columns.
-        """
-        full = cls.build(graph, demands, relays=True)
-        picked = []
-        for r, d in enumerate(full.demands):
-            own = range(full.offsets[r], full.offsets[r + 1])
-            routes = [full.path(i) for i in own]
-            for p in candidates[d.id]:
-                if p not in routes:
-                    raise ContractError(f"candidate of demand {d.id} is not a QoS-feasible route")
-                picked.append(own[routes.index(p)])
-        picked = np.array(picked, dtype=np.int64)
-        counts = np.bincount(full.demand[picked], minlength=len(full.demands))
-        return replace(
-            full,
-            offsets=np.concatenate(([0], np.cumsum(counts))),
-            **{f: getattr(full, f)[picked] for f in ("demand", "delay", "rate", "rows")},
-        )
-
     def path(self, i: int) -> Path:
         """Candidate ``i`` as a :class:`~cgroute.model.Path`, made by :meth:`paths`."""
         return self.paths(np.array([i]))[0]
 
-    def ends(self, index: np.ndarray) -> list[list[int]]:
-        """Source, relay and destination node of candidates ``index``, as
-        three lists; a direct route's relay is ``n_nodes``.
-        """
-        return (self.rows[index, 2:] - self.n_edges).T.tolist()
-
-    def success(self, index: np.ndarray) -> np.ndarray:
-        """Success probability of candidates ``index``, multiplied in edge
-        order from 1.0 as ``make_path`` does, so each is bit-equal to the path's.
-        """
-        a, rows = self.graph.arrays, self.rows[index]
-        relayed = rows[:, 3] < self.n_edges + self.n_nodes
-        success = 1.0 * a.success[rows[:, 0]]
-        success[relayed] *= a.success[rows[relayed, 1]]
-        return success
-
     def paths(self, index: np.ndarray) -> list[Path]:
-        """Candidates ``index`` as paths equal to ``make_path``'s, made in one pass.
-
-        Jitter is summed in edge order from 0.0, as ``make_path`` does, and
-        success is :meth:`success`; the delay is the table's, which is
-        built the same way.
+        """Candidates ``index`` as paths equal to ``make_path``'s, made in one
+        pass from :func:`route_metrics`.
         """
-        a, rows = self.graph.arrays, self.rows[index]
-        relayed = rows[:, 3] < self.n_edges + self.n_nodes
-        jitter = 0.0 + a.jitter[rows[:, 0]]
-        jitter[relayed] += a.jitter[rows[relayed, 1]]
-        success = self.success(index)
+        rows = self.rows[index]
+        delay, jitter, success = route_metrics(self.graph.arrays, rows)
         ids = [self.demands[r].id for r in self.demand[index].tolist()]
-        src, relay, dst = self.ends(index)
+        src, relay, dst = (rows[:, 2:] - self.n_edges).T.tolist()
         return [
-            Path(did, ((s, k), (k, t)), (s, k, t), delay, j, p)
+            Path(did, ((s, k), (k, t)), (s, k, t), d, j, p)
             if k < self.n_nodes
-            else Path(did, ((s, t),), (s, t), delay, j, p)
-            for did, s, k, t, delay, j, p in zip(
-                ids, src, relay, dst, self.delay[index].tolist(), jitter.tolist(), success.tolist()
+            else Path(did, ((s, t),), (s, t), d, j, p)
+            for did, s, k, t, d, j, p in zip(
+                ids, src, relay, dst, delay.tolist(), jitter.tolist(), success.tolist()
             )
         ]
 

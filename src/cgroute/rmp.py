@@ -53,7 +53,7 @@ import numpy as np
 import scipy
 
 from .errors import ContractError, InputError, SolverError
-from .model import Demand, OverlayGraph, Path, dummy_penalty, make_dummy_path
+from .model import OverlayGraph, Path, dummy_penalty, make_dummy_path
 
 if TYPE_CHECKING:
     from .pricing import CandidateTable
@@ -169,14 +169,6 @@ class DualPoint:
         if (self.edge_duals < 0.0).any() or (self.node_duals < 0.0).any():
             raise ContractError("capacity duals must be nonnegative")
 
-    @classmethod
-    def zero(cls, graph: OverlayGraph, demands: Sequence[Demand]) -> "DualPoint":
-        return cls(
-            np.zeros(len(graph.edges)),
-            np.zeros(graph.n_nodes),
-            np.zeros(len(demands)),
-        )
-
 
 @dataclass(frozen=True)
 class RmpSolution:
@@ -212,12 +204,22 @@ class HighsResult:
     message: str = ""
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """``values`` added one at a time from 0.0, in order: every reported
+    total. From Python 3.12 the builtin ``sum`` compensates float rounding.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
     """Value of the dual point: sum of convexity prices minus paid capacity."""
     caps = [m.capacity_mbps for m in graph.edges.values()]
-    paid = sum(lam * cap for lam, cap in zip(duals.edge_duals.tolist(), caps))
-    paid += sum(nu * cap for nu, cap in zip(duals.node_duals.tolist(), graph.node_limits))
-    return sum(duals.convexity_duals.tolist()) - paid
+    paid = ordered_sum(lam * cap for lam, cap in zip(duals.edge_duals.tolist(), caps))
+    paid += ordered_sum(nu * cap for nu, cap in zip(duals.node_duals.tolist(), graph.node_limits))
+    return ordered_sum(duals.convexity_duals.tolist()) - paid
 
 
 def _cost_exponent(penalty: float) -> int:
@@ -393,11 +395,7 @@ class RestrictedMaster:
         picked = self._joined[chosen[accepted] - n_dummy]
         cost = np.full(n_dummy, self.dummy_penalty)
         cost[accepted] = self.table.delay[picked]
-        # A plain loop: from Python 3.12, ``sum`` compensates float rounding.
-        objective = 0.0
-        for c in cost.tolist():
-            objective += c
-        return Routing(self.table, accepted, picked, self._row), objective
+        return Routing(self.table, accepted, picked, self._row), ordered_sum(cost.tolist())
 
     def add(self, candidates: Iterable[int]) -> int:
         """Let table candidates join the pool; return how many were new.
@@ -519,7 +517,7 @@ class RestrictedMaster:
             sigma = [self.dummy_penalty] * n_dummy
             return RmpSolution(
                 values=(1.0,) * n_dummy,
-                objective=sum(sigma),
+                objective=ordered_sum(sigma),
                 duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
                 closed_form=True,
             )
@@ -540,7 +538,7 @@ class RestrictedMaster:
         values = np.concatenate((1.0 - joined, np.ones(len(m))))
         return RmpSolution(
             values=tuple(values.tolist()),
-            objective=sum(sigma.tolist()),
+            objective=ordered_sum(sigma.tolist()),
             duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
             closed_form=True,
         )

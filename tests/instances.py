@@ -1,12 +1,18 @@
 """Seeded random instances shared by the property and acceptance suites,
-and a helper that reads a candidate table back as paths."""
+helpers that read a candidate table back as paths or pack one from
+hand-picked paths, and the zero dual point."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+from typing import Mapping, Sequence
+
 import numpy as np
 
+from cgroute.errors import ContractError
 from cgroute.model import Demand, LinkMetrics, OverlayGraph, Path
-from cgroute.pricing import enumerate_candidates
+from cgroute.pricing import CandidateTable, enumerate_candidates
+from cgroute.rmp import DualPoint
 from cgroute.scenario import SyntheticParams, generate_demands, generate_topology
 
 
@@ -136,3 +142,39 @@ def candidate_lists(table) -> dict[int, list[Path]]:
 def candidates_of(graph: OverlayGraph, demand: Demand, build=enumerate_candidates) -> list[Path]:
     """One demand's candidates as paths, from a table built for it alone."""
     return candidate_lists(build(graph, [demand]))[demand.id]
+
+
+def pack_table(
+    graph: OverlayGraph,
+    demands: Sequence[Demand],
+    candidates: Mapping[int, Sequence[Path]],
+) -> CandidateTable:
+    """The rows of :func:`enumerate_candidates` that ``candidates[d.id]``
+    lists for each demand, in that order.
+
+    For sets the enumerator does not make, such as a subset or another
+    order. A listed path that is not one of the demand's QoS-feasible
+    routes, such as a rejection or another demand's route, raises
+    :class:`ContractError`: only the master creates rejection columns.
+    """
+    full = enumerate_candidates(graph, demands)
+    picked = []
+    for r, d in enumerate(full.demands):
+        own = range(full.offsets[r], full.offsets[r + 1])
+        routes = [full.path(i) for i in own]
+        for p in candidates[d.id]:
+            if p not in routes:
+                raise ContractError(f"candidate of demand {d.id} is not a QoS-feasible route")
+            picked.append(own[routes.index(p)])
+    picked = np.array(picked, dtype=np.int64)
+    counts = np.bincount(full.demand[picked], minlength=len(full.demands))
+    return replace(
+        full,
+        offsets=np.concatenate(([0], np.cumsum(counts))),
+        **{f: getattr(full, f)[picked] for f in ("demand", "delay", "rate", "rows")},
+    )
+
+
+def zero_duals(graph: OverlayGraph, demands: Sequence[Demand]) -> DualPoint:
+    """The dual point that prices nothing: every capacity and convexity dual 0."""
+    return DualPoint(np.zeros(len(graph.edges)), np.zeros(graph.n_nodes), np.zeros(len(demands)))

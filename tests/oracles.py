@@ -17,7 +17,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from cgroute.model import Demand, LinkMetrics, OverlayGraph, Path, make_path, qos_feasible
+from cgroute.errors import ContractError
+from cgroute.model import Demand, LinkMetrics, OverlayGraph, Path, make_path
 from cgroute.rmp import RestrictedMaster, RmpSolution
 from cgroute.scenario import SyntheticParams, TelcoProfile, Trace, TraceEpoch
 from cgroute.solver import RoutingSolution
@@ -25,6 +26,28 @@ from cgroute.solver import RoutingSolution
 #: ``solver``'s rounding constants, repeated for :func:`reference_round`.
 _INTEGRAL_TOL = 1e-6
 _CAPACITY_SLACK = 1e-9
+
+
+def qos_feasible(path: Path, demand: Demand) -> bool:
+    """Whether ``path`` satisfies all of ``demand``'s hard constraints.
+
+    Uses the product form of the success-probability bound, which is exact
+    and better conditioned than a log-sum at one or two hops. Dummy paths
+    are feasible by definition.
+    """
+    if path.is_dummy:
+        return True
+    if path.demand_id != demand.id:
+        raise ContractError(
+            f"path belongs to demand {path.demand_id}, not {demand.id}"
+        )
+    if path.nodes[0] != demand.source or path.nodes[-1] != demand.destination:
+        raise ContractError("path endpoints do not match the demand")
+    return (
+        len(path.edges) <= 2
+        and path.total_jitter_ms <= demand.max_jitter_ms
+        and path.success_prob >= demand.min_success_prob
+    )
 
 
 def brute_force_candidates(graph: OverlayGraph, demand: Demand) -> list[Path]:
@@ -262,15 +285,22 @@ def min_reduced_cost(master, duals) -> float:
     return best
 
 
+def ordered_total(values) -> float:
+    """``values`` added one at a time from 0.0, in order: how every reported
+    total is summed, whatever the interpreter's builtin ``sum`` does.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def routing_objective(outcomes: dict[int, Optional[Path]], penalty: float) -> float:
     """A routing's objective by the one convention: each demand's path delay,
     or ``penalty`` for a rejection, added one at a time in ascending demand id.
     """
-    objective = 0.0
-    for did in sorted(outcomes):
-        path = outcomes[did]
-        objective += penalty if path is None else path.total_delay_ms
-    return objective
+    paths = (outcomes[did] for did in sorted(outcomes))
+    return ordered_total(penalty if p is None else p.total_delay_ms for p in paths)
 
 
 def reference_round(

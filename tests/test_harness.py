@@ -2,9 +2,10 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from cgroute import harness
+from cgroute import harness, rmp
 from cgroute.errors import ContractError, InputError
 from cgroute.exact import ExactLimits, solve_exact
 from cgroute.harness import (
@@ -12,9 +13,10 @@ from cgroute.harness import (
     LOSS_FREE_CAP_MBPS,
     MODES,
     EpochReport,
+    Outcomes,
+    _throughput,
     direct_mode_candidates,
     emit_reports,
-    estimate_throughput,
     mode_candidates,
     reports_to_csv,
     reports_to_json,
@@ -33,7 +35,7 @@ from instances import (
     gap_suite_instance,
     hand_graph,
 )
-from oracles import report_payload, reference_report_json
+from oracles import ordered_total, report_payload, reference_report_json
 
 
 def small_trace(n_epochs=2, seed=0):
@@ -68,58 +70,32 @@ class TestDirectCandidates:
 
 
 class TestThroughput:
+    """The TCP model on arrays of success probability and one-way delay."""
+
     def test_reference_value(self):
         # MSS 1460 B, C = 1, one-way delay 50 ms -> RTT 100 ms, loss 1%:
         # 1460*8 / (0.1 * 0.1) = 1.168e6 bit/s.
-        g = OverlayGraph.from_edges(
-            2, {(0, 1): LinkMetrics(50.0, 0.0, 10.0, 0.99)}, [1.0, 1.0]
-        )
-        d = Demand(0, 0, 1, 1.0, 10.0, 0.9)
-        est = estimate_throughput(make_path(g, d))
-        assert not est.loss_free
-        assert est.mbps == pytest.approx(1.168, rel=1e-12)
+        mbps, loss_free = _throughput(np.array([0.99]), np.array([50.0]))
+        assert not loss_free[0]
+        assert mbps[0] == pytest.approx(1.168, rel=1e-12)
 
     def test_rtt_doubling_halves(self):
-        g = OverlayGraph.from_edges(
-            3,
-            {
-                (0, 1): LinkMetrics(50.0, 0.0, 10.0, 0.99),
-                (1, 2): LinkMetrics(100.0, 0.0, 10.0, 0.99),
-            },
-            [1.0] * 3,
-        )
-        near = estimate_throughput(make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.9)))
-        far = estimate_throughput(make_path(g, Demand(1, 1, 2, 1.0, 10.0, 0.9)))
-        assert near.mbps == pytest.approx(2 * far.mbps, rel=1e-12)
+        (near, far), _ = _throughput(np.array([0.99, 0.99]), np.array([50.0, 100.0]))
+        assert near == pytest.approx(2 * far, rel=1e-12)
 
     def test_quartering_loss_doubles(self):
-        g = OverlayGraph.from_edges(
-            3,
-            {
-                (0, 1): LinkMetrics(50.0, 0.0, 10.0, 1.0 - 0.04),
-                (1, 2): LinkMetrics(50.0, 0.0, 10.0, 1.0 - 0.01),
-            },
-            [1.0] * 3,
-        )
-        lossy = estimate_throughput(make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.9)))
-        clean = estimate_throughput(make_path(g, Demand(1, 1, 2, 1.0, 10.0, 0.9)))
-        assert clean.mbps == pytest.approx(2 * lossy.mbps, rel=1e-12)
+        (lossy, clean), _ = _throughput(np.array([1.0 - 0.04, 1.0 - 0.01]), np.array([50.0, 50.0]))
+        assert clean == pytest.approx(2 * lossy, rel=1e-12)
 
     def test_loss_free_cap(self):
-        g = OverlayGraph.from_edges(
-            2, {(0, 1): LinkMetrics(50.0, 0.0, 10.0, 1.0)}, [1.0, 1.0]
-        )
-        est = estimate_throughput(make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.9)))
-        assert est.loss_free
-        assert est.mbps == LOSS_FREE_CAP_MBPS == 10000.0
+        mbps, loss_free = _throughput(np.array([1.0]), np.array([50.0]))
+        assert loss_free[0]
+        assert mbps[0] == LOSS_FREE_CAP_MBPS == 10000.0
 
     def test_zero_delay_returns_cap(self):
-        g = OverlayGraph.from_edges(
-            2, {(0, 1): LinkMetrics(0.0, 0.0, 10.0, 0.9)}, [1.0, 1.0]
-        )
-        est = estimate_throughput(make_path(g, Demand(0, 0, 1, 1.0, 10.0, 0.5)))
-        assert not est.loss_free
-        assert est.mbps == LOSS_FREE_CAP_MBPS
+        mbps, loss_free = _throughput(np.array([0.9]), np.array([0.0]))
+        assert not loss_free[0]
+        assert mbps[0] == LOSS_FREE_CAP_MBPS
 
 
 class TestRunTimeseries:
@@ -245,7 +221,7 @@ class TestRunTimeseries:
                     assert (row["path"], row["delay_ms"]) == (list(p.nodes), p.total_delay_ms)
             delays = [p.total_delay_ms for _, p in paths if p is not None]
             assert report.n_accepted == len(delays) == routed.n_accepted
-            assert report.mean_delay_ms == (sum(delays) / len(delays) if delays else None)
+            assert report.mean_delay_ms == (ordered_total(delays) / len(delays) if delays else None)
 
     def test_unknown_mode_rejected(self):
         trace, demands = small_trace()
@@ -313,6 +289,33 @@ class TestRunTimeseries:
             oracle_limits=ExactLimits(time_limit_s=1e-9),
         )
         assert report.gap_pct is None
+
+
+class TestTotals:
+    def test_every_total_adds_in_order(self, monkeypatch):
+        # From Python 3.12 the builtin ``sum`` compensates float rounding.
+        # Made to compensate here on any interpreter, it must change no
+        # reported total: the routing's objective, its closed-form LP
+        # bound (all-rejection and uncongested) and the mean delay.
+        monkeypatch.setattr(rmp, "sum", math.fsum, raising=False)
+        monkeypatch.setattr(harness, "sum", math.fsum, raising=False)
+        # Ten demands on one 0.1 ms edge; the unused edge sets the penalty.
+        g = OverlayGraph.from_edges(
+            2,
+            {(0, 1): LinkMetrics(0.1, 0.0, 1000.0, 1.0), (1, 0): LinkMetrics(194.929, 0.0, 1000.0, 1.0)},
+            [1000.0, 1000.0],
+        )
+        demands = [Demand(i, 0, 1, 1.0, 10.0, 0.5) for i in range(10)]
+        report = solve_epoch(g, demands, "overlay", SolverConfig())
+        delays, penalty = [0.1] * 10, report.master.dummy_penalty
+        assert ordered_total(delays) != math.fsum(delays)
+        assert ordered_total([penalty] * 10) != math.fsum([penalty] * 10)
+        assert report.objective == ordered_total(delays)
+        assert report.mean_delay_ms == ordered_total(delays) / 10
+        bound = report.master.solve()
+        assert bound.closed_form and bound.objective == report.objective
+        rejecting = rmp.RestrictedMaster(report.master.graph, report.master.table).solve()
+        assert rejecting.closed_form and rejecting.objective == ordered_total([penalty] * 10)
 
 
 class TestEmit:
@@ -422,26 +425,6 @@ class TestJsonWriter:
         )
         self.assert_matches_reference(reports)
 
-    @staticmethod
-    def hand_built(reports):
-        """The reports with their rows as plain dicts, as tests and checkers build them."""
-        return [replace(r, outcomes=tuple(dict(row) for row in r.outcomes)) for r in reports]
-
-    @pytest.mark.parametrize("with_throughput", [False, True])
-    def test_hand_built_rows_take_the_same_layouts(self, with_throughput):
-        trace, demands = small_trace(n_epochs=2, seed=1)
-        reports = [
-            solve_epoch(trace.graph_for(ep), demands, mode, SolverConfig(), ep.timestamp,
-                        with_throughput=with_throughput)
-            for ep in trace.epochs
-            for mode in MODES
-        ]
-        built = self.hand_built(reports)
-        assert all(type(r.outcomes) is tuple for r in built) and built == reports
-        self.assert_matches_reference(built)
-        for timing in (True, False):
-            assert reports_to_json(built, timing) == reports_to_json(reports, timing)
-
     def test_replay_report_makes_no_row(self, monkeypatch):
         # The rows exist only for a reader: a replay and both of its reports
         # read the routing's arrays alone.
@@ -502,21 +485,24 @@ class TestJsonWriter:
         g = hand_graph()
         demands = [Demand(0, 0, 3, 1.0, 1e6, 0.5)]
         report = solve_epoch(g, demands, "overlay", SolverConfig(), with_throughput=True)
-        rows = (dict(report.outcomes[0], **{key: bad}),)
-        broken = replace(report, outcomes=rows)
+        o = report.outcomes
+        delay, mbps = o.delay.copy(), o.mbps.copy()
+        {"delay_ms": delay, "throughput_mbps": mbps}[key][0] = bad
+        broken = replace(
+            report, outcomes=Outcomes(o.ids, o.accepted, o.ends, delay, o.n_nodes, mbps, o.loss_free)
+        )
+        assert not math.isfinite(broken.outcomes[0][key])
         with pytest.raises(ValueError):
             reference_report_json(report_payload([broken], True))
         with pytest.raises(ValueError):
             reports_to_json([broken])
 
     def test_unknown_row_shape_is_refused(self):
+        # Rows are written from an Outcomes' arrays alone: any other
+        # sequence of rows is refused, even rows in the shapes it makes.
         g = hand_graph()
         report = solve_epoch(g, [Demand(0, 0, 3, 1.0, 1e6, 0.5)], "overlay", SolverConfig())
         row = report.outcomes[0]
-        for bad in ({**row, "extra": 1}, {"accepted": row["accepted"], "demand": row["demand"]}):
-            with pytest.raises(ContractError):
-                reports_to_json([replace(report, outcomes=(bad,))])
-            # One bad row among hand-built good ones is refused as well.
-            (good,) = self.hand_built([report])
-            with pytest.raises(ContractError):
-                reports_to_json([replace(good, outcomes=(*good.outcomes, bad))])
+        for rows in ((row,), [row], ({**row, "extra": 1},), list(report.outcomes)):
+            with pytest.raises(ContractError, match="not Outcomes"):
+                reports_to_json([replace(report, outcomes=rows)])

@@ -15,15 +15,15 @@ from cgroute.model import (
 )
 from cgroute.pricing import (
     EPS_REDUCED_COST,
-    CandidateTable,
     RouteGeometry,
     enumerate_candidates,
     price_demand,
+    route_metrics,
 )
 from cgroute.rmp import DualPoint
 from cgroute.scenario import generate_telco_trace, telco_demands
 
-from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph
+from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph, pack_table
 from oracles import brute_force_candidates, scalar_price, scalar_priced_length
 
 
@@ -46,7 +46,7 @@ def price_one(graph, demand, candidates, duals, demands=None, **kwargs):
     Returns its entering (path, reduced cost), or None.
     """
     demands = demands or [demand]
-    table = CandidateTable.pack(
+    table = pack_table(
         graph, demands, {d.id: candidates if d.id == demand.id else [] for d in demands}
     )
     hit = price_demand(table, duals, **kwargs).get(demand.id)
@@ -292,7 +292,7 @@ class TestPriceDemand:
 class TestPack:
     """The table is the master's column universe, so it admits only routes.
 
-    Tables come from the enumerator's build, or from ``pack`` for a
+    Tables come from the enumerator's build, or from ``pack_table`` for a
     hand-picked candidate set; both give the same arrays for the same set.
     """
 
@@ -304,7 +304,7 @@ class TestPack:
         assert table.demand.tolist() == [0, 0, 0, 2, 2, 2]
         for i in range(len(table)):
             assert table.demands[table.demand[i]].id == table.path(i).demand_id
-        packed = CandidateTable.pack(g, demands, candidate_lists(table))
+        packed = pack_table(g, demands, candidate_lists(table))
         for name in ("offsets", "demand", "delay", "rate", "rows"):
             assert getattr(packed, name).tolist() == getattr(table, name).tolist()
 
@@ -320,7 +320,7 @@ class TestPack:
             [100.0] * 3,
         )
         d = Demand(0, 0, 2, 10.0, 50.0, 0.9)
-        packed = CandidateTable.pack(
+        packed = pack_table(
             g, [d], {d.id: [make_path(g, d), make_path(g, d, relay=1)]}
         )
         # Edge rows follow the sorted edge order (0,1), (0,2), (1,2), (2,1);
@@ -334,19 +334,19 @@ class TestPack:
         )
         d = Demand(0, 0, 1, 10.0, 10.0, 0.5)  # jitter bound 10 < 900
         with pytest.raises(ContractError):
-            CandidateTable.pack(g, [d], {d.id: [make_path(g, d)]})
+            pack_table(g, [d], {d.id: [make_path(g, d)]})
 
     def test_foreign_candidate_rejected(self, line_graph, two_demands):
         own, other = two_demands
         foreign = make_path(line_graph, other)
         with pytest.raises(ContractError):
-            CandidateTable.pack(line_graph, two_demands, {own.id: [foreign], other.id: []})
+            pack_table(line_graph, two_demands, {own.id: [foreign], other.id: []})
 
     def test_dummy_candidate_rejected(self, line_graph, two_demands):
         d = two_demands[0]
         dummy = make_dummy_path(d, 1000.0)
         with pytest.raises(ContractError):
-            CandidateTable.pack(line_graph, two_demands, {d.id: [dummy], 1: []})
+            pack_table(line_graph, two_demands, {d.id: [dummy], 1: []})
 
 
 class TestPricingWeights:
@@ -452,31 +452,68 @@ class TestRouteGeometry:
         geometry = RouteGeometry.find(graph, demands[::-1])
         for relays in (True, False):
             got = geometry.table(graph, relays)
-            want = CandidateTable.build(graph, demands, relays)
+            want = (enumerate_candidates if relays else direct_mode_candidates)(graph, demands)
             for name in ("offsets", "demand", "delay", "rate", "rows"):
                 assert getattr(got, name).dtype == getattr(want, name).dtype
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
     @pytest.mark.parametrize("instance", ["telco", "gap-suite"])
     def test_direct_table_is_the_overlay_table_without_relays(self, instance):
-        # The direct build skips the relay search; its table must still be
-        # the overlay table's direct rows, in the same order and dtypes.
+        # One search serves both modes: the direct table must be the
+        # overlay table's direct rows, in the same order and dtypes.
         if instance == "telco":
             trace = generate_telco_trace(1, seed=3)
             graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
         else:
             graph, demands = gap_suite_instance(5)
-        overlay = CandidateTable.build(graph, demands, relays=True)
-        direct = CandidateTable.build(graph, demands, relays=False)
+        geometry = RouteGeometry.find(graph, demands)
+        overlay = geometry.table(graph, relays=True)
+        direct = geometry.table(graph, relays=False)
         keep = overlay.rows[:, 3] == overlay.n_edges + overlay.n_nodes
         assert 0 < keep.sum() < len(overlay)
-        assert len(RouteGeometry.find(graph, demands, relays=False).relayed) == 0
         counts = np.bincount(overlay.demand[keep], minlength=len(overlay.demands))
         assert direct.offsets.tolist() == [0, *np.cumsum(counts).tolist()]
         assert direct.demands == overlay.demands
         for name in ("demand", "delay", "rate", "rows"):
             assert getattr(direct, name).dtype == getattr(overlay, name).dtype
             assert getattr(direct, name).tolist() == getattr(overlay, name)[keep].tolist()
+
+    def test_route_metrics_are_make_paths_bit_for_bit(self):
+        # Summed from 0.0 and multiplied from 1.0 in edge order, as
+        # make_path does: a -0.0 link reads +0.0 whether it is a direct
+        # route or either hop of a relayed one.
+        n = 4
+        rest = iter([0.1, 0.2, 0.30000000000000004, 4.5, 1e-300, 7.25, 3.0, 0.7] * 2)
+        edges = {
+            (s, t): LinkMetrics(-0.0, -0.0, 100.0, 0.9)
+            if (s + t) % 3 == 1
+            else LinkMetrics(next(rest), next(rest), 100.0, 0.3 + 0.1 * s + 0.01 * t)
+            for s in range(n)
+            for t in range(n)
+            if s != t
+        }
+        graph = OverlayGraph.from_edges(n, edges, [100.0] * n)
+        pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+        demands = [Demand(i, s, t, 1.0, 1e9, 1e-9) for i, (s, t) in enumerate(pairs)]
+        geometry = RouteGeometry.find(graph, demands)
+        relay = (geometry.rows[:, 3] - len(graph.edges)).tolist()
+        want = [
+            make_path(graph, geometry.demands[r], None if k == n else k)
+            for r, k in zip(geometry.owner.tolist(), relay)
+        ]
+        table = geometry.table(graph, relays=True)
+        assert len(table) == len(want) == len(pairs) * (n - 1)  # every route is kept
+
+        def bits(delay, jitter, success):
+            return delay.hex(), jitter.hex(), success.hex()
+
+        want_bits = [bits(p.total_delay_ms, p.total_jitter_ms, p.success_prob) for p in want]
+        assert ("0x0.0p+0", "0x0.0p+0", (0.9).hex()) in want_bits  # a -0.0 link, direct
+        metrics = route_metrics(graph.arrays, geometry.rows)
+        assert [bits(*m) for m in zip(*(a.tolist() for a in metrics))] == want_bits
+        made = table.paths(np.arange(len(table)))
+        assert [bits(p.total_delay_ms, p.total_jitter_ms, p.success_prob) for p in made] == want_bits
+        assert [d.hex() for d in table.delay.tolist()] == [b[0] for b in want_bits]
 
     def test_graph_with_other_edges_refused(self):
         graph, demands = gap_suite_instance(5)
@@ -511,7 +548,7 @@ class TestBatchedAgainstScalarOracle:
                 sigma[d.id] = data.draw(st.floats(-10.0, 1e4, allow_nan=False))
         duals = duals_for(augmented, demands, edge=lam, node=dict(enumerate(nu)), sigma=sigma)
 
-        table = CandidateTable.pack(augmented, demands, candidates)
+        table = pack_table(augmented, demands, candidates)
         lengths = table.priced_lengths(duals).tolist()
         want_lengths = [
             scalar_priced_length(p, d.rate_mbps, lam, nu)

@@ -17,18 +17,19 @@ from cgroute.errors import ContractError, InputError, SolverError
 from cgroute.exact import solve_exact
 from cgroute.harness import direct_mode_candidates
 from cgroute.model import Demand, LinkMetrics, OverlayGraph, dummy_penalty, make_path
-from cgroute.pricing import CandidateTable, enumerate_candidates, price_demand
+from cgroute.pricing import enumerate_candidates, price_demand
 from cgroute.rmp import RestrictedMaster, dual_objective
 from cgroute.scenario import generate_telco_trace, telco_demands
 from cgroute.solver import solve
 
-from instances import candidate_lists, candidates_of, gap_suite_instance, scaled_cost_instance
+from instances import candidate_lists, candidates_of, gap_suite_instance, pack_table, scaled_cost_instance
 from oracles import (
     highs_optimum,
     highs_result,
     master_model,
     milp_result,
     min_reduced_cost,
+    ordered_total,
     routing_objective,
 )
 
@@ -37,7 +38,7 @@ def master_for(graph, demands, candidates=None):
     """A master over ``candidates`` (default: all enumerated), none joined yet."""
     if candidates is None:
         return RestrictedMaster(graph, enumerate_candidates(graph, demands))
-    return RestrictedMaster(graph, CandidateTable.pack(graph, demands, candidates))
+    return RestrictedMaster(graph, pack_table(graph, demands, candidates))
 
 
 def full_master(seed):
@@ -119,7 +120,7 @@ class TestAddColumn:
         assert len(master.joined) == 0
 
     def test_table_of_another_graph_rejected(self, line_graph, two_demands):
-        table = CandidateTable.pack(line_graph, two_demands, {0: [], 1: []})
+        table = pack_table(line_graph, two_demands, {0: [], 1: []})
         bigger = OverlayGraph.from_edges(4, dict(line_graph.edges), [200.0] * 4)
         with pytest.raises(ContractError):
             RestrictedMaster(bigger, table)
@@ -541,7 +542,7 @@ class TestClosedForm:
         n, penalty = len(master.demands), master.dummy_penalty
         assert highs_calls == []
         assert sol.values == (1.0,) * n
-        assert sol.objective == sum([penalty] * n)
+        assert sol.objective == ordered_total([penalty] * n)
         assert sol.duals.convexity_duals.tolist() == [penalty] * n
         assert sol.duals.edge_duals.tolist() == [0.0] * len(master.graph.edges)
         assert sol.duals.node_duals.tolist() == [0.0] * master.graph.n_nodes

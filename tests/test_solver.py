@@ -12,12 +12,11 @@ from cgroute.model import (
 )
 from cgroute.pricing import (
     EPS_REDUCED_COST,
-    CandidateTable,
     enumerate_candidates,
     price_demand,
     price_rejections,
 )
-from cgroute.rmp import DualPoint, RestrictedMaster, RmpSolution, _cost_exponent
+from cgroute.rmp import RestrictedMaster, RmpSolution, _cost_exponent
 from cgroute import solver
 from cgroute.solver import (
     SolverConfig,
@@ -34,7 +33,14 @@ from cgroute.scenario import (
     telco_demands,
 )
 
-from instances import candidates_of, feasibility_instance, gap_suite_instance, hand_graph
+from instances import (
+    candidates_of,
+    feasibility_instance,
+    gap_suite_instance,
+    hand_graph,
+    pack_table,
+    zero_duals,
+)
 from oracles import check_routing_feasible, highs_optimum, min_reduced_cost, reference_round
 
 
@@ -311,7 +317,7 @@ def make_split_state():
     )
     d = Demand(0, 0, 2, 10.0, 50.0, 0.9)
     augmented = augment_clique(g, [d])
-    table = CandidateTable.pack(
+    table = pack_table(
         augmented, [d], {d.id: [make_path(augmented, d), make_path(augmented, d, relay=1)]}
     )
     master = RestrictedMaster(augmented, table)
@@ -323,7 +329,7 @@ def make_split_state():
     fake = RmpSolution(
         values=tuple(values),
         objective=0.5 * 20.0 + 0.5 * 20.0,
-        duals=DualPoint.zero(augmented, [d]),
+        duals=zero_duals(augmented, [d]),
     )
     return augmented, d, master, fake, direct, dogleg
 
@@ -423,7 +429,7 @@ class TestRandomizedRound:
         routes = {
             d.id: [make_path(augmented, d), make_path(augmented, d, relay=1)] for d in demands
         }
-        master = RestrictedMaster(augmented, CandidateTable.pack(augmented, demands, routes))
+        master = RestrictedMaster(augmented, pack_table(augmented, demands, routes))
         master.add(range(4))
         values = [0.0] * master.pool_size
         for d in master.demands:
@@ -432,7 +438,7 @@ class TestRandomizedRound:
         fake = RmpSolution(
             values=tuple(values),
             objective=0.0,
-            duals=DualPoint.zero(augmented, master.demands),
+            duals=zero_duals(augmented, master.demands),
         )
         doglegs = 0
         for trial in range(300):
@@ -457,7 +463,7 @@ class TestRandomizedRound:
         g = hand_graph()
         d = Demand(0, 0, 3, 5.0, 1.0, 0.5)
         augmented = augment_clique(g, [d])
-        master = RestrictedMaster(augmented, CandidateTable.pack(augmented, [d], {d.id: []}))
+        master = RestrictedMaster(augmented, pack_table(augmented, [d], {d.id: []}))
         sol = master.solve()
         routed = randomized_round(
             sol, master, augmented, [d], np.random.default_rng(0)
