@@ -19,7 +19,6 @@ from .pricing import RouteGeometry
 from .scenario import (
     SyntheticParams,
     TelcoProfile,
-    Trace,
     generate_demands,
     generate_telco_trace,
     generate_topology,
@@ -67,6 +66,15 @@ def _expand_modes(mode: str) -> list[str]:
     return list(MODES) if mode == "both" else [mode]
 
 
+def _solve_modes(graph, demands, mode: str, config: SolverConfig, **kwargs) -> list:
+    """A :func:`solve_epoch` report per mode, all read from one route search."""
+    geometry = RouteGeometry.find(graph, demands)
+    return [
+        solve_epoch(graph, demands, m, config, geometry=geometry, **kwargs)
+        for m in _expand_modes(mode)
+    ]
+
+
 def _write(reports, fmt, out, include_timing):
     if out is None:
         click.echo(format_reports(reports, fmt, include_timing), nl=False)
@@ -102,15 +110,9 @@ def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fm
     """Solve one static scenario."""
     graph = load_graph(graph_path, limits_path)
     demands = load_demands(demands_path, graph.n_nodes)
-    config = SolverConfig(seed=seed)
-    # Both modes read their tables from one search for the demands' routes.
-    geometry = RouteGeometry.find(graph, demands)
-    reports = [
-        solve_epoch(
-            graph, demands, m, config, oracle=oracle, with_throughput=True, geometry=geometry
-        )
-        for m in _expand_modes(mode)
-    ]
+    reports = _solve_modes(
+        graph, demands, mode, SolverConfig(seed=seed), oracle=oracle, with_throughput=True
+    )
     if dump_lp_path is not None:
         if not demands:
             raise InputError("--dump-lp needs a nonempty demand set")
@@ -171,10 +173,7 @@ def sweep_cmd(params_path, demand_counts, mode, seed, out, fmt, timing):
     reports = []
     for k in counts:
         demands = generate_demands(replace(params, n_demands=k), graph)
-        geometry = RouteGeometry.find(graph, demands)
-        for m in _expand_modes(mode):
-            report = solve_epoch(graph, demands, m, SolverConfig(seed=seed), geometry=geometry)
-            reports.append(report)
+        reports += _solve_modes(graph, demands, mode, SolverConfig(seed=seed))
     _write(reports, fmt, out, timing)
 
 
@@ -199,12 +198,11 @@ def generate_cmd(profile, params_path, epochs, seed, out_dir):
     if profile == "telco":
         tp = TelcoProfile()
         trace = generate_telco_trace(epochs, seed, tp)
-        first = Trace(trace.n_nodes, trace.epochs[:1], trace.node_limits)
         files = {
             "trace.csv": (save_trace, trace),
             "node_limits.csv": (save_node_limits, trace.node_limits),
             "demands.csv": (save_demands, telco_demands(seed, tp)),
-            "graph.csv": (save_graph, first.graph_for(first.epochs[0])),
+            "graph.csv": (save_graph, trace.graph_for(trace.epochs[0])),
         }
     else:
         params = load_params(params_path) if params_path else SyntheticParams()
@@ -241,14 +239,9 @@ def exact_gap_cmd(graph_path, limits_path, demands_path, mode, seed, time_limit,
     graph = load_graph(graph_path, limits_path)
     demands = load_demands(demands_path, graph.n_nodes)
     limits = ExactLimits(max_nodes=max_nodes, time_limit_s=time_limit)
-    geometry = RouteGeometry.find(graph, demands)
-    reports = [
-        solve_epoch(
-            graph, demands, m, SolverConfig(seed=seed), oracle=True, oracle_limits=limits,
-            geometry=geometry,
-        )
-        for m in _expand_modes(mode)
-    ]
+    reports = _solve_modes(
+        graph, demands, mode, SolverConfig(seed=seed), oracle=True, oracle_limits=limits
+    )
     for r in reports:
         click.echo(
             f"mode={r.mode} objective={r.objective!r} gap_pct={r.gap_pct!r}",

@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .model import Demand, OverlayGraph, Path, augment_clique
+from .model import Demand, OverlayGraph, augment_clique
 from .pricing import enumerate_candidates
 from .rmp import RestrictedMaster, Routing
 from .solver import CandidateFn
@@ -52,11 +51,12 @@ class ExactLimits:
 class ExactSolution:
     """Best integer assignment found, with its proof status and search stats.
 
+    ``outcomes`` is a :class:`~cgroute.rmp.Routing`, empty for an empty demand set.
     ``nodes_explored`` is the HiGHS MIP node count and ``lp_solves`` the
     number of HiGHS calls: 1, or 0 for an empty demand set.
     """
 
-    outcomes: Mapping[int, Optional[Path]]
+    outcomes: Routing
     objective: float
     optimal: bool
     nodes_explored: int
@@ -65,9 +65,7 @@ class ExactSolution:
 
     @property
     def n_accepted(self) -> int:
-        if isinstance(self.outcomes, Routing):  # read from its arrays, no path made
-            return self.outcomes.n_accepted
-        return sum(1 for p in self.outcomes.values() if p is not None)
+        return self.outcomes.n_accepted
 
 
 def solve_exact(
@@ -80,7 +78,7 @@ def solve_exact(
     started = time.perf_counter()
     if not demands:
         return ExactSolution(
-            outcomes=MappingProxyType({}),
+            outcomes=Routing.empty(candidate_fn(graph, demands)),
             objective=0.0,
             optimal=True,
             nodes_explored=0,

@@ -186,9 +186,6 @@ class Outcomes(Sequence[dict]):
 def _outcomes(routed: RoutingSolution, with_throughput: bool) -> Outcomes:
     """The routing's rows, read from its arrays and its table; no path is made."""
     routing = routed.outcomes
-    if not routing:  # an empty demand set
-        none = np.zeros(0, dtype=np.int64)
-        return Outcomes(none, none.astype(bool), none.reshape(0, 3), none.astype(float), 0)
     table, picked = routing.table, routing.picked
     delay = table.delay[picked]
     mbps = loss_free = None
@@ -224,18 +221,17 @@ def solve_epoch(
 ) -> EpochReport:
     """Solve one snapshot in one mode and package the report.
 
-    The candidate table is built once; the heuristic and the oracle share
-    it. ``geometry``, if given, is ``RouteGeometry.find`` of ``demands`` on
-    a graph with ``graph``'s edges, such as another epoch of the same
-    trace: the table is then read from it rather than enumerated. The
-    runtime covers the table and the heuristic, not the oracle.
+    The heuristic and the oracle share one candidate table, read from
+    ``geometry``: ``RouteGeometry.find`` of ``demands`` on a graph with
+    ``graph``'s edges, such as another epoch of the same trace, or found
+    here when not given. The runtime covers the table and the heuristic,
+    not the oracle.
     """
-    enumerate_fn = mode_candidates(mode)
+    mode_candidates(mode)  # rejects an unknown mode
     started = time.perf_counter()
     if geometry is None:
-        table = enumerate_fn(graph, demands)
-    else:
-        table = geometry.table(graph, relays=mode == "overlay")
+        geometry = RouteGeometry.find(graph, demands)
+    table = geometry.table(graph, relays=mode == "overlay")
 
     def candidate_fn(g: OverlayGraph, ds: Sequence[Demand]) -> CandidateTable:
         return table
@@ -327,34 +323,18 @@ def run_timeseries(
 # -- serialization ------------------------------------------------------------
 
 
-def _fmt(value, include_timing: bool, is_timing: bool = False) -> str:
-    if value is None:
-        return ""
-    if is_timing and not include_timing:
-        return "0.0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _fields(r: EpochReport, include_timing: bool) -> tuple:
+    """The report's scalar fields, as :data:`CSV_HEADER` names them; runtime 0.0 without timing."""
+    return (
+        r.epoch_ts, r.mode, r.n_demands, r.n_accepted, r.acceptance_pct,
+        r.runtime_ms if include_timing else 0.0, r.mean_delay_ms, r.objective, r.gap_pct,
+    )
 
 
 def reports_to_csv(reports: Sequence[EpochReport], include_timing: bool = True) -> str:
     lines = [CSV_HEADER]
     for r in reports:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(r.epoch_ts, include_timing),
-                    r.mode,
-                    str(r.n_demands),
-                    str(r.n_accepted),
-                    _fmt(r.acceptance_pct, include_timing),
-                    _fmt(r.runtime_ms, include_timing, is_timing=True),
-                    _fmt(r.mean_delay_ms, include_timing),
-                    _fmt(r.objective, include_timing),
-                    _fmt(r.gap_pct, include_timing),
-                )
-            )
-        )
+        lines.append(",".join(["" if v is None else str(v) for v in _fields(r, include_timing)]))
     return "\n".join(lines) + "\n"
 
 
@@ -370,11 +350,8 @@ _NOTE = json.dumps(
 # indented to its depth (a report at 4 spaces, its keys at 6, its rows at
 # 8, their keys at 10 and path nodes at 12; a series at 4, a mode at 6, a
 # point at 8 and its coordinates at 10).
-_REPORT = (
-    '    {\n      "epoch_ts": %s,\n      "mode": %s,\n      "n_demands": %s,\n'
-    '      "n_accepted": %s,\n      "acceptance_pct": %s,\n      "runtime_ms": %s,\n'
-    '      "mean_delay_ms": %s,\n      "objective": %s,\n      "gap_pct": %s,\n'
-    '      "error": %s,\n      "outcomes": %s\n    }'
+_REPORT = "    {\n%s      \"outcomes\": %%s\n    }" % "".join(
+    f'      "{name}": %s,\n' for name in (*CSV_HEADER.split(","), "error")
 )
 #: The three outcome row shapes: rejected, accepted, accepted with throughput.
 _REJECTED = '        {\n          "demand": %s,\n          "accepted": %s\n        }'
@@ -389,14 +366,14 @@ _WITH_THROUGHPUT = (
 )
 _PATH_SEP = ",\n            "
 _POINT = "        [\n          %s,\n          %s\n        ]"
-#: Each plot-ready series: its name, and its x and y as positions in the
-#: per-report cells of :func:`_series_json`.
+#: Each plot-ready series: its name, and its x and y as positions in a
+#: report's :func:`_fields`.
 _SERIES = (
-    ("acceptance_pct_vs_time", 0, 1),
-    ("runtime_ms_vs_time", 0, 2),
-    ("mean_delay_ms_vs_time", 0, 3),
-    ("acceptance_pct_vs_demands", 4, 1),
-    ("runtime_ms_vs_demands", 4, 2),
+    ("acceptance_pct_vs_time", 0, 4),
+    ("runtime_ms_vs_time", 0, 5),
+    ("mean_delay_ms_vs_time", 0, 6),
+    ("acceptance_pct_vs_demands", 2, 4),
+    ("runtime_ms_vs_demands", 2, 5),
 )
 
 
@@ -461,12 +438,9 @@ def _outcomes_json(o: Outcomes | tuple[()]) -> str:
 
 
 def _report_json(r: EpochReport, include_timing: bool) -> str:
+    *head, objective, gap = _fields(r, include_timing)
     # A failed epoch's objective is inf, which JSON cannot hold.
-    objective = r.objective if math.isfinite(r.objective) else None
-    values = (
-        r.epoch_ts, r.mode, r.n_demands, r.n_accepted, r.acceptance_pct,
-        r.runtime_ms if include_timing else 0.0, r.mean_delay_ms, objective, r.gap_pct, r.error,
-    )
+    values = (*head, objective if math.isfinite(objective) else None, gap, r.error)
     return _REPORT % (*map(_json_value, values), _outcomes_json(r.outcomes))
 
 
@@ -477,16 +451,12 @@ def _series_json(reports: Sequence[EpochReport], include_timing: bool) -> str:
     modes = sorted({r.mode for r in reports})
     cells = {m: [] for m in modes}
     for r in reports:
-        values = (
-            r.epoch_ts, r.acceptance_pct, r.runtime_ms if include_timing else 0.0,
-            r.mean_delay_ms, r.n_demands,
-        )
-        cells[r.mode].append(tuple(map(_json_value, values)))
+        cells[r.mode].append(_fields(r, include_timing))
     blocks = []
     for name, x, y in _SERIES:
         lines = [
             f"      {_json_value(m)}: [\n"
-            + ",\n".join(_POINT % (c[x], c[y]) for c in cs)
+            + ",\n".join(_POINT % (_json_value(c[x]), _json_value(c[y])) for c in cs)
             + "\n      ]"
             for m, cs in cells.items()
         ]

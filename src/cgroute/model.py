@@ -180,38 +180,6 @@ class Path:
     uses_artificial = False
 
 
-def make_path(graph: OverlayGraph, demand: Demand, relay: NodeId | None = None) -> Path:
-    """Build the direct path for ``demand``, or the dogleg through ``relay``."""
-    s, t = demand.source, demand.destination
-    if relay is None:
-        hops: tuple[Edge, ...] = ((s, t),)
-        nodes: tuple[NodeId, ...] = (s, t)
-    else:
-        if relay == s or relay == t:
-            raise ContractError(f"relay {relay} coincides with a path endpoint")
-        hops = ((s, relay), (relay, t))
-        nodes = (s, relay, t)
-    missing = [e for e in hops if e not in graph.edges]
-    if missing:
-        raise InputError(f"graph has no edge {missing[0]}")
-    delay = 0.0
-    jitter = 0.0
-    success = 1.0
-    for e in hops:
-        m = graph.edges[e]
-        delay += m.delay_ms
-        jitter += m.jitter_ms
-        success *= m.success_prob
-    return Path(
-        demand_id=demand.id,
-        edges=hops,
-        nodes=nodes,
-        total_delay_ms=delay,
-        total_jitter_ms=jitter,
-        success_prob=success,
-    )
-
-
 def make_dummy_path(demand: Demand, penalty: float) -> Path:
     """The rejection placeholder: no edges, no QoS checks, penalty delay."""
     return Path(

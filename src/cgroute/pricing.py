@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ContractError
 from .model import Demand, EdgeArrays, OverlayGraph, Path, check_endpoints
-from .rmp import DualPoint
+from .rmp import DualPoint, first_least
 
 #: Absolute reduced-cost tolerance: a column must beat its convexity price
 #: by more than this to be worth adding.
@@ -50,9 +50,10 @@ def route_metrics(arrays: EdgeArrays, rows: np.ndarray) -> tuple[np.ndarray, np.
     ``rows`` (:class:`CandidateTable`'s row layout) on edges ``arrays``.
 
     Delay and jitter are summed from 0.0 and success multiplied from 1.0,
-    first edge then second, as ``make_path`` does, so each is bit-equal to
-    the path's. A direct route's second edge is the pad row, read as a hop
-    of delay and jitter 0.0 and success 1.0, which changes no bit.
+    first edge then second, as the tests' scalar ``make_path`` does, so each
+    is bit-equal to the path's. A direct route's second edge is the pad
+    row, read as a hop of delay and jitter 0.0 and success 1.0, which
+    changes no bit.
     """
     n_edges = len(arrays.key)
     first, second = rows[:, 0], np.minimum(rows[:, 1], n_edges)
@@ -206,8 +207,8 @@ class CandidateTable:
         return self.paths(np.array([i]))[0]
 
     def paths(self, index: np.ndarray) -> list[Path]:
-        """Candidates ``index`` as paths equal to ``make_path``'s, made in one
-        pass from :func:`route_metrics`.
+        """Candidates ``index`` as paths, made in one pass from
+        :func:`route_metrics`.
         """
         rows = self.rows[index]
         delay, jitter, success = route_metrics(self.graph.arrays, rows)
@@ -243,18 +244,14 @@ def _cheapest(table: CandidateTable, lengths: np.ndarray) -> tuple[np.ndarray, n
     """Segmented argmin of ``lengths``, one entry per candidate of ``table``.
 
     Returns the demands that have candidates at all, as rows of
-    ``table.demands``, and each one's candidate of least length; ties keep
-    the first candidate in list order.
+    ``table.demands``, and each one's candidate of least length by
+    :func:`~cgroute.rmp.first_least`: ties keep the first in list order.
     """
     counts = np.diff(table.offsets)
     rows = np.flatnonzero(counts)
     if not len(rows):
         return rows, rows
-    starts = table.offsets[rows]
-    lows = np.minimum.reduceat(lengths, starts)
-    at_low = lengths == np.repeat(lows, counts[rows])
-    first = np.minimum.reduceat(np.where(at_low, np.arange(len(lengths)), len(lengths)), starts)
-    return rows, first
+    return rows, first_least(lengths, table.offsets[rows], counts[rows])
 
 
 def price_demand(table: CandidateTable, duals: DualPoint) -> dict[int, tuple[int, float]]:

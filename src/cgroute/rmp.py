@@ -214,12 +214,14 @@ def ordered_sum(values: Iterable[float]) -> float:
     return total
 
 
-def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
-    """Value of the dual point: sum of convexity prices minus paid capacity."""
-    caps = [m.capacity_mbps for m in graph.edges.values()]
-    paid = ordered_sum(lam * cap for lam, cap in zip(duals.edge_duals.tolist(), caps))
-    paid += ordered_sum(nu * cap for nu, cap in zip(duals.node_duals.tolist(), graph.node_limits))
-    return ordered_sum(duals.convexity_duals.tolist()) - paid
+def first_least(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Segmented argmin: the index of the first least entry of each segment
+    ``values[starts[i]:starts[i] + counts[i]]``, the segments nonempty and
+    tiling ``values`` in order. ``-0.0`` ties ``0.0``; ``-x`` gives the first largest ``x``.
+    """
+    lows = np.repeat(np.minimum.reduceat(values, starts), counts)
+    at_low = np.where(values == lows, np.arange(len(values)), len(values))
+    return np.minimum.reduceat(at_low, starts)
 
 
 def _cost_exponent(penalty: float) -> int:
@@ -258,6 +260,11 @@ class Routing(Mapping[int, Optional[Path]]):
         # Each demand id's position in ``table.demands``.
         self._row = row
         self._paths: Optional[list[Optional[Path]]] = None
+
+    @classmethod
+    def empty(cls, table: CandidateTable) -> Routing:
+        """The routing of an empty demand set, over its (empty) ``table``."""
+        return cls(table, np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp), {})
 
     @property
     def n_accepted(self) -> int:
@@ -372,16 +379,14 @@ class RestrictedMaster:
         return order[bounds[r] : bounds[r + 1]].tolist()
 
     def top_columns(self, x: np.ndarray) -> np.ndarray:
-        """Each demand's pool column with the largest ``x``, in convexity-row order.
+        """Each demand's pool column with the largest ``x`` (:func:`first_least`
+        of ``-x``), in convexity-row order.
 
         On a tie the first in pool order wins: the rejection column, then
         the candidates in join order.
         """
         _, order, bounds = self._grouped()
-        grouped, starts = x[order], bounds[:-1]
-        top = np.repeat(np.maximum.reduceat(grouped, starts), np.diff(bounds))
-        at_top = np.where(grouped == top, np.arange(len(order)), len(order))
-        return order[np.minimum.reduceat(at_top, starts)]
+        return order[first_least(-x[order], bounds[:-1], np.diff(bounds))]
 
     def routing(self, chosen: np.ndarray) -> tuple[Routing, float]:
         """The routing that takes pool column ``chosen[r]`` for ``demands[r]``.

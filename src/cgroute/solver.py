@@ -24,13 +24,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import InputError
-from .model import Demand, OverlayGraph, Path, augment_clique
+from .model import Demand, OverlayGraph, augment_clique
 from .pricing import CandidateTable, enumerate_candidates, price_demand, price_rejections
 from .rmp import RestrictedMaster, RmpSolution, Routing
 
@@ -76,11 +75,12 @@ class SolverConfig:
 class RoutingSolution:
     """Integral routing outcome: one committed path or a rejection per demand.
 
-    ``master`` is the restricted master column generation ended with, for
-    inspection (``None`` for an empty demand set).
+    ``outcomes`` is a :class:`~cgroute.rmp.Routing`, empty for an empty
+    demand set, for which ``master``, the restricted master column
+    generation ended with (kept for inspection), is ``None``.
     """
 
-    outcomes: Mapping[int, Optional[Path]]
+    outcomes: Routing
     objective: float
     iterations: int
     duration_s: float
@@ -89,9 +89,7 @@ class RoutingSolution:
 
     @property
     def n_accepted(self) -> int:
-        if isinstance(self.outcomes, Routing):  # read from its arrays, no path made
-            return self.outcomes.n_accepted
-        return sum(1 for p in self.outcomes.values() if p is not None)
+        return self.outcomes.n_accepted
 
 
 @dataclass(frozen=True)
@@ -266,7 +264,7 @@ def solve(
     started = time.perf_counter()
     if not demands:
         return RoutingSolution(
-            outcomes=MappingProxyType({}),
+            outcomes=Routing.empty(candidate_fn(graph, demands)),
             objective=0.0,
             iterations=0,
             duration_s=time.perf_counter() - started,

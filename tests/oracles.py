@@ -17,15 +17,49 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from cgroute.errors import ContractError
-from cgroute.model import Demand, LinkMetrics, OverlayGraph, Path, make_path
-from cgroute.rmp import RestrictedMaster, RmpSolution
+from cgroute.errors import ContractError, InputError
+from cgroute.model import Demand, Edge, LinkMetrics, NodeId, OverlayGraph, Path
+from cgroute.rmp import DualPoint, RestrictedMaster, RmpSolution
 from cgroute.scenario import SyntheticParams, TelcoProfile, Trace, TraceEpoch
-from cgroute.solver import RoutingSolution
 
 #: ``solver``'s rounding constants, repeated for :func:`reference_round`.
 _INTEGRAL_TOL = 1e-6
 _CAPACITY_SLACK = 1e-9
+
+
+def make_path(graph: OverlayGraph, demand: Demand, relay: NodeId | None = None) -> Path:
+    """Build the direct path for ``demand``, or the dogleg through ``relay``,
+    summing its metrics over its edges in a scalar loop: the reference that
+    ``pricing.route_metrics`` and ``CandidateTable.paths`` match bit for bit.
+    """
+    s, t = demand.source, demand.destination
+    if relay is None:
+        hops: tuple[Edge, ...] = ((s, t),)
+        nodes: tuple[NodeId, ...] = (s, t)
+    else:
+        if relay == s or relay == t:
+            raise ContractError(f"relay {relay} coincides with a path endpoint")
+        hops = ((s, relay), (relay, t))
+        nodes = (s, relay, t)
+    missing = [e for e in hops if e not in graph.edges]
+    if missing:
+        raise InputError(f"graph has no edge {missing[0]}")
+    delay = 0.0
+    jitter = 0.0
+    success = 1.0
+    for e in hops:
+        m = graph.edges[e]
+        delay += m.delay_ms
+        jitter += m.jitter_ms
+        success *= m.success_prob
+    return Path(
+        demand_id=demand.id,
+        edges=hops,
+        nodes=nodes,
+        total_delay_ms=delay,
+        total_jitter_ms=jitter,
+        success_prob=success,
+    )
 
 
 def qos_feasible(path: Path, demand: Demand) -> bool:
@@ -285,6 +319,21 @@ def min_reduced_cost(master, duals) -> float:
     return best
 
 
+def scalar_first_best(values: list[float], counts: list[int], better) -> list[int]:
+    """Each segment's first entry no other in it is ``better`` than, by a
+    plain loop: the segments are ``counts`` long, one after another.
+    """
+    out, start = [], 0
+    for count in counts:
+        best = start
+        for i in range(start, start + count):
+            if better(values[i], values[best]):
+                best = i
+        out.append(best)
+        start += count
+    return out
+
+
 def ordered_total(values) -> float:
     """``values`` added one at a time from 0.0, in order: how every reported
     total is summed, whatever the interpreter's builtin ``sum`` does.
@@ -293,6 +342,14 @@ def ordered_total(values) -> float:
     for v in values:
         total += v
     return total
+
+
+def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
+    """Value of the dual point: sum of convexity prices minus paid capacity."""
+    caps = [m.capacity_mbps for m in graph.edges.values()]
+    paid = ordered_total(lam * cap for lam, cap in zip(duals.edge_duals.tolist(), caps))
+    paid += ordered_total(nu * cap for nu, cap in zip(duals.node_duals.tolist(), graph.node_limits))
+    return ordered_total(duals.convexity_duals.tolist()) - paid
 
 
 def routing_objective(outcomes: dict[int, Optional[Path]], penalty: float) -> float:
@@ -310,8 +367,9 @@ def reference_round(
     demands: Sequence[Demand],
     rng: np.random.Generator,
     max_passes: Optional[int] = None,
-) -> RoutingSolution:
-    """Fix one path per demand by sampling the fractional LP mix.
+) -> tuple[dict[int, Optional[Path]], float]:
+    """Fix one path per demand by sampling the fractional LP mix; return
+    each demand's path or ``None``, by ascending id, and the objective.
 
     The dict-based rounding ``solver.randomized_round`` replaced, kept as
     its reference: same commits, draws and objective for the same
@@ -397,13 +455,7 @@ def reference_round(
     for did in sorted(weights):
         outcomes[did] = None
 
-    return RoutingSolution(
-        outcomes=MappingProxyType(dict(sorted(outcomes.items()))),
-        objective=routing_objective(outcomes, master.dummy_penalty),
-        iterations=0,
-        duration_s=0.0,
-        certified=False,
-    )
+    return dict(sorted(outcomes.items())), routing_objective(outcomes, master.dummy_penalty)
 
 
 def report_payload(reports: Sequence, include_timing: bool) -> dict:

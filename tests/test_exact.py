@@ -12,7 +12,7 @@ from cgroute.model import (
     dummy_penalty,
 )
 from cgroute.pricing import enumerate_candidates
-from cgroute.rmp import RestrictedMaster
+from cgroute.rmp import RestrictedMaster, Routing
 from cgroute.solver import SolverConfig, column_generation, solve
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph, tiny_instance
@@ -55,7 +55,10 @@ class TestSmallCases:
         result = solve_exact(hand_graph(), [])
         assert result.optimal
         assert result.objective == 0.0
+        assert isinstance(result.outcomes, Routing)
         assert result.outcomes == {}
+        assert result.n_accepted == 0
+        assert result.lp_solves == 0
 
 
     def test_demand_outside_graph_rejected(self):

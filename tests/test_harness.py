@@ -23,8 +23,8 @@ from cgroute.harness import (
     run_timeseries,
     solve_epoch,
 )
-from cgroute.model import Demand, LinkMetrics, OverlayGraph, augment_clique, make_path
-from cgroute.pricing import enumerate_candidates
+from cgroute.model import Demand, LinkMetrics, OverlayGraph, augment_clique
+from cgroute.pricing import RouteGeometry, enumerate_candidates
 from cgroute.scenario import TelcoProfile, generate_telco_trace, telco_demands
 from cgroute.solver import SolverConfig, solve
 
@@ -259,22 +259,37 @@ class TestRunTimeseries:
         assert report.gap_pct >= -1e-6
 
     def test_oracle_reuses_the_enumeration(self, monkeypatch):
-        import cgroute.harness as harness
+        calls, tables = [], []
+        find, table = RouteGeometry.find, RouteGeometry.table
 
-        calls = []
-
-        def counting(graph, demands):
+        def counting_find(cls, graph, demands):
             calls.append([d.id for d in demands])
-            return enumerate_candidates(graph, demands)
+            return find(graph, demands)
 
-        monkeypatch.setattr(harness, "enumerate_candidates", counting)
+        def counting_table(self, graph, relays):
+            tables.append(relays)
+            return table(self, graph, relays)
+
+        monkeypatch.setattr(RouteGeometry, "find", classmethod(counting_find))
+        monkeypatch.setattr(RouteGeometry, "table", counting_table)
         graph, demands = gap_suite_instance(3)
         report = solve_epoch(graph, demands, "overlay", SolverConfig(seed=3), oracle=True)
         assert report.gap_pct is not None
-        # One table build per epoch, over every demand.
+        # One route search and one table per epoch, over every demand; the
+        # heuristic and the oracle share them.
         assert len(calls) == 1
         assert sorted(calls[0]) == sorted(d.id for d in demands)
         assert len(calls[0]) == 30
+        assert tables == [True]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_empty_demand_set(self, mode):
+        # The rows are read from the empty Routing that solve returns.
+        report = solve_epoch(hand_graph(), [], mode, SolverConfig(), oracle=True)
+        assert report.n_accepted == 0 and report.n_demands == 0
+        assert isinstance(report.outcomes, Outcomes) and len(report.outcomes) == 0
+        assert report.mean_delay_ms is None and report.master is None
+        assert report.objective == 0.0 and report.gap_pct == 0.0
 
     def test_no_gap_against_unproven_oracle(self):
         # A budget cut leaves the exact result unproven (here the

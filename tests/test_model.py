@@ -12,11 +12,10 @@ from cgroute.model import (
     augment_clique,
     dummy_penalty,
     make_dummy_path,
-    make_path,
 )
 from cgroute.scenario import TelcoProfile, generate_telco_trace, telco_demands
 
-from oracles import log_form_success_ok, qos_feasible
+from oracles import log_form_success_ok, make_path, qos_feasible
 
 
 def metrics(delay=10.0, jitter=0.0, cap=100.0, success=1.0):

@@ -11,7 +11,6 @@ from cgroute.model import (
     OverlayGraph,
     augment_clique,
     make_dummy_path,
-    make_path,
 )
 from cgroute.pricing import (
     EPS_REDUCED_COST,
@@ -24,7 +23,7 @@ from cgroute.rmp import DualPoint
 from cgroute.scenario import generate_telco_trace, telco_demands
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, hand_graph, pack_table
-from oracles import brute_force_candidates, scalar_price, scalar_priced_length
+from oracles import brute_force_candidates, make_path, scalar_price, scalar_priced_length
 
 
 def duals_for(graph, demands, edge=None, node=None, sigma=None):

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -16,21 +17,24 @@ from cgroute import rmp
 from cgroute.errors import ContractError, InputError, SolverError
 from cgroute.exact import solve_exact
 from cgroute.harness import direct_mode_candidates
-from cgroute.model import Demand, LinkMetrics, OverlayGraph, dummy_penalty, make_path
+from cgroute.model import Demand, LinkMetrics, OverlayGraph, dummy_penalty
 from cgroute.pricing import enumerate_candidates, price_demand
-from cgroute.rmp import RestrictedMaster, dual_objective
+from cgroute.rmp import RestrictedMaster
 from cgroute.scenario import generate_telco_trace, telco_demands
 from cgroute.solver import solve
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, pack_table, scaled_cost_instance
 from oracles import (
+    dual_objective,
     highs_optimum,
     highs_result,
     master_model,
+    make_path,
     milp_result,
     min_reduced_cost,
     ordered_total,
     routing_objective,
+    scalar_first_best,
 )
 
 
@@ -313,6 +317,29 @@ class TestAssembly:
         master = master_for(line_graph, two_demands)
         with pytest.raises(ValueError):
             master.capacity[0] = 0.0
+
+
+class TestFirstLeast:
+    """The one segmented argmin, shared by pricing and ``top_columns``."""
+
+    # Few distinct values, so most segments tie; -0.0 and 0.0 tie too.
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=6),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_matches_a_scalar_loop(self, segments):
+        values = [v for segment in segments for v in segment]
+        counts = [len(segment) for segment in segments]
+        x = np.array(values)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        got = rmp.first_least(x, starts, np.array(counts))
+        assert got.tolist() == scalar_first_best(values, counts, operator.lt)
+        # top_columns passes -x for each segment's first largest x.
+        got = rmp.first_least(-x, starts, np.array(counts))
+        assert got.tolist() == scalar_first_best(values, counts, operator.gt)
 
 
 class TestCostScaling:
