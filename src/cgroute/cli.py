@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path as FsPath
 
 import click
+from click.core import ParameterSource
 
 from .errors import InputError, SolverError
 from .exact import ExactLimits
@@ -73,6 +74,16 @@ def _solve_modes(graph, demands, mode: str, config: SolverConfig, **kwargs) -> l
         solve_epoch(graph, demands, m, config, geometry=geometry, **kwargs)
         for m in _expand_modes(mode)
     ]
+
+
+def _params(params_path, seed: int) -> SyntheticParams:
+    """The params file's settings, else the defaults, with ``--seed`` in
+    place of their seed when it is given on the command line.
+    """
+    params = load_params(params_path) if params_path else SyntheticParams()
+    if click.get_current_context().get_parameter_source("seed") is ParameterSource.DEFAULT:
+        return params
+    return replace(params, seed=seed)
 
 
 def _write(reports, fmt, out, include_timing):
@@ -160,9 +171,12 @@ def replay_cmd(trace_path, limits_path, demands_path, mode, seed, oracle, out, f
 @_format_option
 @_timing_option
 def sweep_cmd(params_path, demand_counts, mode, seed, out, fmt, timing):
-    """Acceptance/runtime as a function of offered load on one synthetic net."""
-    params = load_params(params_path) if params_path else SyntheticParams()
-    params = replace(params, seed=seed)
+    """Acceptance/runtime as a function of offered load on one synthetic net.
+
+    The params file's seed draws the net and the demands and seeds the
+    rounding, unless ``--seed`` is given.
+    """
+    params = _params(params_path, seed)
     try:
         counts = [int(x) for x in demand_counts.split(",") if x.strip()]
     except ValueError:
@@ -173,7 +187,7 @@ def sweep_cmd(params_path, demand_counts, mode, seed, out, fmt, timing):
     reports = []
     for k in counts:
         demands = generate_demands(replace(params, n_demands=k), graph)
-        reports += _solve_modes(graph, demands, mode, SolverConfig(seed=seed))
+        reports += _solve_modes(graph, demands, mode, SolverConfig(seed=params.seed))
     _write(reports, fmt, out, timing)
 
 
@@ -193,9 +207,15 @@ def sweep_cmd(params_path, demand_counts, mode, seed, out, fmt, timing):
     type=click.Path(file_okay=False, path_type=FsPath),
 )
 def generate_cmd(profile, params_path, epochs, seed, out_dir):
-    """Write a re-loadable scenario: graph or trace, node limits, demands."""
+    """Write a re-loadable scenario: graph or trace, node limits, demands.
+
+    A synthetic scenario takes the params file's seed unless ``--seed`` is
+    given; the telco profile takes no params file.
+    """
     # Everything is drawn before the directory is made, so bad input leaves none behind.
     if profile == "telco":
+        if params_path is not None:
+            raise InputError("--params applies to the synthetic profile only")
         tp = TelcoProfile()
         trace = generate_telco_trace(epochs, seed, tp)
         files = {
@@ -205,8 +225,7 @@ def generate_cmd(profile, params_path, epochs, seed, out_dir):
             "graph.csv": (save_graph, trace.graph_for(trace.epochs[0])),
         }
     else:
-        params = load_params(params_path) if params_path else SyntheticParams()
-        params = replace(params, seed=seed)
+        params = _params(params_path, seed)
         graph = generate_topology(params)
         files = {
             "graph.csv": (save_graph, graph),

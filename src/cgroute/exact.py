@@ -87,7 +87,7 @@ def solve_exact(
         )
     augment_clique(graph, demands)
     table = candidate_fn(graph, demands)
-    master = RestrictedMaster(graph, table)
+    master = RestrictedMaster(table)
     master.add(range(len(table)))
 
     res = master.solve_integer(limits.time_limit_s, limits.max_nodes)

@@ -31,9 +31,10 @@ import numpy as np
 from .errors import ContractError, InputError, SolverError
 from .exact import ExactLimits, solve_exact
 from .model import Demand, OverlayGraph, check_endpoints
+# perfbench/spans.py wraps ``harness.enumerate_candidates``, which nothing here calls.
 from .pricing import CandidateTable, RouteGeometry, enumerate_candidates, route_metrics
 from .rmp import RestrictedMaster, ordered_sum
-from .solver import CandidateFn, RoutingSolution, SolverConfig, solve
+from .solver import RoutingSolution, SolverConfig, solve
 from .scenario import Trace
 
 CSV_HEADER = (
@@ -89,11 +90,14 @@ def direct_mode_candidates(graph: OverlayGraph, demands: Sequence[Demand]) -> Ca
     return RouteGeometry.find(graph, demands).table(graph, relays=False)
 
 
-def mode_candidates(mode: str) -> CandidateFn:
-    """The candidate function of a routing mode."""
+def mode_relays(mode: str) -> bool:
+    """Whether a routing mode's table keeps the relay routes: the overlay
+    mode's does, the direct mode's does not. Any other mode raises
+    :class:`~cgroute.errors.InputError`.
+    """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    return enumerate_candidates if mode == "overlay" else direct_mode_candidates
+    return mode == "overlay"
 
 
 def _throughput(success: np.ndarray, delay: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,11 +231,11 @@ def solve_epoch(
     here when not given. The runtime covers the table and the heuristic,
     not the oracle.
     """
-    mode_candidates(mode)  # rejects an unknown mode
+    relays = mode_relays(mode)
     started = time.perf_counter()
     if geometry is None:
         geometry = RouteGeometry.find(graph, demands)
-    table = geometry.table(graph, relays=mode == "overlay")
+    table = geometry.table(graph, relays)
 
     def candidate_fn(g: OverlayGraph, ds: Sequence[Demand]) -> CandidateTable:
         return table
@@ -281,7 +285,7 @@ def run_timeseries(
     with the remaining epochs.
     """
     for mode in modes:
-        mode_candidates(mode)
+        mode_relays(mode)
     # Every epoch has the trace's node set, so one check covers them all.
     check_endpoints(trace.n_nodes, demands)
     reports: list[EpochReport] = []

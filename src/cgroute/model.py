@@ -229,6 +229,6 @@ def dummy_penalty(graph: OverlayGraph, demands: Sequence[Demand]) -> float:
     all demands, so accepting one more demand always beats any delay
     saving.
     """
-    max_delay = max((m.delay_ms for m in graph.edges.values()), default=0.0)
+    max_delay = float(graph.arrays.delay.max(initial=0.0))
     return DUMMY_PENALTY_FACTOR * (2.0 * len(demands) * max_delay + 1.0)
 

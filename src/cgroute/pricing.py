@@ -17,9 +17,10 @@ graph's edge arrays: no per-candidate Python object is made, and a
 Pricing scans the whole table, so it returns an exact minimizer of the
 dual-adjusted length with no approximation gap, and one pricing pass over
 every demand is a handful of array operations. The first pass of column
-generation prices the all-rejection master, whose duals make each demand's
-cheapest candidate the one to enter: :func:`price_rejections` reads it from
-the table's delays, through the segmented argmin :func:`price_demand` uses.
+generation comes before any master solve: it prices the all-rejection
+master, whose duals make each demand's cheapest candidate the one to
+enter, and :func:`price_rejections` reads it from the table's delays,
+through the segmented argmin :func:`price_demand` uses.
 """
 
 from __future__ import annotations
@@ -144,26 +145,30 @@ class RouteGeometry:
         ``relays`` is false, as a candidate table; delays are
         :func:`route_metrics`'.
 
-        ``graph`` must have the edges the routes were found on, else
+        A direct table selects the direct routes, whose second edge is the
+        pad row, before it reads any metric; the overlay table reads every
+        route, through views of the geometry's arrays. ``graph`` must have
+        the edges the routes were found on, else
         :class:`~cgroute.errors.ContractError`.
         """
         a = graph.arrays
         if not np.array_equal(a.key, self.key):
             raise ContractError("graph has other edges than the routes were found on")
-        delay, jitter, success = route_metrics(a, self.rows)
-        keep = (jitter <= self.max_jitter) & (success >= self.min_success)
-        if not relays:
-            keep &= self.rows[:, 1] >= len(self.key)
-        keep = np.flatnonzero(keep)
-        owner = self.owner[keep]
+        routes = slice(None) if relays else np.flatnonzero(self.rows[:, 1] >= len(self.key))
+        rows = self.rows[routes]
+        delay, jitter, success = route_metrics(a, rows)
+        keep = np.flatnonzero(
+            (jitter <= self.max_jitter[routes]) & (success >= self.min_success[routes])
+        )
+        owner = self.owner[routes][keep]
         return CandidateTable(
             graph=graph,
             demands=self.demands,
             offsets=np.searchsorted(owner, np.arange(len(self.demands) + 1)),
             demand=owner,
             delay=delay[keep],
-            rate=self.rate[keep],
-            rows=self.rows[keep],
+            rate=self.rate[routes][keep],
+            rows=rows[keep],
             n_edges=len(self.key),
             n_nodes=self.n_nodes,
         )
@@ -278,7 +283,8 @@ def price_demand(table: CandidateTable, duals: DualPoint) -> dict[int, tuple[int
 
 def price_rejections(table: CandidateTable, penalty: float) -> np.ndarray:
     """:func:`price_demand` at the all-rejection master's duals, read from
-    the table alone: the entering candidates' indices, in ascending demand id.
+    the table alone, so that master is never solved: the entering
+    candidates' indices, in ascending demand id.
 
     Those duals price no capacity and every convexity row at the rejection
     ``penalty``, so a candidate's priced length is its delay, bit for bit,

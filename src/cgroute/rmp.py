@@ -53,7 +53,7 @@ import numpy as np
 import scipy
 
 from .errors import ContractError, InputError, SolverError
-from .model import OverlayGraph, Path, dummy_penalty, make_dummy_path
+from .model import Path, dummy_penalty, make_dummy_path
 
 if TYPE_CHECKING:
     from .pricing import CandidateTable
@@ -302,19 +302,19 @@ class RestrictedMaster:
     every row of the table's row map except the pad. A column's
     :class:`~cgroute.model.Path` is made only when it is read, through
     :meth:`column`, :attr:`columns` or the :class:`Routing` of
-    :meth:`routing`.
+    :meth:`routing`. The master is made from its table alone: ``graph``
+    is ``table.graph``, whose edge arrays and node limits give the
+    capacities and the rejection penalty.
     """
 
-    def __init__(self, graph: OverlayGraph, table: CandidateTable):
+    def __init__(self, table: CandidateTable):
         if not table.demands:
             raise InputError("master needs at least one demand")
         # Each demand's position: its convexity row and its rejection column.
         self._row = {d.id: r for r, d in enumerate(table.demands)}
         if len(self._row) != len(table.demands):
             raise InputError("demand ids must be unique")
-        if table.graph is not graph:
-            raise ContractError("candidate table was built for another graph")
-        self.graph = graph
+        self.graph = graph = table.graph
         self.table = table
         self.demands = table.demands
         self.dummy_penalty = dummy_penalty(graph, table.demands)
@@ -479,8 +479,8 @@ class RestrictedMaster:
         column if it has none, with capacity prices zero and each convexity
         price the chosen column's cost. Every pool column then has a
         nonnegative reduced cost, and rejection columns a positive one,
-        since the penalty exceeds any path delay. The all-rejection pool of
-        the first solve is one such case. Such a solution is flagged
+        since the penalty exceeds any path delay. A pool of rejection
+        columns alone is one such case. Such a solution is flagged
         ``closed_form``.
 
         With ``join_all``, a pool the closed form does not solve first takes
@@ -518,14 +518,6 @@ class RestrictedMaster:
         """The closed-form optimum of :meth:`solve`, or ``None`` if it does not apply."""
         t, n_dummy = self.table, len(self.demands)
         m = self.joined
-        if not len(m):  # the all-rejection pool: nothing loads any row
-            sigma = [self.dummy_penalty] * n_dummy
-            return RmpSolution(
-                values=(1.0,) * n_dummy,
-                objective=ordered_sum(sigma),
-                duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
-                closed_form=True,
-            )
         owner = self.owner[n_dummy:]
         joined = np.bincount(owner, minlength=n_dummy)
         if (joined > 1).any():

@@ -387,6 +387,8 @@ def load_params(path: FsPath) -> SyntheticParams:
             key, value = key.strip(), value.strip()
             if key not in known:
                 raise FormatError(f"unknown parameter {key!r}", lineno)
+            if key in kwargs:
+                raise FormatError(f"repeated parameter {key!r}", lineno)
             if value.lower() == "none":
                 kwargs[key] = None
             elif "," in value:

@@ -1,22 +1,23 @@
 """End-to-end heuristic solve: column generation followed by rounding.
 
-Column generation alternates master solves with exact pricing until no
+Column generation alternates exact pricing with master solves until no
 candidate path of any demand has negative reduced cost (a checkable
 optimality certificate, since candidate sets are fully enumerated) or an
-iteration cap is hit. The first pass prices the all-rejection master,
-whose answer is each demand's cheapest candidate, so it reads them from
-the table; when the closed form solves that pool, which is every demand
-on its cheapest route, nothing can undercut it and the next pass
-certifies without pricing. When the whole table fits in a master of at
-most :data:`FULL_MASTER_MAX_COLUMNS` columns, a budget set by memory
-alone, every candidate joins at the first HiGHS solve, so the pass after
-it certifies at once; larger masters grow incrementally. Randomized
-rounding then converts the fractional path mix into one committed path
-per demand, or a rejection. Candidates stay table rows throughout; the
-master's read-out, as for the exact benchmark, sums the objective and
-returns a :class:`~cgroute.rmp.Routing`, which makes the committed routes'
-:class:`~cgroute.model.Path` objects only when one is read: a solve itself
-makes none.
+iteration cap is hit; an iteration is a pass that adds columns, then the
+master solve. The first pass, before any master is solved, prices the
+all-rejection master, whose answer is each demand's cheapest candidate,
+so it reads them from the table; when the closed form solves that pool,
+which is every demand on its cheapest route, nothing can undercut it and
+the solve certifies without pricing. When the whole table fits in a
+master of at most :data:`FULL_MASTER_MAX_COLUMNS` columns, a budget set
+by memory alone, every candidate joins at the first HiGHS solve, so the
+pass after it certifies at once; larger masters grow incrementally.
+Randomized rounding then converts the fractional path mix into one
+committed path per demand, or a rejection. Candidates stay table rows
+throughout; the master's read-out, as for the exact benchmark, sums the
+objective and returns a :class:`~cgroute.rmp.Routing`, which makes the
+committed routes' :class:`~cgroute.model.Path` objects only when one is
+read: a solve itself makes none.
 """
 
 from __future__ import annotations
@@ -42,10 +43,13 @@ _INTEGRAL_TOL = 1e-6
 #: Residual-capacity slack absorbing LP-level float noise on commits.
 _CAPACITY_SLACK = 1e-9
 #: Largest full master, ``len(table) + len(demands)`` columns, that column
-#: generation solves whole at its first HiGHS call. The whole LP takes two
-#: iterations and one HiGHS call, and was no slower than growing the pool
-#: at any size measured; what it costs is memory, which alone sets this
-#: cap, since the master's cost scaling keeps large LPs well conditioned.
+#: generation solves whole at its first HiGHS call. The whole LP takes one
+#: iteration and one HiGHS call. It is not always faster than growing the
+#: pool: on dense overlays, whose final pool is a few percent of the
+#: table, it is slower (0.24-0.30 s against 0.14-0.15 s at 100/9900/300,
+#: and 1.6-2.2 s against 0.30 s on a 50-PoP telco epoch of 29,930
+#: columns). The cap is set by memory alone, since the master's cost
+#: scaling keeps large LPs well conditioned.
 #: HiGHS's ``run`` holds about 1 KB per column. Peak RSS of one column
 #: generation run, solved whole against incrementally: 102 against 95 MB
 #: at 13.6k columns (50 nodes, 450 edges, 5000 demands), 122 against 112
@@ -118,12 +122,14 @@ def column_generation(
     result is flagged ``certified``; hitting the iteration cap returns the
     best solution uncertified.
 
-    Masters the closed form solves (the all-rejection first one, and one
-    whose cheapest routes fit) never reach HiGHS. Each pricing pass but the
-    last is followed by one master solve. The first pass prices the
-    all-rejection master, so its columns, each routable demand's cheapest
-    candidate, come straight from the table (:func:`price_rejections`,
-    which is :func:`price_demand` at those duals). A later pass after a
+    An iteration is one pricing pass that adds columns, then one master
+    solve, so ``iterations`` counts master solves; the cap bounds them. The
+    first pass prices the all-rejection master without solving it: its
+    columns, each routable demand's cheapest candidate, come straight from
+    the table (:func:`price_rejections`, which is :func:`price_demand` at
+    those duals). A pass that adds nothing certifies; when no demand has
+    a route, the first pass is one, and the master solved is its rejection
+    columns alone. Masters the closed form solves never reach HiGHS, and a
     closed-form solve certifies without pricing: that pool holds at most
     one candidate per demand and, since it holds the first pass's, exactly
     each routable demand's cheapest, so with capacity priced at zero no
@@ -131,28 +137,22 @@ def column_generation(
     ``len(table) + len(demands)`` columns, is at most
     :data:`FULL_MASTER_MAX_COLUMNS`, the first master that does reach
     HiGHS is seeded with the whole table: the next pricing pass has no
-    candidate left to add and certifies, so a congested solve takes two
-    iterations and one LP.
+    candidate left to add and certifies, so a congested solve takes one
+    iteration and one LP.
     """
     table = candidate_fn(graph, demands)
-    master = RestrictedMaster(graph, table)
+    master = RestrictedMaster(table)
     join_all = len(table) + len(demands) <= FULL_MASTER_MAX_COLUMNS
+    certified = master.add(price_rejections(table, master.dummy_penalty)) == 0
     solution = master.solve(join_all)
-    iterations = 0
-    certified = False
-    while iterations < config.max_cg_iterations:
-        iterations += 1
-        if iterations == 1:
-            entering = price_rejections(table, master.dummy_penalty)
-        elif solution.closed_form:
-            certified = True
-            break
-        else:
-            entering = (index for index, _ in price_demand(table, solution.duals).values())
-        if master.add(entering) == 0:
-            certified = True
-            break
-        solution = master.solve(join_all)
+    iterations = 1
+    while not certified and iterations < config.max_cg_iterations:
+        certified = solution.closed_form or master.add(
+            index for index, _ in price_demand(table, solution.duals).values()
+        ) == 0
+        if not certified:
+            solution = master.solve(join_all)
+            iterations += 1
     return CgResult(
         solution=solution,
         master=master,

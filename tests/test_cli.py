@@ -71,6 +71,32 @@ class TestGenerate:
         assert "need at least one epoch" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_params_file_seed_round_trip(self, tmp_path):
+        # A scenario's params.cfg, read back without --seed, draws the same scenario.
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(["generate", "--seed", "5", "--params", _small_params(tmp_path),
+                    "--out-dir", first]) == 0
+        assert "seed = 5\n" in (first / "params.cfg").read_text()
+        assert run(["generate", "--params", first / "params.cfg", "--out-dir", again]) == 0
+        for name in ("graph.csv", "node_limits.csv", "demands.csv", "params.cfg"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_seed_option_replaces_the_files_seed(self, tmp_path):
+        params = tmp_path / "seeded.cfg"
+        params.write_text(_small_params(tmp_path).read_text() + "seed = 5\n")
+        for seed in ("0", "6"):
+            out = tmp_path / seed
+            assert run(["generate", "--params", params, "--seed", seed, "--out-dir", out]) == 0
+            assert f"seed = {seed}\n" in (out / "params.cfg").read_text()
+
+    def test_telco_refuses_a_params_file(self, tmp_path, capsys):
+        out = tmp_path / "telco"
+        code = run(["generate", "--profile", "telco", "--params", _small_params(tmp_path),
+                    "--out-dir", out])
+        assert code == 2
+        assert "--params applies to the synthetic profile only" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_solve_writes_report(self, scenario_dir, tmp_path):
@@ -334,6 +360,20 @@ class TestSweep:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 5  # header + 2 counts x 2 modes
         assert {line.split(",")[2] for line in lines[1:]} == {"4", "8"}
+
+    def test_params_file_seed_seeds_the_sweep(self, tmp_path, capsys):
+        # The file's seed draws the net and the demands and seeds the
+        # rounding, as --seed with a seedless file does.
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(_small_params(tmp_path).read_text() + "seed = 5\n")
+        args = ["sweep", "--demand-counts", "30,60", "--mode", "both", "--no-timing"]
+        outputs = []
+        for extra in (["--params", seeded], ["--params", _small_params(tmp_path), "--seed", "5"],
+                      ["--params", _small_params(tmp_path)]):
+            capsys.readouterr()
+            assert run([*args, *extra]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] != outputs[2]
 
 
 class TestExactGap:

@@ -17,7 +17,7 @@ from cgroute.harness import (
     _throughput,
     direct_mode_candidates,
     emit_reports,
-    mode_candidates,
+    mode_relays,
     reports_to_csv,
     reports_to_json,
     run_timeseries,
@@ -31,7 +31,6 @@ from cgroute.solver import SolverConfig, solve
 from instances import (
     candidate_lists,
     candidates_of,
-    feasibility_instance,
     gap_suite_instance,
     hand_graph,
 )
@@ -212,7 +211,11 @@ class TestRunTimeseries:
         graph, demands = gap_suite_instance(seed)
         for mode in MODES:
             report = solve_epoch(graph, demands, mode, SolverConfig(seed=seed))
-            routed = solve(graph, demands, SolverConfig(seed=seed), mode_candidates(mode))
+            relays = mode_relays(mode)
+            routed = solve(
+                graph, demands, SolverConfig(seed=seed),
+                lambda g, ds: RouteGeometry.find(g, ds).table(g, relays),
+            )
             paths = sorted(routed.outcomes.items())
             assert [row["demand"] for row in report.outcomes] == [did for did, _ in paths]
             for row, (_, p) in zip(report.outcomes, paths):
@@ -227,6 +230,14 @@ class TestRunTimeseries:
         trace, demands = small_trace()
         with pytest.raises(InputError):
             run_timeseries(trace, demands, ["sideways"], SolverConfig())
+
+    def test_a_mode_is_its_relays_flag(self):
+        assert [mode_relays(m) for m in MODES] == [True, False]
+        with pytest.raises(InputError, match="unknown mode 'both'"):
+            mode_relays("both")
+        trace, demands = small_trace()
+        with pytest.raises(InputError, match="unknown mode 'sideways'"):
+            solve_epoch(trace.graph_for(trace.epochs[0]), demands, "sideways", SolverConfig())
 
     def test_demand_outside_trace_raises(self):
         # Input errors stop the replay instead of filling every epoch's
@@ -329,7 +340,7 @@ class TestTotals:
         assert report.mean_delay_ms == ordered_total(delays) / 10
         bound = report.master.solve()
         assert bound.closed_form and bound.objective == report.objective
-        rejecting = rmp.RestrictedMaster(report.master.graph, report.master.table).solve()
+        rejecting = rmp.RestrictedMaster(report.master.table).solve()
         assert rejecting.closed_form and rejecting.objective == ordered_total([penalty] * 10)
 
 

@@ -13,7 +13,7 @@ from cgroute.model import (
     dummy_penalty,
     make_dummy_path,
 )
-from cgroute.scenario import TelcoProfile, generate_telco_trace, telco_demands
+from cgroute.scenario import generate_telco_trace, telco_demands
 
 from oracles import log_form_success_ok, make_path, qos_feasible
 

@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgroute import pricing
 from cgroute.errors import ContractError
 from cgroute.harness import direct_mode_candidates
 from cgroute.model import (
@@ -14,6 +17,7 @@ from cgroute.model import (
 )
 from cgroute.pricing import (
     EPS_REDUCED_COST,
+    CandidateTable,
     RouteGeometry,
     enumerate_candidates,
     price_demand,
@@ -457,25 +461,38 @@ class TestRouteGeometry:
                 assert getattr(got, name).tolist() == getattr(want, name).tolist()
 
     @pytest.mark.parametrize("instance", ["telco", "gap-suite"])
-    def test_direct_table_is_the_overlay_table_without_relays(self, instance):
+    def test_direct_table_is_the_overlay_table_without_relays(self, instance, monkeypatch):
         # One search serves both modes: the direct table must be the
-        # overlay table's direct rows, in the same order and dtypes.
+        # overlay table's direct rows, field by field, in the same order
+        # and dtypes; and it selects them before it reads any metric.
         if instance == "telco":
             trace = generate_telco_trace(1, seed=3)
-            graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
+            cases = [(trace.graph_for(trace.epochs[0]), telco_demands(seed=3))]
         else:
-            graph, demands = gap_suite_instance(5)
-        geometry = RouteGeometry.find(graph, demands)
-        overlay = geometry.table(graph, relays=True)
-        direct = geometry.table(graph, relays=False)
-        keep = overlay.rows[:, 3] == overlay.n_edges + overlay.n_nodes
-        assert 0 < keep.sum() < len(overlay)
-        counts = np.bincount(overlay.demand[keep], minlength=len(overlay.demands))
-        assert direct.offsets.tolist() == [0, *np.cumsum(counts).tolist()]
-        assert direct.demands == overlay.demands
-        for name in ("demand", "delay", "rate", "rows"):
-            assert getattr(direct, name).dtype == getattr(overlay, name).dtype
-            assert getattr(direct, name).tolist() == getattr(overlay, name)[keep].tolist()
+            cases = [gap_suite_instance(seed) for seed in range(10)]
+        read = []
+        monkeypatch.setattr(
+            pricing, "route_metrics", lambda a, rows: read.append(rows) or route_metrics(a, rows)
+        )
+        for graph, demands in cases:
+            geometry = RouteGeometry.find(graph, demands)
+            overlay = geometry.table(graph, relays=True)
+            pad = overlay.n_edges + overlay.n_nodes
+            read.clear()
+            direct = geometry.table(graph, relays=False)
+            (rows,) = read
+            assert len(rows) == (geometry.rows[:, 1] == pad).sum() and (rows[:, 1] == pad).all()
+            keep = overlay.rows[:, 3] == pad
+            assert 0 < keep.sum() < len(overlay)
+            counts = np.bincount(overlay.demand[keep], minlength=len(overlay.demands))
+            for f in fields(CandidateTable):
+                got, want = getattr(direct, f.name), getattr(overlay, f.name)
+                if f.name == "offsets":
+                    assert got.tolist() == [0, *np.cumsum(counts).tolist()]
+                elif isinstance(got, np.ndarray):
+                    assert got.dtype == want.dtype and got.tolist() == want[keep].tolist()
+                else:
+                    assert got is want or got == want
 
     def test_route_metrics_are_make_paths_bit_for_bit(self):
         # Summed from 0.0 and multiplied from 1.0 in edge order, as

@@ -41,8 +41,8 @@ from oracles import (
 def master_for(graph, demands, candidates=None):
     """A master over ``candidates`` (default: all enumerated), none joined yet."""
     if candidates is None:
-        return RestrictedMaster(graph, enumerate_candidates(graph, demands))
-    return RestrictedMaster(graph, pack_table(graph, demands, candidates))
+        return RestrictedMaster(enumerate_candidates(graph, demands))
+    return RestrictedMaster(pack_table(graph, demands, candidates))
 
 
 def full_master(seed):
@@ -122,12 +122,6 @@ class TestAddColumn:
         with pytest.raises(ContractError, match=f"no candidate {len(master.table)} in"):
             master.add([0, 1, len(master.table), 2])
         assert len(master.joined) == 0
-
-    def test_table_of_another_graph_rejected(self, line_graph, two_demands):
-        table = pack_table(line_graph, two_demands, {0: [], 1: []})
-        bigger = OverlayGraph.from_edges(4, dict(line_graph.edges), [200.0] * 4)
-        with pytest.raises(ContractError):
-            RestrictedMaster(bigger, table)
 
 
 class TestSolve:
@@ -261,7 +255,7 @@ def shuffled_master(seed):
 def direct_master(seed):
     """Gap-suite instance ``seed``'s full master over direct paths only."""
     graph, demands = gap_suite_instance(seed)
-    master = RestrictedMaster(graph, direct_mode_candidates(graph, demands))
+    master = RestrictedMaster(direct_mode_candidates(graph, demands))
     master.add(range(len(master.table)))
     return master
 
@@ -561,10 +555,11 @@ class TestClosedForm:
         assert dual_objective(sol.duals, master.graph) == sol.objective
 
     def test_all_rejection_pool_exactly(self, highs_calls):
-        # The first master of every solve: each demand on its rejection,
-        # each convexity price the penalty, all to the bit.
+        # A master with no candidate joined, as when no demand has a route,
+        # goes through the general closed form: each demand on its
+        # rejection, each convexity price the penalty, all to the bit.
         master = telco_after_first_pricing()
-        master = RestrictedMaster(master.graph, master.table)
+        master = RestrictedMaster(master.table)
         sol = master.solve()
         n, penalty = len(master.demands), master.dummy_penalty
         assert highs_calls == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from cgroute.errors import FormatError, InputError
-from cgroute.model import LinkMetrics, OverlayGraph
+from cgroute.model import LinkMetrics
 from cgroute.scenario import (
     SyntheticParams,
     TelcoProfile,
@@ -310,8 +310,14 @@ class TestStaticFiles:
             "n_edges": "must be at least 0",
             "n_demands": "must be at least 0",
         }.get(key, "must stay at or above 0")
-        ppath = write(tmp_path, "p.cfg", f"n_demands = 5\n{line}\n")
+        head = "" if key == "n_demands" else "n_demands = 5\n"
+        ppath = write(tmp_path, "p.cfg", f"{head}{line}\n")
         with pytest.raises(InputError, match=f"^{re.escape(str(ppath))}: {key} {rule}$"):
+            load_params(ppath)
+
+    def test_params_repeated_key_names_its_line(self, tmp_path):
+        ppath = write(tmp_path, "p.cfg", "seed = 3\nn_demands = 5\n\nseed = 4\n")
+        with pytest.raises(FormatError, match=f"{at(ppath, 4)}repeated parameter 'seed'$"):
             load_params(ppath)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cgroute.errors import InputError
-from cgroute.harness import mode_candidates, run_timeseries
+from cgroute.harness import direct_mode_candidates, run_timeseries
 from cgroute.model import (
     Demand,
     LinkMetrics,
@@ -41,6 +41,9 @@ from instances import (
     zero_duals,
 )
 from oracles import check_routing_feasible, highs_optimum, make_path, min_reduced_cost, reference_round
+
+#: Each routing mode's candidate function.
+CANDIDATES = {"overlay": enumerate_candidates, "direct": direct_mode_candidates}
 
 
 class TestConfig:
@@ -89,11 +92,11 @@ class TestColumnGeneration:
     def _check_matches_one_shot_full_lp(seed, mode):
         graph, demands = gap_suite_instance(seed)
         augmented = augment_clique(graph, demands)
-        candidate_fn = mode_candidates(mode)
+        candidate_fn = CANDIDATES[mode]
         cg = column_generation(augmented, demands, candidate_fn=candidate_fn)
         assert cg.certified
         table = candidate_fn(augmented, demands)
-        full = RestrictedMaster(augmented, table)
+        full = RestrictedMaster(table)
         full.add(range(len(table)))
         want = highs_optimum(full)[1]
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
@@ -121,7 +124,7 @@ class TestColumnGeneration:
         # the optimum it reaches.
         graph, demands = gap_suite_instance(9)
         cg = column_generation(augment_clique(graph, demands), demands)
-        assert cg.certified and cg.iterations == 2
+        assert cg.certified and cg.iterations == 1
         assert len(highs_calls) == 1
         assert cg.master.pool_size == len(cg.master.table) + len(demands)
 
@@ -137,16 +140,16 @@ class TestColumnGeneration:
 
     def test_full_master_at_the_cap_is_seeded(self, highs_calls, monkeypatch):
         cg, full = self._cg_under_cap(monkeypatch, 0)
-        assert cg.certified and cg.iterations == 2
+        assert cg.certified and cg.iterations == 1
         assert len(highs_calls) == 1
         assert cg.master.pool_size == full
 
     def test_master_over_the_cap_grows_incrementally(self, highs_calls, monkeypatch):
         cg, full = self._cg_under_cap(monkeypatch, 1)
-        assert cg.certified and cg.iterations == 4
-        assert len(highs_calls) == 3  # every master after the all-rejection one
+        assert cg.certified and cg.iterations == 3
+        assert len(highs_calls) == 3  # every master: the cheapest routes overrun a capacity
         assert cg.master.pool_size < full
-        whole = RestrictedMaster(cg.master.graph, cg.master.table)
+        whole = RestrictedMaster(cg.master.table)
         whole.add(range(len(whole.table)))
         want = highs_optimum(whole)[1]
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
@@ -157,30 +160,29 @@ class TestColumnGeneration:
         # by pricing instead (cap 0) reaches the same LP optimum.
         graph, demands = dense_lp_instance()
         whole = column_generation(graph, demands)
-        assert whole.certified and whole.iterations == 2
+        assert whole.certified and whole.iterations == 1
         assert len(highs_calls) == 1
         assert whole.master.pool_size == len(whole.master.table) + len(demands)
         monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
         grown = column_generation(graph, demands)
-        assert grown.certified and grown.iterations > 2
+        assert grown.certified and grown.iterations > 1
         assert whole.solution.objective == pytest.approx(grown.solution.objective, rel=1e-9)
 
     def test_uncongested_telco_epoch_skips_highs(self, highs_calls):
         # Every demand's cheapest route fits: the first pricing pass adds
-        # them, the closed form solves that pool, and the second pass
-        # certifies it.
+        # them, the closed form solves that pool, and so certifies it.
         trace = generate_telco_trace(1, seed=3)
         graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
         routed = solve(graph, demands)
         assert highs_calls == []
         assert routed.certified
-        assert routed.iterations == 2
+        assert routed.iterations == 1
 
     @pytest.mark.parametrize("case", ["closed_form", "whole", "incremental"])
     def test_one_master_solve_per_pricing_pass(self, case, monkeypatch):
         # The benchmark's trace counts both (rmp.lp_solves and
         # solver.cg_iterations) and requires them equal on a certified solve:
-        # the all-rejection solve, then one after each pass that adds columns.
+        # one solve after each pass that adds columns, the first pass included.
         if case == "closed_form":  # every cheapest route fits: no HiGHS
             trace = generate_telco_trace(1, seed=3)
             graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
@@ -203,10 +205,11 @@ class TestColumnGeneration:
         cg = column_generation(augment_clique(graph, demands), demands)
         assert cg.certified
         assert len(solves) == cg.iterations
-        assert cg.iterations == 2 if case != "incremental" else cg.iterations > 2
+        assert cg.iterations == 1 if case != "incremental" else cg.iterations > 1
         assert cg.solution.closed_form == (case == "closed_form")
-        # The first pass reads the table; a closed-form master certifies unpriced.
-        assert len(priced) == cg.iterations - (2 if case == "closed_form" else 1)
+        # The first pass reads the table, and the certifying pass prices
+        # unless the master is closed-form.
+        assert len(priced) == cg.iterations - (1 if case == "closed_form" else 0)
 
     def test_first_pass_is_pricing_at_the_rejection_duals(self):
         # Three demands whose cheapest routes tie: 0 -> 3 direct, through 1
@@ -222,7 +225,7 @@ class TestColumnGeneration:
                    Demand(2, 1, 3, 5.0, 50.0, 0.9), Demand(3, 2, 0, 5.0, 50.0, 0.9)]
         augmented = augment_clique(g, demands)
         table = enumerate_candidates(augmented, demands)
-        master = RestrictedMaster(augmented, table)
+        master = RestrictedMaster(table)
         priced = price_demand(table, master.solve().duals)
         want = [index for index, _ in priced.values()]
         assert want == table.offsets[:3].tolist()  # demand 3 has no route
@@ -239,8 +242,8 @@ class TestColumnGeneration:
         graph, demands = gap_suite_instance(seed)
         augmented = augment_clique(graph, demands)
         for mode in ("overlay", "direct"):
-            table = mode_candidates(mode)(augmented, demands)
-            master = RestrictedMaster(augmented, table)
+            table = CANDIDATES[mode](augmented, demands)
+            master = RestrictedMaster(table)
             want = [index for index, _ in price_demand(table, master.solve().duals).values()]
             assert price_rejections(table, master.dummy_penalty).tolist() == want
 
@@ -284,7 +287,7 @@ class TestConditioning:
         cg = column_generation(graph, demands)
         assert _cost_exponent(cg.master.dummy_penalty) == exponent
         assert cg.certified
-        whole = RestrictedMaster(graph, cg.master.table)
+        whole = RestrictedMaster(cg.master.table)
         whole.add(range(len(whole.table)))
         assert min_reduced_cost(whole, cg.solution.duals) >= -EPS_REDUCED_COST
         return cg
@@ -319,7 +322,7 @@ def make_split_state():
     table = pack_table(
         augmented, [d], {d.id: [make_path(augmented, d), make_path(augmented, d, relay=1)]}
     )
-    master = RestrictedMaster(augmented, table)
+    master = RestrictedMaster(table)
     master.add([0, 1])
     direct, dogleg = master.columns_of(d.id)[1:]
     values = [0.0] * master.pool_size
@@ -430,7 +433,7 @@ class TestRandomizedRound:
         routes = {
             d.id: [make_path(augmented, d), make_path(augmented, d, relay=1)] for d in demands
         }
-        master = RestrictedMaster(augmented, pack_table(augmented, demands, routes))
+        master = RestrictedMaster(pack_table(augmented, demands, routes))
         master.add(range(4))
         values = [0.0] * master.pool_size
         for d in master.demands:
@@ -464,7 +467,7 @@ class TestRandomizedRound:
         g = hand_graph()
         d = Demand(0, 0, 3, 5.0, 1.0, 0.5)
         augmented = augment_clique(g, [d])
-        master = RestrictedMaster(augmented, pack_table(augmented, [d], {d.id: []}))
+        master = RestrictedMaster(pack_table(augmented, [d], {d.id: []}))
         sol = master.solve()
         routed = randomized_round(
             sol, master, augmented, [d], np.random.default_rng(0)
