@@ -76,14 +76,26 @@ def _solve_modes(graph, demands, mode: str, config: SolverConfig, **kwargs) -> l
     ]
 
 
+def _given(name: str) -> bool:
+    """Whether the command line gives the option named ``name``."""
+    return click.get_current_context().get_parameter_source(name) is not ParameterSource.DEFAULT
+
+
+def _refuse(why: str, *names: str):
+    """Refuse the first option of ``names`` that the command line gives, with
+    ``why`` (such as "applies with --oracle only") after its flag.
+    """
+    for param in click.get_current_context().command.params:
+        if param.name in names and _given(param.name):
+            raise InputError(f"{param.opts[0]} {why}")
+
+
 def _params(params_path, seed: int) -> SyntheticParams:
     """The params file's settings, else the defaults, with ``--seed`` in
     place of their seed when it is given on the command line.
     """
     params = load_params(params_path) if params_path else SyntheticParams()
-    if click.get_current_context().get_parameter_source("seed") is ParameterSource.DEFAULT:
-        return params
-    return replace(params, seed=seed)
+    return replace(params, seed=seed) if _given("seed") else params
 
 
 def _write(reports, fmt, out, include_timing):
@@ -106,6 +118,10 @@ def cli():
 @_mode_option
 @_seed_option
 @click.option("--oracle", is_flag=True, help="Also run the exact benchmark and report the gap.")
+@click.option("--time-limit", type=float, default=ExactLimits.time_limit_s, show_default=True,
+              help="Seconds of the oracle's MIP call.")
+@click.option("--max-nodes", type=int, default=ExactLimits.max_nodes, show_default=True,
+              help="Branch-and-bound nodes of the oracle's MIP.")
 @_out_option
 @_format_option
 @click.option(
@@ -117,12 +133,16 @@ def cli():
     "(the overlay master under --mode both).",
 )
 @_timing_option
-def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, out, fmt, dump_lp_path, timing):
-    """Solve one static scenario."""
+def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, time_limit, max_nodes, out, fmt,
+              dump_lp_path, timing):
+    """Solve one static scenario; with --oracle, also its gap to the exact optimum."""
+    if not oracle:
+        _refuse("applies with --oracle only", "time_limit", "max_nodes")
     graph = load_graph(graph_path, limits_path)
     demands = load_demands(demands_path, graph.n_nodes)
     reports = _solve_modes(
-        graph, demands, mode, SolverConfig(seed=seed), oracle=oracle, with_throughput=True
+        graph, demands, mode, SolverConfig(seed=seed), oracle=oracle,
+        oracle_limits=ExactLimits(max_nodes=max_nodes, time_limit_s=time_limit), with_throughput=True,
     )
     if dump_lp_path is not None:
         if not demands:
@@ -214,8 +234,7 @@ def generate_cmd(profile, params_path, epochs, seed, out_dir):
     """
     # Everything is drawn before the directory is made, so bad input leaves none behind.
     if profile == "telco":
-        if params_path is not None:
-            raise InputError("--params applies to the synthetic profile only")
+        _refuse("applies to the synthetic profile only", "params_path")
         tp = TelcoProfile()
         trace = generate_telco_trace(epochs, seed, tp)
         files = {
@@ -225,6 +244,7 @@ def generate_cmd(profile, params_path, epochs, seed, out_dir):
             "graph.csv": (save_graph, trace.graph_for(trace.epochs[0])),
         }
     else:
+        _refuse("applies to the telco profile only", "epochs")
         params = _params(params_path, seed)
         graph = generate_topology(params)
         files = {
@@ -240,33 +260,6 @@ def generate_cmd(profile, params_path, epochs, seed, out_dir):
     except OSError as exc:
         raise InputError(f"cannot write {out_dir}: {exc}") from None
     click.echo(f"wrote scenario to {out_dir}", err=True)
-
-
-@cli.command("exact-gap")
-@click.option("--graph", "graph_path", required=True, type=click.Path(exists=True, path_type=FsPath))
-@click.option("--node-limits", "limits_path", required=True, type=click.Path(exists=True, path_type=FsPath))
-@click.option("--demands", "demands_path", required=True, type=click.Path(exists=True, path_type=FsPath))
-@_mode_option
-@_seed_option
-@click.option("--time-limit", type=float, default=300.0, show_default=True)
-@click.option("--max-nodes", type=int, default=1_000_000, show_default=True)
-@_out_option
-@_format_option
-@_timing_option
-def exact_gap_cmd(graph_path, limits_path, demands_path, mode, seed, time_limit, max_nodes, out, fmt, timing):
-    """Heuristic-vs-exact gap on one scenario (desk-scale instances)."""
-    graph = load_graph(graph_path, limits_path)
-    demands = load_demands(demands_path, graph.n_nodes)
-    limits = ExactLimits(max_nodes=max_nodes, time_limit_s=time_limit)
-    reports = _solve_modes(
-        graph, demands, mode, SolverConfig(seed=seed), oracle=True, oracle_limits=limits
-    )
-    for r in reports:
-        click.echo(
-            f"mode={r.mode} objective={r.objective!r} gap_pct={r.gap_pct!r}",
-            err=True,
-        )
-    _write(reports, fmt, out, timing)
 
 
 def main(argv: list[str] | None = None) -> int:

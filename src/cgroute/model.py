@@ -228,7 +228,18 @@ def dummy_penalty(graph: OverlayGraph, demands: Sequence[Demand]) -> float:
     The second factor strictly exceeds the total delay of any routing of
     all demands, so accepting one more demand always beats any delay
     saving.
+
+    Rejecting every demand costs the most of any routing, so when that
+    cost is too large for a float, :class:`InputError` is raised: the
+    penalty is at least 20 times the largest link delay, so it overflows
+    before any route's delay does.
     """
     max_delay = float(graph.arrays.delay.max(initial=0.0))
-    return DUMMY_PENALTY_FACTOR * (2.0 * len(demands) * max_delay + 1.0)
+    penalty = DUMMY_PENALTY_FACTOR * (2.0 * len(demands) * max_delay + 1.0)
+    if not math.isfinite(penalty * len(demands)):
+        raise InputError(
+            f"rejecting all {len(demands)} demands costs more than a float holds: "
+            f"the largest link delay, {max_delay!r} ms, is too large"
+        )
+    return penalty
 

@@ -11,7 +11,9 @@ precision so save/load is bit-exact):
 * trace file, with header, epochs grouped by timestamp:
   ``epoch_ts,src,dst,delay_ms,jitter_ms,capacity_mbps,success_prob``
 * synthetic-parameters file: ``key = value`` lines mirroring
-  :class:`SyntheticParams` field names, ranges as ``lo,hi``.
+  :class:`SyntheticParams` field names, each value read as its field's
+  declared type: an ``int`` or ``float`` as Python reads one, a range as
+  exactly ``lo,hi``, and an optional value as a float or ``none``.
 
 A bad row raises :class:`~cgroute.errors.FormatError` reading
 ``<path>: line <N>: <reason>``.
@@ -24,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path as FsPath
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import numpy.random  # NumPy loads it lazily: load it with the package, not in the first draw
@@ -46,8 +48,9 @@ class Trace:
     """An ordered sequence of epochs over a fixed edge set and node limits.
 
     Every epoch must list the first epoch's edges in the same order, so a
-    replay can find the demands' routes once for all of them; another
-    edge set raises :class:`~cgroute.errors.InputError` naming the epoch.
+    replay can find the demands' routes once for all of them, and have a
+    finite timestamp; either fault raises
+    :class:`~cgroute.errors.InputError` naming the epoch.
     """
 
     n_nodes: int
@@ -55,13 +58,14 @@ class Trace:
     node_limits: tuple[float, ...]
 
     def __post_init__(self):
-        if self.epochs:
-            edges = tuple(self.epochs[0].edges)
-            for epoch in self.epochs[1:]:
-                if tuple(epoch.edges) != edges:
-                    raise InputError(
-                        f"epoch {epoch.timestamp!r} has other edges than the first epoch"
-                    )
+        edges = tuple(self.epochs[0].edges) if self.epochs else ()
+        for k, epoch in enumerate(self.epochs):
+            if not math.isfinite(epoch.timestamp):
+                raise InputError(f"epoch timestamp {epoch.timestamp!r} is not finite")
+            if k and tuple(epoch.edges) != edges:
+                raise InputError(
+                    f"epoch {epoch.timestamp!r} has other edges than the first epoch"
+                )
 
     def graph_for(self, epoch: TraceEpoch) -> OverlayGraph:
         return OverlayGraph.from_edges(self.n_nodes, epoch.edges, self.node_limits)
@@ -337,6 +341,8 @@ def load_trace(trace_path: FsPath, limits_path: FsPath) -> Trace:
             parts = _parse_fields(line, 7, lineno)
             ts = _parse_float(parts[0], "epoch timestamp", lineno)
             if current_ts is None or ts != current_ts:
+                if not math.isfinite(ts):
+                    raise FormatError(f"epoch timestamp {parts[0]!r} is not finite", lineno)
                 if current_ts is not None and ts < current_ts:
                     raise FormatError("epoch timestamps must be nondecreasing", lineno)
                 flush(lineno)
@@ -376,8 +382,34 @@ def save_params(params: SyntheticParams, path: FsPath):
     FsPath(path).write_text("".join(lines))
 
 
+def _parse_typed(kind, text: str, key: str, lineno: int):
+    """``text`` as a value of the declared type ``kind``: ``int`` or
+    ``float``, an ``Optional`` of one written as it or ``none``, or a
+    tuple of them written ``a,b``. Any other text is a bad ``key`` value.
+    """
+    args = get_args(kind)
+    if type(None) in args:
+        if text.lower() == "none":
+            return None
+        (kind,) = set(args) - {type(None)}
+        args = get_args(kind)
+    if get_origin(kind) is tuple:
+        parts = text.split(",")
+        if len(parts) == len(args):
+            return tuple(_parse_typed(a, p.strip(), key, lineno) for a, p in zip(args, parts))
+    elif kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise FormatError(f"bad {key} value {text!r}", lineno)
+
+
 def load_params(path: FsPath) -> SyntheticParams:
-    known = {f.name: f for f in fields(SyntheticParams)}
+    """The params file at ``path``; each value parses as its field's type in
+    :class:`SyntheticParams`, and a field the file leaves out keeps its default.
+    """
+    kinds = get_type_hints(SyntheticParams)
     kwargs = {}
     with _naming(path):
         for lineno, line in _data_lines(path):
@@ -385,25 +417,14 @@ def load_params(path: FsPath) -> SyntheticParams:
                 raise FormatError("expected 'key = value'", lineno)
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in known:
+            if key not in kinds:
                 raise FormatError(f"unknown parameter {key!r}", lineno)
             if key in kwargs:
                 raise FormatError(f"repeated parameter {key!r}", lineno)
-            if value.lower() == "none":
-                kwargs[key] = None
-            elif "," in value:
-                lo, _, hi = value.partition(",")
-                kwargs[key] = (
-                    _parse_float(lo.strip(), key, lineno),
-                    _parse_float(hi.strip(), key, lineno),
-                )
-            elif key in ("n_nodes", "n_edges", "n_demands", "seed"):
-                kwargs[key] = _parse_int(value, key, lineno)
-            else:
-                kwargs[key] = _parse_float(value, key, lineno)
+            kwargs[key] = _parse_typed(kinds[key], value, key, lineno)
         try:
             return SyntheticParams(**kwargs)
-        except (TypeError, InputError) as exc:
+        except InputError as exc:
             raise FormatError(str(exc)) from None
 
 
@@ -483,17 +504,39 @@ def generate_demands(params: SyntheticParams, graph: OverlayGraph) -> list[Deman
     success probability (one minus the sampled maximum loss). A fixed rate
     overrides the exponential draw when configured.
     """
-    if graph.n_nodes < 2:
+    return _draw_demands(
+        graph.n_nodes, params.n_demands, params.seed, params.rate_fixed_mbps,
+        params.rate_mean_mbps, params.jitter_bound_range_ms, params.loss_bound_range,
+    )
+
+
+def _draw_demands(
+    n: int,
+    count: int,
+    seed: int,
+    fixed: Optional[float],
+    mean: float,
+    jitter_range: tuple[float, float],
+    loss_range: tuple[float, float],
+) -> list[Demand]:
+    """``count`` demands among ``n`` nodes from the stream ``[seed, 1]``:
+    per demand a source, a destination, the rate (``fixed`` if set), the
+    jitter bound, then the loss bound.
+    """
+    if n < 2:
         raise InputError("demand generation needs at least two nodes")
+    if count < 0:
+        raise InputError("the demand count must be at least 0")
+    if seed < 0:
+        raise InputError("seed must be nonnegative")
     # Bounded integers and exponentials are interleaved with the uniforms,
     # so the draws stay scalar; each uniform is :func:`_uniform` inlined.
-    rng = np.random.default_rng([params.seed, 1])
+    rng = np.random.default_rng([seed, 1])
     integers, exponential, random = rng.integers, rng.exponential, rng.random
-    n, fixed, mean = graph.n_nodes, params.rate_fixed_mbps, params.rate_mean_mbps
-    (jitter_lo, jitter_hi), (loss_lo, loss_hi) = params.jitter_bound_range_ms, params.loss_bound_range
+    (jitter_lo, jitter_hi), (loss_lo, loss_hi) = jitter_range, loss_range
     jitter_span, loss_span = jitter_hi - jitter_lo, loss_hi - loss_lo
     out: list[Demand] = []
-    for did in range(params.n_demands):
+    for did in range(count):
         s = int(integers(n))
         t = int(integers(n - 1))
         if t >= s:
@@ -596,18 +639,13 @@ def generate_telco_trace(
 
 
 def telco_demands(seed: int, profile: TelcoProfile = TelcoProfile()) -> list[Demand]:
-    """Fixed-rate demand set matching the telco evaluation profile."""
-    params = SyntheticParams(
-        n_nodes=profile.n_nodes,
-        n_edges=profile.n_links if profile.n_links % 2 == 0 else profile.n_links + 1,
-        n_demands=profile.n_demands,
-        rate_fixed_mbps=profile.rate_mbps,
-        jitter_bound_range_ms=(profile.max_jitter_ms, profile.max_jitter_ms),
-        loss_bound_range=(
-            1.0 - profile.min_success_prob,
-            1.0 - profile.min_success_prob,
-        ),
-        seed=seed,
+    """Fixed-rate demand set matching the telco evaluation profile.
+
+    The draws are :func:`generate_demands`' with every demand at the
+    profile's rate, jitter bound and success bound.
+    """
+    loss = 1.0 - profile.min_success_prob
+    return _draw_demands(
+        profile.n_nodes, profile.n_demands, seed, profile.rate_mbps, profile.rate_mbps,
+        (profile.max_jitter_ms, profile.max_jitter_ms), (loss, loss),
     )
-    shim = OverlayGraph.from_edges(profile.n_nodes, {}, (0.0,) * profile.n_nodes)
-    return generate_demands(params, shim)

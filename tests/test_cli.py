@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from cgroute.cli import main
+from cgroute.exact import ExactLimits
 
 
 def run(argv):
@@ -62,7 +63,8 @@ class TestGenerate:
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = blocker / "x"
-        assert run(["generate", "--profile", profile, "--epochs", "1", "--out-dir", out]) == 2
+        epochs = ["--epochs", "1"] if profile == "telco" else []
+        assert run(["generate", "--profile", profile, *epochs, "--out-dir", out]) == 2
         assert f"input error: cannot write {out}: " in capsys.readouterr().err
 
     def test_bad_input_makes_no_out_dir(self, tmp_path, capsys):
@@ -95,6 +97,13 @@ class TestGenerate:
                     "--out-dir", out])
         assert code == 2
         assert "--params applies to the synthetic profile only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synthetic_refuses_epochs(self, tmp_path, capsys):
+        # --epochs sets the trace length, and a synthetic scenario has no trace.
+        out = tmp_path / "syn"
+        assert run(["generate", "--epochs", "5", "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "input error: --epochs applies to the telco profile only\n"
         assert not out.exists()
 
 
@@ -228,8 +237,21 @@ class TestSolve:
         assert run(["solve", *files]) == 2
         want = f"input error: {tmp_path / 'demands.csv'}: line 2: demand 1: endpoint outside the graph's nodes 0..1\n"
         assert capsys.readouterr().err == want
-        assert run(["exact-gap", *files]) == 2
-        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_penalty_exits_2(self, tmp_path, capsys, fmt):
+        # Two 60 Mbps demands on one 100 Mbps link: rejecting both would
+        # cost more than a float holds.
+        files = _two_node_scenario(
+            tmp_path, "0,1,1e307,1.0,100.0,0.99\n", "0,0,1,60.0,5000.0,0.5\n1,0,1,60.0,5000.0,0.5\n"
+        )
+        assert run(["solve", *files, "--mode", "both", "--oracle", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "input error: rejecting all 2 demands costs more than a float holds: "
+            "the largest link delay, 1e+307 ms, is too large\n"
+        )
+        assert captured.out == ""
 
     def test_bad_node_limit_names_its_file(self, tmp_path, capsys):
         files = _two_node_scenario(tmp_path, _EDGE_01, _DEMAND_01)
@@ -317,6 +339,52 @@ class TestReplay:
         assert f"{tmp_path / 'demands.csv'}: line 2: demand 1: endpoint outside" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("ts", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_timestamp_exits_2(self, tmp_path, capsys, ts, fmt):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(
+            "epoch_ts,src,dst,delay_ms,jitter_ms,capacity_mbps,success_prob\n"
+            "0.0,0,1,10.0,1.0,100.0,0.99\n"
+            f"{ts},0,1,12.0,1.0,100.0,0.99\n"
+        )
+        (tmp_path / "limits.csv").write_text("0,100.0\n1,100.0\n")
+        (tmp_path / "demands.csv").write_text(_DEMAND_01)
+        code = run([
+            "replay",
+            "--trace", trace,
+            "--node-limits", tmp_path / "limits.csv",
+            "--demands", tmp_path / "demands.csv",
+            "--format", fmt,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"input error: {trace}: line 3: epoch timestamp '{ts}' is not finite\n"
+        assert captured.out == ""
+
+
+class TestParamsFile:
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "capacity_range_mbps = 5",
+            "n_nodes = 1,2",
+            "rate_fixed_mbps = 5,6",
+            "node_capacity_mbps = none",
+            "n_demands = none",
+            "seed = none",
+        ],
+    )
+    def test_wrong_shaped_value_names_its_line(self, tmp_path, capsys, line):
+        params = tmp_path / "params.cfg"
+        params.write_text(f"rate_mean_mbps = 50.0\n{line}\n")
+        assert run(["generate", "--params", params, "--out-dir", tmp_path / "out"]) == 2
+        key, _, value = line.partition(" = ")
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {params}: line 2: bad {key} value {value!r}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestSeed:
     @pytest.fixture
@@ -325,13 +393,12 @@ class TestSeed:
         assert run(["generate", "--profile", "telco", "--epochs", "1", "--out-dir", out]) == 0
         return out
 
-    @pytest.mark.parametrize("command", ["solve", "replay", "sweep", "generate", "exact-gap"])
+    @pytest.mark.parametrize("command", ["solve", "replay", "sweep", "generate"])
     def test_negative_seed_exits_2(self, telco_dir, tmp_path, capsys, command):
         inputs = ["--node-limits", telco_dir / "node_limits.csv",
                   "--demands", telco_dir / "demands.csv"]
         args = {
             "solve": ["--graph", telco_dir / "graph.csv", *inputs],
-            "exact-gap": ["--graph", telco_dir / "graph.csv", *inputs],
             "replay": ["--trace", telco_dir / "trace.csv", *inputs],
             "sweep": [],
             "generate": ["--out-dir", tmp_path / "out"],
@@ -380,11 +447,12 @@ class TestExactGap:
     def test_exact_gap_runs(self, scenario_dir, tmp_path):
         out = tmp_path / "gap.csv"
         code = run([
-            "exact-gap",
+            "solve",
             "--graph", scenario_dir / "graph.csv",
             "--node-limits", scenario_dir / "node_limits.csv",
             "--demands", scenario_dir / "demands.csv",
             "--seed", "4",
+            "--oracle",
             "--out", out,
         ])
         assert code == 0
@@ -395,11 +463,56 @@ class TestExactGap:
     @pytest.mark.parametrize("limit", ["nan", "inf", "0"])
     def test_bad_time_limit_exits_2(self, scenario_dir, capsys, limit):
         code = run([
-            "exact-gap",
+            "solve",
             "--graph", scenario_dir / "graph.csv",
             "--node-limits", scenario_dir / "node_limits.csv",
             "--demands", scenario_dir / "demands.csv",
+            "--oracle",
             "--time-limit", limit,
         ])
         assert code == 2
         assert "search limits must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--time-limit", "60"), ("--max-nodes", "100")])
+    def test_limits_without_oracle_exit_2(self, scenario_dir, tmp_path, capsys, flag, value):
+        # A search budget with no search to spend it on is refused, not ignored.
+        out = tmp_path / "r.csv"
+        code = run([
+            "solve",
+            "--graph", scenario_dir / "graph.csv",
+            "--node-limits", scenario_dir / "node_limits.csv",
+            "--demands", scenario_dir / "demands.csv",
+            flag, value,
+            "--out", out,
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"input error: {flag} applies with --oracle only\n"
+        assert not out.exists()
+
+    def test_limits_reach_the_exact_benchmark(self, scenario_dir, monkeypatch):
+        import cgroute.harness as harness
+
+        seen = []
+        original = harness.solve_exact
+
+        def recording(graph, demands, limits, *args, **kwargs):
+            seen.append(limits)
+            return original(graph, demands, limits, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_exact", recording)
+        code = run([
+            "solve",
+            "--graph", scenario_dir / "graph.csv",
+            "--node-limits", scenario_dir / "node_limits.csv",
+            "--demands", scenario_dir / "demands.csv",
+            "--mode", "both",
+            "--oracle", "--time-limit", "60", "--max-nodes", "100000",
+            "--no-timing",
+        ])
+        assert code == 0
+        assert seen == [ExactLimits(max_nodes=100_000, time_limit_s=60.0)] * 2
+
+    def test_no_exact_gap_command(self, scenario_dir, capsys):
+        # The heuristic-vs-exact gap is `solve --oracle`'s report.
+        assert run(["exact-gap", "--graph", scenario_dir / "graph.csv"]) == 2
+        assert "No such command 'exact-gap'" in capsys.readouterr().err

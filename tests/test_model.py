@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,22 @@ class TestAugmentClique:
         assert dummy_penalty(line_graph, two_demands) == 410.0
         assert dummy_penalty(line_graph, two_demands[:1]) == 210.0
         assert dummy_penalty(line_graph, two_demands * 2) == 810.0
+
+    @pytest.mark.parametrize("delay, n", [(1e308, 1), (1e307, 2), (4e306, 2)])
+    def test_dummy_penalty_overflow_is_bad_input(self, delay, n):
+        # Rejecting all n demands, the costliest routing, must fit in a
+        # float; at 4e306 ms the penalty does but twice it does not.
+        graph = OverlayGraph.from_edges(
+            2, {(0, 1): LinkMetrics(delay, 1.0, 100.0, 0.99)}, [1000.0, 1000.0]
+        )
+        demands = [Demand(k, 0, 1, 60.0, 5000.0, 0.5) for k in range(n)]
+        want = (
+            f"rejecting all {n} demands costs more than a float holds: "
+            f"the largest link delay, {delay!r} ms, is too large"
+        )
+        with pytest.raises(InputError, match=f"^{re.escape(want)}$"):
+            dummy_penalty(graph, demands)
+        assert math.isfinite(dummy_penalty(graph, demands[:0]))
 
 
 class TestQosFeasible:

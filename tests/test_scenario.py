@@ -113,6 +113,32 @@ class TestLoadTrace:
         assert len(Trace(3, (full, full), (100.0,) * 3).epochs) == 2
         assert Trace(3, (), (100.0,) * 3).epochs == ()
 
+    @pytest.mark.parametrize("ts", ["inf", "-inf", "1e400", "nan"])
+    def test_non_finite_timestamp_names_its_line(self, tmp_path, ts):
+        # The second epoch's timestamp is on line 3; NaN used to read as a
+        # new epoch with "a different edge set".
+        trace_file = write(
+            tmp_path,
+            "t.csv",
+            f"{TRACE_HEADER}\n0.0,0,1,10.0,1.0,100.0,0.99\n{ts},0,1,12.0,1.0,100.0,0.99\n",
+        )
+        limits_file = write(tmp_path, "l.csv", LIMITS3)
+        with pytest.raises(FormatError, match=f"{at(trace_file, 3)}epoch timestamp '{ts}' is not finite$"):
+            load_trace(trace_file, limits_file)
+
+    def test_non_finite_first_timestamp_names_its_line(self, tmp_path):
+        trace_file = write(tmp_path, "t.csv", f"{TRACE_HEADER}\ninf,0,1,10.0,1.0,100.0,0.99\n")
+        limits_file = write(tmp_path, "l.csv", LIMITS3)
+        with pytest.raises(FormatError, match=f"{at(trace_file, 2)}epoch timestamp 'inf' is not finite$"):
+            load_trace(trace_file, limits_file)
+
+    @pytest.mark.parametrize("ts", [math.inf, -math.inf, math.nan])
+    def test_api_trace_with_non_finite_timestamp_rejected(self, ts):
+        m = LinkMetrics(10.0, 1.0, 100.0, 0.99)
+        epochs = (TraceEpoch(0.0, {(0, 1): m}), TraceEpoch(ts, {(0, 1): m}))
+        with pytest.raises(InputError, match=f"^epoch timestamp {ts!r} is not finite$"):
+            Trace(2, epochs, (100.0,) * 2)
+
     def test_missing_header_rejected(self, tmp_path):
         trace_file = write(tmp_path, "t.csv", "0.0,0,1,10.0,1.0,100.0,0.99\n")
         limits_file = write(tmp_path, "l.csv", LIMITS3)
@@ -315,6 +341,40 @@ class TestStaticFiles:
         with pytest.raises(InputError, match=f"^{re.escape(str(ppath))}: {key} {rule}$"):
             load_params(ppath)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "capacity_range_mbps = 5",
+            "capacity_range_mbps = 1,2,3",
+            "n_nodes = 1,2",
+            "rate_fixed_mbps = 5,6",
+            "node_capacity_mbps = none",
+            "n_demands = none",
+            "seed = none",
+            "seed = 1.5",
+        ],
+    )
+    def test_params_value_of_the_wrong_type_names_its_line(self, tmp_path, line):
+        # Each value parses as its field's declared type; these used to
+        # reach the dataclass and fail there with a Python type error.
+        key, _, value = line.partition(" = ")
+        ppath = write(tmp_path, "p.cfg", f"rate_mean_mbps = 50.0\n{line}\n")
+        with pytest.raises(FormatError, match=f"{at(ppath, 2)}bad {key} value '{value}'$"):
+            load_params(ppath)
+
+    def test_params_values_follow_the_field_types(self, tmp_path):
+        ppath = write(
+            tmp_path,
+            "p.cfg",
+            "n_nodes = 12\nrate_fixed_mbps = NONE\nloss_range = 0.1, 0.2\nrate_mean_mbps = 7\n",
+        )
+        params = load_params(ppath)
+        assert params == SyntheticParams(
+            n_nodes=12, rate_fixed_mbps=None, loss_range=(0.1, 0.2), rate_mean_mbps=7.0
+        )
+        assert type(params.rate_mean_mbps) is float and type(params.n_nodes) is int
+        assert load_params(write(tmp_path, "q.cfg", "rate_fixed_mbps = 5\n")).rate_fixed_mbps == 5.0
+
     def test_params_repeated_key_names_its_line(self, tmp_path):
         ppath = write(tmp_path, "p.cfg", "seed = 3\nn_demands = 5\n\nseed = 4\n")
         with pytest.raises(FormatError, match=f"{at(ppath, 4)}repeated parameter 'seed'$"):
@@ -390,6 +450,25 @@ class TestGenerateDemands:
             assert d.max_jitter_ms == 2000.0
             assert d.min_success_prob == pytest.approx(0.99)
             assert d.source != d.destination
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_telco_demands_are_the_synthetic_draws(self, seed):
+        # The telco set is the synthetic generator's stream with the
+        # profile's rate and a one-point range for each QoS bound.
+        profile = TelcoProfile()
+        loss = 1.0 - profile.min_success_prob
+        params = SyntheticParams(
+            n_nodes=profile.n_nodes,
+            n_edges=2 * (profile.n_nodes - 1),
+            n_demands=profile.n_demands,
+            rate_fixed_mbps=profile.rate_mbps,
+            jitter_bound_range_ms=(profile.max_jitter_ms,) * 2,
+            loss_bound_range=(loss, loss),
+            seed=seed,
+        )
+        graph = generate_topology(params)
+        want = [astuple(d) for d in generate_demands(params, graph)]
+        assert [astuple(d) for d in telco_demands(seed, profile)] == want
 
     def test_single_demand(self):
         params = SyntheticParams(n_nodes=5, n_edges=16, n_demands=1, seed=3)
