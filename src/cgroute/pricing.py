@@ -231,16 +231,14 @@ class CandidateTable:
     def priced_lengths(self, duals: DualPoint) -> np.ndarray:
         """Every candidate's delay plus the capacity rent it would pay.
 
-        Summed in a fixed order (edges, then nodes in path order), so each
-        entry is bit-identical to a per-candidate scalar loop.
+        ``duals.capacity`` is in the table's row space; the pad row is
+        priced 0.0. Summed in a fixed order (edges, then nodes in path
+        order), so each entry is bit-identical to a per-candidate scalar loop.
         """
-        if (
-            len(duals.edge_duals) != self.n_edges
-            or len(duals.node_duals) != self.n_nodes
-            or len(duals.convexity_duals) != len(self.demands)
-        ):
+        shape = (len(duals.capacity), len(duals.convexity))
+        if shape != (self.n_edges + self.n_nodes, len(self.demands)):
             raise ContractError("dual point does not match the candidate table")
-        v = np.concatenate((duals.edge_duals, duals.node_duals, [0.0]))[self.rows]
+        v = np.append(duals.capacity, 0.0)[self.rows]
         rent = (v[:, 0] + v[:, 1]) + ((v[:, 2] + v[:, 3]) + v[:, 4])
         return self.delay + self.rate * rent
 
@@ -272,7 +270,7 @@ def price_demand(table: CandidateTable, duals: DualPoint) -> dict[int, tuple[int
     priced = table.priced_lengths(duals)
     rows, first = _cheapest(table, priced)
     best = priced[first]
-    sigma = duals.convexity_duals[rows]
+    sigma = duals.convexity[rows]
     enter = np.flatnonzero(best < sigma - EPS_REDUCED_COST)
     reduced = best[enter] - sigma[enter]
     return {

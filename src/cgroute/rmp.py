@@ -10,17 +10,18 @@ candidates that have joined, held as indices; a column's path object is
 made only for a caller that reads it. The LP minimizes the total delay of
 the selected path mix subject to edge capacities, node processing limits
 and one convexity row per demand, with the integrality of the path choice
-relaxed. Solving returns both the primal mix and the dual prices that
-drive pricing. HiGHS runs only when capacity binds: a pool with at most
-one candidate per demand whose loads fit every capacity has a closed-form
-optimum, with zero capacity prices. A caller may ask that a pool which
-does reach HiGHS first take in the whole table, so that one LP solves the
-full master. The exact benchmark solves the same model, built once per
-solve in HiGHS's own form (one CSC matrix with row bounds), as a 0/1
-program. Both go unchanged through one entry point, :func:`_call_highs`,
-into HiGHS's own binding as SciPy bundles it. :func:`_load_highs` loads
-that binding from its own file, so importing this module does not run
-``scipy.optimize``'s package init.
+relaxed. :meth:`RestrictedMaster.solve` is the one HiGHS LP: it returns
+the primal mix, one weight per pool column, and the dual prices that
+drive pricing, one per capacity row and one per convexity row. A pool
+with at most one candidate per demand whose loads fit every capacity
+has a closed-form optimum, with zero capacity prices, which
+:meth:`RestrictedMaster.closed_form` gives without HiGHS. The exact
+benchmark solves the same model, built once per solve in HiGHS's own
+form (one CSC matrix with row bounds), as a 0/1 program. Both go
+unchanged through one entry point, :func:`_call_highs`, into HiGHS's own
+binding as SciPy bundles it. :func:`_load_highs` loads that binding from
+its own file, so importing this module does not run ``scipy.optimize``'s
+package init.
 
 The master is also the one read-out of a routing: rounding and the exact
 benchmark each pick one pool column per demand, and
@@ -148,38 +149,43 @@ class Column:
 
 @dataclass(frozen=True, eq=False)
 class DualPoint:
-    """Dual prices from one master solve, as arrays in constraint-row order.
+    """Dual prices from one master solve, as arrays in the master's row order.
 
-    ``edge_duals`` holds one price per edge in ``graph.edges`` order and
-    ``node_duals`` one per node; both price capacity and must be
-    nonnegative, which construction checks once for every pricing pass
-    that reads the point. ``convexity_duals`` carries one free multiplier
-    per demand, in ascending demand id order.
+    ``capacity`` holds one price per row of
+    :attr:`RestrictedMaster.capacity`: edges in ``graph.edges`` order, then
+    nodes. Each must be nonnegative, which construction checks once for
+    every pricing pass that reads the point. ``convexity`` carries one free
+    multiplier per demand, in ascending demand id order.
     """
 
-    edge_duals: np.ndarray
-    node_duals: np.ndarray
-    convexity_duals: np.ndarray
+    capacity: np.ndarray
+    convexity: np.ndarray
 
     def __post_init__(self):
-        for name in ("edge_duals", "node_duals", "convexity_duals"):
+        for name in ("capacity", "convexity"):
             values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
-        if (self.edge_duals < 0.0).any() or (self.node_duals < 0.0).any():
+        if (self.capacity < 0.0).any():
             raise ContractError("capacity duals must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RmpSolution:
-    """Primal/dual optimum of the master over its current column pool;
-    ``closed_form`` when :meth:`RestrictedMaster.solve` found it without HiGHS.
+    """Primal/dual optimum of the master over its current column pool.
+
+    ``values`` (a read-only float array) holds one weight per pool column,
+    in pool order; ``duals`` the master's row prices.
     """
 
-    values: tuple[float, ...]
+    values: np.ndarray
     objective: float
     duals: DualPoint
-    closed_form: bool = False
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
 
 @dataclass
@@ -295,13 +301,15 @@ class RestrictedMaster:
 
     Column ``j < len(demands)`` is the rejection (dummy) column of
     ``demands[j]``, so the LP is feasible and bounded from the first solve
-    onward; the rest are table candidates in the order they joined (a
-    whole-table seed appends the candidates not yet in, ascending). The
+    onward; the rest are table candidates in the order they joined. The
     LP relaxation and the integer problem are one model, sliced from the
-    table's arrays (:meth:`_assemble`). ``capacity`` (read-only) bounds
-    every row of the table's row map except the pad. A column's
-    :class:`~cgroute.model.Path` is made only when it is read, through
-    :meth:`column`, :attr:`columns` or the :class:`Routing` of
+    table's arrays (:meth:`_assemble`): :meth:`solve` hands the LP to
+    HiGHS, :meth:`closed_form` answers it without HiGHS where capacity
+    cannot bind, and :meth:`solve_integer` solves the 0/1 program. Rows
+    are ``capacity`` rows, then one convexity row per demand; ``capacity``
+    (read-only) bounds every row of the table's row map except the pad.
+    A column's :class:`~cgroute.model.Path` is made only when it is read,
+    through :meth:`column`, :attr:`columns` or the :class:`Routing` of
     :meth:`routing`. The master is made from its table alone: ``graph``
     is ``table.graph``, whose edge arrays and node limits give the
     capacities and the rejection penalty.
@@ -469,23 +477,8 @@ class RestrictedMaster:
             res.row_dual = np.ldexp(res.row_dual, -scale)
         return res
 
-    def solve(self, join_all: bool = False) -> RmpSolution:
-        """Solve the LP over the current pool and return primal and duals.
-
-        HiGHS runs only when capacity binds. When the pool holds at most one
-        candidate per demand and those candidates' loads fit every edge and
-        node capacity (``<=`` with no tolerance), the optimum is known in
-        closed form: each demand on its candidate, or on its rejection
-        column if it has none, with capacity prices zero and each convexity
-        price the chosen column's cost. Every pool column then has a
-        nonnegative reduced cost, and rejection columns a positive one,
-        since the penalty exceeds any path delay. A pool of rejection
-        columns alone is one such case. Such a solution is flagged
-        ``closed_form``.
-
-        With ``join_all``, a pool the closed form does not solve first takes
-        in every table candidate, so HiGHS solves the full master and no
-        candidate is left to price in.
+    def solve(self) -> RmpSolution:
+        """Solve the LP over the current pool with HiGHS; return primal and duals.
 
         HiGHS runs on the :meth:`_assemble` model through the module's
         ``linprog``, which is :func:`_call_highs`; a status other than
@@ -493,29 +486,35 @@ class RestrictedMaster:
         check, raises :class:`~cgroute.errors.SolverError`. HiGHS gets the
         costs times ``2**s`` (:func:`_cost_exponent`); the objective and
         the duals returned are scaled back, so they are in delay units.
+        Capacity prices are HiGHS's capacity-row duals negated, with any
+        negative noise clipped to zero.
         """
-        closed = self._uncongested()
-        if closed is not None:
-            return closed
-        if join_all:
-            self.add(range(len(self.table)))
         res = self._solve_scaled(integer=False, options=_LP_OPTIONS)
         if res.status != "optimal":
             raise SolverError(
                 f"LP backend returned '{res.status}' on a master that is feasible "
                 f"and bounded by construction: {res.message}"
             )
-        n_rows, n_edges = len(self.capacity), self.table.n_edges
+        n_rows = len(self.capacity)
         price = -res.row_dual[:n_rows]
-        price = np.where(price > 0.0, price, 0.0)
         return RmpSolution(
-            values=tuple(res.x.tolist()),
+            values=res.x,
             objective=res.objective,
-            duals=DualPoint(price[:n_edges], price[n_edges:], res.row_dual[n_rows:]),
+            duals=DualPoint(np.where(price > 0.0, price, 0.0), res.row_dual[n_rows:]),
         )
 
-    def _uncongested(self) -> Optional[RmpSolution]:
-        """The closed-form optimum of :meth:`solve`, or ``None`` if it does not apply."""
+    def closed_form(self) -> Optional[RmpSolution]:
+        """The LP's optimum without HiGHS, or ``None`` when capacity may bind.
+
+        When the pool holds at most one candidate per demand and those
+        candidates' loads fit every edge and node capacity (``<=`` with no
+        tolerance), the optimum is known in closed form: each demand on its
+        candidate, or on its rejection column if it has none, with capacity
+        prices zero and each convexity price the chosen column's cost.
+        Every pool column then has a nonnegative reduced cost, and rejection
+        columns a positive one, since the penalty exceeds any path delay. A
+        pool of rejection columns alone is one such case.
+        """
         t, n_dummy = self.table, len(self.demands)
         m = self.joined
         owner = self.owner[n_dummy:]
@@ -532,12 +531,10 @@ class RestrictedMaster:
             return None
         sigma = np.full(n_dummy, self.dummy_penalty)
         sigma[owner] = t.delay[m]
-        values = np.concatenate((1.0 - joined, np.ones(len(m))))
         return RmpSolution(
-            values=tuple(values.tolist()),
+            values=np.concatenate((1.0 - joined, np.ones(len(m)))),
             objective=ordered_sum(sigma.tolist()),
-            duals=DualPoint(np.zeros(t.n_edges), np.zeros(t.n_nodes), sigma),
-            closed_form=True,
+            duals=DualPoint(np.zeros(n_rows), sigma),
         )
 
     def solve_integer(self, time_limit_s: float, node_limit: int) -> HighsResult:

@@ -116,9 +116,16 @@ class SyntheticParams:
             lo, hi = getattr(self, name)
             if lo < 0.0 or hi >= 1.0:
                 raise InputError(f"{name} must stay within [0, 1)")
-        for name, least in (("n_nodes", 2), ("n_edges", 0), ("n_demands", 0)):
+        for name, least in (("n_nodes", 2), ("n_demands", 0)):
             if getattr(self, name) < least:
                 raise InputError(f"{name} must be at least {least}")
+        # A connected preferential-attachment graph: between a tree and the clique.
+        n, n_edges = self.n_nodes, self.n_edges
+        if n_edges % 2 or not 2 * (n - 1) <= n_edges <= n * (n - 1):
+            raise InputError(
+                f"n_edges must be an even count in [{2 * (n - 1)}, {n * (n - 1)}] "
+                f"on {n} nodes, got {n_edges}"
+            )
         if not (math.isfinite(self.rate_mean_mbps) and self.rate_mean_mbps > 0.0):
             raise InputError("rate_mean_mbps must be finite and > 0")
         rate = self.rate_fixed_mbps
@@ -465,17 +472,13 @@ def generate_topology(params: SyntheticParams) -> OverlayGraph:
     becomes two directed edges whose metrics are sampled independently:
     after the attachment draws, four uniform doubles per directed edge, in
     (delay, jitter, capacity, loss) order, ``(u, v)`` before ``(v, u)``.
-    Connected by construction and deterministic per seed.
+    Connected by construction and deterministic per seed. The edge count is
+    one :class:`SyntheticParams` accepts: even, from a spanning tree's to
+    the clique's.
     """
     n = params.n_nodes
-    target_und, rem = divmod(params.n_edges, 2)
-    if rem or target_und < n - 1 or target_und > n * (n - 1) // 2:
-        raise InputError(
-            f"cannot realize {params.n_edges} directed edges on {n} nodes: "
-            f"need an even count in [{2 * (n - 1)}, {n * (n - 1)}]"
-        )
     rng = np.random.default_rng([params.seed, 0])
-    m = _attachment_degree(n, target_und)
+    m = _attachment_degree(n, params.n_edges // 2)
     undirected: list[tuple[int, int]] = []
     if m == n - 1:
         undirected = [(u, v) for u in range(n) for v in range(u + 1, n)]

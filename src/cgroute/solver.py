@@ -6,12 +6,13 @@ optimality certificate, since candidate sets are fully enumerated) or an
 iteration cap is hit; an iteration is a pass that adds columns, then the
 master solve. The first pass, before any master is solved, prices the
 all-rejection master, whose answer is each demand's cheapest candidate,
-so it reads them from the table; when the closed form solves that pool,
-which is every demand on its cheapest route, nothing can undercut it and
-the solve certifies without pricing. When the whole table fits in a
-master of at most :data:`FULL_MASTER_MAX_COLUMNS` columns, a budget set
-by memory alone, every candidate joins at the first HiGHS solve, so the
-pass after it certifies at once; larger masters grow incrementally.
+so it reads them from the table. Then one of three regimes holds, in
+this order. When the closed form solves that pool, which is every demand
+on its cheapest route, nothing can undercut it and the solve certifies
+with no LP. Otherwise, when the whole table fits in a master of at most
+:data:`FULL_MASTER_MAX_COLUMNS` columns, a budget set by memory alone,
+every candidate joins before the first HiGHS solve, so the pass after it
+certifies at once; larger masters grow incrementally.
 Randomized rounding then converts the fractional path mix into one
 committed path per demand, or a rejection. Candidates stay table rows
 throughout; the master's read-out, as for the exact benchmark, sums the
@@ -127,31 +128,43 @@ def column_generation(
     first pass prices the all-rejection master without solving it: its
     columns, each routable demand's cheapest candidate, come straight from
     the table (:func:`price_rejections`, which is :func:`price_demand` at
-    those duals). A pass that adds nothing certifies; when no demand has
-    a route, the first pass is one, and the master solved is its rejection
-    columns alone. Masters the closed form solves never reach HiGHS, and a
-    closed-form solve certifies without pricing: that pool holds at most
-    one candidate per demand and, since it holds the first pass's, exactly
-    each routable demand's cheapest, so with capacity priced at zero no
-    candidate undercuts its demand's convexity price. When the full master,
-    ``len(table) + len(demands)`` columns, is at most
-    :data:`FULL_MASTER_MAX_COLUMNS`, the first master that does reach
-    HiGHS is seeded with the whole table: the next pricing pass has no
-    candidate left to add and certifies, so a congested solve takes one
-    iteration and one LP.
+    those duals). The regimes below are decided once, on that first pool,
+    the only one the closed form can solve: it holds every routable
+    demand's cheapest candidate, so a column that joins later, by pricing
+    or by a whole-table join, is its demand's second.
+
+    1. The closed form (:meth:`~cgroute.rmp.RestrictedMaster.closed_form`)
+       solves the first pool, and the solve certifies with no LP and no
+       pricing; this is the one iteration, whatever the cap. That pool
+       holds at most one candidate per demand and, since it holds the
+       first pass's, exactly each routable demand's cheapest, so with
+       capacity priced at zero no candidate undercuts its demand's
+       convexity price. When no demand has a route, the pool is its
+       rejection columns alone, which the closed form always solves.
+    2. Otherwise, when the full master, ``len(table) + len(demands)``
+       columns, is at most :data:`FULL_MASTER_MAX_COLUMNS`, the whole table
+       joins and HiGHS solves it: the next pricing pass has no candidate
+       left to add and certifies, so a congested solve takes one iteration
+       and one LP.
+    3. Otherwise HiGHS solves the first pool, and pricing grows it; a pass
+       that adds nothing certifies.
     """
     table = candidate_fn(graph, demands)
     master = RestrictedMaster(table)
-    join_all = len(table) + len(demands) <= FULL_MASTER_MAX_COLUMNS
-    certified = master.add(price_rejections(table, master.dummy_penalty)) == 0
-    solution = master.solve(join_all)
+    master.add(price_rejections(table, master.dummy_penalty))
+    solution = master.closed_form()
+    certified = solution is not None
+    if not certified:
+        if len(table) + len(demands) <= FULL_MASTER_MAX_COLUMNS:
+            master.add(range(len(table)))
+        solution = master.solve()
     iterations = 1
     while not certified and iterations < config.max_cg_iterations:
-        certified = solution.closed_form or master.add(
+        certified = master.add(
             index for index, _ in price_demand(table, solution.duals).values()
         ) == 0
         if not certified:
-            solution = master.solve(join_all)
+            solution = master.solve()
             iterations += 1
     return CgResult(
         solution=solution,
@@ -189,7 +202,7 @@ def randomized_round(
     if max_passes is None:
         max_passes = max(1, len(demands))
     table, joined, n_dummy = master.table, master.joined, len(master.demands)
-    values = np.asarray(solution.values)
+    values = solution.values
     top = master.top_columns(values)
     top_weight = values[top]
     # Each demand's pool column by convexity row: its rejection until a commit.

@@ -177,4 +177,4 @@ def pack_table(
 
 def zero_duals(graph: OverlayGraph, demands: Sequence[Demand]) -> DualPoint:
     """The dual point that prices nothing: every capacity and convexity dual 0."""
-    return DualPoint(np.zeros(len(graph.edges)), np.zeros(graph.n_nodes), np.zeros(len(demands)))
+    return DualPoint(np.zeros(len(graph.edges) + graph.n_nodes), np.zeros(len(demands)))

@@ -308,9 +308,10 @@ def highs_optimum(master):
 
 def min_reduced_cost(master, duals) -> float:
     """Smallest reduced cost at ``duals`` over the pool's columns, one at a time."""
-    lam = dict(zip(master.graph.edges, duals.edge_duals.tolist()))
-    nu = duals.node_duals.tolist()
-    sigma = dict(zip((d.id for d in master.demands), duals.convexity_duals.tolist()))
+    price = duals.capacity.tolist()
+    lam = dict(zip(master.graph.edges, price))
+    nu = price[len(lam):]
+    sigma = dict(zip((d.id for d in master.demands), duals.convexity.tolist()))
     rate = {d.id: d.rate_mbps for d in master.demands}
     best = math.inf
     for col in master.columns:
@@ -345,11 +346,14 @@ def ordered_total(values) -> float:
 
 
 def dual_objective(duals: DualPoint, graph: OverlayGraph) -> float:
-    """Value of the dual point: sum of convexity prices minus paid capacity."""
+    """Value of the dual point: sum of convexity prices minus paid capacity,
+    edges' then nodes'.
+    """
     caps = [m.capacity_mbps for m in graph.edges.values()]
-    paid = ordered_total(lam * cap for lam, cap in zip(duals.edge_duals.tolist(), caps))
-    paid += ordered_total(nu * cap for nu, cap in zip(duals.node_duals.tolist(), graph.node_limits))
-    return ordered_total(duals.convexity_duals.tolist()) - paid
+    price = duals.capacity.tolist()
+    paid = ordered_total(lam * cap for lam, cap in zip(price, caps))
+    paid += ordered_total(nu * cap for nu, cap in zip(price[len(caps):], graph.node_limits))
+    return ordered_total(duals.convexity.tolist()) - paid
 
 
 def routing_objective(outcomes: dict[int, Optional[Path]], penalty: float) -> float:

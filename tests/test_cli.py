@@ -385,6 +385,19 @@ class TestParamsFile:
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_edge_count_that_does_not_fit_names_the_file(self, tmp_path, capsys, command):
+        # The default 450 directed edges do not fit on 9 nodes.
+        params = tmp_path / "params.cfg"
+        params.write_text("n_nodes = 9\n")
+        extra = ["--out-dir", tmp_path / "out"] if command == "generate" else []
+        assert run([command, "--params", params, *extra]) == 2
+        captured = capsys.readouterr()
+        rule = "n_edges must be an even count in [16, 72] on 9 nodes, got 450"
+        assert captured.err == f"input error: {params}: {rule}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
 
 class TestSeed:
     @pytest.fixture

@@ -338,10 +338,10 @@ class TestTotals:
         assert ordered_total([penalty] * 10) != math.fsum([penalty] * 10)
         assert report.objective == ordered_total(delays)
         assert report.mean_delay_ms == ordered_total(delays) / 10
-        bound = report.master.solve()
-        assert bound.closed_form and bound.objective == report.objective
-        rejecting = rmp.RestrictedMaster(report.master.table).solve()
-        assert rejecting.closed_form and rejecting.objective == ordered_total([penalty] * 10)
+        bound = report.master.closed_form()
+        assert bound.objective == report.objective
+        rejecting = rmp.RestrictedMaster(report.master.table).closed_form()
+        assert rejecting.objective == ordered_total([penalty] * 10)
 
 
 class TestEmit:

@@ -38,9 +38,8 @@ def duals_for(graph, demands, edge=None, node=None, sigma=None):
         nu[i] = v
     sig = {d.id: 0.0 for d in demands}
     sig.update(sigma or {})
-    return DualPoint(
-        list(lam.values()), nu, [sig[d.id] for d in sorted(demands, key=lambda d: d.id)]
-    )
+    convexity = [sig[d.id] for d in sorted(demands, key=lambda d: d.id)]
+    return DualPoint(list(lam.values()) + nu, convexity)
 
 
 def price_one(graph, demand, candidates, duals, demands=None, **kwargs):

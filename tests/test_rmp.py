@@ -129,9 +129,8 @@ class TestSolve:
         master = master_for(line_graph, two_demands)
         sol = master.solve()
         assert all(v == pytest.approx(1.0) for v in sol.values)
-        assert all(v == 0.0 for v in sol.duals.edge_duals)
-        assert all(v == 0.0 for v in sol.duals.node_duals)
-        for sigma in sol.duals.convexity_duals:
+        assert all(v == 0.0 for v in sol.duals.capacity)
+        for sigma in sol.duals.convexity:
             assert sigma == pytest.approx(master.dummy_penalty)
 
     def test_single_cheap_column_takes_over(self, line_graph):
@@ -363,14 +362,9 @@ class TestCostScaling:
         sol = master.solve()
         scaled = highs_result(master, -3)
         assert sol.objective == math.ldexp(scaled.fun, 3)
-        np.testing.assert_array_equal(
-            sol.duals.convexity_duals, np.ldexp(scaled.eqlin.marginals, 3)
-        )
+        np.testing.assert_array_equal(sol.duals.convexity, np.ldexp(scaled.eqlin.marginals, 3))
         price = np.ldexp(-scaled.ineqlin.marginals, 3)
-        np.testing.assert_array_equal(
-            np.concatenate((sol.duals.edge_duals, sol.duals.node_duals)),
-            np.where(price > 0.0, price, 0.0),
-        )
+        np.testing.assert_array_equal(sol.duals.capacity, np.where(price > 0.0, price, 0.0))
         # The scaled LP has the unscaled LP's optimum.
         assert sol.objective == pytest.approx(highs_result(master).fun, rel=1e-12)
 
@@ -518,7 +512,7 @@ def telco_after_first_pricing():
     """A telco epoch's master holding what the first pricing pass adds."""
     trace = generate_telco_trace(1, seed=3)
     master = master_for(trace.graph_for(trace.epochs[0]), telco_demands(seed=3))
-    entering = price_demand(master.table, master.solve().duals)
+    entering = price_demand(master.table, master.closed_form().duals)
     master.add(index for index, _ in entering.values())
     return master
 
@@ -535,7 +529,7 @@ def edge_at_capacity(capacity):
 
 
 class TestClosedForm:
-    """Uncongested pools are solved without HiGHS, to the same optimum."""
+    """Uncongested pools are solved without HiGHS, to HiGHS's optimum."""
 
     @pytest.mark.parametrize("which", ["dummy-only", "telco-first-pricing"])
     def test_matches_highs(self, which, two_demands, line_graph, highs_calls):
@@ -545,12 +539,16 @@ class TestClosedForm:
             master = telco_after_first_pricing()
             assert master.pool_size == 2 * len(master.demands)
         highs_calls.clear()
-        sol = master.solve()
+        sol = master.closed_form()
         assert highs_calls == []
+        lp = master.solve()
+        assert len(highs_calls) == 1
+        np.testing.assert_allclose(sol.values, lp.values, rtol=0.0, atol=1e-9)
+        assert sol.objective == pytest.approx(lp.objective, rel=1e-12)
         values, objective = highs_optimum(master)
         np.testing.assert_allclose(sol.values, values, rtol=0.0, atol=1e-9)
         assert sol.objective == pytest.approx(objective, rel=1e-12)
-        assert not sol.duals.edge_duals.any() and not sol.duals.node_duals.any()
+        assert not sol.duals.capacity.any()
         assert min_reduced_cost(master, sol.duals) >= -1e-9
         assert dual_objective(sol.duals, master.graph) == sol.objective
 
@@ -560,23 +558,23 @@ class TestClosedForm:
         # rejection, each convexity price the penalty, all to the bit.
         master = telco_after_first_pricing()
         master = RestrictedMaster(master.table)
-        sol = master.solve()
+        sol = master.closed_form()
         n, penalty = len(master.demands), master.dummy_penalty
         assert highs_calls == []
-        assert sol.values == (1.0,) * n
+        assert sol.values.tolist() == [1.0] * n
         assert sol.objective == ordered_total([penalty] * n)
-        assert sol.duals.convexity_duals.tolist() == [penalty] * n
-        assert sol.duals.edge_duals.tolist() == [0.0] * len(master.graph.edges)
-        assert sol.duals.node_duals.tolist() == [0.0] * master.graph.n_nodes
+        assert sol.duals.convexity.tolist() == [penalty] * n
+        assert sol.duals.capacity.tolist() == [0.0] * len(master.capacity)
 
     def test_load_equal_to_capacity_fits(self, highs_calls):
-        sol = edge_at_capacity(40.0).solve()
+        sol = edge_at_capacity(40.0).closed_form()
         assert highs_calls == []
-        assert sol.values == (0.0, 1.0)
+        assert sol.values.tolist() == [0.0, 1.0]
         assert sol.objective == 12.0
 
     def test_load_a_hair_over_capacity_calls_highs(self, highs_calls):
         master = edge_at_capacity(np.nextafter(40.0, 0.0))
+        assert master.closed_form() is None
         sol = master.solve()
         assert len(highs_calls) == 1
         assert sol.objective == pytest.approx(highs_optimum(master)[1], rel=1e-12)
@@ -594,6 +592,7 @@ class TestClosedForm:
         d = Demand(4, 0, 2, 5.0, 10.0, 0.5)
         master = master_for(g, [d])
         assert master.add(range(len(master.table))) == 2
+        assert master.closed_form() is None
         sol = master.solve()
         assert len(highs_calls) == 1
         assert sol.objective == pytest.approx(5.5, rel=1e-12)
@@ -619,9 +618,9 @@ class TestLpInvariants:
         # here are the ones solve returns, in delay units.
         master = full_master(seed)
         sol = master.solve()
-        lam = dict(zip(master.graph.edges, sol.duals.edge_duals))
-        nu = sol.duals.node_duals
-        sigmas = dict(zip((d.id for d in master.demands), sol.duals.convexity_duals))
+        lam = dict(zip(master.graph.edges, sol.duals.capacity))
+        nu = sol.duals.capacity[len(lam):]
+        sigmas = dict(zip((d.id for d in master.demands), sol.duals.convexity))
         rates = {d.id: d.rate_mbps for d in master.demands}
         for col in master.columns:
             rate = rates[col.path.demand_id]

@@ -333,7 +333,7 @@ class TestStaticFiles:
             "loss_range": re.escape("must stay within [0, 1)"),
             "loss_bound_range": re.escape("must stay within [0, 1)"),
             "n_nodes": "must be at least 2",
-            "n_edges": "must be at least 0",
+            "n_edges": re.escape("must be an even count in [98, 2450] on 50 nodes, got -1"),
             "n_demands": "must be at least 0",
         }.get(key, "must stay at or above 0")
         head = "" if key == "n_demands" else "n_demands = 5\n"
@@ -366,11 +366,11 @@ class TestStaticFiles:
         ppath = write(
             tmp_path,
             "p.cfg",
-            "n_nodes = 12\nrate_fixed_mbps = NONE\nloss_range = 0.1, 0.2\nrate_mean_mbps = 7\n",
+            "n_nodes = 30\nrate_fixed_mbps = NONE\nloss_range = 0.1, 0.2\nrate_mean_mbps = 7\n",
         )
         params = load_params(ppath)
         assert params == SyntheticParams(
-            n_nodes=12, rate_fixed_mbps=None, loss_range=(0.1, 0.2), rate_mean_mbps=7.0
+            n_nodes=30, rate_fixed_mbps=None, loss_range=(0.1, 0.2), rate_mean_mbps=7.0
         )
         assert type(params.rate_mean_mbps) is float and type(params.n_nodes) is int
         assert load_params(write(tmp_path, "q.cfg", "rate_fixed_mbps = 5\n")).rate_fixed_mbps == 5.0
@@ -413,12 +413,10 @@ class TestGenerateTopology:
         assert seen == set(range(30))
 
     def test_unachievable_counts_rejected(self):
-        with pytest.raises(InputError):
-            generate_topology(SyntheticParams(n_nodes=5, n_edges=21, seed=0))  # odd
-        with pytest.raises(InputError):
-            generate_topology(SyntheticParams(n_nodes=5, n_edges=22, seed=0))  # > clique
-        with pytest.raises(InputError):
-            generate_topology(SyntheticParams(n_nodes=5, n_edges=6, seed=0))  # < tree
+        for n_edges in (21, 22, 6, -2):  # odd, > clique, < tree, negative
+            want = f"n_edges must be an even count in [8, 20] on 5 nodes, got {n_edges}"
+            with pytest.raises(InputError, match=re.escape(want)):
+                SyntheticParams(n_nodes=5, n_edges=n_edges, seed=0)
 
     def test_metric_ranges_respected(self):
         params = SyntheticParams(seed=23)

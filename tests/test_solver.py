@@ -181,8 +181,9 @@ class TestColumnGeneration:
     @pytest.mark.parametrize("case", ["closed_form", "whole", "incremental"])
     def test_one_master_solve_per_pricing_pass(self, case, monkeypatch):
         # The benchmark's trace counts both (rmp.lp_solves and
-        # solver.cg_iterations) and requires them equal on a certified solve:
-        # one solve after each pass that adds columns, the first pass included.
+        # solver.cg_iterations) and requires them equal on a congested solve:
+        # one HiGHS solve after each pass that adds columns, the first pass
+        # included. A closed-form master is the one iteration, with no solve.
         if case == "closed_form":  # every cheapest route fits: no HiGHS
             trace = generate_telco_trace(1, seed=3)
             graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
@@ -204,9 +205,8 @@ class TestColumnGeneration:
         )
         cg = column_generation(augment_clique(graph, demands), demands)
         assert cg.certified
-        assert len(solves) == cg.iterations
+        assert len(solves) == (0 if case == "closed_form" else cg.iterations)
         assert cg.iterations == 1 if case != "incremental" else cg.iterations > 1
-        assert cg.solution.closed_form == (case == "closed_form")
         # The first pass reads the table, and the certifying pass prices
         # unless the master is closed-form.
         assert len(priced) == cg.iterations - (1 if case == "closed_form" else 0)
@@ -216,7 +216,9 @@ class TestColumnGeneration:
         # and through 2 (20 ms each); 0 -> 2 direct and through 1 (12 ms);
         # 1 -> 3 direct and through 2 (11 ms). The first pass must add what
         # price_demand returns at the all-rejection master's duals: on a tie,
-        # the first candidate in list order, here each direct route.
+        # the first candidate in list order, here each direct route. Those
+        # routes fit, so the closed form solves that pool and certifies it,
+        # even at an iteration cap of one.
         delays = {(0, 3): 20.0, (0, 1): 9.0, (1, 3): 11.0, (0, 2): 12.0, (2, 3): 8.0, (1, 2): 3.0}
         g = OverlayGraph.from_edges(
             4, {e: LinkMetrics(d, 1.0, 100.0, 0.999) for e, d in delays.items()}, [1000.0] * 4
@@ -226,7 +228,7 @@ class TestColumnGeneration:
         augmented = augment_clique(g, demands)
         table = enumerate_candidates(augmented, demands)
         master = RestrictedMaster(table)
-        priced = price_demand(table, master.solve().duals)
+        priced = price_demand(table, master.closed_form().duals)
         want = [index for index, _ in priced.values()]
         assert want == table.offsets[:3].tolist()  # demand 3 has no route
         assert np.diff(table.offsets).tolist() == [3, 2, 2, 0]
@@ -235,7 +237,7 @@ class TestColumnGeneration:
         assert price_rejections(table, master.dummy_penalty).tolist() == want
         first = column_generation(augmented, demands, SolverConfig(max_cg_iterations=1))
         assert first.master.joined.tolist() == want
-        assert first.iterations == 1 and not first.certified
+        assert first.iterations == 1 and first.certified
 
     @pytest.mark.parametrize("seed", range(10))
     def test_first_pass_matches_pricing_on_gap_suite(self, seed):
@@ -244,7 +246,8 @@ class TestColumnGeneration:
         for mode in ("overlay", "direct"):
             table = CANDIDATES[mode](augmented, demands)
             master = RestrictedMaster(table)
-            want = [index for index, _ in price_demand(table, master.solve().duals).values()]
+            priced = price_demand(table, master.closed_form().duals)
+            want = [index for index, _ in priced.values()]
             assert price_rejections(table, master.dummy_penalty).tolist() == want
 
     @pytest.mark.parametrize("seed", range(10))
@@ -265,12 +268,72 @@ class TestColumnGeneration:
         assert cg.iterations == 1
         assert not cg.certified  # one pass cannot both add columns and verify
 
+    def test_closed_form_certifies_at_an_iteration_cap_of_one(self, highs_calls):
+        # The closed form proves the first pool optimal with no LP; it is
+        # the one iteration, so the cap cannot stop it short of certifying.
+        trace = generate_telco_trace(1, seed=3)
+        graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
+        cg = column_generation(
+            augment_clique(graph, demands), demands, SolverConfig(max_cg_iterations=1)
+        )
+        assert highs_calls == []
+        assert cg.iterations == 1 and cg.certified
+
 
 def synthetic_instance(n_nodes, n_edges, n_demands, seed=0):
     """A synthetic-profile instance of the given size."""
     params = SyntheticParams(n_nodes=n_nodes, n_edges=n_edges, n_demands=n_demands, seed=seed)
     graph = generate_topology(params)
     return graph, generate_demands(params, graph)
+
+
+class TestClosedFormOnlyOnTheFirstPool:
+    """No pool after the first pass's is one the closed form solves.
+
+    The first pass gives every routable demand its cheapest candidate, so a
+    column that joins later, by pricing or by a whole-table join, is its
+    demand's second. Column generation relies on this to try the closed
+    form once and to join the whole table once.
+    """
+
+    @pytest.fixture
+    def adds(self, monkeypatch):
+        """Every ``RestrictedMaster.add``: the count it added and the closed form after it."""
+        plain = RestrictedMaster.add
+        calls = []
+
+        def add(master, candidates):
+            added = plain(master, candidates)
+            calls.append((added, master.closed_form()))
+            return added
+
+        monkeypatch.setattr(RestrictedMaster, "add", add)
+        return calls
+
+    def test_after_every_pricing_pass_on_gap_suite(self, adds, monkeypatch):
+        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        grown = 0
+        for seed in range(10):
+            graph, demands = gap_suite_instance(seed)
+            adds.clear()
+            column_generation(augment_clique(graph, demands), demands)
+            _, *later = adds
+            assert all(closed is None for _, closed in later), seed
+            grown += sum(added > 0 for added, _ in later)
+        assert grown > 0
+
+    @pytest.mark.parametrize("growth", ["whole", "incremental"])
+    def test_after_the_join_and_every_pass_on_a_dense_overlay(self, adds, monkeypatch, growth):
+        # A full mesh on 100 nodes: its first pool overruns a capacity, and
+        # its full master (21,423 columns) is under the cap.
+        graph, demands = synthetic_instance(100, 9900, 300)
+        if growth == "incremental":
+            monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        cg = column_generation(augment_clique(graph, demands), demands)
+        (first, _), *later = adds
+        assert later and all(closed is None for _, closed in later)
+        if growth == "whole":  # the join takes in every candidate the first pass did not
+            assert later[0][0] == len(cg.master.table) - first
 
 
 class TestConditioning:
@@ -468,7 +531,7 @@ class TestRandomizedRound:
         d = Demand(0, 0, 3, 5.0, 1.0, 0.5)
         augmented = augment_clique(g, [d])
         master = RestrictedMaster(pack_table(augmented, [d], {d.id: []}))
-        sol = master.solve()
+        sol = master.closed_form()
         routed = randomized_round(
             sol, master, augmented, [d], np.random.default_rng(0)
         )
