@@ -16,6 +16,7 @@ from click.core import ParameterSource
 from .errors import InputError, SolverError
 from .exact import ExactLimits
 from .harness import MODES, emit_reports, format_reports, run_timeseries, solve_epoch
+from .model import dummy_penalty
 from .pricing import RouteGeometry
 from .scenario import (
     SyntheticParams,
@@ -98,6 +99,17 @@ def _params(params_path, seed: int) -> SyntheticParams:
     return replace(params, seed=seed) if _given("seed") else params
 
 
+def _check_penalty(graphs, demands, path):
+    """Refuse a rejection cost too large for a float on any of ``graphs``,
+    naming ``path``, the file their links were read from.
+    """
+    try:
+        for graph in graphs:
+            dummy_penalty(graph, demands)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _write(reports, fmt, out, include_timing):
     if out is None:
         click.echo(format_reports(reports, fmt, include_timing), nl=False)
@@ -140,6 +152,7 @@ def solve_cmd(graph_path, limits_path, demands_path, mode, seed, oracle, time_li
         _refuse("applies with --oracle only", "time_limit", "max_nodes")
     graph = load_graph(graph_path, limits_path)
     demands = load_demands(demands_path, graph.n_nodes)
+    _check_penalty([graph], demands, graph_path)
     reports = _solve_modes(
         graph, demands, mode, SolverConfig(seed=seed), oracle=oracle,
         oracle_limits=ExactLimits(max_nodes=max_nodes, time_limit_s=time_limit), with_throughput=True,
@@ -171,6 +184,7 @@ def replay_cmd(trace_path, limits_path, demands_path, mode, seed, oracle, out, f
     """Replay a metric trace epoch by epoch, re-allocating all demands."""
     trace = load_trace(trace_path, limits_path)
     demands = load_demands(demands_path, trace.n_nodes)
+    _check_penalty(map(trace.graph_for, trace.epochs), demands, trace_path)
     reports = run_timeseries(
         trace, demands, _expand_modes(mode), SolverConfig(seed=seed), oracle=oracle
     )

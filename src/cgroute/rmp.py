@@ -10,9 +10,13 @@ candidates that have joined, held as indices; a column's path object is
 made only for a caller that reads it. The LP minimizes the total delay of
 the selected path mix subject to edge capacities, node processing limits
 and one convexity row per demand, with the integrality of the path choice
-relaxed. :meth:`RestrictedMaster.solve` is the one HiGHS LP: it returns
-the primal mix, one weight per pool column, and the dual prices that
-drive pricing, one per capacity row and one per convexity row. A pool
+relaxed. Every column lies in ``[0, 1]``: its convexity row (a sum of
+nonnegative weights equal to 1) implies the bound, and HiGHS is given it
+as well, which lets dual simplex flip a column between its bounds instead
+of pivoting it. :meth:`RestrictedMaster.solve` is the one HiGHS LP: it
+returns the primal mix, one weight per pool column, and the dual prices
+that drive pricing, one per capacity row and one per convexity row, those
+of the master without the bound. A pool
 with at most one candidate per demand whose loads fit every capacity
 has a closed-form optimum, with zero capacity prices, which
 :meth:`RestrictedMaster.closed_form` gives without HiGHS. The exact
@@ -195,7 +199,8 @@ class HighsResult:
     ``status`` is a name from :data:`_HIGHS_STATUS`, else ``numerical``.
     ``x`` and ``objective`` are the LP's optimal point or the MIP's best
     integer point, ``None`` without one. ``row_dual`` (an LP's, capacity
-    rows first) is ``None`` where it does not apply; ``nodes`` and
+    rows first) and ``col_dual`` (an LP's reduced costs, in column order)
+    are ``None`` where they do not apply; ``nodes`` and
     ``dual_bound`` are set on every MIP whose run succeeded, are 0 and
     ``None`` on a MIP whose run failed, and are ``None`` on an LP.
     ``message`` says why a solve is not optimal.
@@ -205,6 +210,7 @@ class HighsResult:
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     row_dual: Optional[np.ndarray] = None
+    col_dual: Optional[np.ndarray] = None
     nodes: Optional[int] = None
     dual_bound: Optional[float] = None
     message: str = ""
@@ -459,7 +465,8 @@ class RestrictedMaster:
     def _solve_scaled(self, integer: bool, options: Mapping) -> HighsResult:
         """Solve the pool's model, capacity rows in ``(-inf, capacity]`` and
         convexity rows in ``[1, 1]``, on costs times ``2**s`` (:func:`_cost_exponent`);
-        scale the objective, the dual bound and the row duals back by ``2**-s``.
+        scale the objective, the dual bound and the row and column duals
+        back by ``2**-s``.
         """
         # The LP goes through the module's ``linprog``, which perfbench wraps.
         call = _call_highs if integer else linprog
@@ -475,6 +482,7 @@ class RestrictedMaster:
             res.dual_bound = math.ldexp(res.dual_bound, -scale)
         if res.row_dual is not None:
             res.row_dual = np.ldexp(res.row_dual, -scale)
+            res.col_dual = np.ldexp(res.col_dual, -scale)
         return res
 
     def solve(self) -> RmpSolution:
@@ -488,6 +496,19 @@ class RestrictedMaster:
         the duals returned are scaled back, so they are in delay units.
         Capacity prices are HiGHS's capacity-row duals negated, with any
         negative noise clipped to zero.
+
+        HiGHS bounds every column by 1, so a column can sit at 1 with a
+        negative reduced cost, which the row duals alone would let pricing
+        read as a column to add. Each demand's convexity price is
+        therefore its row dual plus the least reduced cost among its pool
+        columns, when that is negative. The repair is exact: the convexity
+        row lets at most one of a demand's columns sit at 1, so it moves
+        that column's bound multiplier into the price. Every pool column
+        then has a nonnegative reduced cost; complementary slackness
+        holds, since the demand's other columns are at 0; and the dual
+        objective equals the LP objective. The result is an optimal dual
+        point of the master without the bound, the one pricing certifies
+        against.
         """
         res = self._solve_scaled(integer=False, options=_LP_OPTIONS)
         if res.status != "optimal":
@@ -497,10 +518,12 @@ class RestrictedMaster:
             )
         n_rows = len(self.capacity)
         price = -res.row_dual[:n_rows]
+        _, order, bounds = self._grouped()
+        at_bound = np.minimum(np.minimum.reduceat(res.col_dual[order], bounds[:-1]), 0.0)
         return RmpSolution(
             values=res.x,
             objective=res.objective,
-            duals=DualPoint(np.where(price > 0.0, price, 0.0), res.row_dual[n_rows:]),
+            duals=DualPoint(np.where(price > 0.0, price, 0.0), res.row_dual[n_rows:] + at_bound),
         )
 
     def closed_form(self) -> Optional[RmpSolution]:
@@ -559,7 +582,9 @@ class RestrictedMaster:
         """Render the assembled LP in CPLEX LP text format for external checks.
 
         Capacity rows without any column are omitted; terms follow column
-        order within each row.
+        order within each row. The dump states the model, in which every
+        column's bound ``<= 1`` is implied by its convexity row, so that
+        bound is not written; ``Bounds`` gives each column's ``0 <=``.
         """
         cost, a = self._assemble()
         n_rows, edges = len(self.capacity), list(self.graph.edges)
@@ -595,11 +620,13 @@ def _rows(a, n_rows: int) -> list[tuple[list[int], list[float]]]:
 
 
 def _call_highs(c, a, lower, upper, integer, options) -> HighsResult:
-    """Minimize ``c @ x`` over ``lower <= A x <= upper`` and ``x >= 0``.
+    """Minimize ``c @ x`` over ``lower <= A x <= upper`` and ``0 <= x <= 1``.
 
-    ``a`` is ``A`` as a CSC triple ``(indptr, indices, data)``. With
-    ``integer`` every column is binary and HiGHS runs its MIP solver;
-    otherwise it runs dual simplex on the LP. A fresh HiGHS from SciPy's
+    ``a`` is ``A`` as a CSC triple ``(indptr, indices, data)``. Every
+    column lies in ``[0, 1]``: with ``integer`` it is binary and HiGHS runs
+    its MIP solver; otherwise the bound is the one each master column's
+    convexity row implies, and HiGHS runs dual simplex on the LP, whose
+    column duals (reduced costs) it returns too. A fresh HiGHS from SciPy's
     bundled binding gets the arrays through the array overload of
     ``passModel``, which hands HiGHS the buffers as they are (filling a
     ``HighsLp``, as SciPy's wrapper does, copies them element by
@@ -627,7 +654,7 @@ def _call_highs(c, a, lower, upper, integer, options) -> HighsResult:
         0.0,
         c,
         np.zeros(n_cols),
-        np.full(n_cols, 1.0 if integer else h.kHighsInf),
+        np.ones(n_cols),
         lower,
         upper,
         *a,
@@ -649,7 +676,7 @@ def _call_highs(c, a, lower, upper, integer, options) -> HighsResult:
     solution = highs.getSolution()
     res.x, res.objective = np.array(solution.col_value), info.objective_function_value
     if not integer:
-        res.row_dual = np.array(solution.row_dual)
+        res.row_dual, res.col_dual = np.array(solution.row_dual), np.array(solution.col_dual)
         if not _feasible(a, lower, upper, res.x, res.objective):
             res.status = "numerical"
             res.message = f"optimal point outside the post-solve tolerance of {_CHECK_TOL:.2E}"

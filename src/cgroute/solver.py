@@ -14,18 +14,20 @@ with no LP. Otherwise, when the whole table fits in a master of at most
 every candidate joins before the first HiGHS solve, so the pass after it
 certifies at once; larger masters grow incrementally.
 Randomized rounding then converts the fractional path mix into one
-committed path per demand, or a rejection. Candidates stay table rows
-throughout; the master's read-out, as for the exact benchmark, sums the
-objective and returns a :class:`~cgroute.rmp.Routing`, which makes the
-committed routes' :class:`~cgroute.model.Path` objects only when one is
-read: a solve itself makes none.
+committed path per demand, or a rejection; a closed-form mix is already
+integral and fits every capacity, so it is read out as it is. Candidates
+stay table rows throughout; the master's read-out, as for the exact
+benchmark, sums the objective and returns a
+:class:`~cgroute.rmp.Routing`, which makes the committed routes'
+:class:`~cgroute.model.Path` objects only when one is read: a solve
+itself makes none.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -99,12 +101,18 @@ class RoutingSolution:
 
 @dataclass(frozen=True)
 class CgResult:
-    """LP-side output of column generation, before rounding."""
+    """LP-side output of column generation, before rounding.
+
+    ``closed_form`` says the solve ended in the closed-form regime: its
+    ``solution`` is integral, each demand on one column at weight exactly 1,
+    and those columns' loads fit every capacity.
+    """
 
     solution: RmpSolution
     master: RestrictedMaster
     iterations: int
     certified: bool
+    closed_form: bool
 
 
 def column_generation(
@@ -153,7 +161,7 @@ def column_generation(
     master = RestrictedMaster(table)
     master.add(price_rejections(table, master.dummy_penalty))
     solution = master.closed_form()
-    certified = solution is not None
+    closed_form = certified = solution is not None
     if not certified:
         if len(table) + len(demands) <= FULL_MASTER_MAX_COLUMNS:
             master.add(range(len(table)))
@@ -171,6 +179,7 @@ def column_generation(
         master=master,
         iterations=iterations,
         certified=certified,
+        closed_form=closed_form,
     )
 
 
@@ -272,7 +281,10 @@ def solve(
     """Full pipeline on one scenario: check inputs, generate columns, round.
 
     Deterministic given (graph, demands, config): the config seed drives
-    the only random choices (rounding draws).
+    the only random choices (rounding draws). A closed-form master is read
+    out as it is, each demand on its one column of weight 1: its routes
+    fit every capacity together, so rounding would commit exactly them,
+    with no draw.
     """
     started = time.perf_counter()
     if not demands:
@@ -285,12 +297,17 @@ def solve(
         )
     augment_clique(graph, demands)
     cg = column_generation(graph, demands, config, candidate_fn)
-    rng = np.random.default_rng(config.seed)
-    routed = randomized_round(
-        cg.solution, cg.master, graph, demands, rng, config.max_rounding_passes
-    )
-    return replace(
-        routed,
+    if cg.closed_form:
+        outcomes, objective = cg.master.routing(cg.master.top_columns(cg.solution.values))
+    else:
+        rng = np.random.default_rng(config.seed)
+        routed = randomized_round(
+            cg.solution, cg.master, graph, demands, rng, config.max_rounding_passes
+        )
+        outcomes, objective = routed.outcomes, routed.objective
+    return RoutingSolution(
+        outcomes=outcomes,
+        objective=objective,
         iterations=cg.iterations,
         duration_s=time.perf_counter() - started,
         certified=cg.certified,

@@ -254,13 +254,15 @@ def master_model(master):
     return np.array(cost), a_ub, np.array(b_ub), csc(eq, len(master.demands))
 
 
-def highs_result(master, exponent: int = 0):
+def highs_result(master, exponent: int = 0, upper: Optional[float] = 1.0):
     """The master's LP solved by HiGHS on :func:`master_model`'s matrices.
 
     Goes straight to ``scipy.optimize.linprog``, so it checks any shortcut
     ``RestrictedMaster.solve`` takes and the master's own assembly. The
-    costs are multiplied by ``2**exponent`` first. Returns linprog's
-    result, in those units.
+    costs are multiplied by ``2**exponent`` first. Every column lies in
+    ``[0, upper]``: by default the ``[0, 1]`` the master gives HiGHS, and
+    with ``upper=None`` the unbounded model, whose convexity rows alone
+    bound the columns by 1. Returns linprog's result, in those units.
     """
     cost, a_ub, b_ub, a_eq = master_model(master)
     res = linprog(
@@ -269,12 +271,29 @@ def highs_result(master, exponent: int = 0):
         b_ub=b_ub,
         A_eq=a_eq,
         b_eq=np.ones(len(master.demands)),
-        bounds=(0.0, None),
+        bounds=(0.0, upper),
         method="highs",
         options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9},
     )
     assert res.status == 0, res.message
     return res
+
+
+def convexity_prices(master, res) -> np.ndarray:
+    """Each demand's convexity price at linprog's bounded optimum ``res``
+    (:func:`highs_result`), in ascending demand id: its ``eqlin`` marginal
+    plus the least ``upper`` marginal of its pool columns, if negative.
+
+    A column at its bound 1 with a negative reduced cost is one the
+    unbounded master would price below its demand's convexity price; its
+    bound multiplier moved into that price makes the point dual feasible
+    for the unbounded master, at the same dual objective.
+    """
+    least = {d.id: 0.0 for d in master.demands}
+    for col, marginal in zip(master.columns, res.upper.marginals.tolist()):
+        did = col.path.demand_id
+        least[did] = min(least[did], marginal)
+    return np.array([s + least[d.id] for d, s in zip(master.demands, res.eqlin.marginals.tolist())])
 
 
 def milp_result(master, exponent: int = 0):

@@ -248,8 +248,33 @@ class TestSolve:
         assert run(["solve", *files, "--mode", "both", "--oracle", "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.err == (
-            "input error: rejecting all 2 demands costs more than a float holds: "
-            "the largest link delay, 1e+307 ms, is too large\n"
+            f"input error: {tmp_path / 'graph.csv'}: rejecting all 2 demands costs more than "
+            "a float holds: the largest link delay, 1e+307 ms, is too large\n"
+        )
+        assert captured.out == ""
+
+    def test_overflowing_penalty_names_the_trace(self, tmp_path, capsys):
+        # Only the second epoch's delay overflows the rejection cost.
+        (tmp_path / "trace.csv").write_text(
+            "epoch_ts,src,dst,delay_ms,jitter_ms,capacity_mbps,success_prob\n"
+            "0.0,0,1,10.0,1.0,100.0,0.99\n"
+            "300.0,0,1,1e307,1.0,100.0,0.99\n"
+        )
+        (tmp_path / "limits.csv").write_text("0,100.0\n1,100.0\n")
+        (tmp_path / "demands.csv").write_text("0,0,1,60.0,5000.0,0.5\n1,0,1,60.0,5000.0,0.5\n")
+        code = run([
+            "replay",
+            "--trace", tmp_path / "trace.csv",
+            "--node-limits", tmp_path / "limits.csv",
+            "--demands", tmp_path / "demands.csv",
+            "--mode", "both",
+            "--format", "json",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"input error: {tmp_path / 'trace.csv'}: rejecting all 2 demands costs more than "
+            "a float holds: the largest link delay, 1e+307 ms, is too large\n"
         )
         assert captured.out == ""
 

@@ -25,6 +25,7 @@ from cgroute.solver import solve
 
 from instances import candidate_lists, candidates_of, gap_suite_instance, pack_table, scaled_cost_instance
 from oracles import (
+    convexity_prices,
     dual_objective,
     highs_optimum,
     highs_result,
@@ -362,7 +363,8 @@ class TestCostScaling:
         sol = master.solve()
         scaled = highs_result(master, -3)
         assert sol.objective == math.ldexp(scaled.fun, 3)
-        np.testing.assert_array_equal(sol.duals.convexity, np.ldexp(scaled.eqlin.marginals, 3))
+        want = np.ldexp(convexity_prices(master, scaled), 3)
+        np.testing.assert_array_equal(sol.duals.convexity, want)
         price = np.ldexp(-scaled.ineqlin.marginals, 3)
         np.testing.assert_array_equal(sol.duals.capacity, np.where(price > 0.0, price, 0.0))
         # The scaled LP has the unscaled LP's optimum.
@@ -639,6 +641,31 @@ class TestLpInvariants:
             obj = master.solve().objective
             assert obj <= last + 1e-6 * max(1.0, abs(last))
             last = obj
+
+
+class TestColumnBound:
+    """HiGHS bounds every column by 1; the returned duals are the unbounded master's."""
+
+    @pytest.mark.parametrize("seed", [*range(10), "scaled"])
+    def test_bound_keeps_the_lp_optimum(self, seed):
+        # Each convexity row already bounds its columns by 1.
+        master = full_master(seed)
+        exponent = rmp._cost_exponent(master.dummy_penalty)
+        unbounded = highs_result(master, exponent, upper=None)
+        assert master.solve().objective == pytest.approx(math.ldexp(unbounded.fun, -exponent), rel=1e-12)
+
+    def test_repair_prices_out_every_column(self):
+        # The first gap-suite master with a column at its bound 1 whose
+        # reduced cost at the row duals alone is negative.
+        for seed in range(10):
+            master = full_master(seed)
+            sol = master.solve()
+            if (sol.duals.convexity != highs_result(master).eqlin.marginals).any():
+                break
+        else:
+            pytest.fail("no gap-suite master moves a convexity price")
+        assert min_reduced_cost(master, sol.duals) >= -1e-9
+        assert dual_objective(sol.duals, master.graph) == pytest.approx(sol.objective, rel=1e-12)
 
 
 class TestDumpLp:

@@ -555,6 +555,29 @@ class TestSolve:
         with pytest.raises(InputError, match="demand 3"):
             solve(g, demands)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_master_is_read_out_as_rounding_commits_it(self, seed, monkeypatch):
+        # On a closed-form master every weight is 0 or 1 and the routes fit
+        # together, so rounding would commit each demand's one column.
+        trace, demands = generate_telco_trace(4, seed=seed), telco_demands(seed=seed)
+        rounded = []
+        plain = solver.randomized_round
+        monkeypatch.setattr(
+            solver, "randomized_round", lambda *args: rounded.append(args) or plain(*args)
+        )
+        closed = 0
+        for epoch in trace.epochs:
+            graph = trace.graph_for(epoch)
+            routed = solve(graph, demands)
+            cg = column_generation(graph, demands)
+            assert len(rounded) == (not cg.closed_form)
+            rounded.clear()
+            rng = np.random.default_rng(0)
+            want = plain(cg.solution, cg.master, graph, demands, rng)
+            assert routed.outcomes == want.outcomes and routed.objective == want.objective
+            closed += cg.closed_form
+        assert closed > 0
+
     @pytest.mark.parametrize("seed", range(6))
     def test_objective_recomputes_from_outcomes(self, seed):
         graph, demands = feasibility_instance(seed)
