@@ -211,16 +211,16 @@ def sweep_cmd(params_path, demand_counts, mode, seed, out, fmt, timing):
     rounding, unless ``--seed`` is given.
     """
     params = _params(params_path, seed)
-    try:
-        counts = [int(x) for x in demand_counts.split(",") if x.strip()]
-    except ValueError:
-        raise InputError(f"bad --demand-counts {demand_counts!r}") from None
+    # Digits only, so a negative count is refused here, under the flag's name.
+    counts = [x.strip() for x in demand_counts.split(",") if x.strip()]
+    if not all(x.isdecimal() for x in counts):
+        raise InputError(f"bad --demand-counts {demand_counts!r}")
     if not counts:
         raise InputError("--demand-counts is empty")
     graph = generate_topology(params)
     reports = []
     for k in counts:
-        demands = generate_demands(replace(params, n_demands=k), graph)
+        demands = generate_demands(replace(params, n_demands=int(k)), graph)
         reports += _solve_modes(graph, demands, mode, SolverConfig(seed=params.seed))
     _write(reports, fmt, out, timing)
 

@@ -9,10 +9,11 @@ all-rejection master, whose answer is each demand's cheapest candidate,
 so it reads them from the table. Then one of three regimes holds, in
 this order. When the closed form solves that pool, which is every demand
 on its cheapest route, nothing can undercut it and the solve certifies
-with no LP. Otherwise, when the whole table fits in a master of at most
-:data:`FULL_MASTER_MAX_COLUMNS` columns, a budget set by memory alone,
+with no LP. Otherwise, when that pool holds at least
+:data:`WHOLE_MASTER_MIN_SHARE` of the full master, as on sparse graphs,
 every candidate joins before the first HiGHS solve, so the pass after it
-certifies at once; larger masters grow incrementally.
+certifies at once; a smaller share, as on dense overlays, grows by
+pricing.
 Randomized rounding then converts the fractional path mix into one
 committed path per demand, or a rejection; a closed-form mix is already
 integral and fits every capacity, so it is read out as it is. Candidates
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -45,20 +46,20 @@ CandidateFn = Callable[[OverlayGraph, Sequence[Demand]], CandidateTable]
 _INTEGRAL_TOL = 1e-6
 #: Residual-capacity slack absorbing LP-level float noise on commits.
 _CAPACITY_SLACK = 1e-9
-#: Largest full master, ``len(table) + len(demands)`` columns, that column
-#: generation solves whole at its first HiGHS call. The whole LP takes one
-#: iteration and one HiGHS call. It is not always faster than growing the
-#: pool: on dense overlays, whose final pool is a few percent of the
-#: table, it is slower (0.24-0.30 s against 0.14-0.15 s at 100/9900/300,
-#: and 1.6-2.2 s against 0.30 s on a 50-PoP telco epoch of 29,930
-#: columns). The cap is set by memory alone, since the master's cost
-#: scaling keeps large LPs well conditioned.
-#: HiGHS's ``run`` holds about 1 KB per column. Peak RSS of one column
-#: generation run, solved whole against incrementally: 102 against 95 MB
-#: at 13.6k columns (50 nodes, 450 edges, 5000 demands), 122 against 112
-#: MB at 23.6k (300/6000/10000) and 144 against 128 MB at 39.3k
-#: (100/1200/17000). Larger masters grow by pricing.
-FULL_MASTER_MAX_COLUMNS = 40_000
+#: Least share of the full master, ``len(table) + len(demands)`` columns,
+#: that the first pool must hold for the whole table to join before the
+#: first HiGHS solve; a smaller pool grows by pricing. The whole master is
+#: then at most 6 times the first pool, which the incremental path solves
+#: too, so memory needs no cap of its own. Measured solve times of the two
+#: paths cross at a share of 0.16-0.25: dense overlays, whose first pool is
+#: 3-10% of the full master, are faster grown, and sparse graphs, at
+#: 64-95%, faster whole. Just under 1/6 (50 nodes, 1600 edges, 3000
+#: demands: 0.161) the whole master was 6% faster but held 46 MB more, so
+#: the pool grows there.
+WHOLE_MASTER_MIN_SHARE = 1 / 6
+#: Most column-generation iterations in one solve; a solve that reaches it
+#: returns its last master uncertified.
+MAX_CG_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -66,14 +67,11 @@ class SolverConfig:
     """Tunables for one solve; the seed fixes every random choice."""
 
     seed: int = 0
-    max_cg_iterations: int = 500
     max_rounding_passes: Optional[int] = None  # None: one pass per demand
 
     def __post_init__(self):
         if self.seed < 0:
             raise InputError("seed must be nonnegative")
-        if self.max_cg_iterations < 1:
-            raise InputError("max_cg_iterations must be positive")
         if self.max_rounding_passes is not None and self.max_rounding_passes < 1:
             raise InputError("max_rounding_passes must be positive")
 
@@ -103,16 +101,18 @@ class RoutingSolution:
 class CgResult:
     """LP-side output of column generation, before rounding.
 
-    ``closed_form`` says the solve ended in the closed-form regime: its
-    ``solution`` is integral, each demand on one column at weight exactly 1,
-    and those columns' loads fit every capacity.
+    ``regime`` names the path the solve took (see
+    :func:`column_generation`): ``"closed_form"``, ``"whole"`` or
+    ``"incremental"``. A closed-form ``solution`` is integral, each demand
+    on one column at weight exactly 1, and those columns' loads fit every
+    capacity.
     """
 
     solution: RmpSolution
     master: RestrictedMaster
     iterations: int
     certified: bool
-    closed_form: bool
+    regime: Literal["closed_form", "whole", "incremental"]
 
 
 def column_generation(
@@ -128,8 +128,10 @@ def column_generation(
     pass re-prices the same table in one batch and the entering candidates
     join the master by index. On natural termination the final LP value is
     optimal for the formulation over all QoS-feasible routes, and the
-    result is flagged ``certified``; hitting the iteration cap returns the
-    best solution uncertified.
+    result is flagged ``certified``; hitting :data:`MAX_CG_ITERATIONS`
+    returns the best solution uncertified. ``config`` is not read, since
+    its seed drives rounding alone; it stays for callers that pass it by
+    position, as ``perfbench`` does.
 
     An iteration is one pricing pass that adds columns, then one master
     solve, so ``iterations`` counts master solves; the cap bounds them. The
@@ -139,7 +141,8 @@ def column_generation(
     those duals). The regimes below are decided once, on that first pool,
     the only one the closed form can solve: it holds every routable
     demand's cheapest candidate, so a column that joins later, by pricing
-    or by a whole-table join, is its demand's second.
+    or by a whole-table join, is its demand's second. ``regime`` names the
+    one that ran.
 
     1. The closed form (:meth:`~cgroute.rmp.RestrictedMaster.closed_form`)
        solves the first pool, and the solve certifies with no LP and no
@@ -149,11 +152,11 @@ def column_generation(
        capacity priced at zero no candidate undercuts its demand's
        convexity price. When no demand has a route, the pool is its
        rejection columns alone, which the closed form always solves.
-    2. Otherwise, when the full master, ``len(table) + len(demands)``
-       columns, is at most :data:`FULL_MASTER_MAX_COLUMNS`, the whole table
-       joins and HiGHS solves it: the next pricing pass has no candidate
-       left to add and certifies, so a congested solve takes one iteration
-       and one LP.
+    2. Otherwise, when the first pool holds at least
+       :data:`WHOLE_MASTER_MIN_SHARE` of the full master,
+       ``len(table) + len(demands)`` columns, the whole table joins and
+       HiGHS solves it: the next pricing pass has no candidate left to add
+       and certifies, so a congested solve takes one iteration and one LP.
     3. Otherwise HiGHS solves the first pool, and pricing grows it; a pass
        that adds nothing certifies.
     """
@@ -161,13 +164,15 @@ def column_generation(
     master = RestrictedMaster(table)
     master.add(price_rejections(table, master.dummy_penalty))
     solution = master.closed_form()
-    closed_form = certified = solution is not None
+    certified = solution is not None
+    regime = "closed_form" if certified else "incremental"
     if not certified:
-        if len(table) + len(demands) <= FULL_MASTER_MAX_COLUMNS:
+        if master.pool_size >= WHOLE_MASTER_MIN_SHARE * (len(table) + len(demands)):
+            regime = "whole"
             master.add(range(len(table)))
         solution = master.solve()
     iterations = 1
-    while not certified and iterations < config.max_cg_iterations:
+    while not certified and iterations < MAX_CG_ITERATIONS:
         certified = master.add(
             index for index, _ in price_demand(table, solution.duals).values()
         ) == 0
@@ -179,7 +184,7 @@ def column_generation(
         master=master,
         iterations=iterations,
         certified=certified,
-        closed_form=closed_form,
+        regime=regime,
     )
 
 
@@ -297,7 +302,7 @@ def solve(
         )
     augment_clique(graph, demands)
     cg = column_generation(graph, demands, config, candidate_fn)
-    if cg.closed_form:
+    if cg.regime == "closed_form":
         outcomes, objective = cg.master.routing(cg.master.top_columns(cg.solution.values))
     else:
         rng = np.random.default_rng(config.seed)

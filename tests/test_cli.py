@@ -480,6 +480,14 @@ class TestSweep:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] != outputs[2]
 
+    @pytest.mark.parametrize("counts", ["-5", "4,-1"])
+    def test_negative_demand_count_names_the_flag(self, counts, capsys):
+        capsys.readouterr()
+        assert run(["sweep", f"--demand-counts={counts}"]) == 2
+        captured = capsys.readouterr()
+        assert f"bad --demand-counts '{counts}'" in captured.err
+        assert "n_demands" not in captured.err and captured.out == ""
+
 
 class TestExactGap:
     def test_exact_gap_runs(self, scenario_dir, tmp_path):

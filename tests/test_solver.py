@@ -49,8 +49,6 @@ CANDIDATES = {"overlay": enumerate_candidates, "direct": direct_mode_candidates}
 class TestConfig:
     def test_rejects_nonpositive_limits(self):
         with pytest.raises(InputError):
-            SolverConfig(max_cg_iterations=0)
-        with pytest.raises(InputError):
             SolverConfig(max_rounding_passes=0)
 
     def test_rejects_negative_seed(self):
@@ -100,6 +98,7 @@ class TestColumnGeneration:
         full.add(range(len(table)))
         want = highs_optimum(full)[1]
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
+        return cg
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_one_shot_full_lp(self, seed):
@@ -111,61 +110,63 @@ class TestColumnGeneration:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_incremental_cg_matches_one_shot_full_lp(self, seed, monkeypatch):
-        # These masters are all under the cap; with it at zero the pool
-        # grows by pricing alone, as on masters too large to seed.
-        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
-        self._check_matches_one_shot_full_lp(seed, "overlay")
+        # Gap-suite first pools hold 78-95% of their full masters, so these
+        # are solved whole; with a share of 1 required, the pool grows by
+        # pricing alone, unless the closed form solves it.
+        monkeypatch.setattr(solver, "WHOLE_MASTER_MIN_SHARE", 1.0)
+        cg = self._check_matches_one_shot_full_lp(seed, "overlay")
+        assert cg.regime in ("closed_form", "incremental")
 
     def test_congested_instance_calls_highs(self, highs_calls):
         # Gap-suite instance 9's cheapest routes overrun a capacity, so the
-        # master needs the LP solver; its full master (55 columns) is under
-        # the cap, so that one HiGHS call solves the whole table and the
-        # next pricing pass certifies. test_matches_one_shot_full_lp checks
-        # the optimum it reaches.
+        # master needs the LP solver; its first pool (44 columns) is 80% of
+        # its full master (55), so that one HiGHS call solves the whole
+        # table and the next pricing pass certifies.
+        # test_matches_one_shot_full_lp checks the optimum it reaches.
         graph, demands = gap_suite_instance(9)
         cg = column_generation(augment_clique(graph, demands), demands)
-        assert cg.certified and cg.iterations == 1
+        assert cg.certified and cg.iterations == 1 and cg.regime == "whole"
         assert len(highs_calls) == 1
         assert cg.master.pool_size == len(cg.master.table) + len(demands)
 
-    @staticmethod
-    def _cg_under_cap(monkeypatch, columns_over_cap):
-        """Gap-suite instance 9 with the cap set relative to its full master."""
-        graph, demands = gap_suite_instance(9)
-        augmented = augment_clique(graph, demands)
-        full = len(enumerate_candidates(augmented, demands)) + len(demands)
-        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", full - columns_over_cap)
-        cg = column_generation(augmented, demands)
-        return cg, full
+    def test_first_pool_just_over_a_sixth_is_solved_whole(self):
+        # A 16-node full mesh whose first pool is 160 of 958 columns.
+        graph, demands = synthetic_instance(16, 240, 80, seed=1)
+        assert first_and_full_columns(graph, demands) == (160, 958)
+        cg = column_generation(graph, demands)
+        assert cg.certified and cg.regime == "whole"
 
-    def test_full_master_at_the_cap_is_seeded(self, highs_calls, monkeypatch):
-        cg, full = self._cg_under_cap(monkeypatch, 0)
-        assert cg.certified and cg.iterations == 1
-        assert len(highs_calls) == 1
-        assert cg.master.pool_size == full
-
-    def test_master_over_the_cap_grows_incrementally(self, highs_calls, monkeypatch):
-        cg, full = self._cg_under_cap(monkeypatch, 1)
-        assert cg.certified and cg.iterations == 3
-        assert len(highs_calls) == 3  # every master: the cheapest routes overrun a capacity
-        assert cg.master.pool_size < full
+    def test_first_pool_just_under_a_sixth_grows_by_pricing(self):
+        # A 17-node full mesh whose first pool is 78 of 469 columns; the
+        # pool it grows reaches the whole master's LP optimum.
+        graph, demands = synthetic_instance(17, 272, 40)
+        assert first_and_full_columns(graph, demands) == (78, 469)
+        cg = column_generation(graph, demands)
+        assert cg.certified and cg.regime == "incremental" and cg.iterations > 1
         whole = RestrictedMaster(cg.master.table)
         whole.add(range(len(whole.table)))
         want = highs_optimum(whole)[1]
         assert cg.solution.objective == pytest.approx(want, rel=1e-9, abs=1e-6)
 
+    def test_first_pool_at_the_share_is_solved_whole(self, monkeypatch):
+        # The rule is >=: a first pool of exactly the set share joins the table.
+        graph, demands = synthetic_instance(17, 272, 40)
+        monkeypatch.setattr(solver, "WHOLE_MASTER_MIN_SHARE", 78 / 469)
+        assert column_generation(graph, demands).regime == "whole"
+
     def test_dense_lp_size_is_solved_whole(self, highs_calls, monkeypatch):
-        # A dense-lp benchmark instance: 13,610 columns in full, under the
-        # cap, so one HiGHS call solves the whole master; growing the pool
-        # by pricing instead (cap 0) reaches the same LP optimum.
+        # A dense-lp benchmark instance: its first pool is 64-68% of its
+        # full master (13,610 columns), so one HiGHS call solves the whole
+        # master; growing the pool by pricing instead (a share of 1
+        # required) reaches the same LP optimum.
         graph, demands = dense_lp_instance()
         whole = column_generation(graph, demands)
-        assert whole.certified and whole.iterations == 1
+        assert whole.certified and whole.iterations == 1 and whole.regime == "whole"
         assert len(highs_calls) == 1
         assert whole.master.pool_size == len(whole.master.table) + len(demands)
-        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        monkeypatch.setattr(solver, "WHOLE_MASTER_MIN_SHARE", 1.0)
         grown = column_generation(graph, demands)
-        assert grown.certified and grown.iterations > 1
+        assert grown.certified and grown.iterations > 1 and grown.regime == "incremental"
         assert whole.solution.objective == pytest.approx(grown.solution.objective, rel=1e-9)
 
     def test_uncongested_telco_epoch_skips_highs(self, highs_calls):
@@ -187,10 +188,10 @@ class TestColumnGeneration:
         if case == "closed_form":  # every cheapest route fits: no HiGHS
             trace = generate_telco_trace(1, seed=3)
             graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
-        else:  # gap-suite instance 9 needs HiGHS, whole or grown by pricing
+        elif case == "whole":  # gap-suite instance 9: a sparse graph
             graph, demands = gap_suite_instance(9)
-        if case == "incremental":
-            monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        else:  # a full mesh, whose first pool is under a sixth of its master
+            graph, demands = synthetic_instance(17, 272, 40)
         solves = []
         plain = RestrictedMaster.solve
 
@@ -204,14 +205,14 @@ class TestColumnGeneration:
             solver, "price_demand", lambda *args: priced.append(args) or price_demand(*args)
         )
         cg = column_generation(augment_clique(graph, demands), demands)
-        assert cg.certified
+        assert cg.certified and cg.regime == case
         assert len(solves) == (0 if case == "closed_form" else cg.iterations)
         assert cg.iterations == 1 if case != "incremental" else cg.iterations > 1
         # The first pass reads the table, and the certifying pass prices
         # unless the master is closed-form.
         assert len(priced) == cg.iterations - (1 if case == "closed_form" else 0)
 
-    def test_first_pass_is_pricing_at_the_rejection_duals(self):
+    def test_first_pass_is_pricing_at_the_rejection_duals(self, monkeypatch):
         # Three demands whose cheapest routes tie: 0 -> 3 direct, through 1
         # and through 2 (20 ms each); 0 -> 2 direct and through 1 (12 ms);
         # 1 -> 3 direct and through 2 (11 ms). The first pass must add what
@@ -219,6 +220,7 @@ class TestColumnGeneration:
         # the first candidate in list order, here each direct route. Those
         # routes fit, so the closed form solves that pool and certifies it,
         # even at an iteration cap of one.
+        monkeypatch.setattr(solver, "MAX_CG_ITERATIONS", 1)
         delays = {(0, 3): 20.0, (0, 1): 9.0, (1, 3): 11.0, (0, 2): 12.0, (2, 3): 8.0, (1, 2): 3.0}
         g = OverlayGraph.from_edges(
             4, {e: LinkMetrics(d, 1.0, 100.0, 0.999) for e, d in delays.items()}, [1000.0] * 4
@@ -235,7 +237,7 @@ class TestColumnGeneration:
         tied = [len(set(table.delay[a:b].tolist())) for a, b in zip(want, table.offsets[1:])]
         assert tied == [1, 1, 1]
         assert price_rejections(table, master.dummy_penalty).tolist() == want
-        first = column_generation(augmented, demands, SolverConfig(max_cg_iterations=1))
+        first = column_generation(augmented, demands)
         assert first.master.joined.tolist() == want
         assert first.iterations == 1 and first.certified
 
@@ -259,25 +261,22 @@ class TestColumnGeneration:
         table = enumerate_candidates(augmented, demands)
         assert price_demand(table, cg.solution.duals) == {}
 
-    def test_iteration_cap_flags_uncertified(self):
+    def test_iteration_cap_flags_uncertified(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_CG_ITERATIONS", 1)
         graph, demands = gap_suite_instance(0)
-        augmented = augment_clique(graph, demands)
-        cg = column_generation(
-            augmented, demands, SolverConfig(max_cg_iterations=1)
-        )
+        cg = column_generation(augment_clique(graph, demands), demands)
         assert cg.iterations == 1
         assert not cg.certified  # one pass cannot both add columns and verify
 
-    def test_closed_form_certifies_at_an_iteration_cap_of_one(self, highs_calls):
+    def test_closed_form_certifies_at_an_iteration_cap_of_one(self, highs_calls, monkeypatch):
         # The closed form proves the first pool optimal with no LP; it is
         # the one iteration, so the cap cannot stop it short of certifying.
+        monkeypatch.setattr(solver, "MAX_CG_ITERATIONS", 1)
         trace = generate_telco_trace(1, seed=3)
         graph, demands = trace.graph_for(trace.epochs[0]), telco_demands(seed=3)
-        cg = column_generation(
-            augment_clique(graph, demands), demands, SolverConfig(max_cg_iterations=1)
-        )
+        cg = column_generation(augment_clique(graph, demands), demands)
         assert highs_calls == []
-        assert cg.iterations == 1 and cg.certified
+        assert cg.iterations == 1 and cg.certified and cg.regime == "closed_form"
 
 
 def synthetic_instance(n_nodes, n_edges, n_demands, seed=0):
@@ -285,6 +284,14 @@ def synthetic_instance(n_nodes, n_edges, n_demands, seed=0):
     params = SyntheticParams(n_nodes=n_nodes, n_edges=n_edges, n_demands=n_demands, seed=seed)
     graph = generate_topology(params)
     return graph, generate_demands(params, graph)
+
+
+def first_and_full_columns(graph, demands):
+    """The first pool's columns and the full master's, as column generation sees them."""
+    table = enumerate_candidates(augment_clique(graph, demands), demands)
+    master = RestrictedMaster(table)
+    master.add(price_rejections(table, master.dummy_penalty))
+    return master.pool_size, len(table) + len(demands)
 
 
 class TestClosedFormOnlyOnTheFirstPool:
@@ -311,12 +318,15 @@ class TestClosedFormOnlyOnTheFirstPool:
         return calls
 
     def test_after_every_pricing_pass_on_gap_suite(self, adds, monkeypatch):
-        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        # Gap-suite masters are solved whole; requiring a share of 1 grows
+        # them by pricing.
+        monkeypatch.setattr(solver, "WHOLE_MASTER_MIN_SHARE", 1.0)
         grown = 0
         for seed in range(10):
             graph, demands = gap_suite_instance(seed)
             adds.clear()
-            column_generation(augment_clique(graph, demands), demands)
+            cg = column_generation(augment_clique(graph, demands), demands)
+            assert cg.regime != "whole", seed
             _, *later = adds
             assert all(closed is None for _, closed in later), seed
             grown += sum(added > 0 for added, _ in later)
@@ -325,11 +335,13 @@ class TestClosedFormOnlyOnTheFirstPool:
     @pytest.mark.parametrize("growth", ["whole", "incremental"])
     def test_after_the_join_and_every_pass_on_a_dense_overlay(self, adds, monkeypatch, growth):
         # A full mesh on 100 nodes: its first pool overruns a capacity, and
-        # its full master (21,423 columns) is under the cap.
+        # holds 2.8% of its full master (21,423 columns), so it grows by
+        # pricing; a share of 0 required joins the whole table instead.
         graph, demands = synthetic_instance(100, 9900, 300)
-        if growth == "incremental":
-            monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        if growth == "whole":
+            monkeypatch.setattr(solver, "WHOLE_MASTER_MIN_SHARE", 0.0)
         cg = column_generation(augment_clique(graph, demands), demands)
+        assert cg.regime == growth
         (first, _), *later = adds
         assert later and all(closed is None for _, closed in later)
         if growth == "whole":  # the join takes in every candidate the first pass did not
@@ -356,17 +368,18 @@ class TestConditioning:
         return cg
 
     def test_20k_demands(self):
-        # 46,353 columns in full: over the cap, so the pool grows by pricing.
+        # 46,353 columns in full, 71% of them in the first pool: solved whole.
         graph, demands = synthetic_instance(100, 1200, 20000)
         cg = self._check_certified(graph, demands, -8)
-        assert len(cg.master.table) + len(demands) > solver.FULL_MASTER_MAX_COLUMNS
-        assert cg.master.pool_size < len(cg.master.table) + len(demands)
+        assert cg.regime == "whole"
 
     def test_incremental_cg_at_8k_demands(self, monkeypatch):
-        monkeypatch.setattr(solver, "FULL_MASTER_MAX_COLUMNS", 0)
+        # A sparse master, solved whole by the rule; requiring a share of 1
+        # grows its pool by pricing.
+        monkeypatch.setattr(solver, "WHOLE_MASTER_MIN_SHARE", 1.0)
         graph, demands = synthetic_instance(300, 6000, 8000)
         cg = self._check_certified(graph, demands, -7)
-        assert cg.iterations > 2
+        assert cg.regime == "incremental" and cg.iterations > 2
 
 
 def make_split_state():
@@ -570,12 +583,12 @@ class TestSolve:
             graph = trace.graph_for(epoch)
             routed = solve(graph, demands)
             cg = column_generation(graph, demands)
-            assert len(rounded) == (not cg.closed_form)
+            assert len(rounded) == (cg.regime != "closed_form")
             rounded.clear()
             rng = np.random.default_rng(0)
             want = plain(cg.solution, cg.master, graph, demands, rng)
             assert routed.outcomes == want.outcomes and routed.objective == want.objective
-            closed += cg.closed_form
+            closed += cg.regime == "closed_form"
         assert closed > 0
 
     @pytest.mark.parametrize("seed", range(6))
